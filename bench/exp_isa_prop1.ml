@@ -60,9 +60,9 @@ let run () =
       (fun n ->
         let f = Families.isa n in
         let order = Boolfun.variables f in
-        let m = Bdd.manager order in
-        let node = Bdd.of_boolfun m f in
-        [ Table.fi n; Table.fi (Bdd.size m node); Table.fi (Bdd.width m node) ])
+        let m = Sdd.Obdd.manager order in
+        let node = Compile.sdd_of_boolfun m f in
+        [ Table.fi n; Table.fi (Sdd.Obdd.size m node); Table.fi (Sdd.Obdd.width m node) ])
       [ 5; 18 ]
   in
   Table.print

@@ -22,9 +22,9 @@ let obdd_stats q db =
        | None -> Lineage.variables db)
     | _ -> Lineage.variables db
   in
-  let m = Bdd.manager order in
-  let node = Bdd.compile_circuit m (Lineage.circuit q db) in
-  (Bdd.size m node, Bdd.width m node)
+  let m = Sdd.Obdd.manager order in
+  let node = Sdd.Obdd.compile_circuit m (Lineage.circuit q db) in
+  (Sdd.Obdd.size m node, Sdd.Obdd.width m node)
 
 let sdd_stats q db =
   (* Best of a few vtrees, as a compiler would search. *)

@@ -57,15 +57,20 @@ let run () =
       (fun n ->
         let c = Generators.chain_implications n in
         let order = Lemma1.obdd_order_of_circuit ~exact:(n <= 5) c in
-        let m = Bdd.manager order in
-        let node = Bdd.compile_circuit m c in
+        let m = Sdd.Obdd.manager order in
+        let node = Sdd.Obdd.compile_circuit m c in
         let g = Circuit.underlying_graph c in
         let pw =
           if Ugraph.num_vertices g <= 16 then
             Table.fi (Treewidth.pathwidth_exact g)
           else "-"
         in
-        [ Table.fi n; pw; Table.fi (Bdd.width m node); Table.fi (Bdd.size m node) ])
+        [
+          Table.fi n;
+          pw;
+          Table.fi (Sdd.Obdd.width m node);
+          Table.fi (Sdd.Obdd.size m node);
+        ])
       [ 4; 5; 6; 8; 10; 12 ]
   in
   Table.print
@@ -81,15 +86,15 @@ let run () =
     List.map
       (fun n ->
         let f = Families.disjointness n in
-        let bad = Bdd.manager (Families.xs n @ Families.ys n) in
-        let node = Bdd.of_boolfun bad f in
-        let before = Bdd.size bad node in
-        let m', node', _ = Bdd.sift bad node in
+        let m = Sdd.Obdd.manager (Families.xs n @ Families.ys n) in
+        let node = Compile.sdd_of_boolfun m f in
+        let before = Sdd.Obdd.size m node in
+        let node = Sdd.Obdd.sift m node in
         [
           Table.fi n;
           Table.fi before;
-          Table.fi (Bdd.size m' node');
-          Table.fi (Bdd.width m' node');
+          Table.fi (Sdd.Obdd.size m node);
+          Table.fi (Sdd.Obdd.width m node);
         ])
       [ 2; 3; 4; 5 ]
   in
@@ -115,17 +120,15 @@ let run () =
             let vt, _ = Lemma1.vtree_of_circuit c in
             let sdw = Compile.sdw f vt in
             let order = Lemma1.obdd_order_of_circuit c in
-            let m = Bdd.manager order in
-            let node = Bdd.compile_circuit m c in
-            let m', node', _ = Bdd.sift m node in
+            let m = Sdd.Obdd.manager order in
+            let node = Sdd.Obdd.sift m (Sdd.Obdd.compile_circuit m c) in
+            let size = Sdd.Obdd.size m node in
             [
               Printf.sprintf "%s-%d" name n;
               Table.fi (Circuit.num_vars c);
               Table.fi sdw;
-              Table.fi (Bdd.size m' node');
-              Table.ff
-                (float_of_int (Bdd.size m' node')
-                /. float_of_int (Circuit.num_vars c));
+              Table.fi size;
+              Table.ff (float_of_int size /. float_of_int (Circuit.num_vars c));
             ])
           [ 6; 9; 12 ])
       [

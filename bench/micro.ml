@@ -13,11 +13,11 @@ let test_sdd_conjoin =
          let g = Sdd.compile_circuit m (Generators.parity_chain 8) in
          ignore (Sdd.conjoin m f g)))
 
-let test_bdd_compile =
-  Test.make ~name:"bdd/compile-chain-12"
+let test_obdd_compile =
+  Test.make ~name:"obdd/compile-chain-12"
     (Staged.stage (fun () ->
-         let m = Bdd.manager (Families.xs 12) in
-         ignore (Bdd.compile_circuit m (Generators.chain_implications 12))))
+         let m = Sdd.Obdd.manager (Families.xs 12) in
+         ignore (Sdd.Obdd.compile_circuit m (Generators.chain_implications 12))))
 
 let test_factors =
   let f = Boolfun.random ~seed:9 (Families.xs 12) in
@@ -59,7 +59,7 @@ let tests =
   Test.make_grouped ~name:"ctwsdd"
     [
       test_sdd_conjoin;
-      test_bdd_compile;
+      test_obdd_compile;
       test_factors;
       test_rank;
       test_lineage;

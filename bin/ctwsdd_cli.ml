@@ -466,10 +466,12 @@ let compile_cmd =
          (it could blow up past the limits the user just set). *)
       if Budget.is_unlimited budget then begin
         let order = Circuit.variables c in
-        let bm = Bdd.manager order in
-        let bnode = Obs.span "cli.obdd" (fun () -> Bdd.compile_circuit bm c) in
+        let om = Sdd.Obdd.manager order in
+        let onode =
+          Obs.span "cli.obdd" (fun () -> Sdd.Obdd.compile_circuit om c)
+        in
         Printf.printf "OBDD    : size %d, width %d (order: %s)\n"
-          (Bdd.size bm bnode) (Bdd.width bm bnode)
+          (Sdd.Obdd.size om onode) (Sdd.Obdd.width om onode)
           (String.concat "<" order)
       end;
       if o.stats then begin

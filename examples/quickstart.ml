@@ -16,12 +16,12 @@ let () =
     (Boolfun.count_models_int f)
     (1 lsl Boolfun.num_vars f);
 
-  (* OBDD compilation. *)
+  (* OBDD compilation: a canonical SDD on the right-linear vtree. *)
   let order = Circuit.variables c in
-  let bm = Bdd.manager order in
-  let bdd = Bdd.compile_circuit bm c in
+  let om = Sdd.Obdd.manager order in
+  let obdd = Sdd.Obdd.compile_circuit om c in
   Printf.printf "OBDD (order %s): size %d, width %d\n"
-    (String.concat "<" order) (Bdd.size bm bdd) (Bdd.width bm bdd);
+    (String.concat "<" order) (Sdd.Obdd.size om obdd) (Sdd.Obdd.width om obdd);
 
   (* Canonical SDD compilation on a balanced vtree. *)
   let vt = Vtree.balanced order in
@@ -36,7 +36,7 @@ let () =
   let weight = function "a" -> 0.9 | "b" -> 0.5 | "c" -> 0.2 | _ -> 0.7 in
   Printf.printf "P(circuit) = %.4f (via SDD) = %.4f (via OBDD)\n"
     (Sdd.probability sm sdd weight)
-    (Bdd.probability bm bdd weight);
+    (Sdd.probability om obdd weight);
 
   (* The factor-based compiler of the paper produces the same canonical
      SDD — handle equality, not just equivalence. *)

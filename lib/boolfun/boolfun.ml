@@ -393,6 +393,24 @@ let all_assignments vars =
   check_num_vars "all_assignments" n;
   List.init (1 lsl n) (fun i -> assignment_of_index vars i)
 
+(* Sieling–Wegener: the reduced OBDD has one x_i-node per distinct
+   subfunction f|x_1..x_(i-1)=a that depends on x_i.  Cofactors over the
+   same prefix share their variable set, so tables compare as functions. *)
+let obdd_profile f order =
+  let f = lift f order in
+  let rec levels prefix = function
+    | [] -> []
+    | x :: rest ->
+      let nodes = Hashtbl.create 16 in
+      List.iter
+        (fun a ->
+          let g = cofactor f a in
+          if depends_on g x then Hashtbl.replace nodes g.tbl ())
+        (all_assignments prefix);
+      (x, Hashtbl.length nodes) :: levels (x :: prefix) rest
+  in
+  levels [] order
+
 let pp ppf f =
   let n = Array.length f.vars in
   Format.fprintf ppf "@[<h>fun(%s)"

@@ -159,6 +159,17 @@ val factors_indexed : t -> string list -> (t * t) list * string array * int arra
 val assignment_of_list : (string * bool) list -> assignment
 val all_assignments : string list -> assignment list
 
+(** {1 OBDD oracle} *)
+
+val obdd_profile : t -> string list -> (string * int) list
+(** [obdd_profile f order]: the number of nodes per level of the reduced
+    OBDD of [f] under [order] (first = topmost), read off the truth
+    table: level [i] holds one node per distinct cofactor of [f] over
+    the prefix [x_1 .. x_(i-1)] that depends on [x_i] (Sieling and
+    Wegener).  Shares no code with any apply, so it serves as an
+    independent oracle for compiled OBDDs.  [order] must list every
+    variable of [f]; exponential in their number. *)
+
 (** {1 Formatting} *)
 
 val pp : Format.formatter -> t -> unit

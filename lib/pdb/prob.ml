@@ -22,18 +22,6 @@ let default_order q db =
      | None -> Lineage.variables db)
   | _ -> Lineage.variables db
 
-let via_obdd ?order q db =
-  Ctwsdd_error.guard @@ fun () ->
-  let order = match order with Some o -> o | None -> default_order q db in
-  let m = Bdd.manager order in
-  let node = Bdd.compile_circuit m (Lineage.circuit q db) in
-  {
-    probability = Bdd.probability_ratio m node (weight_fun db);
-    size = Bdd.size m node;
-    backend = `Obdd;
-    degraded = None;
-  }
-
 (* A lineage with no variables is a constant (empty database, or a query
    decided without touching any tuple); there is no vtree to build, so
    short-circuit before the pipeline. *)
@@ -84,6 +72,10 @@ let compile_lineage (module B : Backend.S) ?(budget = Budget.unlimited) ?vtree
           | Ok r ->
             (r.Pipeline.manager, r.Pipeline.root, r.Pipeline.degraded)))
 
+(* No vtree for an empty order: such a lineage is constant and
+   [compile_lineage] never reaches a manager. *)
+let linear_vtree = function [] -> None | order -> Some (Vtree.right_linear order)
+
 (* Query-level backend resolution: the dichotomy levels of the paper's
    introduction map onto compilation targets.  Hierarchical queries have
    OBDD lineages on the hierarchical variable order; inversion-free
@@ -103,7 +95,7 @@ let resolve_query (backend : Backend.tag) ?vtree q db =
            | Some order ->
              ( `Obdd,
                "hierarchical query: OBDD on the hierarchical order",
-               Some (Vtree.right_linear order) )
+               linear_vtree order )
            | None ->
              if Qsafety.inversion_free q then
                (`Sdd, "inversion-free query: treewidth-bounded SDD", None)
@@ -112,6 +104,20 @@ let resolve_query (backend : Backend.tag) ?vtree q db =
           if Qsafety.inversion_free q then
             (`Sdd, "inversion-free query: treewidth-bounded SDD", None)
           else (`Sdd, "query with inversions: balanced-vtree SDD", None)))
+
+let evaluate chosen ?budget ?vtree ?minimize ?compact_every q db =
+  let (module B : Backend.S) = Backend.impl chosen in
+  match
+    compile_lineage (module B) ?budget ?vtree ?minimize ?compact_every q db
+  with
+  | Error p -> { probability = p; size = 0; backend = chosen; degraded = None }
+  | Ok (m, node, degraded) ->
+    {
+      probability = B.probability_ratio m node (weight_fun db);
+      size = B.size m node;
+      backend = chosen;
+      degraded;
+    }
 
 let via ?budget ?vtree ?minimize ?compact_every ?(backend = `Sdd) q db =
   Ctwsdd_error.guard @@ fun () ->
@@ -122,24 +128,17 @@ let via ?budget ?vtree ?minimize ?compact_every ?(backend = `Sdd) q db =
       (Ctwsdd_error.Invalid_input
          (Printf.sprintf "minimize is supported only by the sdd backend (got %s)"
             (Backend.resolved_name chosen)));
-  let (module B : Backend.S) = Backend.impl chosen in
-  match
-    compile_lineage (module B) ?budget ?vtree ?minimize ?compact_every q db
-  with
-  | Error p -> { probability = p; size = 0; backend = chosen; degraded = None }
-  | Ok (m, node, degraded) ->
-    let answer =
-      {
-        probability = B.probability_ratio m node (weight_fun db);
-        size = B.size m node;
-        backend = chosen;
-        degraded;
-      }
-    in
-    (* The pipeline re-notes its (explicit) selection; restore the
-       query-level reason so [ctwsdd explain] shows why. *)
-    Backend.note_selection ~requested:backend ~chosen ~reason;
-    answer
+  let a = evaluate chosen ?budget ?vtree ?minimize ?compact_every q db in
+  (* The pipeline re-notes its (explicit) selection; restore the
+     query-level reason so [ctwsdd explain] shows why. *)
+  Backend.note_selection ~requested:backend ~chosen ~reason;
+  a
+
+(* [via ~backend:`Obdd] on the pinned order, minus the selection
+   record: a cross-check must not overwrite the run's own choice. *)
+let via_obdd q db =
+  Ctwsdd_error.guard @@ fun () ->
+  evaluate `Obdd ?vtree:(linear_vtree (default_order q db)) q db
 
 let via_sdd ?budget ?vtree ?minimize ?compact_every ?backend q db =
   via ?budget ?vtree ?minimize ?compact_every ?backend q db
@@ -152,7 +151,7 @@ let unpack = function
   | Ok { degraded = Some r; _ } -> raise (Budget.Exhausted r)
   | Ok a -> (a.probability, a.size)
 
-let via_obdd_exn ?order q db = unpack (via_obdd ?order q db)
+let via_obdd_exn q db = unpack (via_obdd q db)
 
 let via_sdd_exn ?budget ?vtree ?minimize ?compact_every ?backend q db =
   unpack (via_sdd ?budget ?vtree ?minimize ?compact_every ?backend q db)

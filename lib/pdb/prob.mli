@@ -27,12 +27,16 @@ type answer = {
 val brute : Ucq.t -> Pdb.t -> Ratio.t
 (** Exact probability by enumerating subdatabases (2^|D|). *)
 
-val via_obdd :
-  ?order:string list -> Ucq.t -> Pdb.t -> (answer, Ctwsdd_error.t) result
-(** Compile the lineage to an OBDD (hierarchical order when the query is
-    hierarchical and none is supplied, else sorted variables); the
-    answer carries the OBDD size.  The OBDD backend is not budgeted;
-    errors are limited to [Invalid_input]. *)
+val via_obdd : Ucq.t -> Pdb.t -> (answer, Ctwsdd_error.t) result
+(** {!via} with [~backend:`Obdd] on the right-linear vtree of the
+    hierarchical variable order when the query is a hierarchical CQ,
+    else of the sorted database variables: the arena OBDD
+    ({!Sdd.Obdd}), unbudgeted.  The answer's [size] is {!Sdd.size},
+    the same convention as every other backend (use
+    {!Sdd.Obdd.size} for the decision-node count).  Unlike {!via} it
+    leaves {!Backend.last_selection} alone, so it can cross-check
+    another run.  A constant lineage (e.g. an empty database) returns
+    size 0. *)
 
 val via :
   ?budget:Budget.t ->
@@ -92,7 +96,7 @@ val via_dnnf :
     size.  [minimize] is rejected ([Invalid_input]): dynamic vtree
     edits assume canonicity. *)
 
-val via_obdd_exn : ?order:string list -> Ucq.t -> Pdb.t -> Ratio.t * int
+val via_obdd_exn : Ucq.t -> Pdb.t -> Ratio.t * int
 (** {!via_obdd} with the historical signature. *)
 
 val via_sdd_exn :

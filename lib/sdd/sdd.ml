@@ -2149,8 +2149,8 @@ module Obdd = struct
 
   (* OBDD node census per level: the root plus the hi/lo closure, one
      node per decision (a literal in node position is the one-decision
-     OBDD of that variable, so it counts too — matching the [Bdd]
-     module's convention).  Primes are encoding, not nodes. *)
+     OBDD of that variable, so it counts too).  Primes are encoding, not
+     nodes. *)
   let level_profile m a =
     check m "Sdd.Obdd.level_profile";
     let st = Atomic.get m.store in
@@ -2180,6 +2180,36 @@ module Obdd = struct
 
   let width m a =
     List.fold_left (fun acc (_, c) -> Stdlib.max acc c) 0 (level_profile m a)
+
+  let size m a = List.fold_left (fun acc (_, c) -> acc + c) 0 (level_profile m a)
+
+  (* Exchange the variables at positions [i] and [i + 1] in place.  The
+     spine node deciding position [i] has pre-order id [2i]: rotating it
+     left gathers both leaves under its new left child [2i + 1], a swap
+     there exchanges them, and rotating right restores the spine.  The
+     last pair already shares one internal node, so one swap does it.
+     Self-inverse. *)
+  let transpose m n i root =
+    let v = 2 * i in
+    if i = n - 2 then swap m v root
+    else rotate_right m v (swap m (v + 1) (rotate_left m v root))
+
+  (* First-improvement hill climbing over adjacent transpositions:
+     restart from the top after every strict improvement, undo a
+     rejected candidate by transposing back. *)
+  let sift m root =
+    check m "Sdd.Obdd.sift";
+    let n = List.length (order m) in
+    let rec climb root current i =
+      if i >= n - 1 then root
+      else begin
+        let cand = transpose m n i root in
+        let s = size m cand in
+        if s < current then climb cand s 0
+        else climb (transpose m n i cand) current (i + 1)
+      end
+    in
+    climb root (size m root) 0
 end
 
 let of_boolfun_naive m f =

@@ -374,13 +374,30 @@ module Obdd : sig
       per-gate budget polling and compaction checkpoints. *)
 
   val level_profile : manager -> t -> (string * int) list
-  (** OBDD nodes per variable level (root plus hi/lo closure; literals
-      in node position count, primes do not) — the [Bdd] module's
-      convention, now at arena scale. *)
+  (** OBDD decision nodes per variable level, in order: the root plus
+      its hi/lo closure, terminals excluded.  A literal in node position
+      is a one-decision OBDD and counts; primes are encoding and do
+      not.  This is the Sieling–Wegener count that
+      [Boolfun.obdd_profile] computes from the truth table. *)
 
   val width : manager -> t -> int
   (** Max of {!level_profile}: the OBDD width of Jha–Suciu/Razgon that
       the paper's pathwidth claims are stated in. *)
+
+  val size : manager -> t -> int
+  (** Sum of {!level_profile}: the number of OBDD decision nodes.
+      {!Sdd.size} on the same node counts SDD elements instead: two per
+      decision that is not a literal. *)
+
+  val sift : manager -> t -> t
+  (** Greedy dynamic reordering in place: try adjacent transpositions of
+      the variable order top-down, keep the first one that strictly
+      decreases {!size}, restart, and stop at a local minimum.  Each
+      transposition is a rotate/swap/rotate of the vtree
+      ({!rotate_left}, {!swap}, {!rotate_right}); a rejected candidate
+      is transposed back.  The vtree stays right-linear; the order
+      found is {!order}.  Returns the node now representing the root's
+      function; like every dynamic edit it invalidates other handles. *)
 end
 
 val of_boolfun_naive : manager -> Boolfun.t -> t

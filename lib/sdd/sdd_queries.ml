@@ -25,46 +25,6 @@ let forget m vars node =
       Sdd.disjoin m (Sdd.condition m acc v false) (Sdd.condition m acc v true))
     node vars
 
-let to_obdd m node =
-  let vt = Sdd.vtree m in
-  if not (Vtree.is_right_linear vt) then
-    invalid_arg "Sdd_queries.to_obdd: the vtree is not right-linear";
-  let bm = Bdd.manager (Vtree.leaf_order vt) in
-  let memo = Hashtbl.create 64 in
-  let rec go node =
-    match Hashtbl.find_opt memo node with
-    | Some r -> r
-    | None ->
-      let r =
-        match Sdd.view m node with
-        | Sdd.False -> Bdd.false_ bm
-        | Sdd.True -> Bdd.true_ bm
-        | Sdd.Literal (v, s) ->
-          let x = Bdd.var bm v in
-          if s then x else Bdd.not_ bm x
-        | Sdd.Decision (_, elems) ->
-          (* On a right-linear vtree every prime is a literal on the left
-             leaf (or the decision was trimmed away); fold the elements
-             into an if-then-else chain. *)
-          List.fold_left
-            (fun acc (p, s) ->
-              match Sdd.view m p with
-              | Sdd.Literal (v, polarity) ->
-                let x = Bdd.var bm v in
-                let guard = if polarity then x else Bdd.not_ bm x in
-                Bdd.or_ bm acc (Bdd.and_ bm guard (go s))
-              | Sdd.True -> Bdd.or_ bm acc (go s)
-              | Sdd.False -> acc
-              | Sdd.Decision _ ->
-                invalid_arg
-                  "Sdd_queries.to_obdd: non-literal prime on a linear vtree")
-            (Bdd.false_ bm) elems
-      in
-      Hashtbl.add memo node r;
-      r
-  in
-  (bm, go node)
-
 let models ?(limit = 64) m node =
   let vars = Vtree.leaf_order (Sdd.vtree m) in
   let out = ref [] in

@@ -34,10 +34,3 @@ val models : ?limit:int -> Sdd.manager -> Sdd.t -> (string * bool) list list
 
 val restrict_term : Sdd.manager -> Sdd.t -> (string * bool) list -> Sdd.t
 (** Condition on a term (iterated {!Sdd.condition}). *)
-
-val to_obdd : Sdd.manager -> Sdd.t -> Bdd.manager * Bdd.t
-(** "OBDDs are canonical SDDs respecting linear vtrees" (paper,
-    Section 3.2.2): converts an SDD over a {e right-linear} vtree into
-    the reduced OBDD with the corresponding variable order.  Linear in
-    the SDD size.
-    @raise Invalid_argument if the manager's vtree is not right-linear. *)

@@ -1,6 +1,6 @@
 (* The backend-agnostic compilation interface: SDD / OBDD / d-DNNF
    targets agree on every count and probability, the OBDD
-   specialization matches the toy Bdd module level for level, the
+   specialization matches a truth-table oracle level for level, the
    non-canonical d-DNNF manager keeps its invariants, and [`Auto]
    resolution is deterministic and audited. *)
 
@@ -125,22 +125,24 @@ let agreement_suite =
 
 let obdd_suite =
   [
-    case "Obdd width and size match the toy Bdd module" (fun () ->
-        List.iteri
-          (fun i c ->
-            let order = Circuit.variables c in
-            let bm = Bdd.manager order in
-            let bnode = Bdd.compile_circuit bm c in
-            let m = Sdd.Obdd.manager order in
-            let node = Sdd.Obdd.compile_circuit m c in
-            checki
-              (Printf.sprintf "circuit %d width" i)
-              (Bdd.width bm bnode) (Sdd.Obdd.width m node);
-            check bigint
-              (Printf.sprintf "circuit %d count" i)
-              (Bdd.model_count bm bnode)
-              (Sdd.model_count m node))
-          small_circuits);
+    qtest "Obdd width and size match the Boolfun oracle"
+      QCheck2.Gen.(triple (int_range 1 7) (int_range 0 500) (int_range 0 500))
+      (fun (n, seed, order_seed) ->
+        (* Random functions on at most 7 variables under random orders,
+           compiled by the ITE apply from a DNF circuit, against the
+           Sieling–Wegener count on the truth table. *)
+        let f = Boolfun.random ~seed (small_vars n) in
+        let order =
+          Vtree.leaf_order (Vtree.random ~seed:order_seed (small_vars n))
+        in
+        let m = Sdd.Obdd.manager order in
+        let node = Sdd.Obdd.compile_circuit m (Circuit.of_boolfun_dnf f) in
+        let oracle = Boolfun.obdd_profile f order in
+        Sdd.Obdd.level_profile m node = oracle
+        && Sdd.Obdd.width m node
+           = List.fold_left (fun acc (_, c) -> max acc c) 0 oracle
+        && Sdd.Obdd.size m node
+           = List.fold_left (fun acc (_, c) -> acc + c) 0 oracle);
     case "Obdd level profile covers every level" (fun () ->
         let c = Generators.parity_chain 6 in
         let m = Sdd.Obdd.manager (Circuit.variables c) in

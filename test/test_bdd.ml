@@ -1,41 +1,64 @@
+(* Function-level OBDD facts on the arena OBDD ({!Sdd.Obdd}): canonicity,
+   counting, and the order dependence of OBDD width. *)
+
 open Test_util
+
+let lit m v = Sdd.literal m v true
+
+(* Every permutation of a (small) variable list. *)
+let rec orders = function
+  | [] -> [ [] ]
+  | vars ->
+    List.concat_map
+      (fun x -> List.map (List.cons x) (orders (List.filter (( <> ) x) vars)))
+      vars
+
+let obdd_of_boolfun order f =
+  let m = Sdd.Obdd.manager order in
+  (m, Compile.sdd_of_boolfun m f)
 
 let bdd_suite =
   [
     case "constants and canonicity" (fun () ->
-        let m = Bdd.manager [ "x"; "y" ] in
-        checkb "t<>f" false (Bdd.equal (Bdd.true_ m) (Bdd.false_ m));
-        let x = Bdd.var m "x" in
-        checkb "x & x = x" true (Bdd.equal (Bdd.and_ m x x) x);
-        checkb "x & ~x = F" true (Bdd.equal (Bdd.and_ m x (Bdd.not_ m x)) (Bdd.false_ m));
-        checkb "x | ~x = T" true (Bdd.equal (Bdd.or_ m x (Bdd.not_ m x)) (Bdd.true_ m)));
+        let m = Sdd.Obdd.manager [ "x"; "y" ] in
+        checkb "t<>f" false (Sdd.equal (Sdd.true_ m) (Sdd.false_ m));
+        let x = lit m "x" in
+        checkb "x & x = x" true (Sdd.equal (Sdd.Obdd.conjoin m x x) x);
+        checkb "x & ~x = F" true
+          (Sdd.is_false m (Sdd.Obdd.conjoin m x (Sdd.negate m x)));
+        checkb "x | ~x = T" true
+          (Sdd.is_true m (Sdd.Obdd.disjoin m x (Sdd.negate m x))));
     case "canonicity across equivalent formulas" (fun () ->
-        let m = Bdd.manager [ "x"; "y"; "z" ] in
-        let x = Bdd.var m "x" and y = Bdd.var m "y" and z = Bdd.var m "z" in
-        let a = Bdd.or_ m (Bdd.and_ m x y) (Bdd.and_ m x z) in
-        let b = Bdd.and_ m x (Bdd.or_ m y z) in
-        checkb "distribution" true (Bdd.equal a b));
+        let m = Sdd.Obdd.manager [ "x"; "y"; "z" ] in
+        let x = lit m "x" and y = lit m "y" and z = lit m "z" in
+        let a =
+          Sdd.Obdd.disjoin m (Sdd.Obdd.conjoin m x y) (Sdd.Obdd.conjoin m x z)
+        in
+        let b = Sdd.Obdd.conjoin m x (Sdd.Obdd.disjoin m y z) in
+        checkb "distribution" true (Sdd.equal a b));
     case "model count" (fun () ->
-        let m = Bdd.manager [ "x"; "y"; "z" ] in
-        let f = Bdd.or_ m (Bdd.var m "x") (Bdd.var m "y") in
-        check bigint "6 models" (Bigint.of_int 6) (Bdd.model_count m f);
-        check bigint "T" (Bigint.of_int 8) (Bdd.model_count m (Bdd.true_ m));
-        check bigint "F" Bigint.zero (Bdd.model_count m (Bdd.false_ m)));
+        let m = Sdd.Obdd.manager [ "x"; "y"; "z" ] in
+        let f = Sdd.Obdd.disjoin m (lit m "x") (lit m "y") in
+        check bigint "6 models" (Bigint.of_int 6) (Sdd.model_count m f);
+        check bigint "T" (Bigint.of_int 8) (Sdd.model_count m (Sdd.true_ m));
+        check bigint "F" Bigint.zero (Sdd.model_count m (Sdd.false_ m)));
     case "restrict and quantify" (fun () ->
-        let m = Bdd.manager [ "x"; "y" ] in
-        let f = Bdd.and_ m (Bdd.var m "x") (Bdd.var m "y") in
-        checkb "f|x=1 = y" true (Bdd.equal (Bdd.restrict m f "x" true) (Bdd.var m "y"));
-        checkb "exists x f = y" true (Bdd.equal (Bdd.exists_ m "x" f) (Bdd.var m "y"));
-        checkb "forall x f = F" true (Bdd.equal (Bdd.forall m "x" f) (Bdd.false_ m)));
+        let m = Sdd.Obdd.manager [ "x"; "y" ] in
+        let y = lit m "y" in
+        let f = Sdd.Obdd.conjoin m (lit m "x") y in
+        let f0 = Sdd.condition m f "x" false and f1 = Sdd.condition m f "x" true in
+        checkb "f|x=1 = y" true (Sdd.equal f1 y);
+        checkb "exists x f = y" true
+          (Sdd.equal (Sdd_queries.forget m [ "x" ] f) y);
+        checkb "forall x f = F" true (Sdd.is_false m (Sdd.Obdd.conjoin m f0 f1)));
     case "width of chain vs parity" (fun () ->
         (* chain implications: constant OBDD width in the natural order *)
         let n = 8 in
         let vars = List.init n (fun i -> Printf.sprintf "x%02d" (i + 1)) in
-        let m = Bdd.manager vars in
-        let f = Bdd.of_boolfun m (Families.chain_implications n) in
-        checkb "chain width <= 2" true (Bdd.width m f <= 2);
-        let p = Bdd.of_boolfun m (Families.parity n) in
-        checkb "parity width = 2" true (Bdd.width m p = 2));
+        let m, f = obdd_of_boolfun vars (Families.chain_implications n) in
+        checkb "chain width <= 2" true (Sdd.Obdd.width m f <= 2);
+        let m, p = obdd_of_boolfun vars (Families.parity n) in
+        checkb "parity width = 2" true (Sdd.Obdd.width m p = 2));
     case "disjointness width by order" (fun () ->
         (* Interleaved order x1 y1 x2 y2... gives constant width; separated
            order x1..xn y1..yn gives exponential width. *)
@@ -45,68 +68,66 @@ let bdd_suite =
         in
         let separated = Families.xs n @ Families.ys n in
         let f = Families.disjointness n in
-        let mi = Bdd.manager interleaved in
-        let ms = Bdd.manager separated in
-        let wi = Bdd.width mi (Bdd.of_boolfun mi f) in
-        let ws = Bdd.width ms (Bdd.of_boolfun ms f) in
-        checkb "interleaved constant" true (wi <= 2);
-        checkb "separated exponential" true (ws >= 1 lsl (n - 1)));
+        let mi, fi = obdd_of_boolfun interleaved f in
+        let ms, fs = obdd_of_boolfun separated f in
+        checkb "interleaved constant" true (Sdd.Obdd.width mi fi <= 2);
+        checkb "separated exponential" true
+          (Sdd.Obdd.width ms fs >= 1 lsl (n - 1)));
     case "probability" (fun () ->
-        let m = Bdd.manager [ "x"; "y" ] in
-        let f = Bdd.or_ m (Bdd.var m "x") (Bdd.var m "y") in
-        Alcotest.(check (float 1e-9)) "p(x|y)" 0.75 (Bdd.probability m f (fun _ -> 0.5));
+        let m = Sdd.Obdd.manager [ "x"; "y" ] in
+        let f = Sdd.Obdd.disjoin m (lit m "x") (lit m "y") in
+        Alcotest.(check (float 1e-9)) "p(x|y)" 0.75 (Sdd.probability m f (fun _ -> 0.5));
         check ratio "exact" (Ratio.of_ints 3 4)
-          (Bdd.probability_ratio m f (fun _ -> Ratio.of_ints 1 2)));
+          (Sdd.probability_ratio m f (fun _ -> Ratio.of_ints 1 2)));
     case "any_model" (fun () ->
-        let m = Bdd.manager [ "x"; "y" ] in
+        let m = Sdd.Obdd.manager [ "x"; "y" ] in
         Alcotest.(check (option (list (pair string bool))))
-          "F has none" None (Bdd.any_model m (Bdd.false_ m));
-        let f = Bdd.and_ m (Bdd.var m "x") (Bdd.not_ m (Bdd.var m "y")) in
-        (match Bdd.any_model m f with
-         | Some [ ("x", true); ("y", false) ] -> ()
-         | other ->
-           Alcotest.failf "unexpected model: %s"
-             (match other with None -> "none" | Some _ -> "wrong")));
+          "F has none" None (Sdd.any_model m (Sdd.false_ m));
+        let f = Sdd.Obdd.conjoin m (lit m "x") (Sdd.literal m "y" false) in
+        Alcotest.(check (option (list (pair string bool))))
+          "the only model" (Some [ ("x", true); ("y", false) ])
+          (Sdd.any_model m f));
     case "best order on disjointness" (fun () ->
         (* Reduced OBDDs skip dead levels, so the interleaved order gives
-           width 1 for D_n: constant width, as the theory predicts. *)
+           width 1 for D_2: constant width, as the theory predicts. *)
         let f = Families.disjointness 2 in
-        let _, w, _ = Bdd.best_order f in
-        checki "obdd width of D_2" 1 w);
+        let best =
+          List.fold_left
+            (fun acc order ->
+              let m, node = obdd_of_boolfun order f in
+              min acc (Sdd.Obdd.width m node))
+            max_int
+            (orders (Boolfun.variables f))
+        in
+        checki "obdd width of D_2" 1 best);
     qtest "of_boolfun/to_boolfun roundtrip" QCheck2.Gen.(int_range 0 80) (fun seed ->
         let f = Boolfun.random ~seed (small_vars 5) in
-        let m = Bdd.manager (small_vars 5) in
-        Boolfun.equal f (Bdd.to_boolfun m (Bdd.of_boolfun m f)));
+        let m, node = obdd_of_boolfun (small_vars 5) f in
+        Boolfun.equal f (Sdd.to_boolfun m node));
     qtest "compile_circuit agrees with to_boolfun" QCheck2.Gen.(int_range 0 60)
       (fun seed ->
         let c = Generators.random_formula ~seed ~vars:4 ~depth:5 in
-        let m = Bdd.manager (small_vars 4) in
-        let node = Bdd.compile_circuit m c in
+        let m = Sdd.Obdd.manager (small_vars 4) in
+        let node = Sdd.Obdd.compile_circuit m c in
         Boolfun.equal
           (Boolfun.lift (Circuit.to_boolfun c) (small_vars 4))
-          (Bdd.to_boolfun m node));
+          (Sdd.to_boolfun m node));
     qtest "model count agrees with boolfun" QCheck2.Gen.(int_range 0 60) (fun seed ->
         let f = Boolfun.random ~seed (small_vars 5) in
-        let m = Bdd.manager (small_vars 5) in
-        Bigint.to_int_exn (Bdd.model_count m (Bdd.of_boolfun m f))
-        = Boolfun.count_models_int f);
-    qtest "xor/iff consistency" QCheck2.Gen.(int_range 0 40) (fun seed ->
-        let f = Boolfun.random ~seed (small_vars 4) in
-        let g = Boolfun.random ~seed:(seed + 999) (small_vars 4) in
-        let m = Bdd.manager (small_vars 4) in
-        let bf = Bdd.of_boolfun m f and bg = Bdd.of_boolfun m g in
-        Bdd.equal (Bdd.xor_ m bf bg) (Bdd.not_ m (Bdd.iff m bf bg))
-        && Bdd.equal (Bdd.implies m bf bg) (Bdd.or_ m (Bdd.not_ m bf) bg));
+        let m, node = obdd_of_boolfun (small_vars 5) f in
+        Bigint.to_int_exn (Sdd.model_count m node) = Boolfun.count_models_int f);
     qtest "size monotone under ite decomposition" QCheck2.Gen.(int_range 0 30)
       (fun seed ->
+        (* Shannon expansion on the top variable rebuilds the same node. *)
         let f = Boolfun.random ~seed (small_vars 4) in
-        let m = Bdd.manager (small_vars 4) in
-        let bf = Bdd.of_boolfun m f in
-        let x = Bdd.var m "x01" in
+        let m, bf = obdd_of_boolfun (small_vars 4) f in
+        let x = lit m "x01" in
         let decomposed =
-          Bdd.ite m x (Bdd.restrict m bf "x01" true) (Bdd.restrict m bf "x01" false)
+          Sdd.Obdd.disjoin m
+            (Sdd.Obdd.conjoin m x (Sdd.condition m bf "x01" true))
+            (Sdd.Obdd.conjoin m (Sdd.negate m x) (Sdd.condition m bf "x01" false))
         in
-        Bdd.equal bf decomposed);
+        Sdd.equal bf decomposed);
   ]
 
 let suites = [ ("bdd", bdd_suite) ]

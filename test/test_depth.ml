@@ -250,39 +250,40 @@ let sdd_deep =
   ]
 
 let bdd_deep =
+  let obdd order f =
+    let m = Sdd.Obdd.manager order in
+    (m, Compile.sdd_of_boolfun m f)
+  in
   [
     case "parity OBDD size linear" (fun () ->
         List.iter
           (fun n ->
-            let m = Bdd.manager (Families.xs n) in
-            let node = Bdd.of_boolfun m (Families.parity n) in
-            checki (Printf.sprintf "n=%d" n) (2 * n - 1) (Bdd.size m node))
+            let m, node = obdd (Families.xs n) (Families.parity n) in
+            checki (Printf.sprintf "n=%d" n) (2 * n - 1) (Sdd.Obdd.size m node))
           [ 3; 5; 8 ]);
     case "majority OBDD quadratic-ish" (fun () ->
-        let m = Bdd.manager (Families.xs 9) in
-        let node = Bdd.of_boolfun m (Families.majority 9) in
-        checkb "quadratic band" true
-          (Bdd.size m node >= 9 && Bdd.size m node <= 9 * 9));
+        let m, node = obdd (Families.xs 9) (Families.majority 9) in
+        let size = Sdd.Obdd.size m node in
+        checkb "quadratic band" true (size >= 9 && size <= 9 * 9));
     qtest "restrict then exists identity: exists x f = f when x unused"
       QCheck2.Gen.(int_range 0 30)
       (fun seed ->
-        let m = Bdd.manager (small_vars 5) in
-        let f = Bdd.of_boolfun m (Boolfun.random ~seed (small_vars 4)) in
+        let m, f = obdd (small_vars 5) (Boolfun.random ~seed (small_vars 4)) in
         (* x05 not in f's support *)
-        Bdd.equal f (Bdd.exists_ m "x05" f));
+        Sdd.equal f (Sdd_queries.forget m [ "x05" ] f));
     qtest "level profile sums to size" QCheck2.Gen.(int_range 0 30) (fun seed ->
-        let m = Bdd.manager (small_vars 5) in
-        let node = Bdd.of_boolfun m (Boolfun.random ~seed (small_vars 5)) in
-        List.fold_left (fun acc (_, c) -> acc + c) 0 (Bdd.level_profile m node)
-        = Bdd.size m node);
+        let f = Boolfun.random ~seed (small_vars 5) in
+        let m, node = obdd (small_vars 5) f in
+        let sum profile = List.fold_left (fun acc (_, c) -> acc + c) 0 profile in
+        Sdd.Obdd.size m node = sum (Sdd.Obdd.level_profile m node)
+        && Sdd.Obdd.size m node = sum (Boolfun.obdd_profile f (small_vars 5)));
     qtest "obdd of lineage equals brute lineage" QCheck2.Gen.(int_range 1 2)
       (fun n ->
         let db = Pdb.complete_rst n in
         let q = Ucq.of_string "R(x), S(x,y)" in
-        let vars = Lineage.variables db in
-        let m = Bdd.manager vars in
-        let node = Bdd.compile_circuit m (Lineage.circuit q db) in
-        Boolfun.equal (Bdd.to_boolfun m node) (Lineage.brute_force q db));
+        let m = Sdd.Obdd.manager (Lineage.variables db) in
+        let node = Sdd.Obdd.compile_circuit m (Lineage.circuit q db) in
+        Boolfun.equal (Sdd.to_boolfun m node) (Lineage.brute_force q db));
   ]
 
 let comm_deep =

@@ -139,18 +139,18 @@ let pathwidth_suite =
           (fun n ->
             let c = Generators.chain_implications n in
             let order = Lemma1.obdd_order_of_circuit c in
-            let m = Bdd.manager order in
-            let node = Bdd.compile_circuit m c in
-            checkb (Printf.sprintf "n=%d" n) true (Bdd.width m node <= 4))
+            let m = Sdd.Obdd.manager order in
+            let node = Sdd.Obdd.compile_circuit m c in
+            checkb (Printf.sprintf "n=%d" n) true (Sdd.Obdd.width m node <= 4))
           [ 4; 8; 12; 16 ]);
     case "band obdd width bounded under the path layout" (fun () ->
         List.iter
           (fun n ->
             let c = Generators.band_cnf ~width:3 n in
             let order = Lemma1.obdd_order_of_circuit c in
-            let m = Bdd.manager order in
-            let node = Bdd.compile_circuit m c in
-            checkb (Printf.sprintf "n=%d" n) true (Bdd.width m node <= 8))
+            let m = Sdd.Obdd.manager order in
+            let node = Sdd.Obdd.compile_circuit m c in
+            checkb (Printf.sprintf "n=%d" n) true (Sdd.Obdd.width m node <= 8))
           [ 5; 8; 11 ]);
   ]
 
@@ -266,28 +266,32 @@ let sdd_queries_suite =
         let ng = Compile.sdd_of_boolfun m g in
         Sdd_queries.entails m nf ng
         = Boolfun.equal (Boolfun.and_ f g) f);
-    case "to_obdd rejects non-linear vtrees" (fun () ->
+    case "Obdd level_profile rejects non-linear vtrees" (fun () ->
         let m = Sdd.manager (Vtree.balanced (small_vars 4)) in
         Alcotest.check_raises "raise"
-          (Invalid_argument "Sdd_queries.to_obdd: the vtree is not right-linear")
-          (fun () -> ignore (Sdd_queries.to_obdd m (Sdd.true_ m))));
-    qtest "to_obdd preserves the function on linear vtrees"
-      QCheck2.Gen.(int_range 0 30)
-      (fun seed ->
+          (Invalid_argument
+             "Sdd.Obdd.level_profile: needs a canonical manager over a \
+              right-linear vtree")
+          (fun () -> ignore (Sdd.Obdd.level_profile m (Sdd.true_ m))));
+    qtest "generic apply on a right-linear vtree builds the reduced OBDD"
+      QCheck2.Gen.(pair (int_range 0 200) (int_range 0 200))
+      (fun (seed, order_seed) ->
+        (* "OBDDs are canonical SDDs on right-linear vtrees" (Section
+           3.2.2): the generic partition apply, read as an OBDD, has the
+           truth-table oracle's level profile. *)
         let f = Boolfun.random ~seed (small_vars 5) in
-        let m = Sdd.manager (Vtree.right_linear (small_vars 5)) in
-        let node = Compile.sdd_of_boolfun m f in
-        let bm, bnode = Sdd_queries.to_obdd m node in
-        Boolfun.equal f (Bdd.to_boolfun bm bnode));
+        let order = Vtree.leaf_order (Vtree.random ~seed:order_seed (small_vars 5)) in
+        let m = Sdd.manager (Vtree.right_linear order) in
+        let node = Sdd.of_boolfun_naive m f in
+        Sdd.Obdd.level_profile m node = Boolfun.obdd_profile f order);
     qtest "linear-vtree SDD width tracks OBDD width (within factor 2)"
       QCheck2.Gen.(int_range 0 30)
       (fun seed ->
         let f = Boolfun.random ~seed (small_vars 5) in
         let m = Sdd.manager (Vtree.right_linear (small_vars 5)) in
         let node = Compile.sdd_of_boolfun m f in
-        let bm, bnode = Sdd_queries.to_obdd m node in
         let sdw = Sdd.width m node in
-        let ow = Bdd.width bm bnode in
+        let ow = Sdd.Obdd.width m node in
         sdw <= (2 * ow) + 2 && ow <= Stdlib.max 1 sdw);
     qtest "forget agrees with boolfun quantification" QCheck2.Gen.(int_range 0 25)
       (fun seed ->
@@ -346,33 +350,34 @@ let plans_suite =
   ]
 
 let sift_suite =
+  let sorted_vars m = List.sort compare (Sdd.Obdd.order m) in
   [
-    case "transfer preserves the function" (fun () ->
-        let src = Bdd.manager (small_vars 4) in
-        let f = Boolfun.random ~seed:15 (small_vars 4) in
-        let node = Bdd.of_boolfun src f in
-        let dst = Bdd.manager (List.rev (small_vars 4)) in
-        let node' = Bdd.transfer src node dst in
-        checkb "same function" true (Boolfun.equal f (Bdd.to_boolfun dst node')));
     case "sifting fixes the separated disjointness order" (fun () ->
         let n = 4 in
         let f = Families.disjointness n in
-        let bad = Bdd.manager (Families.xs n @ Families.ys n) in
-        let node = Bdd.of_boolfun bad f in
-        let before = Bdd.size bad node in
-        let m', node', order' = Bdd.sift bad node in
-        checkb "improved a lot" true (Bdd.size m' node' * 2 < before);
-        checkb "function preserved" true
-          (Boolfun.equal f (Bdd.to_boolfun m' node'));
-        checki "order is a permutation" (2 * n)
-          (List.length (List.sort_uniq compare order')));
+        let m = Sdd.Obdd.manager (Families.xs n @ Families.ys n) in
+        let node = Compile.sdd_of_boolfun m f in
+        let before = Sdd.Obdd.size m node in
+        let node = Sdd.Obdd.sift m node in
+        checkb "improved a lot" true (Sdd.Obdd.size m node * 2 < before);
+        checkb "function preserved" true (Boolfun.equal f (Sdd.to_boolfun m node));
+        checkb "vtree still right-linear" true
+          (Vtree.is_right_linear (Sdd.vtree m));
+        Alcotest.(check (list string)) "order is a permutation"
+          (List.sort compare (Families.xs n @ Families.ys n))
+          (sorted_vars m));
     qtest "sift never increases size" QCheck2.Gen.(int_range 0 15) (fun seed ->
         let f = Boolfun.random ~seed (small_vars 5) in
-        let m = Bdd.manager (small_vars 5) in
-        let node = Bdd.of_boolfun m f in
-        let m', node', _ = Bdd.sift m node in
-        Bdd.size m' node' <= Bdd.size m node
-        && Boolfun.equal f (Bdd.to_boolfun m' node'));
+        let m = Sdd.Obdd.manager (small_vars 5) in
+        let node = Compile.sdd_of_boolfun m f in
+        let before = Sdd.Obdd.size m node in
+        let node = Sdd.Obdd.sift m node in
+        Sdd.Obdd.size m node <= before
+        && Vtree.is_right_linear (Sdd.vtree m)
+        && sorted_vars m = small_vars 5
+        && Boolfun.equal f (Sdd.to_boolfun m node)
+        && Sdd.Obdd.level_profile m node
+           = Boolfun.obdd_profile f (Sdd.Obdd.order m));
   ]
 
 let suites =

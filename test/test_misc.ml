@@ -30,8 +30,6 @@ let misc_suite =
         let m = Sdd.manager (Vtree.balanced [ "x"; "y" ]) in
         let node = Sdd.conjoin m (Sdd.literal m "x" true) (Sdd.literal m "y" false) in
         let _ = Format.asprintf "%a" (Sdd.pp m) node in
-        let bm = Bdd.manager [ "x"; "y" ] in
-        let _ = Format.asprintf "%a" (Bdd.pp bm) (Bdd.var bm "x") in
         let _ = Format.asprintf "%a" Boolfun.pp (Families.majority 3) in
         let _ = Format.asprintf "%a" Ucq.pp (Ucq.of_string "R(#1,x), x != y, S(y)") in
         ());
@@ -46,9 +44,9 @@ let misc_suite =
         checki "ff has none" 0
           (List.length (Prime_implicants.of_boolfun (Boolfun.const [ "x" ] false))));
     case "bdd any_model on true" (fun () ->
-        let m = Bdd.manager [ "x" ] in
+        let m = Sdd.Obdd.manager [ "x" ] in
         Alcotest.(check (option (list (pair string bool))))
-          "empty path" (Some []) (Bdd.any_model m (Bdd.true_ m)));
+          "a total model" (Some [ ("x", false) ]) (Sdd.any_model m (Sdd.true_ m)));
     case "vtree enumerate covers fw_min witness" (fun () ->
         (* the witness returned by fw_min is among the enumerated trees *)
         let f = Families.implication in

@@ -143,8 +143,8 @@ let safety_suite =
               let order =
                 Option.get (Qsafety.hierarchical_variable_order (List.hd q_rs) db)
               in
-              let m = Bdd.manager order in
-              Bdd.width m (Bdd.compile_circuit m (Lineage.circuit q_rs db)))
+              let m = Sdd.Obdd.manager order in
+              Sdd.Obdd.width m (Sdd.Obdd.compile_circuit m (Lineage.circuit q_rs db)))
             [ 1; 2; 3; 4 ]
         in
         checkb "bounded by 3" true (List.for_all (fun w -> w <= 3) widths));
@@ -153,8 +153,8 @@ let safety_suite =
         let width n =
           let db = Pdb.complete_rst n in
           let order = Lineage.variables db in
-          let m = Bdd.manager order in
-          Bdd.width m (Bdd.compile_circuit m (Lineage.circuit q_rst db))
+          let m = Sdd.Obdd.manager order in
+          Sdd.Obdd.width m (Sdd.Obdd.compile_circuit m (Lineage.circuit q_rst db))
         in
         checkb "grows" true (width 4 > width 2));
   ]
@@ -189,6 +189,21 @@ let prob_suite =
         let via_s, _ = Prob.via_sdd_exn q db in
         Ratio.equal expected via_o && Ratio.equal expected via_s)
       ~count:1;
+    case "empty database: every route answers P = 0 with size 0" (fun () ->
+        let db = Pdb.make [] in
+        List.iter
+          (fun q ->
+            let expect name = function
+              | Ok a ->
+                check ratio (name ^ " P") Ratio.zero a.Prob.probability;
+                checki (name ^ " size") 0 a.Prob.size
+              | Error e -> Alcotest.fail (name ^ ": " ^ Ctwsdd_error.to_string e)
+            in
+            expect "via_obdd" (Prob.via_obdd q db);
+            List.iter
+              (fun (name, backend) -> expect name (Prob.via ~backend q db))
+              [ ("sdd", `Sdd); ("obdd", `Obdd); ("dnnf", `Dnnf); ("auto", `Auto) ])
+          [ q_rs; q_rst ]);
   ]
 
 let jha_suciu_suite =
