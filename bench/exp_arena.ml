@@ -1,5 +1,5 @@
 (* E20 — arena node store: flat per-node heap across scale, generational
-   compaction, and sharded parallel apply.
+   compaction, and a batch of independent applies.
 
    Three fixed workloads over segmented-chain CNFs (conjunctions of
    (¬x_i ∨ x_{i+1}) with the chain broken every [seg] variables —
@@ -14,17 +14,14 @@
      - compaction: the same build with compaction armed vs disarmed.
        Armed, the arena capacity tracks the live size; disarmed, the
        append-only store keeps every dead intermediate;
-     - apply: K = 8 independent pair-conjoins fanned out with
-       apply_parallel — each pair lives in its own vtree block (so the
-       conjoins are independent) but overlaps within the pair (chain ∧
-       skip-chain over the same block, so each conjoin is a real apply,
-       not the O(1) decision a disjoint conjunction makes).  Sequential
-       (domains = 1, no locks armed) vs parallel (domains = 4); the
-       d1/d4 ratio measures the parallel win.  On a single-core runner
-       it hovers around 1.0, as in E19 — the span trajectory in
-       BENCH_E20.json is the gated signal, the printed column is the
-       honest local measurement.  Model counts cross-check against the
-       product of per-block counts.
+     - apply: K = 8 independent pair-conjoins in one manager — each
+       pair lives in its own vtree block (so the conjoins are
+       independent) but overlaps within the pair (chain ∧ skip-chain
+       over the same block, so each conjoin is a real apply, not the
+       O(1) decision a disjoint conjunction makes).  The span keeps its
+       historical name e20.apply.d1 so the trajectory in BENCH_E20.json
+       stays comparable.  Model counts cross-check against the product
+       of per-block counts.
 
    Keep the workload fixed: changing it invalidates the trajectory. *)
 
@@ -62,7 +59,7 @@ let chain_count n seg =
 let seg = 32
 
 let run () =
-  Table.section "E20 — arena store: scale, compaction, parallel apply";
+  Table.section "E20 — arena store: scale, compaction, apply";
 
   (* 1. Scale: per-node heap bytes stay flat while live nodes grow
      1e4 -> 1e6.  Compaction is armed so the census sees the live SDD,
@@ -136,13 +133,13 @@ let run () =
       [ "mode"; "ms"; "allocated"; "capacity"; "arena bytes"; "compactions" ]
     rows;
 
-  (* 3. Parallel apply: K independent pair-conjoins.  Each block gets a
+  (* 3. Apply: K independent pair-conjoins.  Each block gets a
      chain and a skip-chain (¬x_i ∨ x_{i+2}) over the same variables —
      within a pair the conjoin is a real structural apply (the skip
      clauses are implied, so the expected count is known), across pairs
      the blocks are vtree-independent.  Blocks are compiled once in
-     their own managers; each measurement imports them into a fresh
-     composed manager so the caches start cold both times. *)
+     their own managers, then imported into a fresh composed manager so
+     the caches start cold. *)
   let k = 8 and l = 500 in
   let blocks =
     List.init k (fun j ->
@@ -165,48 +162,31 @@ let run () =
   let vt, offsets =
     Vtree.of_forest (List.map (fun (m, _, _) -> Sdd.vtree m) blocks)
   in
-  let compose () =
-    let m = Sdd.manager vt in
-    let pairs =
-      List.mapi
-        (fun i (cm, a, b) ->
-          let imp r = Sdd.import ~dst:m ~map:(fun v -> v + offsets.(i)) cm r in
-          (imp a, imp b))
-        blocks
-    in
-    (m, pairs)
+  let m = Sdd.manager vt in
+  let pairs =
+    List.mapi
+      (fun i (cm, a, b) ->
+        let imp r = Sdd.import ~dst:m ~map:(fun v -> v + offsets.(i)) cm r in
+        (imp a, imp b))
+      blocks
   in
-  let m1, pairs1 = compose () in
-  let rs1, ms1 =
+  let rs, ms =
     time (fun () ->
         Obs.span "e20.apply.d1" @@ fun () ->
-        Sdd.apply_parallel ~domains:1 m1 pairs1)
-  in
-  let m4, pairs4 = compose () in
-  let rs4, ms4 =
-    time (fun () ->
-        Obs.span "e20.apply.d4" @@ fun () ->
-        Sdd.apply_parallel ~domains:4 m4 pairs4)
+        List.map (fun (a, b) -> Sdd.conjoin m a b) pairs)
   in
   (* Chain ∧ skip-chain = chain: (l+1) models on the block, free
      everywhere else in the composed vtree. *)
   let expected =
     Bigint.mul (Bigint.of_int (l + 1)) (Bigint.pow2 ((k - 1) * l))
   in
-  List.iter2
-    (fun r1 r4 ->
-      assert (Bigint.equal (Sdd.model_count m1 r1) expected);
-      assert (Bigint.equal (Sdd.model_count m4 r4) expected);
-      assert (Sdd.size m1 r1 = Sdd.size m4 r4))
-    rs1 rs4;
-  let total_size rs m = List.fold_left (fun a r -> a + Sdd.size m r) 0 rs in
+  List.iter
+    (fun r -> assert (Bigint.equal (Sdd.model_count m r) expected))
+    rs;
+  let total_size = List.fold_left (fun a r -> a + Sdd.size m r) 0 rs in
   Table.print
     ~title:
-      (Printf.sprintf
-         "parallel apply: %d independent chain-%d ∧ skip-chain conjoins" k l)
-    ~header:[ "domains"; "ms"; "total size"; "speedup" ]
-    [
-      [ "1"; Printf.sprintf "%.1f" ms1; Table.fi (total_size rs1 m1); "1.00x" ];
-      [ "4"; Printf.sprintf "%.1f" ms4; Table.fi (total_size rs4 m4);
-        Printf.sprintf "%.2fx" (ms1 /. Float.max 0.001 ms4) ];
-    ]
+      (Printf.sprintf "apply: %d independent chain-%d ∧ skip-chain conjoins"
+         k l)
+    ~header:[ "pairs"; "ms"; "total size" ]
+    [ [ Table.fi k; Printf.sprintf "%.1f" ms; Table.fi total_size ] ]

@@ -11,9 +11,9 @@
        log2(nodes) — the treewidth bound made empirically visible
        per bag (a bag of width w should not grow nodes past ~2^w times
        its clause count on these bounded-width families);
-     - parallelism: worker.items/steals conservation and the shard
-       lock-contention counters on a parallel component compile plus a
-       parallel conjoin of the component roots.
+     - parallelism: worker.items/steals conservation on a parallel
+       component compile, plus a joint conjoin of the component roots
+       that cross-checks the product-based model count.
 
    Spans land in BENCH_E21.json for `compare.exe --gate` regression
    tracking.  The coverage percentages ride along as gauges
@@ -155,9 +155,8 @@ let run () =
        top);
 
   (* 3. Parallelism observability: component fan-out (worker.items and
-     steals conserve) plus a parallel conjoin (shard lock contention).
-     The d4/d1 ratio is the honest local number; the counters are the
-     machine-checked signal. *)
+     steals conserve).  The d4/d1 ratio is the honest local number; the
+     counters are the machine-checked signal. *)
   Attribution.fresh ();
   let d = copies 6 (band ~width:3 60) in
   let r1, ms1 =
@@ -170,32 +169,15 @@ let run () =
   assert (Bigint.equal r1.Pipeline.count r4.Pipeline.count);
   let items = Obs.counter_value "worker.items" - items0 in
   let steals = Obs.counter_value "worker.steals" in
-  let joint =
-    match Pipeline.conjoin_components ~domains:4 r4 with
-    | Some (jm, jroot) ->
-      assert (
-        Bigint.equal (Sdd.model_count jm jroot)
-          (Bigint.div r4.Pipeline.count (Bigint.pow2 r4.Pipeline.free_vars)));
-      Some (Sdd.contention jm)
-    | None -> None
-  in
-  let ua, uc, ca, cc =
-    match joint with
-    | None -> (0, 0, 0, 0)
-    | Some c ->
-      List.fold_left
-        (fun (a, b, d, e) s ->
-          ( a + s.Sdd.unique_acquisitions,
-            b + s.Sdd.unique_contended,
-            d + s.Sdd.cache_acquisitions,
-            e + s.Sdd.cache_contended ))
-        (0, 0, 0, 0) c.Sdd.shards
-  in
+  (match Pipeline.conjoin_components r4 with
+   | Some (jm, jroot) ->
+     assert (
+       Bigint.equal (Sdd.model_count jm jroot)
+         (Bigint.div r4.Pipeline.count (Bigint.pow2 r4.Pipeline.free_vars)))
+   | None -> ());
   Table.print
     ~title:"parallel component compile + conjoin: 6 band3-60 copies"
-    ~header:
-      [ "d1 ms"; "d4 ms"; "speedup"; "items"; "steals"; "unique acq/cont";
-        "cache acq/cont" ]
+    ~header:[ "d1 ms"; "d4 ms"; "speedup"; "items"; "steals" ]
     [
       [
         Printf.sprintf "%.1f" ms1;
@@ -203,12 +185,9 @@ let run () =
         Printf.sprintf "%.2fx" (ms1 /. Float.max 0.001 ms4);
         Table.fi items;
         Table.fi steals;
-        Printf.sprintf "%d/%d" ua uc;
-        Printf.sprintf "%d/%d" ca cc;
       ];
     ];
   Obs.gauge_set "e21.par.items" items;
-  Obs.gauge_set "e21.par.unique_acq" ua;
   Table.note
     "items counts every component exactly once regardless of the schedule";
 
@@ -222,5 +201,5 @@ let run () =
   in
   let report = Explain.collect ~top:5 ~censuses () in
   (match Obs.Json.of_string (Obs.Json.to_string (Explain.to_json report)) with
-   | Ok _ -> Table.note "explain report: ctwsdd-explain/v1 round-trips"
+   | Ok _ -> Table.note "explain report: ctwsdd-explain/v2 round-trips"
    | Error e -> failwith ("E21: explain JSON does not round-trip: " ^ e))

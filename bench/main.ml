@@ -29,7 +29,7 @@ let experiments =
     ([ "E17" ], "fixed perf-tracking workload", Exp_perf.run);
     ([ "E18" ], "pipeline compilation and dynamic minimization", Exp_pipeline.run);
     ([ "E19" ], "SAT-scale CNF compilation", Exp_cnf.run);
-    ([ "E20" ], "arena store: scale, compaction, parallel apply", Exp_arena.run);
+    ([ "E20" ], "arena store: scale, compaction, apply", Exp_arena.run);
     ([ "E21" ], "attribution profiler and parallelism observability", Exp_attr.run);
     ([ "E22" ], "backend panorama: SDD vs OBDD vs d-DNNF", Exp_e22.run);
   ]

@@ -3,7 +3,7 @@
      ctwsdd compile   -c "(or (and x y) (not z))" --vtree lemma1
      ctwsdd treewidth -c "(and (or a b) (or b c))"
      ctwsdd query     -q "R(x), S(x,y)" --db facts.txt
-     ctwsdd explain   instance.cnf --parallel-apply 4
+     ctwsdd explain   instance.cnf --components 4
      ctwsdd isa 18
 
    Database files contain one fact per line: `R(a,b) 1/2`.
@@ -14,7 +14,7 @@
    trace_event file for Perfetto / chrome://tracing), --telemetry-out
    FILE [--telemetry-interval SEC] (OpenMetrics text snapshots, written
    atomically and periodically for live scraping; FILE may be `-` for
-   stdout), --explain-out FILE (ctwsdd-explain/v1 attribution report)
+   stdout), --explain-out FILE (ctwsdd-explain/v2 attribution report)
    and --postmortem FILE (where failure dumps land); see EXPERIMENTS.md
    for the schemas.  CTWSDD_RING resizes the always-on flight-recorder
    ring; CTWSDD_DOMAINS caps the parallel worker pool.
@@ -142,7 +142,7 @@ let minimize_flag =
                vtree search (greedy rotations and swaps applied to the \
                live manager).")
 
-(* A strictly positive integer option (--components, --parallel-apply,
+(* A strictly positive integer option (--components, --top,
    --compact-every): non-positive and unparseable values become a clean
    Cmdliner usage error instead of an Invalid_argument from deep inside
    the library. *)
@@ -273,12 +273,11 @@ let telemetry_interval_arg =
 
 let explain_out_file =
   Arg.(value & opt (some string) None & info [ "explain-out" ] ~docv:"FILE"
-         ~doc:"Write a ctwsdd-explain/v1 JSON attribution report to \
+         ~doc:"Write a ctwsdd-explain/v2 JSON attribution report to \
                $(docv) after the run: ranked cost centers (vtree nodes, \
                treewidth bags, clauses, components, pipeline rungs), top \
-               bags by node growth with width vs log2(nodes), per-shard \
-               lock contention, and the parallelism / Amdahl summary.  \
-               Implies collection.")
+               bags by node growth with width vs log2(nodes), and the \
+               parallelism / Amdahl summary.  Implies collection.")
 
 let postmortem_file =
   Arg.(value & opt string "ctwsdd-postmortem.json" & info [ "postmortem" ]
@@ -557,7 +556,10 @@ let parse_db path =
            let prob =
              match String.split_on_char '/' p with
              | [ num; den ] ->
-               Ratio.make (Bigint.of_string num) (Bigint.of_string den)
+               let den = Bigint.of_string den in
+               if Bigint.is_zero den then
+                 failwith ("bad probability (zero denominator): " ^ p);
+               Ratio.make (Bigint.of_string num) den
              | [ num ] -> Ratio.of_bigint (Bigint.of_string num)
              | _ -> failwith ("bad probability: " ^ p)
            in
@@ -694,7 +696,7 @@ let cnf_monolithic ~budget ~minimize ?compact_every ?backend vtree_choice
 (* The scaling path (the default): preprocessing, connected components
    compiled in parallel, treewidth-driven clause scheduling. *)
 let cnf_scaling ~budget ~preprocess ~schedule ~domains ?compact_every
-    ?(backend = `Sdd) ~parallel_apply (d : Dimacs.t) o =
+    ?(backend = `Sdd) (d : Dimacs.t) o =
   match
     Ctwsdd.compile_cnf ~budget ~preprocess ~schedule ~backend ?domains
       ?compact_every d
@@ -725,27 +727,6 @@ let cnf_scaling ~budget ~preprocess ~schedule ~domains ?compact_every
     Printf.printf "SDD: size %d (%d components)\n" total_size
       (List.length comps);
     Printf.printf "models: %s\n" (Bigint.to_string r.Pipeline.count);
-    (* --parallel-apply N: conjoin the vtree-independent component roots
-       into one manager with a parallel tree reduction over N domains.
-       The joint model count is a cross-check against the product-based
-       count printed above. *)
-    (match parallel_apply with
-     | None -> ()
-     | Some n ->
-       (match
-          Obs.span "cli.parallel_apply" (fun () ->
-              Ctwsdd.conjoin_components ~domains:n r)
-        with
-        | None -> ()
-        | Some (jm, jroot) ->
-          Printf.printf "joint SDD: size %d (%d domains)\n"
-            (Sdd.size jm jroot) n;
-          Printf.printf "joint models: %s\n"
-            (Bigint.to_string
-               (Bigint.mul
-                  (Sdd.model_count jm jroot)
-                  (Bigint.pow2 r.Pipeline.free_vars)));
-          if o.stats then print_manager_stats jm));
     if o.stats then begin
       Printf.eprintf "backend : %s\n" (backend_label r.Pipeline.cnf_backend);
       List.iter (fun c -> print_manager_stats c.Pipeline.k_manager) comps
@@ -754,7 +735,7 @@ let cnf_scaling ~budget ~preprocess ~schedule ~domains ?compact_every
 
 let cnf_cmd =
   let run path vtree_choice backend minimize no_preprocess schedule domains
-      compact_every parallel_apply timeout max_nodes o =
+      compact_every timeout max_nodes o =
     run_with_obs o @@ fun () ->
     let budget = budget_of timeout max_nodes in
     let d = Obs.span "cli.parse" (fun () -> Dimacs.parse_file path) in
@@ -763,11 +744,6 @@ let cnf_cmd =
       (List.length d.Dimacs.clauses)
       (Dimacs.free_var_count d);
     let monolithic choice =
-      if parallel_apply <> None then
-        raise
-          (Cli_usage
-             "--parallel-apply requires the scaling pipeline (drop --vtree \
-              and --minimize)");
       cnf_monolithic ~budget ~minimize ?compact_every ~backend choice d o
     in
     match vtree_choice with
@@ -778,7 +754,7 @@ let cnf_cmd =
       monolithic `Lemma1
     | None ->
       cnf_scaling ~budget ~preprocess:(not no_preprocess) ~schedule ~domains
-        ?compact_every ~backend ~parallel_apply d o
+        ?compact_every ~backend d o
   in
   let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   let vtree_choice =
@@ -811,29 +787,20 @@ let cnf_cmd =
                  domain count, capped at the number of components; \
                  CTWSDD_DOMAINS overrides the recommendation.")
   in
-  let parallel_apply =
-    Arg.(value & opt (some pos_int) None & info [ "parallel-apply" ]
-           ~docv:"N"
-           ~doc:"After compiling the components, conjoin their \
-                 vtree-independent SDDs into one manager with a parallel \
-                 tree reduction over $(docv) OCaml domains, and print the \
-                 joint SDD size and a cross-checking model count.  \
-                 Requires the scaling pipeline (no --vtree/--minimize).")
-  in
   Cmd.v
     (Cmd.info "cnf" ~exits:exit_code_docs
        ~doc:"Exact model counting for a DIMACS CNF file")
     Term.(ret (const run $ path $ vtree_choice $ backend_arg $ minimize_flag
                $ no_preprocess $ schedule $ domains $ compact_every_arg
-               $ parallel_apply $ timeout_arg $ max_nodes_arg $ obs_term))
+               $ timeout_arg $ max_nodes_arg $ obs_term))
 
 (* ------------------------------------------------------------------ *)
 (* explain : attribution report for a CNF compile                      *)
 (* ------------------------------------------------------------------ *)
 
 let explain_cmd =
-  let run path schedule backend domains no_preprocess compact_every
-      parallel_apply top timeout max_nodes o =
+  let run path schedule backend domains no_preprocess compact_every top
+      timeout max_nodes o =
     (* The report is written from inside the run (it needs the component
        managers' censuses); strip explain_out from the generic exporter
        so it is not overwritten with a census-less collect afterwards. *)
@@ -855,16 +822,8 @@ let explain_cmd =
     with
     | Error e -> report_error e
     | Ok r ->
-      (* The optional joint conjoin is what arms the sharded locks and
-         populates the contention / critical-path sections. *)
-      (match parallel_apply with
-       | None -> ()
-       | Some n ->
-         ignore
-           (Obs.span "cli.parallel_apply" (fun () ->
-                Ctwsdd.conjoin_components ~domains:n r)));
       (* Check per-bag attributed nodes against the component managers
-         only: a joint conjoin target would dilute the coverage ratio
+         only: any other live manager would dilute the coverage ratio
          with nodes no bag ever allocated. *)
       let censuses =
         List.map
@@ -901,13 +860,6 @@ let explain_cmd =
     Arg.(value & opt (some pos_int) None & info [ "components" ] ~docv:"N"
            ~doc:"Compile up to $(docv) connected components in parallel.")
   in
-  let parallel_apply =
-    Arg.(value & opt (some pos_int) None & info [ "parallel-apply" ]
-           ~docv:"N"
-           ~doc:"Also conjoin the component SDDs with a parallel tree \
-                 reduction over $(docv) domains, populating the shard \
-                 contention and Amdahl sections.")
-  in
   let top =
     Arg.(value & opt pos_int 10 & info [ "top" ] ~docv:"K"
            ~doc:"Rows in the ranked tables (cost centers, bags).")
@@ -923,13 +875,12 @@ let explain_cmd =
               attribution profiler on, then prints a ranked cost-center \
               table (treewidth bags, clauses, components, pipeline \
               rungs), the top bags by node growth with bag width against \
-              log2(nodes), the per-shard lock-contention heatmap and the \
-              parallelism/Amdahl summary with the critical path.  \
-              $(b,--explain-out) additionally writes the report as \
-              ctwsdd-explain/v1 JSON.";
+              log2(nodes), and the parallelism/Amdahl summary with the \
+              critical path.  $(b,--explain-out) additionally writes the \
+              report as ctwsdd-explain/v2 JSON.";
          ])
     Term.(ret (const run $ path $ schedule $ backend_arg $ domains
-               $ no_preprocess $ compact_every_arg $ parallel_apply $ top
+               $ no_preprocess $ compact_every_arg $ top
                $ timeout_arg $ max_nodes_arg $ obs_term))
 
 (* ------------------------------------------------------------------ *)

@@ -66,10 +66,8 @@ val compile_cnf :
     and the per-component SDDs ({!Pipeline.conjoin_components} combines
     them into one manager when a single SDD is needed). *)
 
-val conjoin_components :
-  ?domains:int -> Pipeline.cnf_result -> (Sdd.manager * Sdd.t) option
-(** See {!Pipeline.conjoin_components}; [domains > 1] conjoins the
-    vtree-independent component SDDs with {!Sdd.conjoin_parallel}. *)
+val conjoin_components : Pipeline.cnf_result -> (Sdd.manager * Sdd.t) option
+(** See {!Pipeline.conjoin_components}. *)
 
 val prob :
   ?budget:Budget.t ->

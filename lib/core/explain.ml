@@ -1,9 +1,9 @@
 (* The [ctwsdd explain] report: a pure read of the ambient Obs /
    Attribution state after a compile, structured once ([collect]) and
-   rendered as human text ([pp]) or ctwsdd-explain/v1 JSON ([to_json]).
+   rendered as human text ([pp]) or ctwsdd-explain/v2 JSON ([to_json]).
    See the interface for the section inventory. *)
 
-let schema_version = "ctwsdd-explain/v1"
+let schema_version = "ctwsdd-explain/v2"
 
 type parallelism = {
   par_regions : int;  (* worker.parallel_map span calls *)
@@ -19,14 +19,6 @@ type parallelism = {
 
 type crit_step = { cs_span : string; cs_total_s : float; cs_calls : int }
 
-type shard_heat = {
-  sh_shard : int;
-  sh_unique_acq : int;
-  sh_unique_cont : int;
-  sh_cache_acq : int;
-  sh_cache_cont : int;
-}
-
 type t = {
   run : string;
   top : int;
@@ -36,11 +28,6 @@ type t = {
   bags : Attribution.row list;  (* top-k bag rows by nodes desc *)
   bag_nodes : int;  (* over ALL bag rows, not just top-k *)
   census_allocated : int;
-  heat : shard_heat list;
-  alloc_acq : int;
-  alloc_cont : int;
-  unique_hold : Obs.Histogram.snapshot option;
-  cache_hold : Obs.Histogram.snapshot option;
   par : parallelism option;
   critical_path : crit_step list;
   backend_sel : (string * string * string) option;
@@ -53,43 +40,6 @@ type t = {
 
 let sum_f f l = List.fold_left (fun acc x -> acc +. f x) 0. l
 let sum_i f l = List.fold_left (fun acc x -> acc + f x) 0 l
-
-let collect_heat () =
-  let cs = Sdd.contention_all () in
-  let alloc_acq = sum_i (fun c -> c.Sdd.alloc_acquisitions) cs in
-  let alloc_cont = sum_i (fun c -> c.Sdd.alloc_contended) cs in
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun c ->
-      List.iter
-        (fun (s : Sdd.shard_contention) ->
-          let ua, uc, ca, cc =
-            match Hashtbl.find_opt tbl s.Sdd.shard with
-            | Some x -> x
-            | None -> (0, 0, 0, 0)
-          in
-          Hashtbl.replace tbl s.Sdd.shard
-            ( ua + s.Sdd.unique_acquisitions,
-              uc + s.Sdd.unique_contended,
-              ca + s.Sdd.cache_acquisitions,
-              cc + s.Sdd.cache_contended ))
-        c.Sdd.shards)
-    cs;
-  let heat =
-    Hashtbl.fold
-      (fun shard (ua, uc, ca, cc) acc ->
-        {
-          sh_shard = shard;
-          sh_unique_acq = ua;
-          sh_unique_cont = uc;
-          sh_cache_acq = ca;
-          sh_cache_cont = cc;
-        }
-        :: acc)
-      tbl []
-    |> List.sort (fun a b -> compare a.sh_shard b.sh_shard)
-  in
-  (heat, alloc_acq, alloc_cont)
 
 (* All span nodes named [name], anywhere in the recorded forest. *)
 let find_spans name =
@@ -177,7 +127,6 @@ let collect ?(top = 10) ?censuses () =
   in
   let bags_top = List.filteri (fun i _ -> i < top) bags in
   let censuses = match censuses with Some cs -> cs | None -> Sdd.census_all () in
-  let heat, alloc_acq, alloc_cont = collect_heat () in
   {
     run = Obs.run_id ();
     top;
@@ -187,11 +136,6 @@ let collect ?(top = 10) ?censuses () =
     bags = bags_top;
     bag_nodes = sum_i (fun (r : Attribution.row) -> r.Attribution.nodes) bag_rows;
     census_allocated = sum_i (fun c -> c.Sdd.allocated) censuses;
-    heat;
-    alloc_acq;
-    alloc_cont;
-    unique_hold = Obs.hist_value "sdd.unique_lock_hold_ns";
-    cache_hold = Obs.hist_value "sdd.cache_lock_hold_ns";
     par = collect_parallelism ();
     critical_path = collect_critical_path ();
     backend_sel = Backend.last_selection ();
@@ -230,45 +174,7 @@ let bag_json (r : Attribution.row) =
       ("time_s", Obs.Json.Float r.Attribution.time_s);
     ]
 
-let hold_json = function
-  | None -> Obs.Json.Null
-  | Some (s : Obs.Histogram.snapshot) ->
-    Obs.Json.Obj
-      [
-        ("count", Obs.Json.Int s.Obs.Histogram.count);
-        ("p50", Obs.Json.Int s.Obs.Histogram.p50);
-        ("p90", Obs.Json.Int s.Obs.Histogram.p90);
-        ("p99", Obs.Json.Int s.Obs.Histogram.p99);
-        ("max", Obs.Json.Int s.Obs.Histogram.max_value);
-      ]
-
 let to_json t =
-  let contention =
-    Obs.Json.Obj
-      [
-        ( "alloc",
-          Obs.Json.Obj
-            [
-              ("acquisitions", Obs.Json.Int t.alloc_acq);
-              ("contended", Obs.Json.Int t.alloc_cont);
-            ] );
-        ( "shards",
-          Obs.Json.List
-            (List.map
-               (fun h ->
-                 Obs.Json.Obj
-                   [
-                     ("shard", Obs.Json.Int h.sh_shard);
-                     ("unique_acquisitions", Obs.Json.Int h.sh_unique_acq);
-                     ("unique_contended", Obs.Json.Int h.sh_unique_cont);
-                     ("cache_acquisitions", Obs.Json.Int h.sh_cache_acq);
-                     ("cache_contended", Obs.Json.Int h.sh_cache_cont);
-                   ])
-               t.heat) );
-        ("unique_hold_ns", hold_json t.unique_hold);
-        ("cache_hold_ns", hold_json t.cache_hold);
-      ]
-  in
   let parallelism =
     match t.par with
     | None -> Obs.Json.Obj [ ("regions", Obs.Json.Int 0) ]
@@ -317,7 +223,6 @@ let to_json t =
                  else float_of_int t.bag_nodes /. float_of_int t.census_allocated)
             );
           ] );
-      ("contention", contention);
       ("parallelism", parallelism);
       ( "critical_path",
         Obs.Json.List
@@ -388,32 +293,6 @@ let pp ppf t =
       t.bag_nodes t.census_allocated
       (if t.census_allocated = 0 then 0.
        else 100. *. float_of_int t.bag_nodes /. float_of_int t.census_allocated)
-  end;
-  pp_print_newline ppf ();
-  (* Shard contention heatmap. *)
-  fprintf ppf "shard contention (unique / cache locks)@.";
-  let hot = List.filter (fun h -> h.sh_unique_acq + h.sh_cache_acq > 0) t.heat in
-  if hot = [] then fprintf ppf "  (no parallel section ran: locks never armed)@."
-  else begin
-    fprintf ppf "  %-6s %12s %12s %12s %12s@." "shard" "unique_acq"
-      "unique_cont" "cache_acq" "cache_cont";
-    List.iter
-      (fun h ->
-        fprintf ppf "  %-6d %12d %12d %12d %12d@." h.sh_shard h.sh_unique_acq
-          h.sh_unique_cont h.sh_cache_acq h.sh_cache_cont)
-      hot;
-    fprintf ppf "  alloc lock: %d acquisitions, %d contended@." t.alloc_acq
-      t.alloc_cont;
-    (match t.unique_hold with
-    | Some s ->
-      fprintf ppf "  unique hold ns: p50 %d  p99 %d  max %d@."
-        s.Obs.Histogram.p50 s.Obs.Histogram.p99 s.Obs.Histogram.max_value
-    | None -> ());
-    match t.cache_hold with
-    | Some s ->
-      fprintf ppf "  cache hold ns:  p50 %d  p99 %d  max %d@."
-        s.Obs.Histogram.p50 s.Obs.Histogram.p99 s.Obs.Histogram.max_value
-    | None -> ()
   end;
   pp_print_newline ppf ();
   (* Parallelism. *)

@@ -726,7 +726,7 @@ let compile_cnf ?(budget = Budget.unlimited) ?(preprocess = true)
   else if List.exists (fun c -> c = []) d.Dimacs.clauses then unsat
   else proceed d (fun v -> v) (Dimacs.free_var_count d) 0
 
-let conjoin_components ?domains r =
+let conjoin_components r =
   match r.components with
   | [] -> None
   | comps ->
@@ -742,17 +742,7 @@ let conjoin_components ?domains r =
             c.k_manager c.k_root)
         comps
     in
-    (* The imported roots live in disjoint vtree subtrees, so the
-       parallel tree reduction conjoins independent sub-SDDs on separate
-       domains; the default stays the sequential fold (bit-identical to
-       the historical behaviour). *)
-    let root =
-      match domains with
-      | Some d when d > 1 && List.length roots > 1 ->
-        Sdd.conjoin_parallel ~domains:d m roots
-      | _ -> Sdd.conjoin_list m roots
-    in
-    Some (m, root)
+    Some (m, Sdd.conjoin_list m roots)
 
 let compile_exn ?budget ?vtree_strategy ?minimize ?max_steps ?domains
     ?backend ?compact_every c =

@@ -191,19 +191,13 @@ val compile_cnf :
     compaction in every per-component manager; the clause loop then
     reclaims dead apply intermediates between clauses. *)
 
-val conjoin_components :
-  ?domains:int -> cnf_result -> (Sdd.manager * Sdd.t) option
+val conjoin_components : cnf_result -> (Sdd.manager * Sdd.t) option
 (** One manager holding the conjunction of all component SDDs, built by
     composing the component vtrees ({!Vtree.of_forest}) and importing
     each root ({!Sdd.import}) — the SDD of the whole CNF over the
     non-free variables.  [None] when there are no components (for an
     unsatisfiable input the caller can use [Sdd.false_] in any manager;
-    for a clause-free input, [Sdd.true_]).
-
-    The imported roots occupy disjoint subtrees of the composed vtree,
-    so with [domains > 1] the conjunction runs as a parallel tree
-    reduction ({!Sdd.conjoin_parallel}) over vtree-independent
-    sub-SDDs; the default is the sequential fold. *)
+    for a clause-free input, [Sdd.true_]). *)
 
 val compile_exn :
   ?budget:Budget.t ->

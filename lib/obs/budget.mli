@@ -55,8 +55,11 @@ type t = {
   tick : int Atomic.t;
       (** Countdown to the next full check.  Atomic so the amortized
           polling cadence stays exact when several domains share one
-          budget during parallel apply; an uncontended fetch-and-add is
-          a couple of nanoseconds next to the allocation it gates. *)
+          budget — the component and search-candidate domains of the
+          pipeline, each with its own manager (an uncapped
+          {!split_nodes} returns the budget itself); an uncontended
+          fetch-and-add is a couple of nanoseconds next to the
+          allocation it gates. *)
 }
 (** The representation is exposed so hot paths can gate on [active] with
     a single load instead of a cross-module call.  Treat the fields as

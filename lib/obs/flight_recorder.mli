@@ -23,7 +23,7 @@
     [Atomic.t] claimed with fetch-and-add and each slot is overwritten
     with a fully-constructed immutable entry, so concurrent writers
     never block and a reader ({!tail}) always observes well-formed
-    entries (under heavy contention an entry may be superseded by a
+    entries (when writers race, an entry may be superseded by a
     newer one — acceptable for a crash recorder, which only promises
     the recent past).
 

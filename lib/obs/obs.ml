@@ -961,8 +961,8 @@ module Worker = struct
       let next = Atomic.make 0 in
       (* Steal/idle accounting: every worker counts the items it takes
          off the shared queue and the wall time spent inside [f]; the
-         rest of its lifetime is idle (queue contention plus the tail
-         wait for the last item).  [worker.steals] counts only items
+         rest of its lifetime is idle (waiting on the shared queue plus
+         the tail wait for the last item).  [worker.steals] counts only items
          executed by spawned domains — work that actually migrated off
          the calling domain.  Recorded from inside each worker so the
          numbers ride the ordinary capture/absorb merge and totals are

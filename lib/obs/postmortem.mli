@@ -13,8 +13,7 @@
     census of every live SDD manager (node/tombstone/garbage-word
     counts, generation and compaction totals, unique-table occupancy,
     estimated bytes per node) collected through registered providers
-    — including per-manager [sdd_contention_<i>] lock-contention
-    objects when any shard lock ever contended.
+    as [sdd_manager_<i>] objects.
 
     The CLI writes one on any budget trip, on an uncaught exception, and
     on [SIGUSR1] ({!install_sigusr1}), so long-lived runs can be

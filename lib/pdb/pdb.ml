@@ -21,6 +21,13 @@ let make entries =
   let facts = List.map fst entries in
   if List.length (List.sort_uniq compare facts) <> List.length facts then
     invalid_arg "Pdb.make: duplicate facts";
+  List.iter
+    (fun (t, p) ->
+      if Ratio.sign p < 0 || Ratio.compare p Ratio.one > 0 then
+        invalid_arg
+          (Printf.sprintf "Pdb.make: probability %s of %s is outside [0, 1]"
+             (Ratio.to_string p) (var_name t)))
+    entries;
   let table = Hashtbl.create (List.length entries) in
   List.iter (fun (t, p) -> Hashtbl.replace table t p) entries;
   {

@@ -20,7 +20,8 @@ val tuple_of_var : string -> tuple
 (** Inverse of {!var_name}.  @raise Invalid_argument on bad syntax. *)
 
 val make : (tuple * Ratio.t) list -> t
-(** @raise Invalid_argument on duplicate facts. *)
+(** @raise Invalid_argument on duplicate facts or on a probability
+    outside [\[0, 1\]]. *)
 
 val uniform : Ratio.t -> tuple list -> t
 

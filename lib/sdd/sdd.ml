@@ -8,12 +8,13 @@
    with no per-node heap object, no tuple boxing and no GC scanning of
    the payload (every array is immediate ints).
 
-   The store is published through an [Atomic.t] so that the sharded
-   parallel-apply section (see [apply_parallel]) can grow it from one
-   domain while others keep reading: growth copies into fresh arrays and
-   republishes; old snapshots remain valid for every node they cover,
-   because node cells are written exactly once, before the node id is
-   published (through the unique-table shard mutex that created it).
+   A manager is used from one domain at a time.  The store and the node
+   count are still published through [Atomic.t]s because the postmortem
+   census ([census_all], run from a signal handler or a budget trip) can
+   read a manager owned by a worker domain: growth copies into fresh
+   arrays and republishes, and an old snapshot stays valid for every
+   node it covers, because node cells are written once, before [count]
+   moves past them.
 
    Tombstones left by dynamic vtree edits are reclaimed by a periodic
    compaction pass ([compact] / [maybe_compact]): mark from the caller's
@@ -81,16 +82,6 @@ type store = {
   elems : int array;  (* prime/sub pairs of all decisions, back to back *)
 }
 
-(* The unique table and the packed-int caches are sharded so the
-   parallel-apply section contends on stripes, not one global lock:
-   decisions stripe by vtree node (vtree-independent subproblems touch
-   disjoint unique shards), caches by key hash. *)
-let shard_bits = 4
-let n_shards = 1 lsl shard_bits
-let shard_mask = n_shards - 1
-
-let[@inline] dec_shard v = v land shard_mask
-
 type manager = {
   mutable vt : Vtree.t;
   store : store Atomic.t;
@@ -103,29 +94,12 @@ type manager = {
          equality is no longer function equality — but determinism,
          decomposability and structuredness still hold, which is all the
          counting walks need. *)
-  unique : int Dec_tbl.t array;  (* sharded by [dec_shard vnode] *)
+  unique : int Dec_tbl.t;
   mutable lit_tbl : int array;  (* 2*leaf + polarity -> node id, -1 free *)
-  and_cache : int Int_tbl.t array;  (* sharded by key hash *)
-  or_cache : int Int_tbl.t array;
-  neg_cache : int Int_tbl.t array;
-  cond_cache : int Int_tbl.t array;
-  (* Parallel section plumbing: [parallel] arms the mutexes below; it is
-     false outside [apply_parallel], where every lock site reduces to a
-     load and a branch. *)
-  mutable parallel : bool;
-  alloc_mu : Mutex.t;  (* guards store growth, count, elems_len *)
-  unique_mu : Mutex.t array;  (* one per unique shard *)
-  cache_mu : Mutex.t array;  (* one per cache shard *)
-  (* Lock observability: per-shard acquisition and contended-acquisition
-     counts (an acquisition is contended when the initial [try_lock]
-     fails).  Atomics because they are bumped from every worker domain;
-     they only move inside parallel sections, where the locks are armed. *)
-  lk_unique_acq : int Atomic.t array;
-  lk_unique_cont : int Atomic.t array;
-  lk_cache_acq : int Atomic.t array;
-  lk_cache_cont : int Atomic.t array;
-  lk_alloc_acq : int Atomic.t;
-  lk_alloc_cont : int Atomic.t;
+  and_cache : int Int_tbl.t;
+  or_cache : int Int_tbl.t;
+  neg_cache : int Int_tbl.t;
+  cond_cache : int Int_tbl.t;
   (* Generational compaction state. *)
   mutable dead_nodes : int;  (* tombstones since the last compaction *)
   mutable dead_elems : int;  (* element pairs those tombstones strand *)
@@ -143,7 +117,7 @@ type manager = {
 (* Weak registry of live managers, so process-level consumers (the
    postmortem census provider at the bottom of this file) can enumerate
    them without keeping them alive.  Registration is once per manager;
-   the mutex also covers multi-domain creation. *)
+   the mutex covers managers created on several domains at once. *)
 let registry_mu = Mutex.create ()
 let registry : manager Weak.t ref = ref (Weak.create 8)
 
@@ -186,21 +160,15 @@ let initial_store () =
   aux.(1) <- 1;
   { kind; vnode; aux; off; elems = Array.make 1024 0 }
 
-let tbl_entries shards =
-  Array.fold_left (fun acc t -> acc + Int_tbl.length t) 0 shards
-
-let unique_entries_of m =
-  Array.fold_left (fun acc t -> acc + Dec_tbl.length t) 0 m.unique
-
 let create_manager ~canonical ?(budget = Budget.unlimited)
     ?(compact_every = max_int) vt =
   if compact_every < 1 then
     invalid_arg "Sdd.manager: compact_every must be positive";
-  let unique = Array.init n_shards (fun _ -> Dec_tbl.create 128) in
-  let and_cache = Array.init n_shards (fun _ -> Int_tbl.create 128) in
-  let or_cache = Array.init n_shards (fun _ -> Int_tbl.create 128) in
-  let neg_cache = Array.init n_shards (fun _ -> Int_tbl.create 32) in
-  let cond_cache = Array.init n_shards (fun _ -> Int_tbl.create 32) in
+  let unique = Dec_tbl.create 128 in
+  let and_cache = Int_tbl.create 128 in
+  let or_cache = Int_tbl.create 128 in
+  let neg_cache = Int_tbl.create 32 in
+  let cond_cache = Int_tbl.create 32 in
   let m =
     {
       vt;
@@ -215,16 +183,6 @@ let create_manager ~canonical ?(budget = Budget.unlimited)
       or_cache;
       neg_cache;
       cond_cache;
-      parallel = false;
-      alloc_mu = Mutex.create ();
-      unique_mu = Array.init n_shards (fun _ -> Mutex.create ());
-      cache_mu = Array.init n_shards (fun _ -> Mutex.create ());
-      lk_unique_acq = Array.init n_shards (fun _ -> Atomic.make 0);
-      lk_unique_cont = Array.init n_shards (fun _ -> Atomic.make 0);
-      lk_cache_acq = Array.init n_shards (fun _ -> Atomic.make 0);
-      lk_cache_cont = Array.init n_shards (fun _ -> Atomic.make 0);
-      lk_alloc_acq = Atomic.make 0;
-      lk_alloc_cont = Atomic.make 0;
       dead_nodes = 0;
       dead_elems = 0;
       generation = 0;
@@ -232,24 +190,21 @@ let create_manager ~canonical ?(budget = Budget.unlimited)
       compact_every;
       last_compact_count = 2;
       cs_unique =
-        Obs.Cache.create
-          ~size:(fun () ->
-            Array.fold_left (fun acc t -> acc + Dec_tbl.length t) 0 unique)
-          "sdd.unique";
+        Obs.Cache.create ~size:(fun () -> Dec_tbl.length unique) "sdd.unique";
       cs_and =
-        Obs.Cache.create ~size:(fun () -> tbl_entries and_cache) "sdd.and_cache";
+        Obs.Cache.create ~size:(fun () -> Int_tbl.length and_cache) "sdd.and_cache";
       cs_or =
-        Obs.Cache.create ~size:(fun () -> tbl_entries or_cache) "sdd.or_cache";
+        Obs.Cache.create ~size:(fun () -> Int_tbl.length or_cache) "sdd.or_cache";
       cs_neg =
-        Obs.Cache.create ~size:(fun () -> tbl_entries neg_cache) "sdd.neg_cache";
+        Obs.Cache.create ~size:(fun () -> Int_tbl.length neg_cache) "sdd.neg_cache";
       cs_cond =
         Obs.Cache.create
-          ~size:(fun () -> tbl_entries cond_cache)
+          ~size:(fun () -> Int_tbl.length cond_cache)
           "sdd.cond_cache";
     }
   in
-  Int_tbl.replace m.neg_cache.(Int_key.hash 0 land shard_mask) 0 1;
-  Int_tbl.replace m.neg_cache.(Int_key.hash 1 land shard_mask) 1 0;
+  Int_tbl.replace m.neg_cache 0 1;
+  Int_tbl.replace m.neg_cache 1 0;
   register_manager m;
   m
 
@@ -273,9 +228,7 @@ let generation m = m.generation
 let compactions m = m.compactions_done
 
 (* Direct field bumps: local enough for ocamlopt to inline, so the hot
-   apply/negate paths pay two stores, not a cross-module call.  In the
-   parallel section concurrent bumps can lose counts — acceptable for
-   hit-rate telemetry, not worth a lock. *)
+   apply/negate paths pay two stores, not a cross-module call. *)
 let[@inline] cache_hit (c : Obs.Cache.t) =
   c.Obs.Cache.hits <- c.Obs.Cache.hits + 1
 
@@ -287,29 +240,22 @@ let stats m =
     [ m.cs_unique; m.cs_and; m.cs_or; m.cs_neg; m.cs_cond ]
 
 (* Unique-table and apply-cache occupancy telemetry: bucket-length
-   distribution from [Hashtbl.statistics] aggregated over the shards,
-   entry watermarks and load factor.  Called after whole-circuit
-   compiles and dynamic edits, not per operation, so the bucket walks
-   stay off the hot path. *)
+   distribution from [Hashtbl.statistics], entry watermarks and load
+   factor.  Called after whole-circuit compiles and dynamic edits, not
+   per operation, so the bucket walks stay off the hot path. *)
 let probe_occupancy m =
-  let bindings = ref 0 and buckets = ref 0 and max_bucket = ref 0 in
-  Array.iter
-    (fun tbl ->
-      let st = Dec_tbl.stats tbl in
-      bindings := !bindings + st.Hashtbl.num_bindings;
-      buckets := !buckets + st.Hashtbl.num_buckets;
-      max_bucket := Stdlib.max !max_bucket st.Hashtbl.max_bucket_length;
-      Array.iteri
-        (fun len count ->
-          if count > 0 then Obs.hist_record ~n:count "sdd.unique.bucket_len" len)
-        st.Hashtbl.bucket_histogram)
-    m.unique;
-  Obs.gauge_max "sdd.unique.entries_peak" !bindings;
-  Obs.gauge_max "sdd.unique.max_bucket" !max_bucket;
-  if !buckets > 0 then
-    Obs.hist_record "sdd.unique.load_pct" (100 * !bindings / !buckets);
+  let st = Dec_tbl.stats m.unique in
+  Array.iteri
+    (fun len count ->
+      if count > 0 then Obs.hist_record ~n:count "sdd.unique.bucket_len" len)
+    st.Hashtbl.bucket_histogram;
+  Obs.gauge_max "sdd.unique.entries_peak" st.Hashtbl.num_bindings;
+  Obs.gauge_max "sdd.unique.max_bucket" st.Hashtbl.max_bucket_length;
+  if st.Hashtbl.num_buckets > 0 then
+    Obs.hist_record "sdd.unique.load_pct"
+      (100 * st.Hashtbl.num_bindings / st.Hashtbl.num_buckets);
   Obs.gauge_max "sdd.apply_cache.entries_peak"
-    (tbl_entries m.and_cache + tbl_entries m.or_cache)
+    (Int_tbl.length m.and_cache + Int_tbl.length m.or_cache)
 
 (* ------------------------------------------------------------------ *)
 (* Manager census (postmortem and telemetry surface)                   *)
@@ -366,26 +312,19 @@ let census m =
     else if k = k_lit then Stdlib.incr literals
     else Stdlib.incr tombstones
   done;
-  let ub = ref 0 and ubk = ref 0 and umax = ref 0 in
-  Array.iter
-    (fun tbl ->
-      let s = Dec_tbl.stats tbl in
-      ub := !ub + s.Hashtbl.num_bindings;
-      ubk := !ubk + s.Hashtbl.num_buckets;
-      umax := Stdlib.max !umax s.Hashtbl.max_bucket_length)
-    m.unique;
+  let us = Dec_tbl.stats m.unique in
   {
     allocated = count;
     decisions = !decisions;
     literals = !literals;
     tombstones = !tombstones;
     elements = !elements;
-    unique_entries = !ub;
-    unique_buckets = !ubk;
-    unique_max_bucket = !umax;
-    apply_entries = tbl_entries m.and_cache + tbl_entries m.or_cache;
-    neg_entries = tbl_entries m.neg_cache;
-    cond_entries = tbl_entries m.cond_cache;
+    unique_entries = us.Hashtbl.num_bindings;
+    unique_buckets = us.Hashtbl.num_buckets;
+    unique_max_bucket = us.Hashtbl.max_bucket_length;
+    apply_entries = Int_tbl.length m.and_cache + Int_tbl.length m.or_cache;
+    neg_entries = Int_tbl.length m.neg_cache;
+    cond_entries = Int_tbl.length m.cond_cache;
     data_capacity = cap;
     approx_heap_words = !words;
     bytes_per_node = 8 * !words / Stdlib.max 1 count;
@@ -418,102 +357,28 @@ let census_to_json c =
 
 let census_all () = List.map census (live_managers ())
 
-(* ------------------------------------------------------------------ *)
-(* Lock contention                                                     *)
-(* ------------------------------------------------------------------ *)
-
-type shard_contention = {
-  shard : int;
-  unique_acquisitions : int;
-  unique_contended : int;
-  cache_acquisitions : int;
-  cache_contended : int;
-}
-
-type contention = {
-  shards : shard_contention list;
-  alloc_acquisitions : int;
-  alloc_contended : int;
-}
-
-let contention m =
-  {
-    shards =
-      List.init n_shards (fun s ->
-          {
-            shard = s;
-            unique_acquisitions = Atomic.get m.lk_unique_acq.(s);
-            unique_contended = Atomic.get m.lk_unique_cont.(s);
-            cache_acquisitions = Atomic.get m.lk_cache_acq.(s);
-            cache_contended = Atomic.get m.lk_cache_cont.(s);
-          });
-    alloc_acquisitions = Atomic.get m.lk_alloc_acq;
-    alloc_contended = Atomic.get m.lk_alloc_cont;
-  }
-
-let contention_all () = List.map contention (live_managers ())
-
-let contention_to_json c =
-  Obs.Json.Obj
-    [
-      ("alloc_acquisitions", Obs.Json.Int c.alloc_acquisitions);
-      ("alloc_contended", Obs.Json.Int c.alloc_contended);
-      ( "shards",
-        Obs.Json.List
-          (List.map
-             (fun s ->
-               Obs.Json.Obj
-                 [
-                   ("shard", Obs.Json.Int s.shard);
-                   ("unique_acquisitions", Obs.Json.Int s.unique_acquisitions);
-                   ("unique_contended", Obs.Json.Int s.unique_contended);
-                   ("cache_acquisitions", Obs.Json.Int s.cache_acquisitions);
-                   ("cache_contended", Obs.Json.Int s.cache_contended);
-                 ])
-             c.shards) );
-    ]
-
-(* Every postmortem dump carries a census of each live manager, and the
-   lock-contention picture of any manager that has run a parallel
-   section (all-zero contention blocks are elided to keep dumps small). *)
+(* Every postmortem dump carries a census of each live manager. *)
 let () =
   Postmortem.add_census_provider (fun () ->
       List.mapi
         (fun i c -> (Printf.sprintf "sdd_manager_%d" i, census_to_json c))
         (census_all ()))
 
-let () =
-  Postmortem.add_census_provider (fun () ->
-      List.concat
-        (List.mapi
-           (fun i c ->
-             let nonzero =
-               c.alloc_acquisitions <> 0
-               || List.exists
-                    (fun s ->
-                      s.unique_acquisitions <> 0 || s.cache_acquisitions <> 0)
-                    c.shards
-             in
-             if nonzero then
-               [ (Printf.sprintf "sdd_contention_%d" i, contention_to_json c) ]
-             else [])
-           (contention_all ())))
-
 (* Occupancy gauges for the periodic telemetry exporter: cheap summary
    numbers (no node walk) refreshed whenever occupancy is probed. *)
 let occupancy_gauges m =
   if !Obs.enabled_ref then begin
     Obs.gauge_set "sdd.nodes_allocated" (Atomic.get m.count);
-    Obs.gauge_set "sdd.unique.entries" (unique_entries_of m);
+    Obs.gauge_set "sdd.unique.entries" (Dec_tbl.length m.unique);
     Obs.gauge_set "sdd.apply_cache.entries"
-      (tbl_entries m.and_cache + tbl_entries m.or_cache)
+      (Int_tbl.length m.and_cache + Int_tbl.length m.or_cache)
   end;
   if !Flight_recorder.enabled_ref then
     Flight_recorder.record Flight_recorder.Note "sdd.occupancy"
       ~args:
         [
           ("allocated", string_of_int (Atomic.get m.count));
-          ("unique_entries", string_of_int (unique_entries_of m));
+          ("unique_entries", string_of_int (Dec_tbl.length m.unique));
         ]
 
 let false_ _ = 0
@@ -524,9 +389,8 @@ let true_ _ = 1
 
 (* Budget checkpoint: every node allocation gates on [active] (one load
    + branch when unlimited, see bench/overhead.ml).  The node cap is
-   exact — same allocation sequence, same trip point, whatever the
-   domain count — while clock/cancellation/heap ride the amortized
-   poll.  Runs outside [alloc_mu] so a trip never leaves it held. *)
+   exact — same allocation sequence, same trip point — while
+   clock/cancellation/heap ride the amortized poll. *)
 let[@inline] budget_gate m =
   if m.budget.Budget.active then begin
     Budget.check_nodes m.budget (Atomic.get m.count);
@@ -534,10 +398,9 @@ let[@inline] budget_gate m =
   end
 
 (* Store growth.  Copies into fresh arrays and republishes the record;
-   in parallel mode the caller holds [alloc_mu], and readers racing on
-   an old snapshot stay correct because every cell they can name was
-   written before its id was published.  Returns the store to write
-   into. *)
+   a census reading an old snapshot stays correct because every cell it
+   can name was written before [count] moved past it.  Returns the store
+   to write into. *)
 let ensure_node_capacity m st id =
   if id < Bytes.length st.kind then st
   else begin
@@ -570,7 +433,7 @@ let ensure_elems_capacity m st needed =
     st'
   end
 
-(* Allocation telemetry, shared by the raw allocators below. *)
+(* Allocation telemetry, shared by the allocators below. *)
 let[@inline] after_alloc m count =
   if !Obs.enabled_ref then begin
     Obs.incr "sdd.alloc";
@@ -582,10 +445,10 @@ let[@inline] after_alloc m count =
      taxing the per-alloc path beyond a mask-and-branch. *)
   if count land 4095 = 0 then occupancy_gauges m
 
-(* Raw literal allocation; in parallel mode the caller holds
-   [alloc_mu].  Cells are fully written before [count] moves, and the
-   id is only handed to other domains through a mutex. *)
-let alloc_lit_raw m leaf polarity =
+(* Node allocation.  Cells are fully written before [count] moves past
+   them. *)
+let alloc_lit m leaf polarity =
+  budget_gate m;
   let id = Atomic.get m.count in
   let st = ensure_node_capacity m (Atomic.get m.store) id in
   Bytes.unsafe_set st.kind id k_lit;
@@ -596,8 +459,9 @@ let alloc_lit_raw m leaf polarity =
   after_alloc m (id + 1);
   id
 
-(* Raw decision allocation from a prime-sorted element list. *)
-let alloc_dec_raw m v sorted k =
+(* Decision allocation from a prime-sorted element list. *)
+let alloc_dec m v sorted k =
+  budget_gate m;
   let id = Atomic.get m.count in
   let st = ensure_node_capacity m (Atomic.get m.store) id in
   let st = ensure_elems_capacity m st (m.elems_len + (2 * k)) in
@@ -617,64 +481,15 @@ let alloc_dec_raw m v sorted k =
   if !Obs.enabled_ref then Attribution.charge_elements k;
   id
 
-(* Counted lock acquisition for the parallel sections: an uncontended
-   acquire is one extra branch ([try_lock] succeeds); a failed try is
-   counted as contended and falls back to the blocking [lock].  Hold
-   times are sampled by the bracketing [hold_start]/[hold_end] pair,
-   which only reads the clock while observability is on. *)
-let[@inline] lock_counted mu acq cont =
-  Atomic.incr acq;
-  if not (Mutex.try_lock mu) then begin
-    Atomic.incr cont;
-    Mutex.lock mu
-  end
-
-let[@inline] hold_start () =
-  if !Obs.enabled_ref then Unix.gettimeofday () else 0.
-
-let[@inline] hold_end name t0 =
-  if !Obs.enabled_ref && t0 > 0. then
-    Obs.hist_record name (int_of_float ((Unix.gettimeofday () -. t0) *. 1e9))
-
-let alloc_dec m v sorted k =
-  budget_gate m;
-  if m.parallel then begin
-    lock_counted m.alloc_mu m.lk_alloc_acq m.lk_alloc_cont;
-    let id = alloc_dec_raw m v sorted k in
-    Mutex.unlock m.alloc_mu;
-    id
-  end
-  else alloc_dec_raw m v sorted k
-
-(* Literal lookup by vtree leaf and polarity (0/1).  Outside a parallel
-   section misses allocate directly; inside one, [apply_parallel]
-   pre-creates every literal so the table is read-only, and the locked
-   double-checked slow path below is defense in depth. *)
+(* Literal lookup by vtree leaf and polarity (0/1); misses allocate. *)
 let literal_at m leaf polarity =
   let slot = (2 * leaf) + polarity in
   let cached = m.lit_tbl.(slot) in
   if cached >= 0 then cached
   else begin
-    budget_gate m;
-    if not m.parallel then begin
-      let id = alloc_lit_raw m leaf polarity in
-      m.lit_tbl.(slot) <- id;
-      id
-    end
-    else begin
-      lock_counted m.alloc_mu m.lk_alloc_acq m.lk_alloc_cont;
-      let cached = m.lit_tbl.(slot) in
-      let id =
-        if cached >= 0 then cached
-        else begin
-          let id = alloc_lit_raw m leaf polarity in
-          m.lit_tbl.(slot) <- id;
-          id
-        end
-      in
-      Mutex.unlock m.alloc_mu;
-      id
-    end
+    let id = alloc_lit m leaf polarity in
+    m.lit_tbl.(slot) <- id;
+    id
   end
 
 let literal m v polarity =
@@ -701,49 +516,44 @@ let elements_list st id =
   go (k - 1) []
 
 (* ------------------------------------------------------------------ *)
-(* Sharded cache access                                                *)
+(* Cache access                                                        *)
 (* ------------------------------------------------------------------ *)
 
 (* Missing entries return -1 (node ids are non-negative) so the hot
-   path is exception-free.  Sequential mode takes no locks. *)
-let cache_find m (shards : int Int_tbl.t array) key =
-  let s = Int_key.hash key land shard_mask in
-  if not m.parallel then
-    match Int_tbl.find shards.(s) key with
-    | r -> r
-    | exception Not_found -> -1
-  else begin
-    let mu = m.cache_mu.(s) in
-    lock_counted mu m.lk_cache_acq.(s) m.lk_cache_cont.(s);
-    let t0 = hold_start () in
-    let r =
-      match Int_tbl.find shards.(s) key with
-      | r -> r
-      | exception Not_found -> -1
-    in
-    hold_end "sdd.cache_lock_hold_ns" t0;
-    Mutex.unlock mu;
-    r
-  end
-
-let cache_put m (shards : int Int_tbl.t array) key v =
-  let s = Int_key.hash key land shard_mask in
-  if not m.parallel then Int_tbl.replace shards.(s) key v
-  else begin
-    let mu = m.cache_mu.(s) in
-    lock_counted mu m.lk_cache_acq.(s) m.lk_cache_cont.(s);
-    let t0 = hold_start () in
-    Int_tbl.replace shards.(s) key v;
-    hold_end "sdd.cache_lock_hold_ns" t0;
-    Mutex.unlock mu
-  end
+   path is exception-free. *)
+let[@inline] cache_find (tbl : int Int_tbl.t) key =
+  match Int_tbl.find tbl key with r -> r | exception Not_found -> -1
 
 (* ------------------------------------------------------------------ *)
 (* Node construction: compression, trimming, unique table              *)
 (* ------------------------------------------------------------------ *)
 
+(* Unique-table key [|v; p0; s0; p1; s1; ...|] of a decision at vtree
+   node [v] with the [k] prime-sorted elements [sorted]. *)
+let dec_key v sorted k =
+  let key = Array.make (1 + (2 * k)) v in
+  List.iteri
+    (fun i (p, s) ->
+      key.((2 * i) + 1) <- p;
+      key.((2 * i) + 2) <- s)
+    sorted;
+  key
+
+(* Find-or-claim of a canonical decision. *)
+let unique_find_or_add m v sorted k =
+  let key = dec_key v sorted k in
+  match Dec_tbl.find m.unique key with
+  | id ->
+    cache_hit m.cs_unique;
+    id
+  | exception Not_found ->
+    cache_miss m.cs_unique;
+    let id = alloc_dec m v sorted k in
+    Dec_tbl.add m.unique key id;
+    id
+
 let rec negate m a =
-  let c = cache_find m m.neg_cache a in
+  let c = cache_find m.neg_cache a in
   if c >= 0 then begin
     cache_hit m.cs_neg;
     c
@@ -759,8 +569,8 @@ let rec negate m a =
         mk_decision m st.vnode.(a)
           (List.map (fun (p, s) -> (p, negate m s)) (elements_list st a))
     in
-    cache_put m m.neg_cache a r;
-    cache_put m m.neg_cache r a;
+    Int_tbl.replace m.neg_cache a r;
+    Int_tbl.replace m.neg_cache r a;
     r
   end
 
@@ -847,56 +657,7 @@ and mk_decision m v elems =
     in
     let k = List.length sorted in
     if !Obs.enabled_ref then Obs.hist_record "sdd.decision_fanout" k;
-    let key = Array.make (1 + (2 * k)) v in
-    List.iteri
-      (fun i (p, s) ->
-        key.((2 * i) + 1) <- p;
-        key.((2 * i) + 2) <- s)
-      sorted;
-    let shard = dec_shard v in
-    let tbl = m.unique.(shard) in
-    if not m.parallel then begin
-      match Dec_tbl.find tbl key with
-      | id ->
-        cache_hit m.cs_unique;
-        id
-      | exception Not_found ->
-        cache_miss m.cs_unique;
-        let id = alloc_dec m v sorted k in
-        Dec_tbl.add tbl key id;
-        id
-    end
-    else begin
-      (* The shard mutex is held across find + alloc + add so two
-         domains cannot both allocate the same decision (canonicity
-         requires exactly one id per key).  [alloc_dec] nests [alloc_mu]
-         inside the shard lock; the lock order is always
-         shard → alloc and [alloc_mu] takes no further locks, so there
-         is no cycle.  A budget trip inside [alloc_dec] must release
-         the shard. *)
-      let mu = m.unique_mu.(shard) in
-      lock_counted mu m.lk_unique_acq.(shard) m.lk_unique_cont.(shard);
-      let t0 = hold_start () in
-      match
-        (match Dec_tbl.find tbl key with
-        | id ->
-          cache_hit m.cs_unique;
-          id
-        | exception Not_found ->
-          cache_miss m.cs_unique;
-          let id = alloc_dec m v sorted k in
-          Dec_tbl.add tbl key id;
-          id)
-      with
-      | id ->
-        hold_end "sdd.unique_lock_hold_ns" t0;
-        Mutex.unlock mu;
-        id
-      | exception e ->
-        hold_end "sdd.unique_lock_hold_ns" t0;
-        Mutex.unlock mu;
-        raise e
-    end
+    unique_find_or_add m v sorted k
   end
 
 (* ------------------------------------------------------------------ *)
@@ -926,11 +687,11 @@ and apply m op_and a b =
   else if a = neutral then b
   else if b = neutral then a
   else if a = b then a
-  else if cache_find m m.neg_cache a = b then absorbing
+  else if cache_find m.neg_cache a = b then absorbing
   else begin
     let key = pair_key (Stdlib.min a b) (Stdlib.max a b) in
     let cstat = if op_and then m.cs_and else m.cs_or in
-    let cached = cache_find m cache key in
+    let cached = cache_find cache key in
     if cached >= 0 then begin
       cache_hit cstat;
       cached
@@ -973,7 +734,7 @@ and apply m op_and a b =
           mk_decision m v !out
         end
       in
-      cache_put m cache key r;
+      Int_tbl.replace cache key r;
       r
     end
   end
@@ -1008,7 +769,7 @@ let condition m a x value =
         if not (Vtree.is_ancestor m.vt v lx) then a
         else begin
           let key = (((a * num_nodes) + lx) lsl 1) lor Bool.to_int value in
-          let cached = cache_find m m.cond_cache key in
+          let cached = cache_find m.cond_cache key in
           if cached >= 0 then begin
             cache_hit m.cs_cond;
             cached
@@ -1022,7 +783,7 @@ let condition m a x value =
                 (elements_list st a)
             in
             let r = mk_decision m v elems' in
-            cache_put m m.cond_cache key r;
+            Int_tbl.replace m.cond_cache key r;
             r
           end
         end
@@ -1047,30 +808,26 @@ let rebuild_unique m =
      element lists are not prime-sorted, so there is no table to rebuild
      after compaction. *)
   if m.canonical then begin
-    Array.iter Dec_tbl.reset m.unique;
+    Dec_tbl.reset m.unique;
     let st = Atomic.get m.store in
     let n = Atomic.get m.count in
     for id = 2 to n - 1 do
       if Bytes.unsafe_get st.kind id = k_dec then
-        Dec_tbl.add m.unique.(dec_shard st.vnode.(id)) (dec_key_of_store st id)
-          id
+        Dec_tbl.add m.unique (dec_key_of_store st id) id
     done
   end
 
-let saved_entries shards =
-  Array.fold_left
-    (fun acc tbl -> Int_tbl.fold (fun k r acc -> (k, r) :: acc) tbl acc)
-    [] shards
+let saved_entries tbl = Int_tbl.fold (fun k r acc -> (k, r) :: acc) tbl []
 
 let reset_caches m =
-  Array.iter Int_tbl.reset m.and_cache;
-  Array.iter Int_tbl.reset m.or_cache;
-  Array.iter Int_tbl.reset m.neg_cache;
-  Array.iter Int_tbl.reset m.cond_cache
+  Int_tbl.reset m.and_cache;
+  Int_tbl.reset m.or_cache;
+  Int_tbl.reset m.neg_cache;
+  Int_tbl.reset m.cond_cache
 
 let seed_neg m =
-  cache_put m m.neg_cache 0 1;
-  cache_put m m.neg_cache 1 0
+  Int_tbl.replace m.neg_cache 0 1;
+  Int_tbl.replace m.neg_cache 1 0
 
 let mask31 = (1 lsl 31) - 1
 
@@ -1199,13 +956,13 @@ let compact_roots m (roots : int array) : int array =
      stay min/max-ordered and stored element sort orders were already
      preserved above. *)
   reset_caches m;
-  let reinsert_apply shards entries =
+  let reinsert_apply tbl entries =
     List.iter
       (fun (k, r) ->
         let ka = k lsr 31 and kb = k land mask31 in
         if remap.(ka) >= 0 && remap.(kb) >= 0 && remap.(r) >= 0 then begin
           let a = remap.(ka) and b = remap.(kb) in
-          cache_put m shards (pair_key (Stdlib.min a b) (Stdlib.max a b))
+          Int_tbl.replace tbl (pair_key (Stdlib.min a b) (Stdlib.max a b))
             remap.(r)
         end)
       entries
@@ -1215,7 +972,7 @@ let compact_roots m (roots : int array) : int array =
   List.iter
     (fun (a, b) ->
       if remap.(a) >= 0 && remap.(b) >= 0 then
-        cache_put m m.neg_cache remap.(a) remap.(b))
+        Int_tbl.replace m.neg_cache remap.(a) remap.(b))
     saved_neg;
   let nn = Vtree.num_nodes m.vt in
   List.iter
@@ -1224,7 +981,7 @@ let compact_roots m (roots : int array) : int array =
       let k2 = k lsr 1 in
       let ka = k2 / nn and lx = k2 mod nn in
       if remap.(ka) >= 0 && remap.(r) >= 0 then
-        cache_put m m.cond_cache
+        Int_tbl.replace m.cond_cache
           ((((remap.(ka) * nn) + lx) lsl 1) lor value)
           remap.(r))
     saved_cond;
@@ -1415,10 +1172,10 @@ let dynamic_edit m move root =
     m.dead_elems <- s_de;
     Array.blit s_lit 0 m.lit_tbl 0 (Array.length s_lit);
     reset_caches m;
-    List.iter (fun (k, r) -> cache_put m m.and_cache k r) saved_and;
-    List.iter (fun (k, r) -> cache_put m m.or_cache k r) saved_or;
-    List.iter (fun (k, r) -> cache_put m m.neg_cache k r) saved_neg;
-    List.iter (fun (k, r) -> cache_put m m.cond_cache k r) saved_cond;
+    List.iter (fun (k, r) -> Int_tbl.replace m.and_cache k r) saved_and;
+    List.iter (fun (k, r) -> Int_tbl.replace m.or_cache k r) saved_or;
+    List.iter (fun (k, r) -> Int_tbl.replace m.neg_cache k r) saved_neg;
+    List.iter (fun (k, r) -> Int_tbl.replace m.cond_cache k r) saved_cond;
     rebuild_unique m;
     if !Obs.enabled_ref then Obs.incr "sdd.edit.rolled_back"
   in
@@ -1427,7 +1184,7 @@ let dynamic_edit m move root =
   in
   on_trip (fun () -> Option.iter rollback snapshot) @@ fun () ->
   reset_caches m;
-  Array.iter Dec_tbl.reset m.unique;
+  Dec_tbl.reset m.unique;
   Array.fill m.lit_tbl 0 (Array.length m.lit_tbl) (-1);
   m.vt <- new_vt;
   seed_neg m;
@@ -1479,14 +1236,8 @@ let dynamic_edit m move root =
               (fun (p1, _) (p2, _) -> Int.compare p1 p2)
               (List.map (fun (p, s) -> (fwd.(p), fwd.(s))) pairs)
           in
-          let key = Array.make (1 + (2 * k)) u' in
-          List.iteri
-            (fun i (p, s) ->
-              key.((2 * i) + 1) <- p;
-              key.((2 * i) + 2) <- s)
-            elems';
-          let shard = dec_shard u' in
-          match Dec_tbl.find m.unique.(shard) key with
+          let key = dec_key u' elems' k in
+          match Dec_tbl.find m.unique key with
           | n -> fwd.(id) <- n
           | exception Not_found ->
             (* Claim in place: rewrite the cells (the rebuilds above may
@@ -1499,7 +1250,7 @@ let dynamic_edit m move root =
                 st.elems.(base + (2 * i)) <- p;
                 st.elems.(base + (2 * i) + 1) <- s)
               elems';
-            Dec_tbl.add m.unique.(shard) key id
+            Dec_tbl.add m.unique key id
         end
       end
     end
@@ -1526,13 +1277,13 @@ let dynamic_edit m move root =
   done;
   (* Reinsert the cache entries whose nodes survived, under forwarded
      keys; entries referencing collected nodes are dropped. *)
-  let reinsert_apply shards entries =
+  let reinsert_apply tbl entries =
     List.iter
       (fun (k, r) ->
         let ka = k lsr 31 and kb = k land mask31 in
         if live.(ka) && live.(kb) && live.(r) then begin
           let a = fwd.(ka) and b = fwd.(kb) in
-          cache_put m shards
+          Int_tbl.replace tbl
             (pair_key (Stdlib.min a b) (Stdlib.max a b))
             fwd.(r)
         end)
@@ -1542,7 +1293,7 @@ let dynamic_edit m move root =
   reinsert_apply m.or_cache saved_or;
   List.iter
     (fun (a, b) ->
-      if live.(a) && live.(b) then cache_put m m.neg_cache fwd.(a) fwd.(b))
+      if live.(a) && live.(b) then Int_tbl.replace m.neg_cache fwd.(a) fwd.(b))
     saved_neg;
   List.iter
     (fun (k, r) ->
@@ -1551,7 +1302,7 @@ let dynamic_edit m move root =
       let ka = k2 / nn in
       if live.(ka) && live.(r) then begin
         let a = fwd.(ka) and lx = map.(k2 mod nn) in
-        cache_put m m.cond_cache
+        Int_tbl.replace m.cond_cache
           ((((a * nn) + lx) lsl 1) lor value)
           fwd.(r)
       end)
@@ -1576,92 +1327,6 @@ let apply_move = dynamic_edit
 let swap m v root = dynamic_edit m (Vtree.Swap v) root
 let rotate_left m v root = dynamic_edit m (Vtree.Rotate_left v) root
 let rotate_right m v root = dynamic_edit m (Vtree.Rotate_right v) root
-(* ------------------------------------------------------------------ *)
-(* Sharded parallel apply                                              *)
-(* ------------------------------------------------------------------ *)
-
-(* Pre-create both polarities of every vtree variable so lit_tbl is
-   read-only inside the parallel section ([Domain.spawn] publishes the
-   entries to the workers). *)
-let prepare_literals m =
-  List.iter
-    (fun v ->
-      ignore (literal m v true);
-      ignore (literal m v false))
-    (Vtree.variables m.vt)
-
-(* Conjoin each pair in one shared manager, fanned out over domains.
-   Sound for vtree-independent pairs (disjoint unique shards, disjoint
-   subproblems) and still correct — just contended — otherwise: the
-   unique shard mutex is held across find+alloc+add so canonicity
-   survives races, every allocation serializes on [alloc_mu], and cache
-   shards are locked per access.  [domains = 1] (or a single pair) runs
-   the plain sequential path with the locks disarmed, so ablations
-   compare against the true baseline. *)
-let apply_parallel ?domains m pairs =
-  let domains =
-    match domains with Some d -> d | None -> Obs.Worker.default_domains ()
-  in
-  if domains < 1 then invalid_arg "Sdd.apply_parallel: domains must be >= 1";
-  if m.parallel then
-    invalid_arg "Sdd.apply_parallel: manager already in a parallel section";
-  match pairs with
-  | [] -> []
-  | _ when domains = 1 || List.length pairs = 1 ->
-    List.map (fun (a, b) -> conjoin m a b) pairs
-  | _ ->
-    Obs.span "sdd.apply_parallel" @@ fun () ->
-    if !Obs.enabled_ref then begin
-      Obs.incr "sdd.apply_parallel";
-      Obs.gauge_set "sdd.apply_parallel.domains" domains
-    end;
-    prepare_literals m;
-    m.parallel <- true;
-    (* Snapshot the contention counters around the section so the delta
-       can be republished as ordinary Obs counters: the per-manager
-       Atomics survive for [contention], while the counters make the
-       section's lock behaviour visible to the metrics/OpenMetrics
-       exporters without holding a manager reference. *)
-    let sum arr = Array.fold_left (fun acc a -> acc + Atomic.get a) 0 arr in
-    let snap () =
-      ( sum m.lk_unique_acq,
-        sum m.lk_unique_cont,
-        sum m.lk_cache_acq,
-        sum m.lk_cache_cont,
-        Atomic.get m.lk_alloc_acq,
-        Atomic.get m.lk_alloc_cont )
-    in
-    let ua0, uc0, ca0, cc0, aa0, ac0 = snap () in
-    Fun.protect
-      ~finally:(fun () ->
-        m.parallel <- false;
-        if !Obs.enabled_ref then begin
-          let ua, uc, ca, cc, aa, ac = snap () in
-          Obs.incr ~by:(ua - ua0) "sdd.unique_lock.acquisitions";
-          Obs.incr ~by:(uc - uc0) "sdd.unique_lock.contended";
-          Obs.incr ~by:(ca - ca0) "sdd.cache_lock.acquisitions";
-          Obs.incr ~by:(cc - cc0) "sdd.cache_lock.contended";
-          Obs.incr ~by:(aa - aa0) "sdd.alloc_lock.acquisitions";
-          Obs.incr ~by:(ac - ac0) "sdd.alloc_lock.contended"
-        end)
-      (fun () ->
-        Obs.Worker.parallel_map ~domains (fun (a, b) -> conjoin m a b) pairs)
-
-(* Tree reduction over [apply_parallel]: each round conjoins adjacent
-   pairs in parallel until one root remains. *)
-let conjoin_parallel ?domains m roots =
-  let rec pair_up = function
-    | a :: b :: rest -> (a, b) :: pair_up rest
-    | [ a ] -> [ (a, 1) ]
-    | [] -> []
-  in
-  let rec round = function
-    | [] -> 1
-    | [ r ] -> r
-    | rs -> round (apply_parallel ?domains m (pair_up rs))
-  in
-  round roots
-
 (* ------------------------------------------------------------------ *)
 (* Structure and views                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -1968,7 +1633,7 @@ let compile_circuit m c =
 (* ------------------------------------------------------------------ *)
 
 (* An OBDD is exactly a canonical SDD over a right-linear vtree
-   (Section 2.2 of the paper), so the arena store, budget gate, sharded
+   (Section 2.2 of the paper), so the arena store, budget gate,
    unique table and compaction machinery are reused as-is; what this
    module replaces is the generic apply.  On a right-linear vtree every
    decision has exactly two elements whose primes are the two literals
@@ -2030,46 +1695,7 @@ module Obdd = struct
           if pos < neg then [ (pos, hi); (neg, lo) ]
           else [ (neg, lo); (pos, hi) ]
         in
-        let key = Array.make 5 v in
-        List.iteri
-          (fun i (p, s) ->
-            key.((2 * i) + 1) <- p;
-            key.((2 * i) + 2) <- s)
-          sorted;
-        let shard = dec_shard v in
-        let tbl = m.unique.(shard) in
-        if not m.parallel then begin
-          match Dec_tbl.find tbl key with
-          | id ->
-            cache_hit m.cs_unique;
-            id
-          | exception Not_found ->
-            cache_miss m.cs_unique;
-            let id = alloc_dec m v sorted 2 in
-            Dec_tbl.add tbl key id;
-            id
-        end
-        else begin
-          let mu = m.unique_mu.(shard) in
-          lock_counted mu m.lk_unique_acq.(shard) m.lk_unique_cont.(shard);
-          match
-            (match Dec_tbl.find tbl key with
-            | id ->
-              cache_hit m.cs_unique;
-              id
-            | exception Not_found ->
-              cache_miss m.cs_unique;
-              let id = alloc_dec m v sorted 2 in
-              Dec_tbl.add tbl key id;
-              id)
-          with
-          | id ->
-            Mutex.unlock mu;
-            id
-          | exception e ->
-            Mutex.unlock mu;
-            raise e
-        end
+        unique_find_or_add m v sorted 2
       end
     end
 
@@ -2080,12 +1706,12 @@ module Obdd = struct
     else if a = neutral then b
     else if b = neutral then a
     else if a = b then a
-    else if cache_find m m.neg_cache a = b then absorbing
+    else if cache_find m.neg_cache a = b then absorbing
     else begin
       let cache = if op_and then m.and_cache else m.or_cache in
       let cstat = if op_and then m.cs_and else m.cs_or in
       let key = pair_key (Stdlib.min a b) (Stdlib.max a b) in
-      let cached = cache_find m cache key in
+      let cached = cache_find cache key in
       if cached >= 0 then begin
         cache_hit cstat;
         cached
@@ -2101,7 +1727,7 @@ module Obdd = struct
         let hi = apply_rec m op_and ah bh in
         let lo = apply_rec m op_and al bl in
         let r = mk_node m lvl hi lo in
-        cache_put m cache key r;
+        Int_tbl.replace cache key r;
         r
       end
     end

@@ -8,7 +8,12 @@
 
     Size and the paper's SDD width (Definition 5: the number of ∧-gates —
     elements — structured by each vtree node) are exposed, together with
-    exact model counting and weighted model counting. *)
+    exact model counting and weighted model counting.
+
+    A manager and its handles belong to one domain at a time; parallel
+    callers give each domain its own manager and {!import} the results.
+    The only cross-domain read is the postmortem census
+    ({!census_all}). *)
 
 type manager
 type t
@@ -94,32 +99,6 @@ val generation : manager -> int
 val compactions : manager -> int
 (** Total compaction passes run by this manager. *)
 
-(** {1 Parallel apply}
-
-    The unique table and the apply/negate/condition caches are sharded
-    (by vtree node and key hash respectively), so several domains can
-    conjoin {e vtree-independent} sub-SDDs inside one manager: each
-    subproblem touches its own shards and the only serialization point
-    is node allocation.  The section is cooperative: the manager's
-    mutexes are armed for its duration and every literal is pre-created
-    before the fan-out. *)
-
-val apply_parallel : ?domains:int -> manager -> (t * t) list -> t list
-(** [apply_parallel m pairs] conjoins each pair, fanning the list out
-    over [domains] worker domains (default
-    [Obs.Worker.default_domains ()], which honours [CTWSDD_DOMAINS]).
-    With [domains = 1] or a single pair this is exactly the sequential
-    [conjoin] loop — no locks armed — so ablations compare against the
-    true baseline.  Node-cap budget trips remain exact; deadline and
-    cancellation trips are checked at the shared amortized cadence.
-    @raise Invalid_argument if [domains < 1] or the manager is already
-    inside a parallel section. *)
-
-val conjoin_parallel : ?domains:int -> manager -> t list -> t
-(** Tree reduction over {!apply_parallel}: rounds of adjacent-pair
-    conjoins until one root remains ([⊤] for the empty list).  Used by
-    the pipeline to conjoin per-component SDDs after import. *)
-
 val stats : manager -> Obs.Cache.snapshot list
 (** Hit/miss/size statistics of the manager's five hash tables, in the
     order [sdd.unique], [sdd.and_cache], [sdd.or_cache], [sdd.neg_cache],
@@ -166,46 +145,6 @@ val census_all : unit -> census list
     time. *)
 
 val census_to_json : census -> Obs.Json.t
-
-(** {1 Lock contention}
-
-    Parallel sections ({!apply_parallel}) acquire the sharded unique
-    table, cache and allocation mutexes through a counted [try_lock]
-    fast path: every acquisition bumps a per-shard counter, and an
-    acquisition whose initial [try_lock] fails counts as {e contended}.
-    Hold times are additionally sampled (while observability is on)
-    into the [sdd.unique_lock_hold_ns] / [sdd.cache_lock_hold_ns]
-    histograms, and the per-section deltas are republished as
-    [sdd.*_lock.acquisitions] / [sdd.*_lock.contended] Obs counters —
-    the raw material for the explain report's shard-contention heatmap
-    and for deciding whether a lock-free unique table is worth
-    building.  Counters persist for the manager's lifetime (they are
-    never reset by compaction or dynamic edits) and are all zero until
-    a parallel section runs. *)
-
-type shard_contention = {
-  shard : int;
-  unique_acquisitions : int;
-  unique_contended : int;
-  cache_acquisitions : int;
-  cache_contended : int;
-}
-
-type contention = {
-  shards : shard_contention list;  (** One entry per shard, ascending. *)
-  alloc_acquisitions : int;
-  alloc_contended : int;
-}
-
-val contention : manager -> contention
-
-val contention_all : unit -> contention list
-(** Contention of every live manager (same weak registry as
-    {!census_all}).  A {!Postmortem} provider exposing non-zero
-    contention as [sdd_contention_<i>] objects is registered at
-    module-initialization time. *)
-
-val contention_to_json : contention -> Obs.Json.t
 
 (** {1 Constants, literals, connectives} *)
 
@@ -344,8 +283,8 @@ val compile_circuit : manager -> Circuit.t -> t
 
     An OBDD is a canonical SDD over a right-linear vtree (paper,
     Section 2.2), so this backend shares the manager type — and with it
-    the arena store, the budget gate, sharding and compaction — while
-    replacing the generic partition/element apply with the classic
+    the arena store, the budget gate, the unique table and compaction —
+    while replacing the generic partition/element apply with the classic
     Shannon/ITE recursion: cofactor both operands on the topmost
     variable, recurse on the two halves, rebuild.  The nodes it builds
     are bit-identical to the generic apply's (same unique keys), so

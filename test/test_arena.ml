@@ -1,12 +1,11 @@
-(* The arena node store: generational compaction and sharded parallel
-   apply.
+(* The arena node store: generational compaction, plus the strict
+   parsing of the CTWSDD_DOMAINS / CTWSDD_RING environment knobs.
 
    Invariants under test: compaction preserves the represented function,
    canonicity and the model count while driving tombstones and garbage
    words to zero; dynamic edits followed by compaction and import
    round-trip the function; a budget trip during compaction rolls back
-   before any mutation; and apply_parallel agrees with the sequential
-   apply loop handle-for-handle. *)
+   before any mutation. *)
 
 open Test_util
 
@@ -142,44 +141,6 @@ let compaction_suite =
 
 let parallel_suite =
   [
-    case "apply_parallel agrees with sequential conjoin handle-for-handle"
-      (fun () ->
-        let fs = random_functions ~vars:6 ~count:8 in
-        let vars =
-          List.sort_uniq compare (List.concat_map Boolfun.variables fs)
-        in
-        let m = Sdd.manager (Vtree.balanced vars) in
-        let nodes = List.map (Compile.sdd_of_boolfun m) fs in
-        let rec pair_up = function
-          | a :: b :: rest -> (a, b) :: pair_up rest
-          | _ -> []
-        in
-        let pairs = pair_up nodes in
-        let seq = List.map (fun (a, b) -> Sdd.conjoin m a b) pairs in
-        let d1 = Sdd.apply_parallel ~domains:1 m pairs in
-        let d4 = Sdd.apply_parallel ~domains:4 m pairs in
-        checkb "d1 = sequential" true (List.for_all2 ( = ) seq d1);
-        checkb "d4 = sequential" true (List.for_all2 ( = ) seq d4);
-        List.iter (fun n -> checkb "valid" true (validate_ok m n)) d4);
-    case "conjoin_parallel equals conjoin_list" (fun () ->
-        let fs = random_functions ~vars:6 ~count:5 in
-        let vars =
-          List.sort_uniq compare (List.concat_map Boolfun.variables fs)
-        in
-        let m = Sdd.manager (Vtree.balanced vars) in
-        let nodes = List.map (Compile.sdd_of_boolfun m) fs in
-        let seq = Sdd.conjoin_list m nodes in
-        checkb "d4 tree reduction" true
-          (Sdd.conjoin_parallel ~domains:4 m nodes = seq);
-        checkb "empty list is true" true
-          (Sdd.conjoin_parallel ~domains:4 m [] = Sdd.true_ m));
-    case "apply_parallel validates the domain count" (fun () ->
-        let m = Sdd.manager (Vtree.balanced [ "x"; "y" ]) in
-        let p = (Sdd.literal m "x" true, Sdd.literal m "y" true) in
-        (match Sdd.apply_parallel ~domains:0 m [ p ] with
-         | _ -> Alcotest.fail "expected Invalid_argument"
-         | exception Invalid_argument _ -> ());
-        ());
     case "CTWSDD_DOMAINS is validated strictly" (fun () ->
         let check_env v expect =
           Unix.putenv "CTWSDD_DOMAINS" v;
@@ -219,69 +180,6 @@ let parallel_suite =
         check_env "-1" `Error;
         check_env "banana" `Error;
         check_env "" `Error);
-    case "shard lock counters conserve and stay silent sequentially"
-      (fun () ->
-        Obs.set_enabled true;
-        Obs.reset ();
-        Fun.protect
-          ~finally:(fun () ->
-            Obs.reset ();
-            Obs.set_enabled false)
-          (fun () ->
-            let fs = random_functions ~vars:6 ~count:8 in
-            let vars =
-              List.sort_uniq compare (List.concat_map Boolfun.variables fs)
-            in
-            let m = Sdd.manager (Vtree.balanced vars) in
-            let nodes = List.map (Compile.sdd_of_boolfun m) fs in
-            (* Sequential compilation never arms the shard mutexes. *)
-            let c0 = Sdd.contention m in
-            checki "no sequential alloc acq" 0 c0.Sdd.alloc_acquisitions;
-            checkb "no sequential shard acq" true
-              (List.for_all
-                 (fun s ->
-                   s.Sdd.unique_acquisitions = 0 && s.Sdd.cache_acquisitions = 0)
-                 c0.Sdd.shards);
-            let rec pair_up = function
-              | a :: b :: rest -> (a, b) :: pair_up rest
-              | _ -> []
-            in
-            ignore (Sdd.apply_parallel ~domains:4 m (pair_up nodes));
-            let c = Sdd.contention m in
-            let ua =
-              List.fold_left
-                (fun a s -> a + s.Sdd.unique_acquisitions)
-                0 c.Sdd.shards
-            in
-            let ca =
-              List.fold_left
-                (fun a s -> a + s.Sdd.cache_acquisitions)
-                0 c.Sdd.shards
-            in
-            checkb "parallel run acquired locks" true (ua + ca > 0);
-            checki "sixteen shards" 16 (List.length c.Sdd.shards);
-            List.iter
-              (fun s ->
-                checkb "unique contended <= acquired" true
-                  (s.Sdd.unique_contended <= s.Sdd.unique_acquisitions);
-                checkb "cache contended <= acquired" true
-                  (s.Sdd.cache_contended <= s.Sdd.cache_acquisitions))
-              c.Sdd.shards;
-            checkb "alloc contended <= acquired" true
-              (c.Sdd.alloc_contended <= c.Sdd.alloc_acquisitions);
-            (* The epilogue republishes the per-run deltas as ordinary
-               Obs counters; the manager was fresh, so the deltas are
-               the totals. *)
-            checki "unique delta republished" ua
-              (Obs.counter_value "sdd.unique_lock.acquisitions");
-            checki "cache delta republished" ca
-              (Obs.counter_value "sdd.cache_lock.acquisitions");
-            checkb "contention in census JSON" true
-              (match Sdd.contention_to_json c with
-               | Obs.Json.Obj fields ->
-                 List.mem_assoc "shards" fields
-                 && List.mem_assoc "alloc_acquisitions" fields
-               | _ -> false)));
   ]
 
 let suites =

@@ -73,6 +73,19 @@ let pdb_suite =
             ignore
               (Pdb.make
                  [ (Pdb.tuple "R" [ "1" ], Ratio.one); (Pdb.tuple "R" [ "1" ], Ratio.one) ])));
+    case "probabilities outside [0, 1] rejected" (fun () ->
+        let db p = Pdb.make [ (Pdb.tuple "R" [ "a" ], p) ] in
+        List.iter
+          (fun p ->
+            match db p with
+            | _ -> Alcotest.failf "P = %s accepted" (Ratio.to_string p)
+            | exception Invalid_argument _ -> ())
+          [ Ratio.of_ints 3 2; Ratio.of_ints (-1) 2 ];
+        List.iter
+          (fun p ->
+            check ratio "in range kept" p
+              ((db p).Pdb.prob (Pdb.tuple "R" [ "a" ])))
+          [ Ratio.zero; Ratio.of_ints 1 2; Ratio.one ]);
     case "subdatabases count" (fun () ->
         checki "2^5" 32 (List.length (Pdb.subdatabases tiny_db)));
     case "subset probabilities sum to one" (fun () ->
