@@ -3,10 +3,16 @@
      ctwsdd compile   -c "(or (and x y) (not z))" --vtree lemma1
      ctwsdd treewidth -c "(and (or a b) (or b c))"
      ctwsdd query     -q "R(x), S(x,y)" --db facts.txt
+     ctwsdd cnf       instance.cnf --minimize
      ctwsdd explain   instance.cnf --components 4
      ctwsdd isa 18
 
    Database files contain one fact per line: `R(a,b) 1/2`.
+
+   Each input kind has one compile path: a circuit goes through
+   Pipeline.compile (compile's --vtree picks its strategy; left and
+   lemma1 are pinned vtrees), a DIMACS file through Pipeline.compile_cnf
+   (cnf and explain; no --vtree).
 
    Every subcommand accepts --stats (human-readable span timings, cache
    statistics and histograms on stderr, keeping stdout pipeable),
@@ -50,59 +56,6 @@ let read_circuit path_opt inline_opt =
         let s = really_input_string ic n in
         Obs.span "cli.parse" (fun () -> Circuit.of_string s))
   | None, None -> raise (Cli_usage "provide a circuit with -c or --file")
-
-let vtree_of_choice choice circuit =
-  let vars = Circuit.variables circuit in
-  if vars = [] then raise (Cli_usage "the circuit has no variables");
-  Obs.span "cli.vtree" @@ fun () ->
-  match choice with
-  | `Balanced -> Vtree.balanced vars
-  | `Right -> Vtree.right_linear vars
-  | `Left -> Vtree.left_linear vars
-  | `Lemma1 -> fst (Lemma1.vtree_of_circuit circuit)
-
-(* Pipeline strategies go through [Ctwsdd.compile] (budget-governed,
-   with the degradation ladder); the legacy vtree kinds build the vtree
-   directly and compile on it under the same budget, with no ladder to
-   fall back on.  [--minimize] runs the in-manager dynamic vtree search
-   either way (anytime under a budget).  Returns the manager, the root
-   and the degradation flag. *)
-let compile_with_choice ~budget ?compact_every ?(backend = `Sdd) choice
-    ~minimize c =
-  if Circuit.variables c = [] then
-    raise (Cli_usage "the circuit has no variables");
-  match choice with
-  | (`Right | `Balanced | `Treedec | `Search) as s ->
-    (match
-       Ctwsdd.compile ~budget ~vtree_strategy:s ~backend ~minimize
-         ?compact_every c
-     with
-     | Error e -> Error e
-     | Ok r ->
-       Ok
-         ( r.Pipeline.manager,
-           r.Pipeline.root,
-           r.Pipeline.degraded,
-           r.Pipeline.backend ))
-  | (`Left | `Lemma1) as ch ->
-    if backend <> `Sdd then
-      raise
-        (Cli_usage
-           "--backend works with the pipeline vtree strategies (balanced, \
-            right, treedec, search), not the legacy left/lemma1 kinds");
-    Ctwsdd_error.guard @@ fun () ->
-    let vt = vtree_of_choice ch c in
-    let m = Sdd.manager ~budget ?compact_every vt in
-    let node = Obs.span "cli.compile" (fun () -> Sdd.compile_circuit m c) in
-    let node, degraded =
-      if minimize then begin
-        let a = Vtree_search.minimize_manager ~budget m node in
-        (a.Vtree_search.best, a.Vtree_search.degraded)
-      end
-      else (node, None)
-    in
-    Sdd.set_budget m Budget.unlimited;
-    (m, node, degraded, `Sdd)
 
 let circuit_file =
   Arg.(value & opt (some string) None & info [ "file"; "f" ] ~docv:"FILE"
@@ -391,8 +344,8 @@ let run_with_obs o f =
     `Ok code
   | exception Cli_usage msg -> `Error (true, msg)
   | exception Budget.Exhausted r ->
-    (* A raising path outside the result-typed API tripped the budget
-       (e.g. a legacy-vtree compile): no partial result to print. *)
+    (* A raising path outside the result-typed API tripped the budget:
+       no partial result to print. *)
     export ();
     `Ok (report_error (Ctwsdd_error.of_reason r))
   | exception (Failure msg | Invalid_argument msg) ->
@@ -430,12 +383,20 @@ let compile_cmd =
     let c = read_circuit file inline in
     Printf.printf "circuit : %d gates, %d variables\n" (Circuit.size c)
       (Circuit.num_vars c);
+    let vars = Circuit.variables c in
+    if vars = [] then raise (Cli_usage "the circuit has no variables");
+    (* [left] and [lemma1] are fixed vtrees, pinned for the pipeline. *)
+    let vtree_strategy =
+      match vtree_choice with
+      | `Left -> `Pinned (Vtree.left_linear vars)
+      | `Lemma1 -> `Pinned (fst (Lemma1.vtree_of_circuit c))
+      | (`Balanced | `Right | `Treedec | `Search) as s -> s
+    in
     match
-      compile_with_choice ~budget ?compact_every ~backend vtree_choice
-        ~minimize c
+      Ctwsdd.compile ~budget ~vtree_strategy ~backend ~minimize ?compact_every c
     with
     | Error e -> report_error e
-    | Ok (m, node, degraded, chosen) ->
+    | Ok { Pipeline.manager = m; root = node; backend = chosen; degraded; _ } ->
       let (module B : Backend.S) = Backend.impl chosen in
       if backend <> `Sdd || chosen <> `Sdd then
         Printf.printf "backend : %s%s\n" (backend_label chosen)
@@ -487,7 +448,9 @@ let compile_cmd =
                  (from a tree decomposition of the circuit), $(b,treedec) \
                  (pipeline: best of direct and Tseitin-route \
                  decompositions) or $(b,search) (compile several \
-                 candidates in parallel, keep the smallest SDD).")
+                 candidates in parallel, keep the smallest SDD).  \
+                 $(b,left) and $(b,lemma1) are pinned: under a budget \
+                 there is no cheaper vtree to step down to.")
   in
   let count =
     Arg.(value & flag & info [ "count" ] ~doc:"Print the exact model count.")
@@ -652,90 +615,39 @@ let query_cmd =
 (* cnf : DIMACS model counting                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* The historical monolithic path: one circuit, one vtree, one manager.
-   Selected by an explicit --vtree KIND (or --minimize, which operates
-   on a single manager); the scaling pipeline below is the default. *)
-let cnf_monolithic ~budget ~minimize ?compact_every ?backend vtree_choice
-    (d : Dimacs.t) o =
-  let c = Dimacs.to_circuit d in
-  if Circuit.variables c = [] then begin
-    (* no clause mentions a variable: the CNF is a constant *)
-    let value = Circuit.eval c Boolfun.Smap.empty in
-    Printf.printf "models: %s\n"
-      (Bigint.to_string
-         (if value then Bigint.pow2 d.Dimacs.num_vars else Bigint.zero));
-    0
-  end
-  else begin
-    match
-      compile_with_choice ~budget ?compact_every ?backend vtree_choice
-        ~minimize c
-    with
-    | Error e -> report_error e
-    | Ok (m, node, degraded, chosen) ->
-      let (module B : Backend.S) = Backend.impl chosen in
-      if chosen <> `Sdd then
-        Printf.printf "backend: %s\n" (backend_label chosen);
-      Printf.printf "%s: size %d, width %d\n"
-        (String.uppercase_ascii (backend_label chosen))
-        (B.size m node) (B.width m node);
-      let count =
-        Obs.span "cli.model_count" @@ fun () ->
-        Bigint.mul
-          (Sdd.model_count m node)
-          (Bigint.pow2 (Dimacs.free_var_count d))
-      in
-      Printf.printf "models: %s\n" (Bigint.to_string count);
-      if o.stats then begin
-        Printf.eprintf "backend : %s\n" (backend_label chosen);
-        print_manager_stats m
-      end;
-      report_degraded degraded
-  end
+(* Flags shared by the two DIMACS subcommands, cnf and explain. *)
+let dimacs_file =
+  Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE")
 
-(* The scaling path (the default): preprocessing, connected components
-   compiled in parallel, treewidth-driven clause scheduling. *)
-let cnf_scaling ~budget ~preprocess ~schedule ~domains ?compact_every
-    ?(backend = `Sdd) (d : Dimacs.t) o =
-  match
-    Ctwsdd.compile_cnf ~budget ~preprocess ~schedule ~backend ?domains
-      ?compact_every d
-  with
-  | Error e -> report_error e
-  | Ok r ->
-    if r.Pipeline.cnf_backend <> `Sdd then
-      Printf.printf "backend: %s (%s)\n"
-        (backend_label r.Pipeline.cnf_backend)
-        r.Pipeline.cnf_backend_reason;
-    if preprocess then
-      Printf.printf "preprocess: %d forced, %d free variables\n"
-        r.Pipeline.forced_vars r.Pipeline.free_vars;
-    let comps = r.Pipeline.components in
-    Printf.printf "components: %d\n" (List.length comps);
-    List.iteri
-      (fun i (c : Pipeline.cnf_component) ->
-        Printf.printf "  component %d: %d vars, %d clauses, SDD size %d%s\n" i
-          c.Pipeline.k_vars c.Pipeline.k_clauses c.Pipeline.k_size
-          (match c.Pipeline.k_degraded with
-           | None -> ""
-           | Some reason ->
-             Printf.sprintf " (degraded: %s)" (Budget.reason_to_string reason)))
-      comps;
-    let total_size =
-      List.fold_left (fun acc c -> acc + c.Pipeline.k_size) 0 comps
-    in
-    Printf.printf "SDD: size %d (%d components)\n" total_size
-      (List.length comps);
-    Printf.printf "models: %s\n" (Bigint.to_string r.Pipeline.count);
-    if o.stats then begin
-      Printf.eprintf "backend : %s\n" (backend_label r.Pipeline.cnf_backend);
-      List.iter (fun c -> print_manager_stats c.Pipeline.k_manager) comps
-    end;
-    report_degraded r.Pipeline.cnf_degraded
+let no_preprocess_flag =
+  Arg.(value & flag & info [ "no-preprocess" ]
+         ~doc:"Skip CNF preprocessing (unit propagation, tautology and \
+               duplicate-clause removal).  Preprocessing is \
+               count-preserving, so this only affects performance.")
 
+let schedule_arg =
+  Arg.(value
+       & opt (enum [ ("bags", `Bags); ("clauses", `Clauses) ]) `Bags
+       & info [ "schedule" ] ~docv:"ORDER"
+           ~doc:"Clause conjunction order within a component: $(b,bags) \
+                 (bag-by-bag bottom-up along the tree decomposition, the \
+                 default) or $(b,clauses) (input order; $(b,explain) then \
+                 has no bag cost centers to report).")
+
+let components_arg =
+  Arg.(value & opt (some pos_int) None & info [ "components" ] ~docv:"N"
+         ~doc:"Compile up to $(docv) connected components in parallel \
+               (OCaml domains).  Defaults to the machine's recommended \
+               domain count, capped at the number of components; \
+               CTWSDD_DOMAINS overrides the recommendation.")
+
+(* One path: preprocessing, connected components compiled in parallel,
+   treewidth-driven clause scheduling.  [--minimize] then runs the
+   in-manager vtree search on every component under the run's budget —
+   the pass [Pipeline.compile] makes after a circuit compile. *)
 let cnf_cmd =
-  let run path vtree_choice backend minimize no_preprocess schedule domains
-      compact_every timeout max_nodes o =
+  let run path backend minimize no_preprocess schedule domains compact_every
+      timeout max_nodes o =
     run_with_obs o @@ fun () ->
     let budget = budget_of timeout max_nodes in
     let d = Obs.span "cli.parse" (fun () -> Dimacs.parse_file path) in
@@ -743,56 +655,65 @@ let cnf_cmd =
       d.Dimacs.num_vars
       (List.length d.Dimacs.clauses)
       (Dimacs.free_var_count d);
-    let monolithic choice =
-      cnf_monolithic ~budget ~minimize ?compact_every ~backend choice d o
-    in
-    match vtree_choice with
-    | Some choice -> monolithic choice
-    | None when minimize ->
-      (* --minimize operates on a single manager: use the historical
-         default vtree. *)
-      monolithic `Lemma1
-    | None ->
-      cnf_scaling ~budget ~preprocess:(not no_preprocess) ~schedule ~domains
-        ?compact_every ~backend d o
-  in
-  let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
-  let vtree_choice =
-    Arg.(value & opt (some vtree_conv) None & info [ "vtree" ] ~docv:"KIND"
-           ~doc:"Compile the whole CNF monolithically on one vtree: \
-                 $(b,balanced), $(b,right), $(b,left), $(b,lemma1), \
-                 $(b,treedec) or $(b,search).  Without this option the \
-                 scaling pipeline is used: preprocessing, connected \
-                 components compiled in parallel, treewidth-driven \
-                 clause scheduling.")
-  in
-  let no_preprocess =
-    Arg.(value & flag & info [ "no-preprocess" ]
-           ~doc:"Skip CNF preprocessing (unit propagation, tautology and \
-                 duplicate-clause removal).  Preprocessing is \
-                 count-preserving, so this only affects performance.")
-  in
-  let schedule =
-    Arg.(value
-         & opt (enum [ ("bags", `Bags); ("clauses", `Clauses) ]) `Bags
-         & info [ "schedule" ] ~docv:"ORDER"
-             ~doc:"Clause conjunction order within a component: $(b,bags) \
-                   (bag-by-bag bottom-up along the tree decomposition, \
-                   the default) or $(b,clauses) (input order).")
-  in
-  let domains =
-    Arg.(value & opt (some pos_int) None & info [ "components" ] ~docv:"N"
-           ~doc:"Compile up to $(docv) connected components in parallel \
-                 (OCaml domains).  Defaults to the machine's recommended \
-                 domain count, capped at the number of components; \
-                 CTWSDD_DOMAINS overrides the recommendation.")
+    let preprocess = not no_preprocess in
+    match
+      Ctwsdd.compile_cnf ~budget ~preprocess ~schedule ~backend ?domains
+        ?compact_every d
+    with
+    | Error e -> report_error e
+    | Ok r ->
+      if minimize then Backend.require_minimizable r.Pipeline.cnf_backend;
+      if r.Pipeline.cnf_backend <> `Sdd then
+        Printf.printf "backend: %s (%s)\n"
+          (backend_label r.Pipeline.cnf_backend)
+          r.Pipeline.cnf_backend_reason;
+      if preprocess then
+        Printf.printf "preprocess: %d forced, %d free variables\n"
+          r.Pipeline.forced_vars r.Pipeline.free_vars;
+      let comps = r.Pipeline.components in
+      (* Per component: its size and degradation, after minimization. *)
+      let sized =
+        List.map
+          (fun (c : Pipeline.cnf_component) ->
+            if not minimize then (c, c.Pipeline.k_size, c.Pipeline.k_degraded)
+            else
+              let a =
+                Vtree_search.minimize_manager ~budget c.Pipeline.k_manager
+                  c.Pipeline.k_root
+              in
+              ( c,
+                Sdd.size c.Pipeline.k_manager a.Vtree_search.best,
+                match c.Pipeline.k_degraded with
+                | Some _ as t -> t
+                | None -> a.Vtree_search.degraded ))
+          comps
+      in
+      Printf.printf "components: %d\n" (List.length comps);
+      List.iteri
+        (fun i ((c : Pipeline.cnf_component), size, degraded) ->
+          Printf.printf "  component %d: %d vars, %d clauses, SDD size %d%s\n" i
+            c.Pipeline.k_vars c.Pipeline.k_clauses size
+            (match degraded with
+             | None -> ""
+             | Some reason ->
+               Printf.sprintf " (degraded: %s)" (Budget.reason_to_string reason)))
+        sized;
+      let total_size = List.fold_left (fun acc (_, s, _) -> acc + s) 0 sized in
+      Printf.printf "SDD: size %d (%d components)\n" total_size
+        (List.length comps);
+      Printf.printf "models: %s\n" (Bigint.to_string r.Pipeline.count);
+      if o.stats then begin
+        Printf.eprintf "backend : %s\n" (backend_label r.Pipeline.cnf_backend);
+        List.iter (fun c -> print_manager_stats c.Pipeline.k_manager) comps
+      end;
+      report_degraded (List.find_map (fun (_, _, t) -> t) sized)
   in
   Cmd.v
     (Cmd.info "cnf" ~exits:exit_code_docs
        ~doc:"Exact model counting for a DIMACS CNF file")
-    Term.(ret (const run $ path $ vtree_choice $ backend_arg $ minimize_flag
-               $ no_preprocess $ schedule $ domains $ compact_every_arg
-               $ timeout_arg $ max_nodes_arg $ obs_term))
+    Term.(ret (const run $ dimacs_file $ backend_arg $ minimize_flag
+               $ no_preprocess_flag $ schedule_arg $ components_arg
+               $ compact_every_arg $ timeout_arg $ max_nodes_arg $ obs_term))
 
 (* ------------------------------------------------------------------ *)
 (* explain : attribution report for a CNF compile                      *)
@@ -843,23 +764,6 @@ let explain_cmd =
         explain_out;
       report_degraded r.Pipeline.cnf_degraded
   in
-  let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
-  let no_preprocess =
-    Arg.(value & flag & info [ "no-preprocess" ]
-           ~doc:"Skip CNF preprocessing, as on $(b,ctwsdd cnf).")
-  in
-  let schedule =
-    Arg.(value
-         & opt (enum [ ("bags", `Bags); ("clauses", `Clauses) ]) `Bags
-         & info [ "schedule" ] ~docv:"ORDER"
-             ~doc:"Clause conjunction order within a component ($(b,bags) \
-                   or $(b,clauses)); with $(b,clauses) there are no bag \
-                   cost centers to report.")
-  in
-  let domains =
-    Arg.(value & opt (some pos_int) None & info [ "components" ] ~docv:"N"
-           ~doc:"Compile up to $(docv) connected components in parallel.")
-  in
   let top =
     Arg.(value & opt pos_int 10 & info [ "top" ] ~docv:"K"
            ~doc:"Rows in the ranked tables (cost centers, bags).")
@@ -879,8 +783,8 @@ let explain_cmd =
               critical path.  $(b,--explain-out) additionally writes the \
               report as ctwsdd-explain/v2 JSON.";
          ])
-    Term.(ret (const run $ path $ schedule $ backend_arg $ domains
-               $ no_preprocess $ compact_every_arg $ top
+    Term.(ret (const run $ dimacs_file $ schedule_arg $ backend_arg
+               $ components_arg $ no_preprocess_flag $ compact_every_arg $ top
                $ timeout_arg $ max_nodes_arg $ obs_term))
 
 (* ------------------------------------------------------------------ *)

@@ -41,7 +41,8 @@ val compile :
   (Pipeline.result, Error.t) result
 (** Compile a circuit — {!Pipeline.compile}: vtree from the requested
     strategy, graceful degradation down the [`Search → `Treedec →
-    `Balanced → `Right] ladder on budget trips, optional anytime
+    `Balanced → `Right] ladder on budget trips (a [`Pinned] vtree has
+    no ladder: a trip on it is the error), optional anytime
     in-manager minimization, optional generational arena compaction
     ([compact_every]).  [backend] picks the compilation target
     ({!Backend}): [`Sdd] (default, canonical SDD), [`Obdd]

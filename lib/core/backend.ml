@@ -30,6 +30,13 @@ let of_string = function
 let of_string_exn s =
   match of_string s with Ok t -> t | Error e -> Ctwsdd_error.throw e
 
+let require_minimizable (b : resolved) =
+  if b <> `Sdd then
+    Ctwsdd_error.throw
+      (Ctwsdd_error.Invalid_input
+         (Printf.sprintf "minimize is supported only by the sdd backend (got %s)"
+            (resolved_name b)))
+
 module type S = sig
   val backend : resolved
   val name : string
@@ -148,6 +155,10 @@ let impl : resolved -> (module S) = function
    matches "what was this process doing" semantics. *)
 let selection : (string * string * string) option Atomic.t = Atomic.make None
 let last_selection () = Atomic.get selection
+
+let keep_selection f =
+  let saved = Atomic.get selection in
+  Fun.protect ~finally:(fun () -> Atomic.set selection saved) f
 
 let note_selection ~requested ~(chosen : resolved) ~reason =
   Atomic.set selection (Some (name requested, resolved_name chosen, reason));

@@ -35,6 +35,12 @@ val of_string : string -> (tag, Ctwsdd_error.t) result
 val of_string_exn : string -> tag
 (** @raise Ctwsdd_error.Error with the normalized message. *)
 
+val require_minimizable : resolved -> unit
+(** Dynamic vtree minimization assumes canonicity and general vtree
+    shapes, so only [`Sdd] results can be minimized.
+    @raise Invalid_argument for any other backend (an [Invalid_input]
+    under {!Ctwsdd_error.guard}). *)
+
 (** The backend signature.  All three implementations share
     {!Sdd.manager}/{!Sdd.t} (an OBDD {e is} an SDD on a right-linear
     vtree; the d-DNNF manager is the same arena without canonicity), so
@@ -105,3 +111,8 @@ val note_selection : requested:tag -> chosen:resolved -> reason:string -> unit
 val last_selection : unit -> (string * string * string) option
 (** [(requested, chosen, reason)] of the most recent resolution in this
     process — what [ctwsdd explain] and the postmortem provider show. *)
+
+val keep_selection : (unit -> 'a) -> 'a
+(** Run [f] and restore {!last_selection} afterwards (also on an
+    exception), so a cross-check compile leaves the run's own selection
+    in place. *)

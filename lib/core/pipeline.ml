@@ -1,10 +1,12 @@
-type vtree_strategy = [ `Right | `Balanced | `Treedec | `Search ]
+type vtree_strategy =
+  [ `Right | `Balanced | `Treedec | `Search | `Pinned of Vtree.t ]
 
 let strategy_name = function
   | `Right -> "right"
   | `Balanced -> "balanced"
   | `Treedec -> "treedec"
   | `Search -> "search"
+  | `Pinned _ -> "pinned"
 
 type result = {
   manager : Sdd.manager;
@@ -99,6 +101,7 @@ let compile_rung (module B : Backend.S) ~budget ?compact_every ?domains vars c
     compile_with_vtree (module B) ~budget ?compact_every
       (treedec_rung_vtree (module B) ~budget c)
       c
+  | `Pinned vt -> compile_with_vtree (module B) ~budget ?compact_every vt c
   | `Search ->
     (* Compile the deterministic candidate set in parallel and keep the
        smallest result; the tie-break (first minimum in candidate order)
@@ -121,10 +124,10 @@ let compile_rung (module B : Backend.S) ~budget ?compact_every ?domains vars c
     let domains =
       match domains with
       | Some d -> d
-      | None -> Vtree_search.default_domains ()
+      | None -> Obs.Worker.default_domains ()
     in
     let attempts =
-      Vtree_search.parallel_map ~domains
+      Obs.Worker.parallel_map ~domains
         (fun mk_vt ->
           match
             let m =
@@ -196,11 +199,7 @@ let compile ?(budget = Budget.unlimited) ?(vtree_strategy = `Treedec)
   Budget.check budget;
   let chosen, backend_reason = Backend.resolve_circuit ~budget backend c in
   let (module B : Backend.S) = Backend.impl chosen in
-  if minimize && chosen <> `Sdd then
-    Ctwsdd_error.throw
-      (Ctwsdd_error.Invalid_input
-         (Printf.sprintf "minimize is supported only by the sdd backend (got %s)"
-            (Backend.resolved_name chosen)));
+  if minimize then Backend.require_minimizable chosen;
   if !Obs.enabled_ref then
     Obs.event "pipeline.compile"
       [
@@ -215,13 +214,14 @@ let compile ?(budget = Budget.unlimited) ?(vtree_strategy = `Treedec)
      the cheaper strategies instead of dying — `Search → `Treedec →
      `Balanced → `Right.  Only when the last rung also trips does the
      trip escape (and become an [Error]).  A successful compile after a
-     step-down is reported with [degraded] set to the last trip. *)
+     step-down is reported with [degraded] set to the last trip.  A
+     pinned vtree is the caller's decision: its ladder is that one rung. *)
   let ladder =
     match vtree_strategy with
     | `Search -> [ `Search; `Treedec; `Balanced; `Right ]
     | `Treedec -> [ `Treedec; `Balanced; `Right ]
     | `Balanced -> [ `Balanced; `Right ]
-    | `Right -> [ `Right ]
+    | (`Right | `Pinned _) as s -> [ s ]
   in
   let rec descend last = function
     | [] ->
@@ -615,11 +615,11 @@ let compile_cnf ?(budget = Budget.unlimited) ?(preprocess = true)
       let domains =
         match domains with
         | Some d -> max 1 (min d k)
-        | None -> min (Vtree_search.default_domains ()) (max 1 k)
+        | None -> min (Obs.Worker.default_domains ()) (max 1 k)
       in
       let jobs = List.mapi (fun i c -> (i, c)) comps in
       let attempts =
-        Vtree_search.parallel_map ~domains
+        Obs.Worker.parallel_map ~domains
           (fun (i, comp) ->
             (* Sub-attribute every span/event of this component to
                <run>/k<i>, so Perfetto traces show which component each

@@ -12,9 +12,11 @@
     when the requested strategy trips the budget the pipeline steps down
     the ladder [`Search → `Treedec → `Balanced → `Right] and reports the
     step-down in {!result.degraded} instead of failing, so a hard
-    instance under a budget still yields a valid (if larger) SDD. *)
+    instance under a budget still yields a valid (if larger) SDD.  A
+    [`Pinned] vtree is a one-rung ladder: a trip on it is the error. *)
 
-type vtree_strategy = [ `Right | `Balanced | `Treedec | `Search ]
+type vtree_strategy =
+  [ `Right | `Balanced | `Treedec | `Search | `Pinned of Vtree.t ]
 (** How the starting vtree is chosen:
     - [`Right] — right-linear over the circuit's variables (an OBDD-style
       order, the paper's Section 2.2 baseline);
@@ -25,7 +27,11 @@ type vtree_strategy = [ `Right | `Balanced | `Treedec | `Search ]
       candidates in parallel and keep the smallest SDD (deterministic:
       first minimum in that order, independent of [domains]).  Under a
       node-capped budget each candidate receives an equal share of the
-      cap and tripped candidates are dropped individually. *)
+      cap and tripped candidates are dropped individually;
+    - [`Pinned vt] — exactly [vt] (it must cover the circuit's
+      variables), with no fallback rung: a budget trip on it is an
+      [Error].  The [`Obdd] backend right-linearizes it over its leaf
+      order. *)
 
 type result = {
   manager : Sdd.manager;
@@ -99,7 +105,7 @@ val compile :
     forwarded, default 50), mutating the returned manager's vtree in
     place; under a budget the pass is anytime.  [domains] bounds the
     parallelism of the [`Search] strategy (default
-    {!Vtree_search.default_domains}).  [compact_every] arms the
+    {!Obs.Worker.default_domains}).  [compact_every] arms the
     manager's generational compaction (see {!Sdd.manager}): the compile
     loop then reclaims dead apply intermediates at gate boundaries.
 
@@ -172,7 +178,7 @@ val compile_cnf :
     [budget = Budget.unlimited], [preprocess = true] (count-preserving
     level — pure-literal elimination is {e not} applied),
     [schedule = `Bags], [backend = `Sdd], [domains = min components
-    (Vtree_search.default_domains ())].  [backend] selects the
+    (Obs.Worker.default_domains ())].  [backend] selects the
     per-component compilation target; counting is all this pipeline
     does, so [`Auto] resolves to the [`Dnnf] fast path.  Note
     {!conjoin_components} re-canonicalizes on import, so it remains

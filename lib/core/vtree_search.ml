@@ -1,9 +1,3 @@
-(* The generic work-stealing infrastructure lives in {!Obs.Worker} now
-   (lib/sdd reuses it for parallel apply, and ctw_sdd cannot depend on
-   ctw_core); these are kept as the historical entry points. *)
-let default_domains = Obs.Worker.default_domains
-let parallel_map ~domains f items = Obs.Worker.parallel_map ~domains f items
-
 type 'a anytime = {
   best : 'a;
   score : int;
@@ -95,7 +89,7 @@ let minimize ?(budget = Budget.unlimited) ?(max_steps = 50) ?domains
     ?(cache_cap = default_cache_cap) ~score vt =
   Obs.span "vtree_search.minimize" @@ fun () ->
   let domains =
-    match domains with Some d -> d | None -> default_domains ()
+    match domains with Some d -> d | None -> Obs.Worker.default_domains ()
   in
   (* Scores of visited vtrees: moves frequently revisit shapes (a
      rotation and its inverse, swaps recreating an earlier tree), and a
@@ -119,7 +113,9 @@ let minimize ?(budget = Budget.unlimited) ?(max_steps = 50) ?domains
       Obs.incr
         ~by:(List.length keyed - List.length unknown)
         "vtree_search.score_cache_hits";
-    let scored = parallel_map ~domains (fun (c, _, _) -> score c) unknown in
+    let scored =
+      Obs.Worker.parallel_map ~domains (fun (c, _, _) -> score c) unknown
+    in
     let fresh = Hashtbl.create (List.length unknown) in
     List.iter2
       (fun (_, k, _) s ->
@@ -363,7 +359,7 @@ let best_known ?budget ?max_steps ?domains f =
     ]
   in
   let domains =
-    match domains with Some d -> d | None -> default_domains ()
+    match domains with Some d -> d | None -> Obs.Worker.default_domains ()
   in
   (* Restarts are the coarser work units, so they take the outer level;
      leftover parallelism goes to per-step candidate scoring inside each
@@ -371,7 +367,7 @@ let best_known ?budget ?max_steps ?domains f =
   let outer = Stdlib.min domains (List.length starts) in
   let inner = Stdlib.max 1 (domains / Stdlib.max 1 outer) in
   let results =
-    parallel_map ~domains:outer
+    Obs.Worker.parallel_map ~domains:outer
       (fun vt ->
         Obs.incr "vtree_search.restarts";
         minimize ?budget ?max_steps ~domains:inner

@@ -30,17 +30,6 @@
     ([Budget.Exhausted] on degradation, which cannot happen with the
     default unlimited budget). *)
 
-val default_domains : unit -> int
-(** The [?domains] default: [CTWSDD_DOMAINS] if set to a positive
-    integer, otherwise [Domain.recommended_domain_count ()]. *)
-
-val parallel_map : domains:int -> ('a -> 'b) -> 'a list -> 'b list
-(** Order-preserving parallel map over up to [domains] domains with
-    atomic work stealing; [domains <= 1] degrades to [List.map].  The
-    calling domain participates; spawned workers run under
-    {!Obs.Worker.capture} and their metrics are absorbed after the
-    join. *)
-
 type 'a anytime = {
   best : 'a;  (** Best candidate found before the stop. *)
   score : int;

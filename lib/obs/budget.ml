@@ -38,6 +38,7 @@ let create ?timeout ?max_nodes ?max_memory_words ?cancel
   if poll_interval < 1 then
     invalid_arg "Budget.create: poll_interval must be positive";
   (match timeout with
+  | Some s when Float.is_nan s -> invalid_arg "Budget.create: NaN timeout"
   | Some s when s < 0. -> invalid_arg "Budget.create: negative timeout"
   | _ -> ());
   (match max_nodes with

@@ -77,7 +77,8 @@ val create :
   unit ->
   t
 (** [create ()] builds an active budget.  [timeout] is relative seconds
-    from now (the deadline is fixed at creation).  [cancel] lets several
+    from now (the deadline is fixed at creation); a negative or NaN
+    [timeout] raises [Invalid_argument], as do negative caps.  [cancel] lets several
     budgets — or several domains — share one cancellation token;
     a fresh token is allocated otherwise.  [poll_interval] (default
     [256]) is the number of {!poll}s between full checks; lower it in

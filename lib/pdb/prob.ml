@@ -31,46 +31,31 @@ let constant_lineage c =
   else None
 
 (* Either a constant probability or a compiled manager/root with the
-   budget-degradation flag.  Raises [Budget.Exhausted] (for the guard in
-   the callers) when even the degradation ladder could not finish. *)
-let compile_lineage (module B : Backend.S) ?(budget = Budget.unlimited) ?vtree
-    ?(minimize = false) ?compact_every q db =
+   budget-degradation flag.  Raises (for the guard in the callers) when
+   even the degradation ladder could not finish.  An explicit vtree is
+   pinned: no ladder to fall back on, so a budget trip on it escapes.
+   Otherwise the treewidth-derived vtree is the paper's route for
+   inversion-free queries (bounded-treewidth lineages, quasipolynomial
+   SDDs).  Outside that class the lineage treewidth grows and
+   apply-compilation on the Lemma 1 vtree explodes on instances a
+   balanced vtree handles easily, so keep the balanced start there. *)
+let compile_lineage (chosen : Backend.resolved) ?budget ?vtree ?minimize
+    ?compact_every q db =
   let c = Lineage.circuit q db in
   match constant_lineage c with
   | Some p -> Error p
   | None ->
-    Ok
-      (match vtree with
-       | Some vt ->
-         (* An explicit vtree pins the shape: no ladder to fall back on,
-            so a budget trip during the compile escapes to the caller. *)
-         let m = B.create_manager ~budget ?compact_every vt in
-         let node = B.compile_circuit m c in
-         let node, degraded =
-           if minimize then
-             let a = Vtree_search.minimize_manager ~budget m node in
-             (a.Vtree_search.best, a.Vtree_search.degraded)
-           else (node, None)
-         in
-         Sdd.set_budget m Budget.unlimited;
-         (m, node, degraded)
-       | None ->
-         (* The treewidth-derived vtree is the paper's route for
-            inversion-free queries (bounded-treewidth lineages,
-            quasipolynomial SDDs).  Outside that class the lineage
-            treewidth grows and apply-compilation on the Lemma 1 vtree
-            explodes on instances a balanced vtree handles easily, so
-            keep the balanced start there. *)
-         let strategy =
-           if Qsafety.inversion_free q then `Treedec else `Balanced
-         in
-         (match
-            Pipeline.compile ~budget ~vtree_strategy:strategy
-              ~backend:(B.backend :> Backend.tag) ~minimize ?compact_every c
-          with
-          | Error e -> Ctwsdd_error.throw e
-          | Ok r ->
-            (r.Pipeline.manager, r.Pipeline.root, r.Pipeline.degraded)))
+    let vtree_strategy =
+      match vtree with
+      | Some vt -> `Pinned vt
+      | None -> if Qsafety.inversion_free q then `Treedec else `Balanced
+    in
+    (match
+       Pipeline.compile ?budget ~vtree_strategy
+         ~backend:(chosen :> Backend.tag) ?minimize ?compact_every c
+     with
+     | Error e -> Ctwsdd_error.throw e
+     | Ok r -> Ok (r.Pipeline.manager, r.Pipeline.root, r.Pipeline.degraded))
 
 (* No vtree for an empty order: such a lineage is constant and
    [compile_lineage] never reaches a manager. *)
@@ -106,12 +91,10 @@ let resolve_query (backend : Backend.tag) ?vtree q db =
           else (`Sdd, "query with inversions: balanced-vtree SDD", None)))
 
 let evaluate chosen ?budget ?vtree ?minimize ?compact_every q db =
-  let (module B : Backend.S) = Backend.impl chosen in
-  match
-    compile_lineage (module B) ?budget ?vtree ?minimize ?compact_every q db
-  with
+  match compile_lineage chosen ?budget ?vtree ?minimize ?compact_every q db with
   | Error p -> { probability = p; size = 0; backend = chosen; degraded = None }
   | Ok (m, node, degraded) ->
+    let (module B : Backend.S) = Backend.impl chosen in
     {
       probability = B.probability_ratio m node (weight_fun db);
       size = B.size m node;
@@ -123,11 +106,7 @@ let via ?budget ?vtree ?minimize ?compact_every ?(backend = `Sdd) q db =
   Ctwsdd_error.guard @@ fun () ->
   let chosen, reason, vtree = resolve_query backend ?vtree q db in
   Backend.note_selection ~requested:backend ~chosen ~reason;
-  if minimize = Some true && chosen <> `Sdd then
-    Ctwsdd_error.throw
-      (Ctwsdd_error.Invalid_input
-         (Printf.sprintf "minimize is supported only by the sdd backend (got %s)"
-            (Backend.resolved_name chosen)));
+  if minimize = Some true then Backend.require_minimizable chosen;
   let a = evaluate chosen ?budget ?vtree ?minimize ?compact_every q db in
   (* The pipeline re-notes its (explicit) selection; restore the
      query-level reason so [ctwsdd explain] shows why. *)
@@ -135,9 +114,11 @@ let via ?budget ?vtree ?minimize ?compact_every ?(backend = `Sdd) q db =
   a
 
 (* [via ~backend:`Obdd] on the pinned order, minus the selection
-   record: a cross-check must not overwrite the run's own choice. *)
+   record: a cross-check must not overwrite the run's own choice, so the
+   selection the pipeline notes is rolled back. *)
 let via_obdd q db =
   Ctwsdd_error.guard @@ fun () ->
+  Backend.keep_selection @@ fun () ->
   evaluate `Obdd ?vtree:(linear_vtree (default_order q db)) q db
 
 let via_sdd ?budget ?vtree ?minimize ?compact_every ?backend q db =

@@ -74,12 +74,12 @@ val via_sdd :
     used to be the default here on bounded-treewidth lineages; queries
     with inversions keep the balanced vtree (their lineage treewidth
     grows, and the Lemma 1 vtree degrades apply compilation there).
-    An explicit [vtree] bypasses the pipeline (and its degradation
-    ladder: a budget trip is then an [Error]).  [minimize] runs the
+    An explicit [vtree] is compiled as {!Pipeline.compile}'s
+    [`Pinned] strategy, a ladder of one rung: a budget trip is then an
+    [Error].  [minimize] runs the
     in-manager dynamic vtree search after compilation — anytime under a
     budget.  [compact_every] arms generational arena compaction on the
-    compile's manager(s) (explicit-vtree and pipeline routes alike), as
-    on {!Pipeline.compile}.  Constant lineages (no variables) return
+    compile's manager(s), as on {!Pipeline.compile}.  Constant lineages (no variables) return
     size 0 without building a manager. *)
 
 val via_dnnf :

@@ -48,7 +48,11 @@ let budget_suite =
           (fun () -> ignore (Budget.create ~max_memory_words:(-1) ()));
         Alcotest.check_raises "poll_interval"
           (Invalid_argument "Budget.create: poll_interval must be positive")
-          (fun () -> ignore (Budget.create ~poll_interval:0 ())));
+          (fun () -> ignore (Budget.create ~poll_interval:0 ()));
+        (* NaN passes every [<] test, so the deadline would never fire. *)
+        Alcotest.check_raises "nan timeout"
+          (Invalid_argument "Budget.create: NaN timeout") (fun () ->
+            ignore (Budget.create ~timeout:Float.nan ())));
     case "unlimited is inert" (fun () ->
         checkb "unlimited" true (Budget.is_unlimited Budget.unlimited);
         Budget.check Budget.unlimited;
@@ -215,6 +219,22 @@ let ladder_suite =
         checkb "landed on balanced" true (r.Pipeline.strategy = `Balanced);
         Alcotest.(check (option reason)) "degraded" (Some Budget.Node_limit)
           r.Pipeline.degraded);
+    case "a pinned vtree has no ladder: a trip is the error" (fun () ->
+        let c = ladder_circuit () in
+        let budget () = Budget.create ~max_nodes:ladder_cap () in
+        let vt = fst (Pipeline.treedec_vtree c) in
+        (match Ctwsdd.compile ~budget:(budget ()) ~vtree_strategy:(`Pinned vt) c
+         with
+         | Error e -> Alcotest.check error "node limit" Ctwsdd_error.Node_limit e
+         | Ok _ -> Alcotest.fail "expected the pinned vtree to trip");
+        (* The same vtree as the [`Treedec] rung steps down instead. *)
+        let r = compile_degraded "treedec" ~strategy:`Treedec (budget ()) c in
+        checkb "landed on balanced" true (r.Pipeline.strategy = `Balanced);
+        match Ctwsdd.compile ~vtree_strategy:(`Pinned vt) c with
+        | Ok r ->
+          checkb "compiled on the pinned vtree" true
+            (Vtree.equal vt (Sdd.vtree r.Pipeline.manager))
+        | Error e -> Alcotest.fail (Ctwsdd_error.to_string e));
     case "node-cap degradation is deterministic in domains" (fun () ->
         let c = ladder_circuit () in
         let run domains =

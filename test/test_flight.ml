@@ -150,7 +150,7 @@ let run_id_suite =
             with_obs (fun () ->
                 let runs =
                   Obs.with_run_id "r-fleet" (fun () ->
-                      Vtree_search.parallel_map ~domains:4
+                      Obs.Worker.parallel_map ~domains:4
                         (fun i ->
                           Obs.incr "fleet.item";
                           Flight_recorder.record Flight_recorder.Note

@@ -190,9 +190,15 @@ let prob_suite =
             let via_o, _ = Prob.via_obdd_exn q tiny_db in
             let via_s, _ = Prob.via_sdd_exn q tiny_db in
             let via_d, _ = Prob.via_dnnf_exn q tiny_db in
+            let via_m, _ =
+              Prob.via_sdd_exn
+                ~vtree:(Vtree.right_linear (Lineage.variables tiny_db))
+                ~minimize:true q tiny_db
+            in
             check ratio "obdd" expected via_o;
             check ratio "sdd" expected via_s;
-            check ratio "dnnf" expected via_d)
+            check ratio "dnnf" expected via_d;
+            check ratio "sdd on a pinned vtree, minimized" expected via_m)
           [ q_rs; q_rst; Ucq.of_string "R(x) | T(x)"; Ucq.of_string "S(x,y), x != y" ]);
     qtest "routes agree on complete_rst 2" QCheck2.Gen.(int_range 0 5) (fun _ ->
         let db = Pdb.complete_rst 2 in
@@ -217,6 +223,12 @@ let prob_suite =
               (fun (name, backend) -> expect name (Prob.via ~backend q db))
               [ ("sdd", `Sdd); ("obdd", `Obdd); ("dnnf", `Dnnf); ("auto", `Auto) ])
           [ q_rs; q_rst ]);
+    case "the obdd cross-check keeps the run's backend selection" (fun () ->
+        ignore (Prob.via ~backend:`Auto q_rs tiny_db);
+        let selected = Backend.last_selection () in
+        checkb "auto recorded" true (selected <> None);
+        ignore (Prob.via_obdd q_rst tiny_db);
+        checkb "unchanged" true (Backend.last_selection () = selected));
   ]
 
 let jha_suciu_suite =

@@ -26,6 +26,9 @@ let pipeline_suite =
             let reference =
               Boolfun.lift (Circuit.to_boolfun c) (Circuit.variables c)
             in
+            let pinned =
+              ("pinned left", `Pinned (Vtree.left_linear (Circuit.variables c)))
+            in
             List.iter
               (fun (name, s) ->
                 List.iter
@@ -38,7 +41,7 @@ let pipeline_suite =
                       true
                       (Boolfun.equal reference (Sdd.to_boolfun m node)))
                   [ false; true ])
-              strategies)
+              (pinned :: strategies))
           [
             Generators.band_cnf ~width:3 8;
             Generators.chain_implications 9;

@@ -108,7 +108,7 @@ let parallel_minimize_matches () =
 
 let env_domains_default () =
   (* default_domains is >= 1 whatever the environment says. *)
-  checkb "positive" true (Vtree_search.default_domains () >= 1)
+  checkb "positive" true (Obs.Worker.default_domains () >= 1)
 
 (* --------------------------------------------------------------- *)
 (* Obs worker capture/absorb                                        *)
