@@ -55,8 +55,7 @@ let () =
       if wanted e then begin
         if json || trace then begin
           Obs.set_enabled true;
-          Obs.reset ();
-          if trace then Obs.set_tracing true
+          Obs.reset ()
         end;
         let t = Unix.gettimeofday () in
         Obs.span "experiment" run;
@@ -78,8 +77,7 @@ let () =
         if trace then begin
           let file = "TRACE_" ^ String.concat "_" ids ^ ".json" in
           Obs.write_trace file;
-          Printf.printf "  [trace -> %s]\n" file;
-          Obs.set_tracing false
+          Printf.printf "  [trace -> %s]\n" file
         end;
         if json || trace then Obs.set_enabled false
       end)

@@ -10,17 +10,24 @@
 
      1. measure the per-call cost of a disabled [Obs.span], [Obs.incr],
         [Obs.hist_record], [Obs.event] and of an unlimited-budget poll
-        by tight-loop timing (the span measurement covers the GC-delta
-        probes too: those only run in enabled mode, so the disabled span
-        is still one branch);
+        by tight-loop timing (the GC-delta probes only run in enabled
+        mode; a disabled span or event still records one ring entry);
      2. run a fixed compilation workload once with observability ON and
         count how many instrument calls it performs (span calls from the
         recorded tree, counter bumps from the counter values, histogram
-        samples from the recorded counts, events from the event log,
+        samples from the recorded counts, events from [Obs.events],
         budget gates from the [sdd.alloc] counter);
      3. time the same workload with observability OFF;
      4. fail (exit 1) if (calls x per-call cost) exceeds 2% of the
         disabled wall time.
+
+   Alongside each timing, [Gc.minor_words] is read around the
+   calibration loops and printed as words per call.  Allocation counts
+   do not vary between runs the way wall-clock readings do, so a
+   disabled [incr], [hist_record], [with_center] or [charge_nodes] that
+   allocates at all fails the check outright.  (A disabled [span] or
+   [event] still records one flight-recorder entry, so those allocate
+   by design and are only reported.)
 
    Exit status: 0 when within the bound, 1 on regression. *)
 
@@ -45,12 +52,27 @@ let median3 = function
     -. Stdlib.max a (Stdlib.max b c)
   | _ -> assert false
 
-(* Returns (median per-call seconds, the three per-call samples). *)
+type calibration = {
+  cost : float;  (** Median per-call seconds. *)
+  samples : float list;  (** The three per-call samples. *)
+  words : float;  (** Minor-heap words allocated per call. *)
+}
+
 let calibrate f =
+  let w0 = Gc.minor_words () in
   let samples =
     List.map (fun _ -> time f /. float_of_int calib_iters) [ 1; 2; 3 ]
   in
-  (median3 samples, samples)
+  let words = Gc.minor_words () -. w0 in
+  { cost = median3 samples; samples; words = words /. float_of_int (3 * calib_iters) }
+
+(* The harness itself (clock reads, the sample list) allocates a few
+   words per calibration; an empty loop measures exactly that. *)
+let harness () =
+  calibrate (fun () ->
+      for _ = 1 to calib_iters do
+        ignore (Sys.opaque_identity 0)
+      done)
 
 let per_call_span () =
   let nothing () = ignore (Sys.opaque_identity 0) in
@@ -176,37 +198,35 @@ let () =
      per-call disabled instrument cost. *)
   Obs.set_enabled false;
   let disabled_s = time_min workload in
-  let span_cost, span_samples = per_call_span () in
-  let incr_cost, incr_samples = per_call_incr () in
-  let hist_cost, hist_samples' = per_call_hist () in
-  let event_cost, event_samples = per_call_event () in
-  let attr_center_cost, attr_center_samples = per_call_attr_center () in
-  let attr_charge_cost, attr_charge_samples = per_call_attr_charge () in
-  let budget_cost, budget_samples = per_call_budget_gate () in
+  let baseline = harness () in
+  let span = per_call_span () in
+  let incr = per_call_incr () in
+  let hist = per_call_hist () in
+  let event = per_call_event () in
+  let attr_center = per_call_attr_center () in
+  let attr_charge = per_call_attr_charge () in
+  let budget = per_call_budget_gate () in
   let est_overhead_s =
-    (float_of_int span_calls *. span_cost)
-    +. (float_of_int counter_bumps *. incr_cost)
-    +. (float_of_int hist_samples *. hist_cost)
-    +. (float_of_int event_count *. event_cost)
-    +. (float_of_int attr_enters *. attr_center_cost)
-    +. (float_of_int attr_charges *. attr_charge_cost)
-    +. (float_of_int budget_gates *. budget_cost)
+    (float_of_int span_calls *. span.cost)
+    +. (float_of_int counter_bumps *. incr.cost)
+    +. (float_of_int hist_samples *. hist.cost)
+    +. (float_of_int event_count *. event.cost)
+    +. (float_of_int attr_enters *. attr_center.cost)
+    +. (float_of_int attr_charges *. attr_charge.cost)
+    +. (float_of_int budget_gates *. budget.cost)
   in
   let fraction = est_overhead_s /. disabled_s in
-  Printf.printf "disabled span     : %.2f ns/call (median of 3)\n"
-    (1e9 *. span_cost);
-  Printf.printf "disabled incr     : %.2f ns/call (median of 3)\n"
-    (1e9 *. incr_cost);
-  Printf.printf "disabled hist     : %.2f ns/call (median of 3)\n"
-    (1e9 *. hist_cost);
-  Printf.printf "disabled event    : %.2f ns/call (median of 3)\n"
-    (1e9 *. event_cost);
-  Printf.printf "disabled attr ctr : %.2f ns/call (median of 3)\n"
-    (1e9 *. attr_center_cost);
-  Printf.printf "disabled attr chg : %.2f ns/call (median of 3)\n"
-    (1e9 *. attr_charge_cost);
-  Printf.printf "budget gate       : %.2f ns/call (median of 3)\n"
-    (1e9 *. budget_cost);
+  let report what c =
+    Printf.printf "%-18s: %.2f ns/call (median of 3), %.4f words/call\n" what
+      (1e9 *. c.cost) (c.words -. baseline.words)
+  in
+  report "disabled span" span;
+  report "disabled incr" incr;
+  report "disabled hist" hist;
+  report "disabled event" event;
+  report "disabled attr ctr" attr_center;
+  report "disabled attr chg" attr_charge;
+  report "budget gate" budget;
   Printf.printf "span calls        : %d\n" span_calls;
   Printf.printf "counter bumps     : %d (upper bound)\n" counter_bumps;
   Printf.printf "hist samples      : %d (upper bound)\n" hist_samples;
@@ -217,22 +237,37 @@ let () =
   Printf.printf "workload disabled : %.1f ms\n" (1e3 *. disabled_s);
   Printf.printf "est. overhead     : %.3f ms (%.3f%% of workload, bound %.1f%%)\n"
     (1e3 *. est_overhead_s) (100. *. fraction) (100. *. bound);
+  let allocating =
+    List.filter
+      (fun (_, c) -> c.words > baseline.words)
+      [
+        ("incr", incr);
+        ("hist_record", hist);
+        ("with_center", attr_center);
+        ("charge_nodes", attr_charge);
+      ]
+  in
+  List.iter
+    (fun (what, c) ->
+      Printf.printf "FAIL: disabled %s allocates %.6f words/call\n" what
+        (c.words -. baseline.words))
+    allocating;
   if fraction > bound then begin
     Printf.printf "FAIL: disabled-mode overhead above bound\n";
     (* All calibration samples, so the log shows whether the cost is
        real or one run was descheduled. *)
-    let dump what samples =
+    let dump what c =
       Printf.printf "  %-12s samples:%s ns/call\n" what
         (String.concat ""
-           (List.map (fun s -> Printf.sprintf " %.2f" (1e9 *. s)) samples))
+           (List.map (fun s -> Printf.sprintf " %.2f" (1e9 *. s)) c.samples))
     in
-    dump "span" span_samples;
-    dump "incr" incr_samples;
-    dump "hist" hist_samples';
-    dump "event" event_samples;
-    dump "attr center" attr_center_samples;
-    dump "attr charge" attr_charge_samples;
-    dump "budget gate" budget_samples;
-    exit 1
-  end
+    dump "span" span;
+    dump "incr" incr;
+    dump "hist" hist;
+    dump "event" event;
+    dump "attr center" attr_center;
+    dump "attr charge" attr_charge;
+    dump "budget gate" budget
+  end;
+  if fraction > bound || allocating <> [] then exit 1
   else Printf.printf "OK\n"

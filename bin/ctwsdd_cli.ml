@@ -22,8 +22,10 @@
    atomically and periodically for live scraping; FILE may be `-` for
    stdout), --explain-out FILE (ctwsdd-explain/v2 attribution report)
    and --postmortem FILE (where failure dumps land); see EXPERIMENTS.md
-   for the schemas.  CTWSDD_RING resizes the always-on flight-recorder
-   ring; CTWSDD_DOMAINS caps the parallel worker pool.
+   for the schemas.  Spans, events and budget activity are kept in one
+   flight-recorder ring (4096 entries, 2^18 while collecting) from which
+   the metrics events, the Chrome trace and the postmortem tail are all
+   rendered.  CTWSDD_DOMAINS caps the parallel worker pool.
 
    A postmortem dump (ctwsdd-postmortem/v1 JSON: flight-recorder tail,
    metrics snapshot, GC stats, manager census, budget state) is written
@@ -269,8 +271,7 @@ let run_with_obs o f =
   in
   if collecting then begin
     Obs.set_enabled true;
-    Obs.reset ();
-    if o.trace_out <> None then Obs.set_tracing true
+    Obs.reset ()
   end;
   (* Periodic telemetry rides SIGALRM: handlers run at safe points on
      the main domain, which owns the domain-local metric state the
@@ -310,7 +311,6 @@ let run_with_obs o f =
     Option.iter
       (fun path ->
         Obs.write_trace path;
-        Obs.set_tracing false;
         Printf.eprintf "trace   : wrote %s\n%!" path)
       o.trace_out;
     Option.iter
@@ -325,17 +325,11 @@ let run_with_obs o f =
       o.explain_out
   in
   (* Validate the environment inside the guarded region so a bad
-     CTWSDD_DOMAINS or CTWSDD_RING surfaces as a usage error, not a
-     crash mid-run.  The ring capacity is applied after the hard_reset
-     above (which clears entries but preserves capacity). *)
+     CTWSDD_DOMAINS surfaces as a usage error, not a crash mid-run. *)
   let f () =
     (match Obs.Worker.domains_env () with
      | Error msg -> raise (Cli_usage msg)
      | Ok _ -> ());
-    (match Flight_recorder.ring_env () with
-     | Error msg -> raise (Cli_usage msg)
-     | Ok None -> ()
-     | Ok (Some n) -> Flight_recorder.set_capacity n);
     f ()
   in
   match f () with

@@ -87,17 +87,11 @@ let reason_to_string = function
 
 let exhaust reason =
   let r = reason_to_string reason in
-  (* The trip always lands in the flight recorder — postmortems must
-     show it even on uninstrumented runs.  With aggregation enabled the
-     [Obs.event] below records the ring entry itself, so only record
-     directly when it will not. *)
-  if !Flight_recorder.enabled_ref && not !Obs.enabled_ref then
-    Flight_recorder.record Flight_recorder.Budget_trip "budget.trip"
-      ~args:[ ("reason", r) ];
-  if !Obs.enabled_ref then begin
-    Obs.incr ("budget.trip." ^ r);
-    Obs.event "budget.trip" [ ("reason", Obs.Json.String r) ]
-  end;
+  (* One ring entry whatever the switch: postmortems, [Obs.events] and
+     the Chrome trace all read the trip from there. *)
+  Obs.Ring.record Obs.Ring.Budget_trip "budget.trip"
+    ~args:[ ("reason", Obs.Json.String r) ];
+  Obs.incr ("budget.trip." ^ r);
   raise (Exhausted reason)
 
 let check t =
@@ -105,8 +99,7 @@ let check t =
     (* One ring entry per full (unamortized) check: cheap at the
        amortized interval, and the recorder tail then shows how recently
        the budget was consulted before a trip. *)
-    if !Flight_recorder.enabled_ref then
-      Flight_recorder.record Flight_recorder.Budget_poll "budget.poll";
+    Obs.Ring.record Obs.Ring.Budget_poll "budget.poll";
     if Atomic.get t.cancel then exhaust Cancelled;
     if t.deadline < infinity && Unix.gettimeofday () > t.deadline then
       exhaust Timeout;

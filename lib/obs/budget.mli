@@ -29,10 +29,11 @@
     are inherently racy and should not be used where reproducibility
     matters.
 
-    Every trip increments the [budget.trip.<reason>] counter and emits a
-    [budget.trip] {!Obs.event}, so traces show why a compilation
-    degraded; the trip also always lands in the {!Flight_recorder} ring
-    (even with observability disabled), so postmortem dumps retain it. *)
+    Every trip records one [budget.trip] entry of kind [Budget_trip] in
+    the {!Obs.Ring} (whatever the collection switch), so {!Obs.events},
+    Chrome traces and postmortem dumps show why a compilation degraded;
+    with collection on it also increments the [budget.trip.<reason>]
+    counter. *)
 
 type reason =
   | Timeout  (** The wall-clock deadline passed. *)
@@ -119,8 +120,8 @@ val check : t -> unit
     watermark (not the node cap — that is per-manager, see
     {!check_nodes}).  O(1); call at phase boundaries.  Each full check
     on an active budget also drops a [budget.poll] entry in the
-    {!Flight_recorder} ring, so postmortems show how recently the
-    budget was consulted. *)
+    {!Obs.Ring}, so postmortems show how recently the budget was
+    consulted. *)
 
 val check_nodes : t -> int -> unit
 (** [check_nodes t n] trips with {!Node_limit} when [n > max_nodes].

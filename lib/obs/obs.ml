@@ -1,25 +1,12 @@
 (* Observability: spans, counters, gauges, histograms, cache statistics,
-   GC telemetry, structured events and Chrome-trace recording.  See the
-   interface for the cost model; the invariant throughout is that with
-   the master switch off every global instrument is a single load and
-   branch. *)
+   GC telemetry, and the flight-recorder ring that stores every span
+   completion and structured event.  See the interface for the cost
+   model; the invariant throughout is that with the master switch off
+   every aggregating instrument is a single load and branch. *)
 
 let enabled_ref = ref false
 let enabled_flag = enabled_ref
 let enabled () = !enabled_flag
-
-(* The attribution profiler shares the master switch: one [set_enabled]
-   arms both the classic instruments and the cost-center stack. *)
-let set_enabled b =
-  enabled_flag := b;
-  Attribution.set_enabled b
-
-(* Tracing (per-call Chrome trace_event recording) is a second, rarer
-   switch on top of the master one: span aggregation is cheap, but one
-   event per span call is not free, so it is opt-in. *)
-let tracing_ref = ref false
-let tracing () = !tracing_ref
-let set_tracing b = tracing_ref := b
 
 let now () = Unix.gettimeofday ()
 
@@ -280,23 +267,139 @@ end
 (* Track ids, run IDs and the trace epoch                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Track ids (0 = main domain, fresh ids for spawned workers) and the
-   run/request-ID machinery live in {!Flight_recorder}, which needs them
-   to stamp ring entries; re-exported here so instrumented code keeps a
-   single entry point. *)
-let current_tid = Flight_recorder.current_tid
-let run_id = Flight_recorder.run_id
-let set_run_id = Flight_recorder.set_run_id
-let fresh_run_id = Flight_recorder.fresh_run_id
-let with_run_id = Flight_recorder.with_run_id
+(* Every domain gets a stable track id: 0 for the main domain, fresh ids
+   for spawned workers.  Ring entries carry it, and the Chrome trace
+   draws one track per id. *)
+let next_tid = Atomic.make 1
+
+let tid_key : int Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      if Domain.is_main_domain () then 0 else Atomic.fetch_and_add next_tid 1)
+
+let current_tid () = Domain.DLS.get tid_key
+
+let run_seq = Atomic.make 0
+
+let fresh_run_id () =
+  let us = int_of_float (now () *. 1e6) in
+  Printf.sprintf "r-%010x-%04x-%02x"
+    (us land 0xff_ffff_ffff)
+    (Unix.getpid () land 0xffff)
+    (Atomic.fetch_and_add run_seq 1 land 0xff)
+
+(* The process-wide ID, replaced by [set_run_id]; per-domain overrides
+   stack on top through DLS so [with_run_id] needs no synchronization. *)
+let global_run : string Atomic.t = Atomic.make (fresh_run_id ())
+
+let run_override_key : string option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
+let run_id () =
+  match !(Domain.DLS.get run_override_key) with
+  | Some r -> r
+  | None -> Atomic.get global_run
+
+let set_run_id r = Atomic.set global_run r
+
+let with_run_id r f =
+  let slot = Domain.DLS.get run_override_key in
+  let saved = !slot in
+  slot := Some r;
+  Fun.protect ~finally:(fun () -> slot := saved) f
 
 (* Timestamps are recorded absolute and rebased to the epoch of the last
-   [reset] on export, so worker events (captured against their own
-   clock-free state) line up with the main domain's. *)
+   [reset] on export. *)
 let epoch_key : float ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref (now ()))
 
 let epoch () = !(Domain.DLS.get epoch_key)
+
+(* ------------------------------------------------------------------ *)
+(* The flight-recorder ring                                            *)
+(* ------------------------------------------------------------------ *)
+
+module Ring = struct
+  type kind = Event | Span | Budget_poll | Budget_trip | Note
+
+  let kind_to_string = function
+    | Event -> "event"
+    | Span -> "span"
+    | Budget_poll -> "budget_poll"
+    | Budget_trip -> "budget_trip"
+    | Note -> "note"
+
+  type entry = {
+    kind : kind;
+    name : string;
+    ts : float;
+    tid : int;
+    run : string;
+    dur_s : float;
+    args : (string * Json.t) list;
+  }
+
+  let sentinel =
+    { kind = Note; name = ""; ts = 0.0; tid = 0; run = ""; dur_s = 0.0;
+      args = [] }
+
+  (* Writers from every domain share one ring: the cursor is claimed
+     with fetch-and-add and each slot receives a fully built immutable
+     entry, so writers never block and readers see well-formed entries. *)
+  type t = { slots : entry array; cursor : int Atomic.t }
+
+  let mk cap = { slots = Array.make cap sentinel; cursor = Atomic.make 0 }
+
+  (* Replaced wholesale on resize and clear; a writer racing either
+     lands in whichever ring it loaded. *)
+  let ring = ref (mk 4096)
+
+  let capacity () = Array.length !ring.slots
+
+  let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (2 * k)
+
+  let set_capacity n = ring := mk (pow2_at_least (Stdlib.max 16 n) 16)
+  let clear () = ring := mk (capacity ())
+  let recorded () = Atomic.get !ring.cursor
+  let overwritten () = Stdlib.max 0 (recorded () - capacity ())
+
+  let record ?(dur_s = 0.0) ?(args = []) kind name =
+    let e =
+      { kind; name; ts = now (); tid = current_tid (); run = run_id (); dur_s;
+        args }
+    in
+    let r = !ring in
+    let i = Atomic.fetch_and_add r.cursor 1 in
+    r.slots.(i land (Array.length r.slots - 1)) <- e
+
+  let tail ?max:(limit = max_int) () =
+    let r = !ring in
+    let cap = Array.length r.slots in
+    let c = Atomic.get r.cursor in
+    let n = Stdlib.min (Stdlib.min c cap) limit in
+    List.init n (fun j -> r.slots.((c - n + j) land (cap - 1)))
+
+  let entry_to_json e =
+    Json.Obj
+      [
+        ("kind", Json.String (kind_to_string e.kind));
+        ("name", Json.String e.name);
+        ("ts_unix_s", Json.Float e.ts);
+        ("tid", Json.Int e.tid);
+        ("run", Json.String e.run);
+        ("dur_s", Json.Float e.dur_s);
+        ("args", Json.Obj e.args);
+      ]
+end
+
+(* The attribution profiler shares the master switch: one [set_enabled]
+   arms both the classic instruments and the cost-center stack.  The
+   ring grows to hold a whole collected run and shrinks back to a
+   crash-recorder tail when collection stops; a resize empties it. *)
+let set_enabled b =
+  enabled_flag := b;
+  Attribution.set_enabled b;
+  let cap = if b then 1 lsl 18 else 4096 in
+  if Ring.capacity () <> cap then Ring.set_capacity cap
 
 (* ------------------------------------------------------------------ *)
 (* Counters and gauges                                                 *)
@@ -568,100 +671,27 @@ let caches () =
   |> List.sort (fun a b -> compare a.Cache.cache b.Cache.cache)
 
 (* ------------------------------------------------------------------ *)
-(* Trace events and structured events                                  *)
+(* Structured events                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* A raw Chrome trace_event: either a complete span occurrence ('X') or
-   an instant ('i').  Timestamps are absolute seconds. *)
-type trace_ev = {
-  ev_name : string;
-  ev_ph : char;
-  ev_ts : float;
-  ev_dur : float;
-  ev_tid : int;
-  ev_args : (string * Json.t) list;
-}
+(* Structured events (search trajectories, pipeline decisions, budget
+   trips): named, timestamped, with JSON arguments, read back from the
+   ring. *)
+let event name args = Ring.record Ring.Event name ~args
 
-type trace_buf = {
-  mutable tevs : trace_ev list;  (* reverse order of arrival *)
-  mutable tcount : int;
-  mutable tdropped : int;
-}
+let is_instant (e : Ring.entry) =
+  match e.Ring.kind with
+  | Ring.Event | Ring.Budget_trip -> true
+  | Ring.Span | Ring.Budget_poll | Ring.Note -> false
 
-let trace_limit = 2_000_000
-
-let trace_key : trace_buf Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { tevs = []; tcount = 0; tdropped = 0 })
-
-let trace_buf () = Domain.DLS.get trace_key
-
-let push_trace ev =
-  let b = trace_buf () in
-  if b.tcount < trace_limit then begin
-    b.tevs <- ev :: b.tevs;
-    b.tcount <- b.tcount + 1
-  end
-  else b.tdropped <- b.tdropped + 1
-
-(* Structured events (search trajectories, pipeline decisions): named,
-   timestamped, with JSON arguments.  Low volume by design — they are
-   exported in full inside the metrics document. *)
-type event = {
-  event : string;
-  ts : float;
-  tid : int;
-  run : string;
-  args : (string * Json.t) list;
-}
-
-type event_buf = {
-  mutable uevs : event list;  (* reverse order of arrival *)
-  mutable ucount : int;
-  mutable udropped : int;
-}
-
-let event_limit = 200_000
-
-let events_key : event_buf Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { uevs = []; ucount = 0; udropped = 0 })
-
-let event_buf () = Domain.DLS.get events_key
-
-let push_event e =
-  let b = event_buf () in
-  if b.ucount < event_limit then begin
-    b.uevs <- e :: b.uevs;
-    b.ucount <- b.ucount + 1
-  end
-  else b.udropped <- b.udropped + 1
-
-(* Flight-recorder payloads are pre-stringified: the ring must not hold
-   onto structured values, and postmortem rendering should not need the
-   recording domain alive. *)
-let flight_args args =
-  List.map
-    (fun (k, v) ->
-      (k, match v with Json.String s -> s | v -> Json.to_string v))
-    args
-
-let event name args =
-  if !Flight_recorder.enabled_ref then
-    Flight_recorder.record Flight_recorder.Event name ~args:(flight_args args);
-  if !enabled_flag then begin
-    let t = now () in
-    let tid = current_tid () in
-    push_event { event = name; ts = t; tid; run = run_id (); args };
-    if !tracing_ref then
-      push_trace
-        { ev_name = name; ev_ph = 'i'; ev_ts = t; ev_dur = 0.0; ev_tid = tid;
-          ev_args = args }
-  end
+(* What the Chrome trace renders: spans, events and budget trips.  Polls
+   and notes stay in the ring for postmortems only. *)
+let rendered () =
+  List.filter (fun e -> e.Ring.kind = Ring.Span || is_instant e) (Ring.tail ())
 
 let events () =
-  let t0 = epoch () in
-  (event_buf ()).uevs
-  |> List.rev_map (fun e -> { e with ts = e.ts -. t0 })
-  |> List.sort (fun a b -> Float.compare a.ts b.ts)
+  List.filter is_instant (Ring.tail ())
+  |> List.stable_sort (fun a b -> Float.compare a.Ring.ts b.Ring.ts)
 
 (* ------------------------------------------------------------------ *)
 (* Spans                                                               *)
@@ -694,19 +724,20 @@ let span_state () = Domain.DLS.get span_key
 let span_depth () = List.length (span_state ()).sstack
 
 let span name f =
-  if not !enabled_flag then
-    if not !Flight_recorder.enabled_ref then f ()
-    else begin
-      (* Aggregation off, flight recorder on: no span tree, no GC
-         probes — just time the call and drop one completion entry in
-         the ring so a postmortem shows the recent phases. *)
-      let t0 = now () in
-      Fun.protect
-        ~finally:(fun () ->
-          Flight_recorder.record Flight_recorder.Span name
-            ~dur_s:(now () -. t0))
-        f
-    end
+  if not !enabled_flag then begin
+    (* Aggregation off: no span tree, no GC probes — just time the call
+       and drop one completion entry in the ring so a postmortem shows
+       the recent phases. *)
+    let t0 = now () in
+    match f () with
+    | r ->
+      Ring.record Ring.Span name ~dur_s:(now () -. t0);
+      r
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Ring.record Ring.Span name ~dur_s:(now () -. t0);
+      Printexc.raise_with_backtrace e bt
+  end
   else begin
     let st = span_state () in
     let parent = match st.sstack with top :: _ -> top | [] -> st.sroot in
@@ -735,12 +766,7 @@ let span name f =
           node.gminor_c + (g1.Gc.minor_collections - g0.Gc.minor_collections);
         node.gmajor_c <-
           node.gmajor_c + (g1.Gc.major_collections - g0.Gc.major_collections);
-        if !Flight_recorder.enabled_ref then
-          Flight_recorder.record Flight_recorder.Span name ~dur_s:(t1 -. t0);
-        if !tracing_ref then
-          push_trace
-            { ev_name = name; ev_ph = 'X'; ev_ts = t0; ev_dur = t1 -. t0;
-              ev_tid = current_tid (); ev_args = [] };
+        Ring.record Ring.Span name ~dur_s:(t1 -. t0);
         match st.sstack with
         | top :: rest when top == node -> st.sstack <- rest
         | _ -> (* a reset happened inside the span *) ())
@@ -785,14 +811,7 @@ let reset () =
   Hashtbl.reset (hist_tbl ());
   Cache.registry () := [];
   Domain.DLS.get absorbed_caches_key := [];
-  let tb = trace_buf () in
-  tb.tevs <- [];
-  tb.tcount <- 0;
-  tb.tdropped <- 0;
-  let eb = event_buf () in
-  eb.uevs <- [];
-  eb.ucount <- 0;
-  eb.udropped <- 0;
+  Ring.clear ();
   Domain.DLS.get epoch_key := now ();
   Domain.DLS.set gc_baseline_key (Gc.quick_stat ());
   let st = span_state () in
@@ -810,10 +829,6 @@ module Worker = struct
     wgauges : (string * int) list;
     wcaches : Cache.snapshot list;
     whists : Histogram.t list;
-    wevents : event list;  (* absolute timestamps, original tids *)
-    wtrace : trace_ev list;
-    wtrace_dropped : int;
-    wevents_dropped : int;
     wspans : span_tree list;
     wattr : Attribution.row list;
   }
@@ -824,8 +839,6 @@ module Worker = struct
     Domain.DLS.set hists_key (Hashtbl.create 32);
     Domain.DLS.set Cache.registry_key (ref []);
     Domain.DLS.set absorbed_caches_key (ref []);
-    Domain.DLS.set trace_key { tevs = []; tcount = 0; tdropped = 0 };
-    Domain.DLS.set events_key { uevs = []; ucount = 0; udropped = 0 };
     Domain.DLS.set gc_baseline_key (Gc.quick_stat ());
     Domain.DLS.set span_key { sroot = mk_span "<root>"; sstack = [] };
     Attribution.fresh ()
@@ -836,8 +849,6 @@ module Worker = struct
     let old_hists = Domain.DLS.get hists_key in
     let old_registry = Domain.DLS.get Cache.registry_key in
     let old_absorbed = Domain.DLS.get absorbed_caches_key in
-    let old_trace = Domain.DLS.get trace_key in
-    let old_events = Domain.DLS.get events_key in
     let old_gc = Domain.DLS.get gc_baseline_key in
     let old_spans = Domain.DLS.get span_key in
     let old_attr = Attribution.current_state () in
@@ -847,8 +858,6 @@ module Worker = struct
       Domain.DLS.set hists_key old_hists;
       Domain.DLS.set Cache.registry_key old_registry;
       Domain.DLS.set absorbed_caches_key old_absorbed;
-      Domain.DLS.set trace_key old_trace;
-      Domain.DLS.set events_key old_events;
       Domain.DLS.set gc_baseline_key old_gc;
       Domain.DLS.set span_key old_spans;
       Attribution.install_state old_attr
@@ -856,7 +865,6 @@ module Worker = struct
     fresh_state ();
     match f () with
     | r ->
-      let tb = trace_buf () and eb = event_buf () in
       let cap =
         {
           wcounters = counters ();
@@ -864,10 +872,6 @@ module Worker = struct
           wcaches = caches ();
           whists =
             Hashtbl.fold (fun _ h acc -> h :: acc) (hist_tbl ()) [];
-          wevents = List.rev eb.uevs;
-          wtrace = List.rev tb.tevs;
-          wtrace_dropped = tb.tdropped;
-          wevents_dropped = eb.udropped;
           wspans = span_roots ();
           wattr = Attribution.export ();
         }
@@ -915,10 +919,6 @@ module Worker = struct
     List.iter
       (fun h -> Histogram.merge (hist_cell (Histogram.name h)) h)
       cap.whists;
-    List.iter push_event cap.wevents;
-    List.iter push_trace cap.wtrace;
-    (trace_buf ()).tdropped <- (trace_buf ()).tdropped + cap.wtrace_dropped;
-    (event_buf ()).udropped <- (event_buf ()).udropped + cap.wevents_dropped;
     let st = span_state () in
     let parent = match st.sstack with top :: _ -> top | [] -> st.sroot in
     List.iter (merge_tree parent) cap.wspans;
@@ -996,8 +996,8 @@ module Worker = struct
           loop
       in
       (* Capture the parent's run ID before spawning: a fresh domain
-         starts with the process-global ID, so flight-recorder entries
-         from workers would otherwise lose per-request attribution. *)
+         starts with the process-global ID, so ring entries from
+         workers would otherwise lose per-request attribution. *)
       let rid = run_id () in
       gauge_max "worker.parallel_map.domains" d;
       (* The span brackets spawn-to-join on the calling domain, so its
@@ -1034,13 +1034,13 @@ end
    long-lived process reusing the library back to back also wants the
    calling domain's DLS slots replaced wholesale (so nothing — not even
    the table identities a stale [Cache.t] might still reference — leaks
-   between runs), the flight-recorder ring emptied, and a fresh run ID
-   minted.  The enabled/tracing switches are left alone. *)
+   between runs), the ring emptied, and a fresh run ID minted.  The
+   enabled switch is left alone. *)
 let hard_reset () =
   Worker.fresh_state ();
   Domain.DLS.set epoch_key (ref (now ()));
-  Flight_recorder.clear ();
-  Flight_recorder.set_run_id (Flight_recorder.fresh_run_id ())
+  Ring.clear ();
+  set_run_id (fresh_run_id ())
 
 (* ------------------------------------------------------------------ *)
 (* Export                                                              *)
@@ -1088,11 +1088,11 @@ let hist_to_json (s : Histogram.snapshot) =
 let event_to_json e =
   Json.Obj
     [
-      ("name", Json.String e.event);
-      ("ts_s", Json.Float e.ts);
-      ("tid", Json.Int e.tid);
-      ("run", Json.String e.run);
-      ("args", Json.Obj e.args);
+      ("name", Json.String e.Ring.name);
+      ("ts_s", Json.Float (e.Ring.ts -. epoch ()));
+      ("tid", Json.Int e.Ring.tid);
+      ("run", Json.String e.Ring.run);
+      ("args", Json.Obj e.Ring.args);
     ]
 
 let gc_to_json () =
@@ -1112,29 +1112,30 @@ let gc_to_json () =
       ("top_heap_words", Json.Int g.Gc.top_heap_words);
     ]
 
+(* [span_events] counts every rendered trace event (spans and
+   instants alike), [instants] the structured events among them. *)
 let trace_section () =
-  let tb = trace_buf () and eb = event_buf () in
-  let tids =
-    List.sort_uniq compare
-      (List.rev_append
-         (List.rev_map (fun e -> e.ev_tid) tb.tevs)
-         (List.map (fun e -> e.tid) eb.uevs))
-  in
+  let shown = rendered () in
+  let instants = List.length (List.filter is_instant shown) in
   Json.Obj
     [
-      ("tids", Json.List (List.map (fun t -> Json.Int t) tids));
-      ("span_events", Json.Int tb.tcount);
-      ("instants", Json.Int eb.ucount);
-      ("dropped", Json.Int (tb.tdropped + eb.udropped));
+      ( "tids",
+        Json.List
+          (List.map
+             (fun t -> Json.Int t)
+             (List.sort_uniq compare (List.map (fun e -> e.Ring.tid) shown))) );
+      ("span_events", Json.Int (List.length shown));
+      ("instants", Json.Int instants);
+      ("dropped", Json.Int (Ring.overwritten ()));
     ]
 
 let flight_section () =
   Json.Obj
     [
-      ("enabled", Json.Bool (Flight_recorder.enabled ()));
-      ("capacity", Json.Int (Flight_recorder.capacity ()));
-      ("recorded", Json.Int (Flight_recorder.recorded ()));
-      ("overwritten", Json.Int (Flight_recorder.overwritten ()));
+      ("enabled", Json.Bool true);
+      ("capacity", Json.Int (Ring.capacity ()));
+      ("recorded", Json.Int (Ring.recorded ()));
+      ("overwritten", Json.Int (Ring.overwritten ()));
     ]
 
 let attr_row_to_json (r : Attribution.row) =
@@ -1190,92 +1191,80 @@ let snapshot ?(extra = []) () =
         ("spans", Json.List (List.map span_to_json (span_roots ())));
       ])
 
-let write_json ?extra path =
+let write_doc path doc =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
-      output_string oc (Json.to_string (snapshot ?extra ()));
+      output_string oc (Json.to_string doc);
       output_char oc '\n')
+
+let write_json ?extra path = write_doc path (snapshot ?extra ())
 
 (* ------------------------------------------------------------------ *)
 (* Chrome trace_event export                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* Spans become complete ('X') slices starting at their completion
+   time minus their duration; events and budget trips become instants
+   ('i'). *)
 let trace_json () =
-  let evs = List.rev (trace_buf ()).tevs in
+  let start e = e.Ring.ts -. e.Ring.dur_s in
+  let evs =
+    List.stable_sort (fun a b -> Float.compare (start a) (start b)) (rendered ())
+  in
   let base =
-    List.fold_left (fun acc e -> Stdlib.min acc e.ev_ts) (epoch ()) evs
+    List.fold_left (fun acc e -> Stdlib.min acc (start e)) (epoch ()) evs
   in
   let us t = (t -. base) *. 1e6 in
-  let tids = List.sort_uniq compare (0 :: List.map (fun e -> e.ev_tid) evs) in
-  let meta =
+  let tids = List.sort_uniq compare (0 :: List.map (fun e -> e.Ring.tid) evs) in
+  let meta name tid label =
     Json.Obj
       [
-        ("name", Json.String "process_name");
+        ("name", Json.String name);
         ("ph", Json.String "M");
         ("pid", Json.Int 1);
-        ("tid", Json.Int 0);
-        ("args", Json.Obj [ ("name", Json.String "ctwsdd") ]);
+        ("tid", Json.Int tid);
+        ("args", Json.Obj [ ("name", Json.String label) ]);
       ]
+  in
+  let metas =
+    meta "process_name" 0 "ctwsdd"
     :: List.map
          (fun t ->
-           Json.Obj
-             [
-               ("name", Json.String "thread_name");
-               ("ph", Json.String "M");
-               ("pid", Json.Int 1);
-               ("tid", Json.Int t);
-               ( "args",
-                 Json.Obj
-                   [
-                     ( "name",
-                       Json.String
-                         (if t = 0 then "main" else Printf.sprintf "domain-%d" t)
-                     );
-                   ] );
-             ])
+           meta "thread_name" t
+             (if t = 0 then "main" else Printf.sprintf "domain-%d" t))
          tids
   in
   let ev_json e =
     let common =
       [
-        ("name", Json.String e.ev_name);
+        ("name", Json.String e.Ring.name);
         ("cat", Json.String "ctwsdd");
         ("pid", Json.Int 1);
-        ("tid", Json.Int e.ev_tid);
-        ("ts", Json.Float (us e.ev_ts));
+        ("tid", Json.Int e.Ring.tid);
+        ("ts", Json.Float (us (start e)));
       ]
     in
     let args =
-      if e.ev_args = [] then [] else [ ("args", Json.Obj e.ev_args) ]
+      if e.Ring.args = [] then [] else [ ("args", Json.Obj e.Ring.args) ]
     in
-    match e.ev_ph with
-    | 'X' ->
+    if e.Ring.kind = Ring.Span then
       Json.Obj
         (common
-        @ [ ("ph", Json.String "X"); ("dur", Json.Float (e.ev_dur *. 1e6)) ]
+        @ [ ("ph", Json.String "X"); ("dur", Json.Float (e.Ring.dur_s *. 1e6)) ]
         @ args)
-    | _ ->
+    else
       Json.Obj
         (common @ [ ("ph", Json.String "i"); ("s", Json.String "t") ] @ args)
   in
-  let sorted =
-    List.stable_sort (fun a b -> Float.compare a.ev_ts b.ev_ts) evs
-  in
   Json.Obj
     [
-      ("traceEvents", Json.List (meta @ List.map ev_json sorted));
+      ("traceEvents", Json.List (metas @ List.map ev_json evs));
       ("displayTimeUnit", Json.String "ms");
     ]
 
-let write_trace path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc (Json.to_string (trace_json ()));
-      output_char oc '\n')
+let write_trace path = write_doc path (trace_json ())
 
 (* ------------------------------------------------------------------ *)
 (* Human summary                                                       *)

@@ -1,11 +1,12 @@
 (** Observability: hierarchical timed spans, monotonic counters, gauges,
-    log-scale histograms, cache statistics, GC telemetry, structured
-    events and Chrome-trace recording for the compilation pipeline.
+    log-scale histograms, cache statistics, GC telemetry, and a
+    flight-recorder ring holding span completions, structured events and
+    budget activity for the compilation pipeline.
 
-    The instrumentation is designed to be effectively free when disabled
-    (the default): every global instrument ([span], [incr],
-    [hist_record], [event], …) first checks a single boolean and becomes
-    a no-op, so hot paths pay one predictable branch.  Per-cache
+    The aggregating instrumentation is designed to be effectively free
+    when disabled (the default): every aggregating instrument ([incr],
+    [hist_record], the span tree, …) first checks a single boolean and
+    becomes a no-op, so hot paths pay one predictable branch.  Per-cache
     statistics ({!Cache}) are plain field increments on a record owned
     by the instrumented structure and are always maintained — they cost
     a couple of stores next to a hash-table probe that dwarfs them.
@@ -20,15 +21,19 @@
     misses and compaction pauses to semantic centers (vtree node,
     treewidth bag, CNF clause, component, pipeline rung).  The
     attribution profiler shares the master switch ({!set_enabled} arms
-    both).  With {!set_tracing} on, every span call
-    and event is also recorded individually and exported as a Chrome
-    [trace_event] file ({!write_trace}) that loads in Perfetto /
-    chrome://tracing, with one track per OCaml domain.  Independently of
-    both switches, the always-on {!Flight_recorder} ring retains the
-    most recent span completions, events and budget activity for
-    postmortems ({!Postmortem}), and {!Openmetrics} renders the current
-    state in OpenMetrics/Prometheus text format for scraping.  See
-    EXPERIMENTS.md for the schema reference. *)
+    both).
+
+    The {!Ring} is the one store for individual occurrences: every span
+    completion, {!event}, budget poll and budget trip lands there
+    whatever the switch.  Three outputs are rendered from it: {!events}
+    (and the metrics [events] section), the Chrome [trace_event] file
+    ({!write_trace}) that loads in Perfetto / chrome://tracing with one
+    track per OCaml domain, and the postmortem tail ({!Postmortem}).
+    The ring holds 4096 entries with collection off and 2{^18} while
+    collecting; beyond that the oldest entries are overwritten and
+    counted.  {!Openmetrics} renders the current state in
+    OpenMetrics/Prometheus text format for scraping.  See EXPERIMENTS.md
+    for the schema reference. *)
 
 (** {1 Enabling} *)
 
@@ -37,49 +42,51 @@ val enabled : unit -> bool
 val set_enabled : bool -> unit
 (** Arm or disarm the master switch.  Also flips
     [Attribution.enabled_ref], so one call arms the classic instruments
-    and the cost-center profiler together. *)
+    and the cost-center profiler together, and sizes the {!Ring}: 2{^18}
+    entries while collecting, 4096 otherwise (a resize empties it). *)
 
 val enabled_ref : bool ref
 (** The raw master switch, exposed so hot paths can gate a probe with a
     single load-and-branch ([if !Obs.enabled_ref then ...]) instead of a
     cross-module call.  Treat as read-only; use {!set_enabled} to flip. *)
 
-val tracing : unit -> bool
-
-val set_tracing : bool -> unit
-(** Turn per-call Chrome-trace recording on or off.  Only effective
-    while {!enabled}: aggregation stays cheap, but tracing appends one
-    event per span call, so it is a separate, opt-in switch. *)
-
 val reset : unit -> unit
-(** Forget all recorded counters, gauges, histograms, spans, events,
-    trace buffers and registered caches, and rebase the GC baseline and
-    trace epoch.  Does not change the enabled or tracing flags.  Open
+(** Forget all recorded counters, gauges, histograms, spans and
+    registered caches, empty the {!Ring}, and rebase the GC baseline and
+    trace epoch.  Does not change the enabled flag.  Open
     spans are kept on the stack (their enclosing [span] calls still pop
     correctly) but their timings are discarded with the old tree. *)
 
 val hard_reset : unit -> unit
 (** Everything {!reset} does, plus: the calling domain's DLS metric
-    state is replaced wholesale (histograms, the event log and its
-    dropped counter, the trace buffer, the cache registry — so not even
-    table identities leak between back-to-back library uses), the
-    {!Flight_recorder} ring is emptied and a fresh run ID is minted.
-    Call at the top of each independent run (the CLI does, per
-    subcommand).  Leaves the enabled/tracing flags alone. *)
+    state is replaced wholesale (histograms, spans, the cache registry —
+    so not even table identities leak between back-to-back library
+    uses) and a fresh run ID is minted.  Call at the top of each
+    independent run (the CLI does, per subcommand).  Leaves the enabled
+    flag alone. *)
 
 (** {1 Run and request attribution}
 
-    Re-exports of {!Flight_recorder}'s run-ID surface: a process-wide
-    generated run ID, overridable per request with {!with_run_id}.
-    Events (and flight-recorder entries) are stamped with the ID current
-    on their recording domain; the parallel search layers forward the
+    A process-wide generated run ID, overridable per request with
+    {!with_run_id}.  Ring entries are stamped with the ID current on
+    their recording domain; the parallel search layers forward the
     spawning domain's ID into their workers, so one request's activity
     carries one ID across domains. *)
 
 val run_id : unit -> string
+(** The run ID current on this domain: the innermost {!with_run_id}
+    override if any, the process-wide ID otherwise. *)
+
 val set_run_id : string -> unit
+(** Replace the process-wide run ID (all domains without an override
+    observe the new value). *)
+
 val fresh_run_id : unit -> string
+(** A new unique ID ([r-<hex time>-<pid>-<seq>]); does not install it. *)
+
 val with_run_id : string -> (unit -> 'a) -> 'a
+(** Run [f] with a per-domain run-ID override (nestable,
+    exception-safe). *)
 
 (** {1 Counters and gauges} *)
 
@@ -210,11 +217,10 @@ val span : string -> (unit -> 'a) -> 'a
 (** [span name f] times [f ()] and accumulates the duration and
     {!Gc.quick_stat} deltas (allocation, collections) into the span tree
     under the currently open span (spans nest).  Re-entering the same
-    name under the same parent accumulates into one node.  With
-    {!set_tracing} on, each call additionally records one complete
-    Chrome-trace event on the calling domain's track.  Exception-safe:
-    the span is closed even if [f] raises.  When disabled this is
-    exactly [f ()]. *)
+    name under the same parent accumulates into one node.  Every call,
+    enabled or not, records one [Span] completion in the {!Ring} on the
+    calling domain's track.  Exception-safe: the span is closed even if
+    [f] raises.  When disabled no tree or GC probe is touched. *)
 
 type span_tree = {
   span : string;
@@ -233,8 +239,6 @@ val span_roots : unit -> span_tree list
 
 val span_depth : unit -> int
 (** Number of currently open spans (0 outside any [span]). *)
-
-(** {1 Structured events} *)
 
 (** {1 JSON} *)
 
@@ -260,28 +264,81 @@ module Json : sig
   (** Field lookup in an [Obj]; [None] otherwise. *)
 end
 
-type event = {
-  event : string;  (** Event name, e.g. ["vtree_search.move"]. *)
-  ts : float;  (** Seconds since the last {!reset}. *)
-  tid : int;  (** Track id of the recording domain (0 = main). *)
-  run : string;  (** Run ID current on the recording domain. *)
-  args : (string * Json.t) list;
-}
+(** {1 Flight-recorder ring}
+
+    A fixed-size, lock-free ring of the most recent span completions,
+    structured events, budget polls, budget trips and notes, recorded
+    whatever the master switch.  Writers from any domain share it: the
+    write cursor is claimed with fetch-and-add and each slot receives a
+    fully built immutable entry, so writers never block and {!Ring.tail}
+    always observes well-formed entries.  One record is a clock read,
+    two domain-local loads, one small allocation and one fetch-and-add;
+    the instrumented call sites fire a few hundred times per
+    compilation, not per node. *)
+
+module Ring : sig
+  type kind =
+    | Event  (** A structured {!event}. *)
+    | Span  (** A span completion; [dur_s] is its wall-clock duration. *)
+    | Budget_poll  (** A full (unamortized) [Budget.check] on an active budget. *)
+    | Budget_trip  (** A [Budget.exhaust]; the reason is in [args]. *)
+    | Note  (** Anything else (occupancy pulses, subsystem markers). *)
+
+  type entry = {
+    kind : kind;
+    name : string;
+    ts : float;  (** Absolute [Unix.gettimeofday] seconds at recording. *)
+    tid : int;  (** Track id of the recording domain (0 = main). *)
+    run : string;  (** Run ID current on the recording domain. *)
+    dur_s : float;  (** Span duration; [0.] for instant kinds. *)
+    args : (string * Json.t) list;
+  }
+
+  val record : ?dur_s:float -> ?args:(string * Json.t) list -> kind -> string -> unit
+  (** Append one entry.  Never blocks; once the ring is full each append
+      overwrites the oldest entry. *)
+
+  val capacity : unit -> int
+
+  val set_capacity : int -> unit
+  (** Resize the ring (rounded up to a power of two, at least 16) and
+      empty it.  {!set_enabled} sets the production capacity; this is
+      for tests that need a small ring to overflow. *)
+
+  val recorded : unit -> int
+  (** Total entries recorded since the ring was last emptied — entries
+      beyond {!capacity} have been overwritten. *)
+
+  val overwritten : unit -> int
+  (** [max 0 (recorded () - capacity ())]. *)
+
+  val tail : ?max:int -> unit -> entry list
+  (** The retained window, oldest first ([max] truncates to the newest
+      [max] entries). *)
+
+  val entry_to_json : entry -> Json.t
+  (** [{kind, name, ts_unix_s, tid, run, dur_s, args}], [kind] one of
+      ["event"], ["span"], ["budget_poll"], ["budget_trip"], ["note"]:
+      one entry of the postmortem tail. *)
+end
+
+(** {1 Structured events} *)
 
 val event : string -> (string * Json.t) list -> unit
 (** Record a named, timestamped structured event (search-trajectory
-    steps, pipeline decisions).  Exported in full in the [events]
-    section of the metrics JSON and, when tracing, mirrored as an
-    instant event in the Chrome trace.  No-op when disabled. *)
+    steps, pipeline decisions) as an [Event] entry in the {!Ring},
+    whatever the master switch. *)
 
-val events : unit -> event list
-(** All recorded events (including those absorbed from worker domains),
-    sorted by timestamp. *)
+val events : unit -> Ring.entry list
+(** The [Event] and [Budget_trip] entries retained in the {!Ring} (from
+    every domain), sorted by timestamp: the [events] section of the
+    metrics JSON (where [ts_s] is seconds since the last {!reset}) and
+    the instants of the Chrome trace. *)
 
 (** {1 Worker domains}
 
-    All metric state (counters, gauges, histograms, spans, events, trace
-    buffers, the cache registry) is domain-local: a freshly spawned
+    All aggregated metric state (counters, gauges, histograms, span
+    trees, the cache registry) is domain-local: a freshly spawned
     domain starts with empty tables, so instruments never contend across
     domains.  Code that fans work out to [Domain.spawn] workers wraps
     each worker body in {!Worker.capture} and, after joining, feeds
@@ -292,13 +349,16 @@ val events : unit -> event list
       let d = Domain.spawn (fun () -> Obs.Worker.capture work) in
       let result, cap = Domain.join d in
       Obs.Worker.absorb cap
-    ]} *)
+    ]}
+
+    Ring entries need no merge: workers write the shared {!Ring}
+    directly, stamped with their own track id. *)
 
 module Worker : sig
   type captured
   (** Frozen metric state of one unit of work: counters, gauges, cache
-      snapshots, histograms, events, trace events, attribution rows and
-      the span forest recorded while it ran. *)
+      snapshots, histograms, attribution rows and the span forest
+      recorded while it ran. *)
 
   val capture : (unit -> 'a) -> 'a * captured
   (** [capture f] runs [f] against fresh, empty metric state and returns
@@ -310,9 +370,7 @@ module Worker : sig
   val absorb : captured -> unit
   (** Merge a capture into the calling domain's state: counters add,
       gauges take the maximum, cache snapshots are accumulated into the
-      {!caches} aggregation, histograms merge by name, events and trace
-      events are appended (keeping the worker's track id, so its work
-      shows on its own Chrome-trace track), span trees are grafted
+      {!caches} aggregation, histograms merge by name, span trees are grafted
       under the currently open span, summing durations of same-named
       spans — the same rule {!span} applies to repeat entries — and
       attribution rows merge by cost center ([Attribution.absorb]).
@@ -365,9 +423,11 @@ val attribution_section : unit -> Json.t
 val snapshot : ?extra:(string * Json.t) list -> unit -> Json.t
 (** The full metrics state as a [ctwsdd-metrics/v4] object: [schema],
     [run_id], [counters], [gauges], [caches], [histograms], [gc] (deltas
-    since {!reset} plus current/top heap words), [events] (each with its
-    [run] attribution), [trace] (track ids and buffer statistics),
-    [flight_recorder] (switch, capacity, recorded/overwritten counts),
+    since {!reset} plus current/top heap words), [events] (see {!events},
+    each with its [run] attribution), [trace] (track ids, rendered trace
+    event and instant counts, and [dropped] = entries the {!Ring}
+    overwrote), [flight_recorder] ([enabled] is always true, capacity,
+    recorded/overwritten counts),
     [attribution] (cost-center rows, sorted by descending self time,
     each [{kind, label, time_s, root_s, nodes, elements, apply_misses,
     compaction_pause_us, enters, width}]) and [spans] (with per-span
@@ -378,12 +438,14 @@ val write_json : ?extra:(string * Json.t) list -> string -> unit
 (** [write_json path] writes [snapshot ()] to [path]. *)
 
 val trace_json : unit -> Json.t
-(** The recorded trace buffer as a Chrome [trace_event] document:
+(** The {!Ring} rendered as a Chrome [trace_event] document:
     [{"traceEvents": [...], "displayTimeUnit": "ms"}] with complete
-    ([ph:"X"]) events for span calls, instant ([ph:"i"]) events for
-    structured events, and [ph:"M"] metadata naming one track per OCaml
-    domain ([main], [domain-N]).  Timestamps are microseconds since the
-    earliest recorded event.  Loads in Perfetto and chrome://tracing. *)
+    ([ph:"X"]) events for span completions, starting at [ts - dur_s],
+    instant ([ph:"i"]) events for structured events and budget trips,
+    and [ph:"M"] metadata naming one track per OCaml domain ([main],
+    [domain-N]).  Polls and notes are not rendered.  Timestamps are
+    microseconds since the earliest rendered event.  Loads in Perfetto
+    and chrome://tracing. *)
 
 val write_trace : string -> unit
 (** [write_trace path] writes {!trace_json} to [path]. *)

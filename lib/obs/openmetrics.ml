@@ -133,9 +133,9 @@ let render () =
   (* Flight recorder. *)
   meta buf "ctwsdd_flight_recorded" "counter"
     "Flight-recorder entries recorded since the last clear.";
-  int_sample "ctwsdd_flight_recorded_total" [] (Flight_recorder.recorded ());
+  int_sample "ctwsdd_flight_recorded_total" [] (Obs.Ring.recorded ());
   meta buf "ctwsdd_flight_capacity" "gauge" "Flight-recorder ring capacity.";
-  int_sample "ctwsdd_flight_capacity" [] (Flight_recorder.capacity ());
+  int_sample "ctwsdd_flight_capacity" [] (Obs.Ring.capacity ());
   (* Attribution cost centers, labelled by (kind, label).  Self time is
      exposed in seconds as a float; the integer charges as counters. *)
   let attrs = Attribution.rows () in

@@ -1,4 +1,4 @@
-(* Postmortem dumps: flight-recorder tail + metrics snapshot + GC +
+(* Postmortem dumps: ring tail + metrics snapshot + GC +
    budget state + registered subsystem censuses, as one self-contained
    JSON document written atomically.  See the interface. *)
 
@@ -19,30 +19,14 @@ let default_path_ref = ref "ctwsdd-postmortem.json"
 let default_path () = !default_path_ref
 let set_default_path p = default_path_ref := p
 
-let entry_to_json (e : Flight_recorder.entry) =
-  Obs.Json.Obj
-    [
-      ("kind", Obs.Json.String (Flight_recorder.kind_to_string e.Flight_recorder.kind));
-      ("name", Obs.Json.String e.Flight_recorder.name);
-      ("ts_unix_s", Obs.Json.Float e.Flight_recorder.ts);
-      ("tid", Obs.Json.Int e.Flight_recorder.tid);
-      ("run", Obs.Json.String e.Flight_recorder.run);
-      ("dur_s", Obs.Json.Float e.Flight_recorder.dur_s);
-      ( "args",
-        Obs.Json.Obj
-          (List.map
-             (fun (k, v) -> (k, Obs.Json.String v))
-             e.Flight_recorder.args) );
-    ]
-
 let flight_to_json () =
   Obs.Json.Obj
     [
-      ("capacity", Obs.Json.Int (Flight_recorder.capacity ()));
-      ("recorded", Obs.Json.Int (Flight_recorder.recorded ()));
-      ("overwritten", Obs.Json.Int (Flight_recorder.overwritten ()));
+      ("capacity", Obs.Json.Int (Obs.Ring.capacity ()));
+      ("recorded", Obs.Json.Int (Obs.Ring.recorded ()));
+      ("overwritten", Obs.Json.Int (Obs.Ring.overwritten ()));
       ( "entries",
-        Obs.Json.List (List.map entry_to_json (Flight_recorder.tail ())) );
+        Obs.Json.List (List.map Obs.Ring.entry_to_json (Obs.Ring.tail ())) );
     ]
 
 let budget_to_json = function

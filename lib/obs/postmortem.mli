@@ -3,10 +3,11 @@
     configurable path.
 
     A dump ([ctwsdd-postmortem/v1]) bundles the trip/crash [reason], the
-    run ID, the {!Flight_recorder} tail (what the engine was doing just
+    run ID, the {!Obs.Ring} tail (what the engine was doing just
     before), the full [ctwsdd-metrics/v4] snapshot (counters, gauges,
-    histograms, events, spans — empty sections when observability was
-    off, the recorder tail still tells the story), the complete
+    histograms, events, spans — the aggregated sections are empty when
+    observability was off, the ring tail and events still tell the
+    story), the complete
     {!Gc.stat}, the active {!Budget.t} state, a top-level [attribution]
     field (the cost-center rows of {!Obs.attribution_section}, surfaced
     outside [metrics] so postmortem consumers need not dig), and a

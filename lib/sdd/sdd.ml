@@ -373,13 +373,12 @@ let occupancy_gauges m =
     Obs.gauge_set "sdd.apply_cache.entries"
       (Int_tbl.length m.and_cache + Int_tbl.length m.or_cache)
   end;
-  if !Flight_recorder.enabled_ref then
-    Flight_recorder.record Flight_recorder.Note "sdd.occupancy"
-      ~args:
-        [
-          ("allocated", string_of_int (Atomic.get m.count));
-          ("unique_entries", string_of_int (Dec_tbl.length m.unique));
-        ]
+  Obs.Ring.record Obs.Ring.Note "sdd.occupancy"
+    ~args:
+      [
+        ("allocated", Obs.Json.Int (Atomic.get m.count));
+        ("unique_entries", Obs.Json.Int (Dec_tbl.length m.unique));
+      ]
 
 let false_ _ = 0
 let true_ _ = 1
@@ -985,8 +984,8 @@ let compact_roots m (roots : int array) : int array =
           ((((remap.(ka) * nn) + lx) lsl 1) lor value)
           remap.(r))
     saved_cond;
-  (* Bookkeeping + telemetry (satellite: every compaction leaves a
-     flight-recorder note with relocation and pause figures). *)
+  (* Bookkeeping + telemetry: every compaction records one event with
+     relocation and pause figures. *)
   let relocated = !next - 2 in
   let words_before = (3 * old_node_cap) + (old_node_cap / 8) + old_elems_cap in
   let words_after = (3 * node_cap) + (node_cap / 8) + elems_cap in
@@ -999,25 +998,15 @@ let compact_roots m (roots : int array) : int array =
   let pause_us = int_of_float ((Unix.gettimeofday () -. t0) *. 1e6) in
   if !Obs.enabled_ref then begin
     Obs.incr "sdd.compaction";
-    Attribution.charge_compaction_pause pause_us;
-    Obs.event "sdd.compaction"
-      [
-        ("relocated", Obs.Json.Int relocated);
-        ("reclaimed_words", Obs.Json.Int reclaimed);
-        ("pause_us", Obs.Json.Int pause_us);
-        ("generation", Obs.Json.Int m.generation);
-      ]
+    Attribution.charge_compaction_pause pause_us
   end;
-  if !Flight_recorder.enabled_ref then
-    Flight_recorder.record Flight_recorder.Note "sdd.compaction"
-      ~dur_s:(float_of_int pause_us /. 1e6)
-      ~args:
-        [
-          ("relocated", string_of_int relocated);
-          ("reclaimed_words", string_of_int reclaimed);
-          ("pause_us", string_of_int pause_us);
-          ("generation", string_of_int m.generation);
-        ];
+  Obs.event "sdd.compaction"
+    [
+      ("relocated", Obs.Json.Int relocated);
+      ("reclaimed_words", Obs.Json.Int reclaimed);
+      ("pause_us", Obs.Json.Int pause_us);
+      ("generation", Obs.Json.Int m.generation);
+    ];
   Array.map (fun r -> if r < 2 then r else remap.(r)) roots
 
 let compact m root = (compact_roots m [| root |]).(0)

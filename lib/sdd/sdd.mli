@@ -70,9 +70,9 @@ val set_budget : manager -> Budget.t -> unit
     {e invalidates every outstanding handle} except the roots it is
     given (same contract as a dynamic edit): pass in each handle you
     intend to keep and continue with the returned equivalents.  Each
-    pass bumps {!generation}, records an [sdd.compaction] event and a
-    flight-recorder note (nodes relocated, words reclaimed, pause µs),
-    and resets the census garbage counters. *)
+    pass bumps {!generation}, records one [sdd.compaction] {!Obs.event}
+    (nodes relocated, words reclaimed, pause µs) whatever the collection
+    switch, and resets the census garbage counters. *)
 
 val compact : manager -> t -> t
 (** [compact m root] reclaims everything not reachable from [root]

@@ -1,5 +1,5 @@
 (* The arena node store: generational compaction, plus the strict
-   parsing of the CTWSDD_DOMAINS / CTWSDD_RING environment knobs.
+   parsing of the CTWSDD_DOMAINS environment knob.
 
    Invariants under test: compaction preserves the represented function,
    canonicity and the model count while driving tombstones and garbage
@@ -114,6 +114,31 @@ let compaction_suite =
         let node' = Sdd.maybe_compact m node in
         checki "disarmed: no pass" before (Sdd.compactions m);
         checkb "disarmed: identity" true (node' = node));
+    case "each compaction records one ring entry" (fun () ->
+        let c = Generators.chain_implications 12 in
+        List.iter
+          (fun collecting ->
+            Obs.set_enabled collecting;
+            Obs.reset ();
+            Fun.protect
+              ~finally:(fun () -> Obs.set_enabled false)
+              (fun () ->
+                let m =
+                  Sdd.manager ~compact_every:16
+                    (Vtree.balanced (Circuit.variables c))
+                in
+                ignore (Sdd.maybe_compact m (Sdd.compile_circuit m c));
+                let entries =
+                  List.filter
+                    (fun e -> e.Obs.Ring.name = "sdd.compaction")
+                    (Obs.Ring.tail ())
+                in
+                checkb "compactions ran" true (Sdd.compactions m > 0);
+                checki
+                  (Printf.sprintf "one entry per pass (collecting=%b)"
+                     collecting)
+                  (Sdd.compactions m) (List.length entries)))
+          [ false; true ]);
     case "budget trip during compaction rolls back cleanly" (fun () ->
         let c = Generators.band_cnf ~width:3 8 in
         let m, node = with_garbage c Vtree.balanced in
@@ -160,25 +185,6 @@ let parallel_suite =
         check_env "0" `Error;
         check_env "-4" `Error;
         check_env "lots" `Error;
-        check_env "" `Error);
-    case "CTWSDD_RING is validated strictly" (fun () ->
-        let check_env v expect =
-          Unix.putenv "CTWSDD_RING" v;
-          let r = Flight_recorder.ring_env () in
-          Unix.putenv "CTWSDD_RING" "4096";
-          match (r, expect) with
-          | Ok got, `Ok want ->
-            checkb (Printf.sprintf "%S accepted" v) true (got = want)
-          | Error _, `Error -> ()
-          | Ok _, `Error -> Alcotest.failf "%S unexpectedly accepted" v
-          | Error msg, `Ok _ ->
-            Alcotest.failf "%S unexpectedly rejected: %s" v msg
-        in
-        check_env "64" (`Ok (Some 64));
-        check_env " 128 " (`Ok (Some 128));
-        check_env "0" `Error;
-        check_env "-1" `Error;
-        check_env "banana" `Error;
         check_env "" `Error);
   ]
 

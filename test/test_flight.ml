@@ -1,7 +1,7 @@
-(* Flight recorder, postmortem dumps and the OpenMetrics exporter.
+(* Flight-recorder ring, postmortem dumps and the OpenMetrics exporter.
 
-   The recorder and run-ID state are process-global, so cases that
-   resize or clear the ring restore the default capacity afterwards. *)
+   The ring and run-ID state are process-global, so cases that resize
+   or clear the ring restore the default capacity afterwards. *)
 
 open Test_util
 
@@ -15,32 +15,31 @@ let with_obs f =
     f
 
 let with_fresh_ring ?(capacity = 4096) f =
-  Flight_recorder.set_capacity capacity;
-  Fun.protect ~finally:(fun () -> Flight_recorder.set_capacity 4096) f
+  Obs.Ring.set_capacity capacity;
+  Fun.protect ~finally:(fun () -> Obs.Ring.set_capacity 4096) f
 
-let entry_names () =
-  List.map (fun e -> e.Flight_recorder.name) (Flight_recorder.tail ())
+let entry_names () = List.map (fun e -> e.Obs.Ring.name) (Obs.Ring.tail ())
 
 let recorder_suite =
   [
     case "tail returns entries oldest first" (fun () ->
         with_fresh_ring (fun () ->
             List.iter
-              (fun n -> Flight_recorder.record Flight_recorder.Note n)
+              (fun n -> Obs.Ring.record Obs.Ring.Note n)
               [ "a"; "b"; "c" ];
             checkb "names in order" true (entry_names () = [ "a"; "b"; "c" ]);
-            checki "recorded" 3 (Flight_recorder.recorded ());
-            checki "overwritten" 0 (Flight_recorder.overwritten ())));
+            checki "recorded" 3 (Obs.Ring.recorded ());
+            checki "overwritten" 0 (Obs.Ring.overwritten ())));
     case "wraparound keeps the newest capacity entries" (fun () ->
         with_fresh_ring ~capacity:16 (fun () ->
-            checki "capacity rounded" 16 (Flight_recorder.capacity ());
+            checki "capacity rounded" 16 (Obs.Ring.capacity ());
             for i = 1 to 40 do
-              Flight_recorder.record Flight_recorder.Note
+              Obs.Ring.record Obs.Ring.Note
                 (Printf.sprintf "n%02d" i)
             done;
             checki "recorded counts everything" 40
-              (Flight_recorder.recorded ());
-            checki "overwritten" 24 (Flight_recorder.overwritten ());
+              (Obs.Ring.recorded ());
+            checki "overwritten" 24 (Obs.Ring.overwritten ());
             let names = entry_names () in
             checki "tail bounded by capacity" 16 (List.length names);
             checks "oldest retained" "n25" (List.hd names);
@@ -48,74 +47,91 @@ let recorder_suite =
             (* ?max truncates to the newest entries. *)
             checkb "max keeps newest" true
               (List.map
-                 (fun e -> e.Flight_recorder.name)
-                 (Flight_recorder.tail ~max:2 ())
+                 (fun e -> e.Obs.Ring.name)
+                 (Obs.Ring.tail ~max:2 ())
               = [ "n39"; "n40" ])));
-    case "disabled recorder drops entries" (fun () ->
-        with_fresh_ring (fun () ->
-            Flight_recorder.set_enabled false;
-            Fun.protect
-              ~finally:(fun () -> Flight_recorder.set_enabled true)
-              (fun () ->
-                Flight_recorder.record Flight_recorder.Note "dropped";
-                checki "nothing recorded" 0 (Flight_recorder.recorded ()))));
     case "spans and events reach the ring with Obs aggregation off"
       (fun () ->
         with_fresh_ring (fun () ->
             Obs.set_enabled false;
+            Obs.reset ();
             Obs.span "flight.stage" (fun () -> ignore (Sys.opaque_identity 1));
             Obs.event "flight.step" [ ("k", Obs.Json.String "v") ];
-            let tl = Flight_recorder.tail () in
+            let tl = Obs.Ring.tail () in
             let find name =
-              List.find_opt (fun e -> e.Flight_recorder.name = name) tl
+              List.find_opt (fun e -> e.Obs.Ring.name = name) tl
             in
             (match find "flight.stage" with
              | Some e ->
-               checkb "span kind" true (e.Flight_recorder.kind = Flight_recorder.Span);
+               checkb "span kind" true (e.Obs.Ring.kind = Obs.Ring.Span);
                checkb "span duration nonnegative" true
-                 (e.Flight_recorder.dur_s >= 0.)
+                 (e.Obs.Ring.dur_s >= 0.)
              | None -> Alcotest.fail "span completion not recorded");
             (match find "flight.step" with
              | Some e ->
                checkb "event kind" true
-                 (e.Flight_recorder.kind = Flight_recorder.Event);
-               checkb "event args stringified" true
-                 (List.assoc_opt "k" e.Flight_recorder.args = Some "v")
+                 (e.Obs.Ring.kind = Obs.Ring.Event);
+               checkb "event args typed" true
+                 (List.assoc_opt "k" e.Obs.Ring.args
+                 = Some (Obs.Json.String "v"))
              | None -> Alcotest.fail "event not recorded");
             (* But no aggregated state was touched. *)
-            checki "no obs events" 0 (List.length (Obs.events ()))));
+            checki "no span tree" 0 (List.length (Obs.span_roots ()));
+            checkb "no counters" true (Obs.counters () = [])));
     case "budget trip lands in the ring when aggregation is off" (fun () ->
-        with_fresh_ring (fun () ->
-            Obs.set_enabled false;
-            let b = Budget.create ~max_nodes:4 () in
-            (match Budget.check_nodes b 5 with
-             | () -> Alcotest.fail "expected Budget.Exhausted"
-             | exception Budget.Exhausted Budget.Node_limit -> ()
-             | exception Budget.Exhausted _ -> Alcotest.fail "wrong reason");
-            match
-              List.find_opt
-                (fun e -> e.Flight_recorder.name = "budget.trip")
-                (Flight_recorder.tail ())
-            with
-            | Some e ->
-              checkb "trip kind" true
-                (e.Flight_recorder.kind = Flight_recorder.Budget_trip);
-              checkb "trip reason arg" true
-                (List.assoc_opt "reason" e.Flight_recorder.args
-                = Some "node_limit")
-            | None -> Alcotest.fail "budget.trip not recorded"));
+        (* One [Budget_trip] entry whatever the collection switch. *)
+        List.iter
+          (fun collecting ->
+            Obs.set_enabled collecting;
+            Obs.reset ();
+            Fun.protect
+              ~finally:(fun () -> Obs.set_enabled false)
+              (fun () ->
+                with_fresh_ring (fun () ->
+                    let b = Budget.create ~max_nodes:4 () in
+                    (match Budget.check_nodes b 5 with
+                     | () -> Alcotest.fail "expected Budget.Exhausted"
+                     | exception Budget.Exhausted Budget.Node_limit -> ()
+                     | exception Budget.Exhausted _ ->
+                       Alcotest.fail "wrong reason");
+                    match
+                      List.filter
+                        (fun e -> e.Obs.Ring.name = "budget.trip")
+                        (Obs.Ring.tail ())
+                    with
+                    | [ e ] ->
+                      checkb
+                        (Printf.sprintf "trip kind (collecting=%b)" collecting)
+                        true
+                        (e.Obs.Ring.kind = Obs.Ring.Budget_trip);
+                      checkb "trip reason arg" true
+                        (List.assoc_opt "reason" e.Obs.Ring.args
+                        = Some (Obs.Json.String "node_limit"))
+                    | l ->
+                      Alcotest.failf "expected one budget.trip, got %d"
+                        (List.length l))))
+          [ false; true ]);
+    case "set_enabled sizes the ring: 2^18 collecting, 4096 otherwise"
+      (fun () ->
+        with_obs (fun () ->
+            checki "collecting" (1 lsl 18) (Obs.Ring.capacity ());
+            Obs.Ring.record Obs.Ring.Note "kept";
+            (* Re-arming an armed switch keeps the ring and its entries. *)
+            Obs.set_enabled true;
+            checkb "entries kept" true (entry_names () = [ "kept" ]));
+        checki "idle" 4096 (Obs.Ring.capacity ()));
     case "hard_reset clears the ring and mints a fresh run id" (fun () ->
         with_fresh_ring (fun () ->
             Obs.set_enabled true;
             Obs.reset ();
             Obs.incr "hr.counter";
-            Flight_recorder.record Flight_recorder.Note "hr.before";
+            Obs.Ring.record Obs.Ring.Note "hr.before";
             let old_run = Obs.run_id () in
             Obs.hard_reset ();
             Fun.protect
               ~finally:(fun () -> Obs.set_enabled false)
               (fun () ->
-                checki "ring cleared" 0 (Flight_recorder.recorded ());
+                checki "ring cleared" 0 (Obs.Ring.recorded ());
                 checki "counters cleared" 0 (Obs.counter_value "hr.counter");
                 checki "events cleared" 0 (List.length (Obs.events ()));
                 checkb "new run id" true (Obs.run_id () <> old_run))));
@@ -124,8 +140,8 @@ let recorder_suite =
 let run_id_suite =
   [
     case "fresh_run_id is unique and does not install itself" (fun () ->
-        let a = Flight_recorder.fresh_run_id () in
-        let b = Flight_recorder.fresh_run_id () in
+        let a = Obs.fresh_run_id () in
+        let b = Obs.fresh_run_id () in
         checkb "distinct" true (a <> b);
         checkb "not installed" true (Obs.run_id () <> b));
     case "with_run_id overrides, nests and restores" (fun () ->
@@ -141,9 +157,9 @@ let run_id_suite =
     case "entries are stamped with the override" (fun () ->
         with_fresh_ring (fun () ->
             Obs.with_run_id "r-stamp" (fun () ->
-                Flight_recorder.record Flight_recorder.Note "stamped");
-            match Flight_recorder.tail () with
-            | [ e ] -> checks "stamp" "r-stamp" e.Flight_recorder.run
+                Obs.Ring.record Obs.Ring.Note "stamped");
+            match Obs.Ring.tail () with
+            | [ e ] -> checks "stamp" "r-stamp" e.Obs.Ring.run
             | _ -> Alcotest.fail "expected one entry"));
     case "run id is stable across Domain worker merges" (fun () ->
         with_fresh_ring (fun () ->
@@ -153,7 +169,7 @@ let run_id_suite =
                       Obs.Worker.parallel_map ~domains:4
                         (fun i ->
                           Obs.incr "fleet.item";
-                          Flight_recorder.record Flight_recorder.Note
+                          Obs.Ring.record Obs.Ring.Note
                             (Printf.sprintf "fleet%d" i);
                           Obs.run_id ())
                         [ 1; 2; 3; 4; 5; 6; 7; 8 ])
@@ -166,14 +182,14 @@ let run_id_suite =
                 let fleet =
                   List.filter
                     (fun e ->
-                      String.length e.Flight_recorder.name >= 5
-                      && String.sub e.Flight_recorder.name 0 5 = "fleet")
-                    (Flight_recorder.tail ())
+                      String.length e.Obs.Ring.name >= 5
+                      && String.sub e.Obs.Ring.name 0 5 = "fleet")
+                    (Obs.Ring.tail ())
                 in
                 checki "all entries present" 8 (List.length fleet);
                 checkb "all stamped" true
                   (List.for_all
-                     (fun e -> e.Flight_recorder.run = "r-fleet")
+                     (fun e -> e.Obs.Ring.run = "r-fleet")
                      fleet))));
   ]
 
@@ -188,7 +204,7 @@ let postmortem_suite =
       (fun () ->
         with_fresh_ring (fun () ->
             Obs.with_run_id "r-pm" (fun () ->
-                Flight_recorder.record Flight_recorder.Note "pm.marker";
+                Obs.Ring.record Obs.Ring.Note "pm.marker";
                 let j = Postmortem.json ~reason:"test" ~detail:"unit" () in
                 (match Obs.Json.of_string (Obs.Json.to_string j) with
                  | Ok j' -> checkb "round-trip" true (j = j')

@@ -312,11 +312,11 @@ let hist_suite =
             let evs = Obs.events () in
             checki "two events" 2 (List.length evs);
             let worker_ev =
-              List.find (fun e -> e.Obs.event = "worker.ev") evs
+              List.find (fun e -> e.Obs.Ring.name = "worker.ev") evs
             in
-            let main_ev = List.find (fun e -> e.Obs.event = "main.ev") evs in
-            checki "main tid" 0 main_ev.Obs.tid;
-            checkb "worker tid distinct" true (worker_ev.Obs.tid <> 0)));
+            let main_ev = List.find (fun e -> e.Obs.Ring.name = "main.ev") evs in
+            checki "main tid" 0 main_ev.Obs.Ring.tid;
+            checkb "worker tid distinct" true (worker_ev.Obs.Ring.tid <> 0)));
   ]
 
 let trace_suite =
@@ -324,91 +324,138 @@ let trace_suite =
     case "chrome trace export: X events, metadata, per-domain tracks"
       (fun () ->
         with_obs (fun () ->
-            Obs.set_tracing true;
-            Fun.protect
-              ~finally:(fun () -> Obs.set_tracing false)
-              (fun () ->
-                Obs.span "t.main" (fun () -> ());
-                Obs.event "t.instant" [ ("k", Obs.Json.Int 7) ];
-                let d =
-                  Domain.spawn (fun () ->
-                      Obs.Worker.capture (fun () ->
-                          Obs.span "t.worker" (fun () -> ())))
-                in
-                let (), cap = Domain.join d in
-                Obs.Worker.absorb cap;
-                let path = Filename.temp_file "ctwsdd_trace" ".json" in
+          Obs.span "t.main" (fun () -> ());
+          Obs.event "t.instant" [ ("k", Obs.Json.Int 7) ];
+          let d =
+            Domain.spawn (fun () ->
+                Obs.Worker.capture (fun () ->
+                    Obs.span "t.worker" (fun () -> ())))
+          in
+          let (), cap = Domain.join d in
+          Obs.Worker.absorb cap;
+          let path = Filename.temp_file "ctwsdd_trace" ".json" in
+          Fun.protect
+            ~finally:(fun () -> Sys.remove path)
+            (fun () ->
+              Obs.write_trace path;
+              let ic = open_in_bin path in
+              let s =
                 Fun.protect
-                  ~finally:(fun () -> Sys.remove path)
+                  ~finally:(fun () -> close_in_noerr ic)
                   (fun () ->
-                    Obs.write_trace path;
-                    let ic = open_in_bin path in
-                    let s =
-                      Fun.protect
-                        ~finally:(fun () -> close_in_noerr ic)
-                        (fun () ->
-                          really_input_string ic (in_channel_length ic))
-                    in
-                    match Obs.Json.of_string (String.trim s) with
-                    | Error e -> Alcotest.fail e
-                    | Ok j ->
-                      let evs =
-                        match Obs.Json.member "traceEvents" j with
-                        | Some (Obs.Json.List l) -> l
-                        | _ -> Alcotest.fail "traceEvents missing"
-                      in
-                      let named n e =
-                        Obs.Json.member "name" e
-                        = Some (Obs.Json.String n)
-                      in
-                      let phase p e =
-                        Obs.Json.member "ph" e = Some (Obs.Json.String p)
-                      in
-                      let main_ev = List.find (named "t.main") evs in
-                      let worker_ev = List.find (named "t.worker") evs in
-                      checkb "complete events" true
-                        (phase "X" main_ev && phase "X" worker_ev);
-                      checkb "instant event" true
-                        (List.exists
-                           (fun e -> named "t.instant" e && phase "i" e)
-                           evs);
-                      checkb "has duration" true
-                        (match Obs.Json.member "dur" main_ev with
-                         | Some (Obs.Json.Float d) -> d >= 0.0
-                         | _ -> false);
-                      let tid e =
-                        match Obs.Json.member "tid" e with
-                        | Some (Obs.Json.Int t) -> t
-                        | _ -> Alcotest.fail "tid missing"
-                      in
-                      checki "main track" 0 (tid main_ev);
-                      checkb "worker on its own track" true
-                        (tid worker_ev <> 0);
-                      (* ph:"M" thread_name metadata for both tracks. *)
-                      let thread_names =
-                        List.filter_map
-                          (fun e ->
-                            if named "thread_name" e && phase "M" e then
-                              Some (tid e)
-                            else None)
-                          evs
-                      in
-                      checkb "main track named" true
-                        (List.mem 0 thread_names);
-                      checkb "worker track named" true
-                        (List.mem (tid worker_ev) thread_names)))));
-    case "tracing off records nothing" (fun () ->
+                    really_input_string ic (in_channel_length ic))
+              in
+              match Obs.Json.of_string (String.trim s) with
+              | Error e -> Alcotest.fail e
+              | Ok j ->
+                let evs =
+                  match Obs.Json.member "traceEvents" j with
+                  | Some (Obs.Json.List l) -> l
+                  | _ -> Alcotest.fail "traceEvents missing"
+                in
+                let named n e =
+                  Obs.Json.member "name" e
+                  = Some (Obs.Json.String n)
+                in
+                let phase p e =
+                  Obs.Json.member "ph" e = Some (Obs.Json.String p)
+                in
+                let main_ev = List.find (named "t.main") evs in
+                let worker_ev = List.find (named "t.worker") evs in
+                checkb "complete events" true
+                  (phase "X" main_ev && phase "X" worker_ev);
+                checkb "instant event" true
+                  (List.exists
+                     (fun e -> named "t.instant" e && phase "i" e)
+                     evs);
+                checkb "has duration" true
+                  (match Obs.Json.member "dur" main_ev with
+                   | Some (Obs.Json.Float d) -> d >= 0.0
+                   | _ -> false);
+                let tid e =
+                  match Obs.Json.member "tid" e with
+                  | Some (Obs.Json.Int t) -> t
+                  | _ -> Alcotest.fail "tid missing"
+                in
+                checki "main track" 0 (tid main_ev);
+                checkb "worker on its own track" true
+                  (tid worker_ev <> 0);
+                (* ph:"M" thread_name metadata for both tracks. *)
+                let thread_names =
+                  List.filter_map
+                    (fun e ->
+                      if named "thread_name" e && phase "M" e then
+                        Some (tid e)
+                      else None)
+                    evs
+                in
+                checkb "main track named" true
+                  (List.mem 0 thread_names);
+                checkb "worker track named" true
+                  (List.mem (tid worker_ev) thread_names))));
+    case "trace, events and metrics render one overflowing ring" (fun () ->
         with_obs (fun () ->
-            Obs.span "quiet" (fun () -> ());
-            let j = Obs.trace_json () in
-            match Obs.Json.member "traceEvents" j with
-            | Some (Obs.Json.List evs) ->
-              checkb "only metadata" true
-                (List.for_all
-                   (fun e ->
-                     Obs.Json.member "ph" e = Some (Obs.Json.String "M"))
-                   evs)
-            | _ -> Alcotest.fail "traceEvents missing"));
+            Obs.Ring.set_capacity 16;
+            (* 6 x (span, event, poll, note) + one trip = 25 entries into
+               16 slots: the oldest 9 are overwritten. *)
+            for i = 1 to 6 do
+              Obs.span (Printf.sprintf "s%d" i) (fun () -> ());
+              Obs.event (Printf.sprintf "e%d" i) [ ("i", Obs.Json.Int i) ];
+              Obs.Ring.record Obs.Ring.Budget_poll "budget.poll";
+              Obs.Ring.record Obs.Ring.Note "note"
+            done;
+            (try Budget.check_nodes (Budget.create ~max_nodes:0 ()) 1
+             with Budget.Exhausted _ -> ());
+            checki "overwritten" 9 (Obs.Ring.overwritten ());
+            let kept kinds =
+              List.filter_map
+                (fun e ->
+                  if List.mem e.Obs.Ring.kind kinds then Some e.Obs.Ring.name
+                  else None)
+                (Obs.Ring.tail ())
+            in
+            let spans = kept [ Obs.Ring.Span ] in
+            let instants = kept [ Obs.Ring.Event; Obs.Ring.Budget_trip ] in
+            checkb "some spans were overwritten" true
+              (not (List.mem "s1" spans));
+            checkb "the trip is retained" true (List.mem "budget.trip" instants);
+            let evs =
+              match Obs.Json.member "traceEvents" (Obs.trace_json ()) with
+              | Some (Obs.Json.List evs) -> evs
+              | _ -> Alcotest.fail "traceEvents missing"
+            in
+            let names ph =
+              List.filter_map
+                (fun e ->
+                  match (Obs.Json.member "ph" e, Obs.Json.member "name" e) with
+                  | Some (Obs.Json.String p), Some (Obs.Json.String n)
+                    when p = ph ->
+                    Some n
+                  | _ -> None)
+                evs
+              |> List.sort compare
+            in
+            checkb "one X per retained span" true
+              (names "X" = List.sort compare spans);
+            checkb "one i per retained event or trip" true
+              (names "i" = List.sort compare instants);
+            checkb "polls and notes are not rendered" true
+              (not
+                 (List.exists
+                    (fun n -> n = "budget.poll" || n = "note")
+                    (names "X" @ names "i")));
+            let trace =
+              match Obs.Json.member "trace" (Obs.snapshot ()) with
+              | Some t -> t
+              | None -> Alcotest.fail "trace section missing"
+            in
+            checkb "trace.dropped = overwritten" true
+              (Obs.Json.member "dropped" trace = Some (Obs.Json.Int 9));
+            checkb "trace.span_events counts X and i" true
+              (Obs.Json.member "span_events" trace
+              = Some (Obs.Json.Int (List.length spans + List.length instants)));
+            checkb "events lists the same instants" true
+              (List.map (fun e -> e.Obs.Ring.name) (Obs.events ()) = instants)));
   ]
 
 let sdd_stats_suite =
