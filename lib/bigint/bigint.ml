@@ -156,10 +156,12 @@ let mag_testbit a i =
   let w = i / base_bits and b = i mod base_bits in
   w < Array.length a && (a.(w) lsr b) land 1 = 1
 
-(* Long division of magnitudes: returns (quotient, remainder).
-   Knuth-style per-digit estimation using the top two remainder digits;
-   estimates are corrected by at most a few steps, which is fine at our
-   digit width. *)
+(* Long division of magnitudes: returns (quotient, remainder).  Knuth's
+   Algorithm D (TAOCP vol. 2, 4.3.1): shift both operands so the top
+   divisor digit is at least base/2; then each quotient digit, estimated
+   from the top three remainder digits and the top two divisor digits,
+   is at most one too large, which the add-back step corrects.  Every
+   intermediate stays below 2^31. *)
 let mag_divmod a b =
   let lb = Array.length b in
   if lb = 0 then raise Division_by_zero;
@@ -168,21 +170,54 @@ let mag_divmod a b =
     let q, r = mag_divmod_small a b.(0) in
     (q, mag_of_int r)
   end else begin
-    (* Binary long division on bits: simple, clearly correct, and fast
-       enough for the matrix sizes used in the experiments. *)
-    let n = mag_num_bits a in
-    let q = Array.make (Array.length a) 0 in
-    let r = ref [||] in
-    for i = n - 1 downto 0 do
-      r := mag_shift_left !r 1;
-      if mag_testbit a i then
-        r := mag_add !r [| 1 |];
-      if mag_compare !r b >= 0 then begin
-        r := mag_sub !r b;
-        q.(i / base_bits) <- q.(i / base_bits) lor (1 lsl (i mod base_bits))
+    let la = Array.length a in
+    let shift = base_bits - mag_num_bits [| b.(lb - 1) |] in
+    let v = mag_shift_left b shift in
+    let u = Array.make (la + 1) 0 in
+    let su = mag_shift_left a shift in
+    Array.blit su 0 u 0 (Array.length su);
+    let n = lb and vtop = v.(lb - 1) and vnext = v.(lb - 2) in
+    let q = Array.make (la - lb + 1) 0 in
+    for j = la - lb downto 0 do
+      let top = (u.(j + n) lsl base_bits) lor u.(j + n - 1) in
+      let rec estimate qh rh =
+        if rh < base && (qh >= base || qh * vnext > (rh lsl base_bits) lor u.(j + n - 2))
+        then estimate (qh - 1) (rh + vtop)
+        else qh
+      in
+      let qh = estimate (top / vtop) (top mod vtop) in
+      (* u[j..j+n] -= qh * v *)
+      let carry = ref 0 and borrow = ref 0 in
+      for i = 0 to n - 1 do
+        let p = (qh * v.(i)) + !carry in
+        carry := p lsr base_bits;
+        let t = u.(i + j) - (p land base_mask) - !borrow in
+        if t < 0 then begin u.(i + j) <- t + base; borrow := 1 end
+        else begin u.(i + j) <- t; borrow := 0 end
+      done;
+      let t = u.(j + n) - !carry - !borrow in
+      if t >= 0 then begin
+        u.(j + n) <- t;
+        q.(j) <- qh
+      end
+      else begin
+        (* qh was one too large: add v back; the carry out cancels t = -1. *)
+        let c = ref 0 in
+        for i = 0 to n - 1 do
+          let s = u.(i + j) + v.(i) + !c in
+          u.(i + j) <- s land base_mask;
+          c := s lsr base_bits
+        done;
+        u.(j + n) <- t + !c;
+        q.(j) <- qh - 1
       end
     done;
-    (mag_normalize q, !r)
+    (* The remainder is u[0..n-1], shifted back. *)
+    let r =
+      Array.init n (fun i ->
+          (u.(i) lsr shift) lor ((u.(i + 1) lsl (base_bits - shift)) land base_mask))
+    in
+    (mag_normalize q, mag_normalize r)
   end
 
 (* ------------------------------------------------------------------ *)

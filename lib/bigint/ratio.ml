@@ -36,7 +36,17 @@ let compare a b =
 let equal a b = compare a b = 0
 let sign a = Bigint.sign a.num
 
-let to_float a = Bigint.to_float a.num /. Bigint.to_float a.den
+(* Both operands are cut to their top 64 bits before dividing, so
+   operands past the float range cannot make [inf /. inf]; [ldexp]
+   restores the scale and rounds to 0 or infinity only when the
+   quotient itself is out of range. *)
+let to_float a =
+  let top x =
+    let k = Stdlib.max 0 (Bigint.num_bits x - 64) in
+    (Bigint.to_float (Bigint.div x (Bigint.pow2 k)), k)
+  in
+  let n, kn = top a.num and d, kd = top a.den in
+  Float.ldexp (n /. d) (kn - kd)
 
 let to_string a =
   if Bigint.equal a.den Bigint.one then Bigint.to_string a.num

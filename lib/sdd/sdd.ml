@@ -1378,38 +1378,67 @@ let view m a =
     Literal (Vtree.var_of_leaf m.vt st.vnode.(a), st.aux.(a) = 1)
   else Decision (st.vnode.(a), elements_list st a)
 
-(* Iterative (dynamic edits and E20-scale chains make recursion-depth
-   assumptions unsafe); returns each reachable decision with its vtree
-   node and element list. *)
+(* The non-constant nodes reachable from [root], each after every node
+   its elements name.  Ascending ids are not that order once the
+   manager has been edited (see [dynamic_edit]), and E20-scale chains
+   overflow the OCaml stack, so this is an iterative depth-first
+   search: an expanded node stays on the stack as its complement and is
+   emitted once everything pushed above it is done. *)
+let post_order m st root =
+  let seen = Bytes.make (Atomic.get m.count) '\000' in
+  let push buf len x =
+    if !len >= Array.length !buf then begin
+      let b = Array.make (2 * !len) 0 in
+      Array.blit !buf 0 b 0 !len;
+      buf := b
+    end;
+    !buf.(!len) <- x;
+    incr len
+  in
+  let stack = ref (Array.make 64 0) and sp = ref 0 in
+  let out = ref (Array.make 64 0) and len = ref 0 in
+  if root >= 2 then push stack sp root;
+  while !sp > 0 do
+    let x = !stack.(!sp - 1) in
+    if x < 0 then begin
+      decr sp;
+      push out len (lnot x)
+    end
+    else if Bytes.unsafe_get seen x <> '\000' then decr sp
+    else begin
+      Bytes.unsafe_set seen x '\001';
+      !stack.(!sp - 1) <- lnot x;
+      if Bytes.unsafe_get st.kind x = k_dec then begin
+        let base = st.off.(x) in
+        for i = (2 * st.aux.(x)) - 1 downto 0 do
+          let y = st.elems.(base + i) in
+          if y >= 2 && Bytes.unsafe_get seen y = '\000' then push stack sp y
+        done
+      end
+    end
+  done;
+  Array.sub !out 0 !len
+
+(* Each reachable decision with its vtree node and element list. *)
 let reachable_decisions m a =
   let st = Atomic.get m.store in
-  let seen = Hashtbl.create 64 in
-  let acc = ref [] in
-  let stack = ref [ a ] in
-  while !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | x :: rest ->
-      stack := rest;
-      if not (Hashtbl.mem seen x) then begin
-        Hashtbl.add seen x ();
-        if Bytes.unsafe_get st.kind x = k_dec then begin
-          let pairs = elements_list st x in
-          acc := (x, st.vnode.(x), pairs) :: !acc;
-          List.iter
-            (fun (p, s) -> stack := p :: s :: !stack)
-            pairs
-        end
-      end
-  done;
-  !acc
+  Array.fold_left
+    (fun acc x ->
+      if Bytes.unsafe_get st.kind x = k_dec then
+        (x, st.vnode.(x), elements_list st x) :: acc
+      else acc)
+    [] (post_order m st a)
 
-let size m a =
-  List.fold_left
-    (fun acc (_, _, elems) -> acc + List.length elems)
-    0 (reachable_decisions m a)
+(* Σ [f k] over the reachable decisions, [k] their element counts. *)
+let sum_decisions m a f =
+  let st = Atomic.get m.store in
+  Array.fold_left
+    (fun acc x ->
+      if Bytes.unsafe_get st.kind x = k_dec then acc + f st.aux.(x) else acc)
+    0 (post_order m st a)
 
-let node_count m a = List.length (reachable_decisions m a)
+let size m a = sum_decisions m a Fun.id
+let node_count m a = sum_decisions m a (fun _ -> 1)
 
 let width_profile m a =
   let tbl = Hashtbl.create 16 in
@@ -1465,92 +1494,157 @@ let validate m a =
 (* Counting                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* The three counters below are one bottom-up pass in three semirings.
+   A node's value is relative to its own vtree node [u]: its weighted
+   models over the variables below [u].  An element's prime and sub are
+   read at the two children of the decision's vtree node; a node
+   normalized lower down is lifted across the vtree gap by [lift], which
+   accounts for the gap's variables the way [top] does for ⊤. *)
+type 'a semiring = {
+  zero : 'a;
+  add : 'a -> 'a -> 'a;
+  mul : 'a -> 'a -> 'a;
+  lit : Vtree.node -> int -> 'a;  (* literal at a leaf, by polarity *)
+  top : Vtree.node -> 'a;  (* ⊤ over the variables below a vtree node *)
+  lift : Vtree.node -> Vtree.node -> 'a -> 'a;  (* from [u] up to [w] *)
+}
+
+(* Calls [f] once per vtree leaf whose literal is reachable.  These are
+   the only variables a weight function is asked about: a pinned vtree
+   may carry variables the weight function rejects, and those sit in
+   vtree gaps, where their factor cancels. *)
+let iter_literal_leaves m st order f =
+  let seen = Bytes.make (Vtree.num_nodes m.vt) '\000' in
+  Array.iter
+    (fun id ->
+      let leaf = st.vnode.(id) in
+      if
+        Bytes.unsafe_get st.kind id = k_lit
+        && Bytes.unsafe_get seen leaf = '\000'
+      then begin
+        Bytes.unsafe_set seen leaf '\001';
+        f leaf
+      end)
+    order
+
+(* The one counting pass: over [order] (from [post_order]), memoized in
+   an array indexed by node id, reading the arena columns directly.
+   Elements with a ⊥ prime or sub contribute nothing and are skipped.
+   Returns [root]'s value at the vtree root. *)
+let count_pass m st order root r =
+  let vt = m.vt in
+  let memo = Array.make (Atomic.get m.count) r.zero in
+  let at x w =
+    if x = 0 then r.zero
+    else if x = 1 then r.top w
+    else r.lift st.vnode.(x) w memo.(x)
+  in
+  Array.iter
+    (fun id ->
+      let v = st.vnode.(id) in
+      memo.(id) <-
+        (if Bytes.unsafe_get st.kind id = k_lit then r.lit v st.aux.(id)
+         else begin
+           let lv = Vtree.left vt v and rv = Vtree.right vt v in
+           let base = st.off.(id) in
+           let acc = ref r.zero in
+           for i = 0 to st.aux.(id) - 1 do
+             let p = st.elems.(base + (2 * i))
+             and s = st.elems.(base + (2 * i) + 1) in
+             if p <> 0 && s <> 0 then
+               acc := r.add !acc (r.mul (at p lv) (at s rv))
+           done;
+           !acc
+         end))
+    order;
+  at root (Vtree.root vt)
+
+(* Weights (1, 1): ⊤ below [w] has 2^|vars(w)| models, and a gap of g
+   variables doubles g times. *)
 let model_count m a =
   let st = Atomic.get m.store in
-  let cache = Hashtbl.create 64 in
-  (* Count of node over exactly the variables below its own vtree node;
-     gaps are filled at the use site. *)
-  let rec own a =
-    if Bytes.unsafe_get st.kind a = k_lit then Bigint.one
-    else begin
-      match Hashtbl.find_opt cache a with
-      | Some r -> r
-      | None ->
-        let v = st.vnode.(a) in
-        let lv = Vtree.left m.vt v and rv = Vtree.right m.vt v in
-        let r =
-          List.fold_left
-            (fun acc (p, s) -> Bigint.add acc (Bigint.mul (at p lv) (at s rv)))
-            Bigint.zero (elements_list st a)
-        in
-        Hashtbl.add cache a r;
-        r
-    end
-  and at a v =
-    (* models of a over the variables below v; requires vtree(a) ≤ v *)
-    if a = 0 then Bigint.zero
-    else if a = 1 then Bigint.pow2 (Vtree.num_vars_below m.vt v)
-    else begin
-      let u = st.vnode.(a) in
-      let gap = Vtree.num_vars_below m.vt v - Vtree.num_vars_below m.vt u in
-      Bigint.mul (Bigint.pow2 gap) (own a)
-    end
-  in
-  at a (Vtree.root m.vt)
+  let nv = Vtree.num_vars_below m.vt in
+  count_pass m st (post_order m st a) a
+    {
+      zero = Bigint.zero;
+      add = Bigint.add;
+      mul = Bigint.mul;
+      lit = (fun _ _ -> Bigint.one);
+      top = (fun w -> Bigint.pow2 (nv w));
+      lift = (fun u w x -> if u = w then x else Bigint.shift_left x (nv w - nv u));
+    }
 
-(* Weighted model counting with probabilities (weights of the two
-   polarities sum to 1, so vtree gaps contribute factor 1). *)
+(* The weights of the two polarities sum to 1, so ⊤ and vtree gaps
+   contribute factor 1. *)
 let probability m a weight =
   let st = Atomic.get m.store in
-  let cache = Hashtbl.create 64 in
-  let rec go a =
-    if a = 0 then 0.0
-    else if a = 1 then 1.0
-    else begin
-      match Hashtbl.find_opt cache a with
-      | Some r -> r
-      | None ->
-        let r =
-          if Bytes.unsafe_get st.kind a = k_lit then begin
-            let w = weight (Vtree.var_of_leaf m.vt st.vnode.(a)) in
-            if st.aux.(a) = 1 then w else 1.0 -. w
-          end
-          else
-            List.fold_left
-              (fun acc (p, s) -> acc +. (go p *. go s))
-              0.0 (elements_list st a)
-        in
-        Hashtbl.add cache a r;
-        r
-    end
-  in
-  go a
+  let order = post_order m st a in
+  let w = Array.make (Vtree.num_nodes m.vt) 0.0 in
+  iter_literal_leaves m st order (fun leaf ->
+      w.(leaf) <- weight (Vtree.var_of_leaf m.vt leaf));
+  count_pass m st order a
+    {
+      zero = 0.0;
+      add = ( +. );
+      mul = ( *. );
+      lit = (fun leaf pol -> if pol = 1 then w.(leaf) else 1.0 -. w.(leaf));
+      top = (fun _ -> 1.0);
+      lift = (fun _ _ x -> x);
+    }
 
+(* Exact probability in integers.  A variable with weight num/den gets
+   the integer weights num and den − num; a vtree node [v] gets D(v),
+   the product of the denominators below it, so a node's value is its
+   probability times D of its vtree node, and a gap from [u] up to [w]
+   multiplies by D(w)/D(u).  Per-variable denominators, not a common
+   lcm, keep D small when they are many and coprime.  Variables without
+   a reachable literal get denominator 1 (their factor cancels).  The
+   one gcd is the final [Ratio.make]. *)
 let probability_ratio m a weight =
   let st = Atomic.get m.store in
-  let cache = Hashtbl.create 64 in
-  let rec go a =
-    if a = 0 then Ratio.zero
-    else if a = 1 then Ratio.one
+  let vt = m.vt in
+  let order = post_order m st a in
+  let nn = Vtree.num_nodes vt in
+  let pos = Array.make nn Bigint.zero and neg = Array.make nn Bigint.zero in
+  let d = Array.make nn Bigint.one in
+  iter_literal_leaves m st order (fun leaf ->
+      let w = weight (Vtree.var_of_leaf vt leaf) in
+      pos.(leaf) <- Ratio.num w;
+      neg.(leaf) <- Bigint.sub (Ratio.den w) (Ratio.num w);
+      d.(leaf) <- Ratio.den w);
+  (* Vtree ids are pre-order: children after their parent. *)
+  for v = nn - 1 downto 0 do
+    if not (Vtree.is_leaf vt v) then
+      d.(v) <- Bigint.mul d.(Vtree.left vt v) d.(Vtree.right vt v)
+  done;
+  (* Gap factors D(w)/D(u): the product of D(sibling) along the path
+     from [u] up to [w], memoized per (u, w) pair. *)
+  let gaps = Array.make nn [] in
+  let rec factor u w =
+    if u = w then Bigint.one
     else begin
-      match Hashtbl.find_opt cache a with
-      | Some r -> r
+      match List.assq_opt w gaps.(u) with
+      | Some f -> f
       | None ->
-        let r =
-          if Bytes.unsafe_get st.kind a = k_lit then begin
-            let w = weight (Vtree.var_of_leaf m.vt st.vnode.(a)) in
-            if st.aux.(a) = 1 then w else Ratio.sub Ratio.one w
-          end
-          else
-            List.fold_left
-              (fun acc (p, s) -> Ratio.add acc (Ratio.mul (go p) (go s)))
-              Ratio.zero (elements_list st a)
-        in
-        Hashtbl.add cache a r;
-        r
+        let p = Option.get (Vtree.parent vt u) in
+        let sib = if Vtree.left vt p = u then Vtree.right vt p else Vtree.left vt p in
+        let f = Bigint.mul d.(sib) (factor p w) in
+        gaps.(u) <- (w, f) :: gaps.(u);
+        f
     end
   in
-  go a
+  let lift u w x = if u = w then x else Bigint.mul x (factor u w) in
+  Ratio.make
+    (count_pass m st order a
+       {
+         zero = Bigint.zero;
+         add = Bigint.add;
+         mul = Bigint.mul;
+         lit = (fun leaf pol -> if pol = 1 then pos.(leaf) else neg.(leaf));
+         top = (fun w -> d.(w));
+         lift;
+       })
+    d.(Vtree.root vt)
 
 let any_model m a =
   if a = 0 then None

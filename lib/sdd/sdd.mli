@@ -260,7 +260,20 @@ val width : manager -> t -> int
 val width_profile : manager -> t -> (Vtree.node * int) list
 (** Elements per vtree node (only nodes with a nonzero count). *)
 
-(** {1 Counting and probability} *)
+(** {1 Counting and probability}
+
+    The three counters share one bottom-up pass over the nodes reachable
+    from the root, memoized in an array indexed by node id.  Its cost is
+    linear in {!size}: one addition and at most three multiplications
+    per element.  {!probability_ratio} works in integers: a variable of
+    weight [num/den] contributes [num] and [den - num], each vtree node
+    carries the product of the denominators below it, and the answer is
+    normalized by one gcd at the root.
+
+    Weight contract: the weight function is called once per variable
+    whose literal is reachable from the root, and on no other variable.
+    A vtree may therefore carry variables the weight function rejects,
+    as long as the function does not mention them. *)
 
 val model_count : manager -> t -> Bigint.t
 (** Over all variables of the vtree. *)
@@ -269,6 +282,7 @@ val probability : manager -> t -> (string -> float) -> float
 (** Each variable independently true with the given probability. *)
 
 val probability_ratio : manager -> t -> (string -> Ratio.t) -> Ratio.t
+(** {!probability} in exact rationals. *)
 
 val any_model : manager -> t -> (string * bool) list option
 (** A satisfying total assignment of the vtree variables, if any. *)

@@ -13,6 +13,16 @@ let big_gen =
       bool
       (list_size (int_range 1 12) (int_range 0 999)))
 
+(* Up to ~400 bits: many quotient digits against multi-digit divisors. *)
+let wide_gen =
+  QCheck2.Gen.(
+    map2
+      (fun neg chunks ->
+        let s = String.concat "" (List.map (Printf.sprintf "%03d") chunks) in
+        Bigint.of_string (if neg then "-" ^ s else s))
+      bool
+      (list_size (int_range 1 40) (int_range 0 999)))
+
 let suite =
   [
     case "of_int/to_int roundtrip" (fun () ->
@@ -89,6 +99,27 @@ let suite =
         Bigint.equal a (Bigint.add (Bigint.mul q b) r)
         && Bigint.compare (Bigint.abs r) (Bigint.abs b) < 0
         && (Bigint.is_zero r || Bigint.sign r = Bigint.sign a));
+    case "divmod when a quotient digit is estimated one too large" (fun () ->
+        (* Inputs that take the add-back step of the long division. *)
+        List.iter
+          (fun (a, b) ->
+            let a = Bigint.of_string a and b = Bigint.of_string b in
+            let q, r = Bigint.divmod a b in
+            check bigint "a = q*b + r" a (Bigint.add (Bigint.mul q b) r);
+            checkb "0 <= r < b" true (Bigint.sign r >= 0 && Bigint.compare r b < 0))
+          [
+            ("301033482863171267570504", "72754732531772");
+            ("171632199158703560053", "9543784478");
+            ("2205967624346849049941931830435762", "163979000486236");
+          ]);
+    qtest ~count:500 "divmod invariant (wide)" QCheck2.Gen.(pair wide_gen wide_gen)
+      (fun (a, b) ->
+        Bigint.is_zero b
+        ||
+        let q, r = Bigint.divmod a b in
+        Bigint.equal a (Bigint.add (Bigint.mul q b) r)
+        && Bigint.compare (Bigint.abs r) (Bigint.abs b) < 0
+        && (Bigint.is_zero r || Bigint.sign r = Bigint.sign a));
     qtest "string roundtrip (big)" big_gen (fun a ->
         Bigint.equal a (Bigint.of_string (Bigint.to_string a)));
     qtest "sub then add roundtrip (big)" QCheck2.Gen.(pair big_gen big_gen)
@@ -100,6 +131,13 @@ let suite =
         Bigint.is_zero g
         || (Bigint.is_zero (Bigint.rem a g) && Bigint.is_zero (Bigint.rem b g)));
   ]
+
+let big_pow b k = Bigint.pow (Bigint.of_int b) k
+
+(* Relative error within 1e-12; a nan result fails. *)
+let near_float want got =
+  if not (Float.abs (got -. want) <= 1e-12 *. Float.abs want) then
+    Alcotest.failf "want %h, got %h" want got
 
 let ratio_suite =
   [
@@ -130,6 +168,20 @@ let ratio_suite =
       (fun (a, b) ->
         abs_float (Ratio.to_float (Ratio.of_ints a b) -. (float_of_int a /. float_of_int b))
         < 1e-9);
+    case "to_float: 3^700/8^400 (both operands past the float range)"
+      (fun () ->
+        (* exp(700 ln 3 - 400 ln 8) ≈ 5.6e-28 *)
+        near_float
+          (Float.exp ((700. *. Float.log 3.) -. (400. *. Float.log 8.)))
+          (Ratio.to_float (Ratio.make (big_pow 3 700) (big_pow 8 400))));
+    case "to_float: (2^1100-1)/2^1100" (fun () ->
+        near_float 1.0
+          (Ratio.to_float
+             (Ratio.make (Bigint.pred (Bigint.pow2 1100)) (Bigint.pow2 1100))));
+    case "to_float: (2^1100+1)/2^2300 underflows to 0" (fun () ->
+        Alcotest.(check (float 0.)) "2^-1200" 0.0
+          (Ratio.to_float
+             (Ratio.make (Bigint.succ (Bigint.pow2 1100)) (Bigint.pow2 2300))));
   ]
 
 let suites = [ ("bigint", suite); ("ratio", ratio_suite) ]
