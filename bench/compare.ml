@@ -1,5 +1,5 @@
-(* Diff two ctwsdd-metrics files (v1 through v4) and print a per-span
-   speedup table:
+(* Diff two run records (ctwsdd-run/v1, or the ctwsdd-metrics v1-v4
+   files it replaced) and print a per-span speedup table:
 
      dune exec bench/compare.exe -- \
        [--gate PCT] [--noise-floor MS] OLD.json NEW.json

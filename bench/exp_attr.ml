@@ -1,6 +1,7 @@
 (* E21 — attribution profiler and parallelism observability.
 
-   The ctwsdd-metrics/v4 tentpole, exercised on the E19 CNF families:
+   The attribution profiler (the run record's [attribution] and
+   [explain] sections), exercised on the E19 CNF families:
    compile with the cost-center profiler on, then check that the
    attribution actually partitions the compile —
 
@@ -191,15 +192,15 @@ let run () =
   Table.note
     "items counts every component exactly once regardless of the schedule";
 
-  (* 4. The explain report itself, exercised end to end: collect on the
-     parallel run's state, rendered to JSON once so the schema stays
+  (* 4. The run record itself, exercised end to end: built from the
+     parallel run's state and round-tripped once so the schema stays
      executable from the bench too. *)
   let censuses =
     List.map
       (fun (c : Pipeline.cnf_component) -> Sdd.census c.Pipeline.k_manager)
       r4.Pipeline.components
   in
-  let report = Explain.collect ~top:5 ~censuses () in
-  (match Obs.Json.of_string (Obs.Json.to_string (Explain.to_json report)) with
-   | Ok _ -> Table.note "explain report: ctwsdd-explain/v2 round-trips"
-   | Error e -> failwith ("E21: explain JSON does not round-trip: " ^ e))
+  let record = Run_record.json ~censuses () in
+  (match Obs.Json.of_string (Obs.Json.to_string record) with
+   | Ok _ -> Table.note "run record: ctwsdd-run/v1 round-trips"
+   | Error e -> failwith ("E21: run record does not round-trip: " ^ e))

@@ -173,7 +173,7 @@ let run () =
     rows;
 
   (* 3. Auto selection: the per-workload choices and their reasons, as
-     they land in ctwsdd-metrics events and `ctwsdd explain`. *)
+     they land in the run record's events and `ctwsdd explain`. *)
   let rows =
     List.map
       (fun (name, chosen, reason) -> [ name; chosen; reason ])

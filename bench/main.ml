@@ -11,8 +11,8 @@
    Each experiment additionally writes its metrics (span timings, cache
    statistics, counters, histograms, GC deltas, trajectory events,
    attribution cost centers) to BENCH_<ids>.json in the working
-   directory, in the ctwsdd-metrics/v4
-   schema documented in EXPERIMENTS.md, so the performance trajectory
+   directory, as the ctwsdd-run/v1 run record documented in
+   EXPERIMENTS.md, so the performance trajectory
    across commits is machine-readable.  With --trace, every span call is
    also recorded individually and dumped as a Chrome trace_event file
    TRACE_<ids>.json (open in Perfetto or chrome://tracing). *)
@@ -63,7 +63,7 @@ let () =
         Printf.printf "\n  [%s finished in %.1fs]\n" name dt;
         if json then begin
           let file = metrics_file ids in
-          Obs.write_json
+          Run_record.write
             ~extra:
               [
                 ("experiment", Obs.Json.String name);
@@ -71,12 +71,14 @@ let () =
                   Obs.Json.List (List.map (fun i -> Obs.Json.String i) ids) );
                 ("wall_s", Obs.Json.Float dt);
               ]
-            file;
+            file
+          |> Result.iter_error (fun msg -> failwith (file ^ ": " ^ msg));
           Printf.printf "  [metrics -> %s]\n" file
         end;
         if trace then begin
           let file = "TRACE_" ^ String.concat "_" ids ^ ".json" in
-          Obs.write_trace file;
+          Obs.write_trace file
+          |> Result.iter_error (fun msg -> failwith (file ^ ": " ^ msg));
           Printf.printf "  [trace -> %s]\n" file
         end;
         if json || trace then Obs.set_enabled false

@@ -1,5 +1,5 @@
-(* Render the vtree-search trajectory recorded in a ctwsdd-metrics/v4
-   file as a table:
+(* Render the vtree-search trajectory recorded in a ctwsdd-run/v1 run
+   record as a table:
 
      dune exec bench/trajectory.exe -- METRICS.json
 
@@ -7,8 +7,8 @@
    one row per scored candidate move (kind, target node, score, delta,
    accepted?, candidate fingerprint) plus the start/done endpoints — in
    timestamp order, so a hill climb reads top to bottom.  Works on any
-   v2 dump: `ctwsdd ... --trace FILE`, BENCH_<ids>.json from the bench
-   harness, or `Obs.write_json` output. *)
+   record: `ctwsdd ... --trace FILE`, BENCH_<ids>.json from the bench
+   harness, or `Run_record.write` output. *)
 
 let die fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 2) fmt
 
@@ -41,11 +41,11 @@ let () =
     | Error msg -> die "trajectory: %s: %s" path msg
   in
   (match Obs.Json.member "schema" j with
-   | Some (Obs.Json.String s) when s = Obs.schema_version -> ()
+   | Some (Obs.Json.String s) when s = Run_record.schema_version -> ()
    | Some (Obs.Json.String s) ->
-     die "trajectory: %s has schema %s, need %s (events are v2-only)" path s
-       Obs.schema_version
-   | _ -> die "trajectory: %s is not a ctwsdd-metrics file" path);
+     die "trajectory: %s has schema %s, need %s" path s
+       Run_record.schema_version
+   | _ -> die "trajectory: %s is not a ctwsdd run record" path);
   let events =
     match Obs.Json.member "events" j with
     | Some (Obs.Json.List l) -> l

@@ -16,20 +16,20 @@
 
    Every subcommand accepts --stats (human-readable span timings, cache
    statistics and histograms on stderr, keeping stdout pipeable),
-   --trace FILE (ctwsdd-metrics/v4 JSON dump), --trace-out FILE (Chrome
+   --trace FILE (the ctwsdd-run/v1 run record), --trace-out FILE (Chrome
    trace_event file for Perfetto / chrome://tracing), --telemetry-out
-   FILE [--telemetry-interval SEC] (OpenMetrics text snapshots, written
-   atomically and periodically for live scraping; FILE may be `-` for
-   stdout), --explain-out FILE (ctwsdd-explain/v2 attribution report)
-   and --postmortem FILE (where failure dumps land); see EXPERIMENTS.md
-   for the schemas.  Spans, events and budget activity are kept in one
+   FILE (one OpenMetrics text snapshot at exit; FILE may be `-` for
+   stdout) and --postmortem FILE (where dumps land); see EXPERIMENTS.md
+   for the formats.  Spans, events and budget activity are kept in one
    flight-recorder ring (4096 entries, 2^18 while collecting) from which
-   the metrics events, the Chrome trace and the postmortem tail are all
+   the record's events, the Chrome trace and a dump's ring tail are all
    rendered.  CTWSDD_DOMAINS caps the parallel worker pool.
 
-   A postmortem dump (ctwsdd-postmortem/v1 JSON: flight-recorder tail,
-   metrics snapshot, GC stats, manager census, budget state) is written
-   on every budget trip, on uncaught exceptions, and on SIGUSR1.
+   A dump (the run record with a reason, the ring tail and the full GC
+   stats) is written on every budget trip, on uncaught exceptions, and
+   on SIGUSR1 — the way to look inside a live run.  Every file is written
+   atomically; a failed write prints `ctwsdd: cannot write FILE: ...`
+   and, on an otherwise successful run, exits 124.
 
    The compiling subcommands (compile, cnf, query) accept --timeout SEC
    and --max-nodes N.  Under a budget the engine is anytime: it degrades
@@ -140,12 +140,24 @@ let budget_of timeout max_nodes =
   | None, None -> Budget.unlimited
   | _ -> Budget.create ?timeout ?max_nodes ()
 
-(* Budget trips always leave a postmortem behind (flight-recorder tail,
-   metrics, GC, manager census) — that dump, not the terse stderr line,
-   is what a long-lived run gets debugged from. *)
-let trip_postmortem ?detail r =
-  let path = Postmortem.write ?detail ~reason:(Budget.reason_to_string r) () in
-  Printf.eprintf "ctwsdd: postmortem: wrote %s\n%!" path
+(* Report one output file; [false] when it could not be written. *)
+let report_write label path = function
+  | Ok () ->
+    if path <> "-" then Printf.eprintf "%s: wrote %s\n%!" label path;
+    true
+  | Error msg ->
+    Printf.eprintf "ctwsdd: cannot write %s: %s\n%!" path msg;
+    false
+
+let write_dump ?detail reason =
+  ignore
+    (report_write "ctwsdd: postmortem" (Run_record.dump_path ())
+       (Run_record.dump ?detail ~reason ()))
+
+(* Budget trips always leave a dump behind (ring tail, metrics, GC,
+   manager census) — that dump, not the terse stderr line, is what a
+   long-lived run gets debugged from. *)
+let trip_postmortem ?detail r = write_dump ?detail (Budget.reason_to_string r)
 
 let report_degraded = function
   | None -> 0
@@ -189,8 +201,6 @@ type obs_opts = {
   trace : string option;
   trace_out : string option;
   telemetry_out : string option;
-  telemetry_interval : float;
-  explain_out : string option;
   postmortem : string;
 }
 
@@ -201,8 +211,9 @@ let stats_flag =
 
 let trace_file =
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
-         ~doc:"Write all recorded metrics to $(docv) as ctwsdd-metrics/v4 \
-               JSON (implies collection, like $(b,--stats)).")
+         ~doc:"Write the ctwsdd-run/v1 run record to $(docv): metrics, \
+               attribution, the explain sections, backend choice and \
+               manager censuses (implies collection, like $(b,--stats)).")
 
 let trace_out_file =
   Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE"
@@ -212,117 +223,70 @@ let trace_out_file =
 
 let telemetry_out_file =
   Arg.(value & opt (some string) None & info [ "telemetry-out" ] ~docv:"FILE"
-         ~doc:"Write OpenMetrics / Prometheus text snapshots of the live \
-               counters, gauges, histograms, caches, attribution cost \
-               centers and GC state to $(docv) (atomic replace, so \
-               `watch cat` or a textfile collector never sees a torn \
-               file; `-` prints to stdout instead).  Implies collection. \
-               One snapshot is written at startup and one at exit; add \
-               $(b,--telemetry-interval) for periodic refresh.")
-
-let telemetry_interval_arg =
-  Arg.(value & opt float 0. & info [ "telemetry-interval" ] ~docv:"SEC"
-         ~doc:"Refresh $(b,--telemetry-out) every $(docv) seconds while \
-               the run is in flight (0, the default, means only at \
-               startup and exit).")
-
-let explain_out_file =
-  Arg.(value & opt (some string) None & info [ "explain-out" ] ~docv:"FILE"
-         ~doc:"Write a ctwsdd-explain/v2 JSON attribution report to \
-               $(docv) after the run: ranked cost centers (vtree nodes, \
-               treewidth bags, clauses, components, pipeline rungs), top \
-               bags by node growth with width vs log2(nodes), and the \
-               parallelism / Amdahl summary.  Implies collection.")
+         ~doc:"At exit, write an OpenMetrics / Prometheus text snapshot of \
+               the counters, gauges, histograms, caches, attribution cost \
+               centers and GC state to $(docv) (atomic replace; `-` prints \
+               to stdout instead).  Implies collection.")
 
 let postmortem_file =
   Arg.(value & opt string "ctwsdd-postmortem.json" & info [ "postmortem" ]
          ~docv:"FILE"
-         ~doc:"Where postmortem dumps are written (on budget trips, \
-               uncaught exceptions and SIGUSR1).")
+         ~doc:"Where dumps of the run record are written (on budget \
+               trips, uncaught exceptions and SIGUSR1).")
 
 let obs_term =
-  let mk stats trace trace_out telemetry_out telemetry_interval explain_out
-      postmortem =
-    { stats; trace; trace_out; telemetry_out; telemetry_interval; explain_out;
-      postmortem }
+  let mk stats trace trace_out telemetry_out postmortem =
+    { stats; trace; trace_out; telemetry_out; postmortem }
   in
   Term.(const mk $ stats_flag $ trace_file $ trace_out_file
-        $ telemetry_out_file $ telemetry_interval_arg $ explain_out_file
-        $ postmortem_file)
+        $ telemetry_out_file $ postmortem_file)
+
+(* The managers the exported record reports; [explain] pins them to its
+   compile's components so other live managers do not dilute the bag
+   coverage. *)
+let record_censuses : Sdd.census list option ref = ref None
 
 (* Runs the body (which returns the process exit code: 0, or a budget
    code from the table above) with observability enabled when requested,
    then exports.  Human summaries go to stderr so stdout stays pipeable.
-   Metrics, traces and telemetry are written even on budget exits — a
-   degraded run's trace is exactly the one worth inspecting.  Errors
-   terminate through Cmdliner or the exit-code contract, never via an
-   uncaught backtrace; any exception outside that contract still leaves
-   a postmortem behind before propagating. *)
+   Records, traces and telemetry are written even on budget exits — a
+   degraded run's record is exactly the one worth inspecting.  A failed
+   export turns exit 0 into 124, the code a [Sys_error] in the body
+   gets.  Errors terminate through Cmdliner or the exit-code contract,
+   never via an uncaught backtrace; any exception outside that contract
+   still leaves a dump behind before propagating. *)
 let run_with_obs o f =
   (* Fresh run: clear the flight recorder and every per-domain metric
      table left over from earlier library use in this process, and mint
      a new run ID for attribution. *)
   Obs.hard_reset ();
-  Postmortem.set_default_path o.postmortem;
-  Postmortem.install_sigusr1 ();
-  let collecting =
-    o.stats || o.trace <> None || o.trace_out <> None
-    || o.telemetry_out <> None || o.explain_out <> None
-  in
-  if collecting then begin
+  record_censuses := None;
+  Run_record.set_dump_path o.postmortem;
+  Run_record.install_sigusr1 ();
+  if o.stats || o.trace <> None || o.trace_out <> None || o.telemetry_out <> None
+  then begin
     Obs.set_enabled true;
     Obs.reset ()
   end;
-  (* Periodic telemetry rides SIGALRM: handlers run at safe points on
-     the main domain, which owns the domain-local metric state the
-     exporter reads (a background domain would see empty tables). *)
-  let stop_timer = ref (fun () -> ()) in
-  Option.iter
-    (fun path ->
-      Openmetrics.write path;
-      if o.telemetry_interval > 0. then begin
-        Sys.set_signal Sys.sigalrm
-          (Sys.Signal_handle
-             (fun _ -> try Openmetrics.write path with Sys_error _ -> ()));
-        let it =
-          { Unix.it_interval = o.telemetry_interval;
-            it_value = o.telemetry_interval }
-        in
-        ignore (Unix.setitimer Unix.ITIMER_REAL it);
-        stop_timer :=
-          fun () ->
-            ignore
-              (Unix.setitimer Unix.ITIMER_REAL
-                 { Unix.it_interval = 0.; it_value = 0. });
-            Sys.set_signal Sys.sigalrm Sys.Signal_default
-      end)
-    o.telemetry_out;
-  let export () =
-    !stop_timer ();
+  let export code =
     if o.stats then begin
       prerr_newline ();
       Obs.pp_summary Format.err_formatter ()
     end;
-    Option.iter
-      (fun path ->
-        Obs.write_json path;
-        Printf.eprintf "metrics : wrote %s\n%!" path)
-      o.trace;
-    Option.iter
-      (fun path ->
-        Obs.write_trace path;
-        Printf.eprintf "trace   : wrote %s\n%!" path)
-      o.trace_out;
-    Option.iter
-      (fun path ->
-        Openmetrics.write path;
-        if path <> "-" then Printf.eprintf "telemetry: wrote %s\n%!" path)
-      o.telemetry_out;
-    Option.iter
-      (fun path ->
-        Explain.write (Explain.collect ()) path;
-        Printf.eprintf "explain : wrote %s\n%!" path)
-      o.explain_out
+    let failed =
+      List.filter
+        (fun (label, path, write) ->
+          match path with
+          | None -> false
+          | Some p -> not (report_write label p (write p)))
+        [
+          ("record  ", o.trace,
+           fun p -> Run_record.write ?censuses:!record_censuses p);
+          ("trace   ", o.trace_out, Obs.write_trace);
+          ("telemetry", o.telemetry_out, Openmetrics.write);
+        ]
+    in
+    if failed = [] || code <> 0 then code else Cmd.Exit.cli_error
   in
   (* Validate the environment inside the guarded region so a bad
      CTWSDD_DOMAINS surfaces as a usage error, not a crash mid-run. *)
@@ -333,28 +297,20 @@ let run_with_obs o f =
     f ()
   in
   match f () with
-  | code ->
-    export ();
-    `Ok code
+  | code -> `Ok (export code)
   | exception Cli_usage msg -> `Error (true, msg)
   | exception Budget.Exhausted r ->
     (* A raising path outside the result-typed API tripped the budget:
        no partial result to print. *)
-    export ();
-    `Ok (report_error (Ctwsdd_error.of_reason r))
+    `Ok (export (report_error (Ctwsdd_error.of_reason r)))
   | exception (Failure msg | Invalid_argument msg) ->
-    export ();
-    `Ok (report_error (Ctwsdd_error.Invalid_input msg))
+    `Ok (export (report_error (Ctwsdd_error.Invalid_input msg)))
   | exception Sys_error msg -> `Error (false, msg)
   | exception e ->
-    (* Outside the declared failure modes: leave a postmortem, then let
-       the exception surface normally. *)
-    let path =
-      Postmortem.write ~reason:"uncaught_exception"
-        ~detail:(Printexc.to_string e) ()
-    in
-    Printf.eprintf "ctwsdd: postmortem: wrote %s\n%!" path;
-    export ();
+    (* Outside the declared failure modes: leave a dump, then let the
+       exception surface normally. *)
+    write_dump ~detail:(Printexc.to_string e) "uncaught_exception";
+    ignore (export 0);
     raise e
 
 let print_manager_stats m =
@@ -716,11 +672,7 @@ let cnf_cmd =
 let explain_cmd =
   let run path schedule backend domains no_preprocess compact_every top
       timeout max_nodes o =
-    (* The report is written from inside the run (it needs the component
-       managers' censuses); strip explain_out from the generic exporter
-       so it is not overwritten with a census-less collect afterwards. *)
-    let explain_out = o.explain_out in
-    run_with_obs { o with explain_out = None } @@ fun () ->
+    run_with_obs o @@ fun () ->
     (* The whole point of this subcommand is the attribution report:
        collection is on regardless of the --stats/--trace switches. *)
     if not (Obs.enabled ()) then begin
@@ -737,25 +689,15 @@ let explain_cmd =
     with
     | Error e -> report_error e
     | Ok r ->
-      (* Check per-bag attributed nodes against the component managers
-         only: any other live manager would dilute the coverage ratio
-         with nodes no bag ever allocated. *)
-      let censuses =
-        List.map
-          (fun (c : Pipeline.cnf_component) -> Sdd.census c.Pipeline.k_manager)
-          r.Pipeline.components
-      in
-      let report =
-        Explain.collect ~top
-          ?censuses:(if censuses = [] then None else Some censuses)
-          ()
-      in
-      Format.printf "%a@." Explain.pp report;
-      Option.iter
-        (fun p ->
-          Explain.write report p;
-          Printf.eprintf "explain : wrote %s\n%!" p)
-        explain_out;
+      if r.Pipeline.components <> [] then
+        record_censuses :=
+          Some
+            (List.map
+               (fun (c : Pipeline.cnf_component) ->
+                 Sdd.census c.Pipeline.k_manager)
+               r.Pipeline.components);
+      Format.printf "%a@." (Run_record.pp ~top)
+        (Run_record.json ?censuses:!record_censuses ());
       report_degraded r.Pipeline.cnf_degraded
   in
   let top =
@@ -774,8 +716,8 @@ let explain_cmd =
               table (treewidth bags, clauses, components, pipeline \
               rungs), the top bags by node growth with bag width against \
               log2(nodes), and the parallelism/Amdahl summary with the \
-              critical path.  $(b,--explain-out) additionally writes the \
-              report as ctwsdd-explain/v2 JSON.";
+              critical path.  $(b,--trace) writes the run record the \
+              report is rendered from.";
          ])
     Term.(ret (const run $ dimacs_file $ schedule_arg $ backend_arg
                $ components_arg $ no_preprocess_flag $ compact_every_arg $ top

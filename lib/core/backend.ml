@@ -2,8 +2,8 @@
    signature over the three compilation targets of the paper's panorama
    (canonical SDD, OBDD as its right-linear ITE specialization, and the
    counting-only non-canonical d-DNNF arena), plus the per-workload
-   [`Auto] resolution with its audit trail (metrics event, explain
-   state, postmortem provider). *)
+   [`Auto] resolution with its audit trail (metrics event and the run
+   record's [backend] section). *)
 
 type tag = [ `Sdd | `Obdd | `Dnnf | `Auto ]
 type resolved = [ `Sdd | `Obdd | `Dnnf ]
@@ -149,8 +149,8 @@ let impl : resolved -> (module S) = function
 (* Selection                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* (requested, chosen, reason) of the latest resolution: the explain
-   report and the postmortem provider read it after the fact, so a
+(* (requested, chosen, reason) of the latest resolution: the run record
+   reads it after the fact, so a
    plain atomic is enough — concurrent compiles last-write-win, which
    matches "what was this process doing" semantics. *)
 let selection : (string * string * string) option Atomic.t = Atomic.make None
@@ -251,20 +251,3 @@ let resolve_cnf (requested : tag) =
   in
   note_selection ~requested ~chosen ~reason;
   (chosen, reason)
-
-(* Postmortem: the chosen backend belongs in crash/SIGUSR1 dumps next
-   to the manager censuses. *)
-let () =
-  Postmortem.add_census_provider (fun () ->
-      match last_selection () with
-      | None -> []
-      | Some (requested, chosen, reason) ->
-        [
-          ( "backend",
-            Obs.Json.Obj
-              [
-                ("requested", Obs.Json.String requested);
-                ("chosen", Obs.Json.String chosen);
-                ("reason", Obs.Json.String reason);
-              ] );
-        ])

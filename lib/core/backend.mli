@@ -16,9 +16,8 @@
 
     [`Auto] resolves a backend per workload (pathwidth-shaped inputs →
     OBDD, treewidth-bounded → SDD, counting-only → d-DNNF); every
-    resolution is recorded as a [backend.selected] metrics event, kept
-    for the explain report ({!last_selection}) and exposed to
-    postmortem dumps. *)
+    resolution is recorded as a [backend.selected] metrics event and
+    kept for the run record ({!last_selection}). *)
 
 type tag = [ `Sdd | `Obdd | `Dnnf | `Auto ]
 type resolved = [ `Sdd | `Obdd | `Dnnf ]
@@ -110,7 +109,7 @@ val note_selection : requested:tag -> chosen:resolved -> reason:string -> unit
 
 val last_selection : unit -> (string * string * string) option
 (** [(requested, chosen, reason)] of the most recent resolution in this
-    process — what [ctwsdd explain] and the postmortem provider show. *)
+    process — the run record's [backend] section. *)
 
 val keep_selection : (unit -> 'a) -> 'a
 (** Run [f] and restore {!last_selection} afterwards (also on an

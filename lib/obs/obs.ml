@@ -685,7 +685,7 @@ let is_instant (e : Ring.entry) =
   | Ring.Span | Ring.Budget_poll | Ring.Note -> false
 
 (* What the Chrome trace renders: spans, events and budget trips.  Polls
-   and notes stay in the ring for postmortems only. *)
+   and notes stay in the ring for dumps only. *)
 let rendered () =
   List.filter (fun e -> e.Ring.kind = Ring.Span || is_instant e) (Ring.tail ())
 
@@ -726,7 +726,7 @@ let span_depth () = List.length (span_state ()).sstack
 let span name f =
   if not !enabled_flag then begin
     (* Aggregation off: no span tree, no GC probes — just time the call
-       and drop one completion entry in the ring so a postmortem shows
+       and drop one completion entry in the ring so a dump shows
        the recent phases. *)
     let t0 = now () in
     match f () with
@@ -1046,8 +1046,6 @@ let hard_reset () =
 (* Export                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let schema_version = "ctwsdd-metrics/v4"
-
 let rec span_to_json t =
   Json.Obj
     [
@@ -1095,111 +1093,111 @@ let event_to_json e =
       ("args", Json.Obj e.Ring.args);
     ]
 
-let gc_to_json () =
+(* Deltas since the last [reset].  A dump pays for the full [Gc.stat]
+   (a major-heap walk) and adds the fields only it measures. *)
+let gc_to_json ~dump =
   let b = Domain.DLS.get gc_baseline_key in
-  let g = Gc.quick_stat () in
+  let g = if dump then Gc.stat () else Gc.quick_stat () in
   Json.Obj
-    [
-      ("minor_words", Json.Float (g.Gc.minor_words -. b.Gc.minor_words));
-      ("major_words", Json.Float (g.Gc.major_words -. b.Gc.major_words));
-      ("promoted_words", Json.Float (g.Gc.promoted_words -. b.Gc.promoted_words));
-      ( "minor_collections",
-        Json.Int (g.Gc.minor_collections - b.Gc.minor_collections) );
-      ( "major_collections",
-        Json.Int (g.Gc.major_collections - b.Gc.major_collections) );
-      ("compactions", Json.Int (g.Gc.compactions - b.Gc.compactions));
-      ("heap_words", Json.Int g.Gc.heap_words);
-      ("top_heap_words", Json.Int g.Gc.top_heap_words);
-    ]
+    ([
+       ("minor_words", Json.Float (g.Gc.minor_words -. b.Gc.minor_words));
+       ("major_words", Json.Float (g.Gc.major_words -. b.Gc.major_words));
+       ( "promoted_words",
+         Json.Float (g.Gc.promoted_words -. b.Gc.promoted_words) );
+       ( "minor_collections",
+         Json.Int (g.Gc.minor_collections - b.Gc.minor_collections) );
+       ( "major_collections",
+         Json.Int (g.Gc.major_collections - b.Gc.major_collections) );
+       ("compactions", Json.Int (g.Gc.compactions - b.Gc.compactions));
+       ("heap_words", Json.Int g.Gc.heap_words);
+       ("top_heap_words", Json.Int g.Gc.top_heap_words);
+     ]
+    @
+    if not dump then []
+    else
+      [
+        ("heap_chunks", Json.Int g.Gc.heap_chunks);
+        ("live_words", Json.Int g.Gc.live_words);
+        ("live_blocks", Json.Int g.Gc.live_blocks);
+        ("free_words", Json.Int g.Gc.free_words);
+        ("fragments", Json.Int g.Gc.fragments);
+      ])
 
-(* [span_events] counts every rendered trace event (spans and
+(* [span_events] counts every event the Chrome trace renders (spans and
    instants alike), [instants] the structured events among them. *)
-let trace_section () =
+let ring_to_json ~dump =
   let shown = rendered () in
-  let instants = List.length (List.filter is_instant shown) in
   Json.Obj
-    [
-      ( "tids",
-        Json.List
-          (List.map
-             (fun t -> Json.Int t)
-             (List.sort_uniq compare (List.map (fun e -> e.Ring.tid) shown))) );
-      ("span_events", Json.Int (List.length shown));
-      ("instants", Json.Int instants);
-      ("dropped", Json.Int (Ring.overwritten ()));
-    ]
+    ([
+       ("capacity", Json.Int (Ring.capacity ()));
+       ("recorded", Json.Int (Ring.recorded ()));
+       ("overwritten", Json.Int (Ring.overwritten ()));
+       ( "tids",
+         Json.List
+           (List.map
+              (fun t -> Json.Int t)
+              (List.sort_uniq compare (List.map (fun e -> e.Ring.tid) shown)))
+       );
+       ("span_events", Json.Int (List.length shown));
+       ("instants", Json.Int (List.length (List.filter is_instant shown)));
+     ]
+    @
+    if dump then
+      [ ("entries", Json.List (List.map Ring.entry_to_json (Ring.tail ()))) ]
+    else [])
 
-let flight_section () =
-  Json.Obj
-    [
-      ("enabled", Json.Bool true);
-      ("capacity", Json.Int (Ring.capacity ()));
-      ("recorded", Json.Int (Ring.recorded ()));
-      ("overwritten", Json.Int (Ring.overwritten ()));
-    ]
-
-let attr_row_to_json (r : Attribution.row) =
-  Json.Obj
-    [
-      ("kind", Json.String r.Attribution.kind);
-      ("label", Json.String r.Attribution.label);
-      ("time_s", Json.Float r.Attribution.time_s);
-      ("root_s", Json.Float r.Attribution.root_s);
-      ("nodes", Json.Int r.Attribution.nodes);
-      ("elements", Json.Int r.Attribution.elements);
-      ("apply_misses", Json.Int r.Attribution.apply_misses);
-      ("compaction_pause_us", Json.Int r.Attribution.compaction_pause_us);
-      ("enters", Json.Int r.Attribution.enters);
-      ("width", Json.Int r.Attribution.width);
-    ]
-
-let attribution_section () =
-  Json.List (List.map attr_row_to_json (Attribution.rows ()))
-
-let snapshot ?(extra = []) () =
+let sections ?(dump = false) () =
   (* Peak-heap gauge: refreshed at every export so the watermark is
      visible among the ordinary gauges too. *)
   gauge_max "gc.top_heap_words" (Gc.quick_stat ()).Gc.top_heap_words;
-  Json.Obj
-    (("schema", Json.String schema_version)
-     :: ("run_id", Json.String (run_id ()))
-     :: extra
-    @ [
-        ( "counters",
-          Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (counters ())) );
-        ( "gauges",
-          Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (gauges ())) );
-        ( "caches",
-          Json.List
-            (List.map
-               (fun s ->
-                 Json.Obj
-                   [
-                     ("name", Json.String s.Cache.cache);
-                     ("lookups", Json.Int s.Cache.lookups);
-                     ("hits", Json.Int s.Cache.hits);
-                     ("misses", Json.Int s.Cache.misses);
-                     ("entries", Json.Int s.Cache.entries);
-                   ])
-               (caches ())) );
-        ("histograms", Json.List (List.map hist_to_json (histograms ())));
-        ("gc", gc_to_json ());
-        ("events", Json.List (List.map event_to_json (events ())));
-        ("trace", trace_section ());
-        ("flight_recorder", flight_section ());
-        ("attribution", attribution_section ());
-        ("spans", Json.List (List.map span_to_json (span_roots ())));
-      ])
+  [
+    ("counters", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (counters ())));
+    ("gauges", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (gauges ())));
+    ( "caches",
+      Json.List
+        (List.map
+           (fun s ->
+             Json.Obj
+               [
+                 ("name", Json.String s.Cache.cache);
+                 ("lookups", Json.Int s.Cache.lookups);
+                 ("hits", Json.Int s.Cache.hits);
+                 ("misses", Json.Int s.Cache.misses);
+                 ("entries", Json.Int s.Cache.entries);
+               ])
+           (caches ())) );
+    ("histograms", Json.List (List.map hist_to_json (histograms ())));
+    ("spans", Json.List (List.map span_to_json (span_roots ())));
+    ("events", Json.List (List.map event_to_json (events ())));
+    ("gc", gc_to_json ~dump);
+    ("ring", ring_to_json ~dump);
+  ]
 
-let write_doc path doc =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc (Json.to_string doc);
-      output_char oc '\n')
-
-let write_json ?extra path = write_doc path (snapshot ?extra ())
+(* The one file writer: a sibling temporary file renamed over [path], so
+   a reader never sees a torn document. *)
+let write_atomic path contents =
+  let tmp =
+    Filename.concat (Filename.dirname path)
+      (Printf.sprintf ".%s.%d.tmp" (Filename.basename path) (Unix.getpid ()))
+  in
+  match
+    let oc = open_out_bin tmp in
+    Fun.protect
+      ~finally:(fun () -> close_out_noerr oc)
+      (fun () ->
+        output_string oc contents;
+        close_out oc);
+    Sys.rename tmp path
+  with
+  | () -> Ok ()
+  | exception Sys_error msg ->
+    (try Sys.remove tmp with Sys_error _ -> ());
+    let prefix = tmp ^ ": " in
+    Error
+      (if String.starts_with ~prefix msg then
+         String.sub msg (String.length prefix)
+           (String.length msg - String.length prefix)
+       else msg)
 
 (* ------------------------------------------------------------------ *)
 (* Chrome trace_event export                                           *)
@@ -1264,7 +1262,7 @@ let trace_json () =
       ("displayTimeUnit", Json.String "ms");
     ]
 
-let write_trace path = write_doc path (trace_json ())
+let write_trace path = write_atomic path (Json.to_string (trace_json ()) ^ "\n")
 
 (* ------------------------------------------------------------------ *)
 (* Human summary                                                       *)

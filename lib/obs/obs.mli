@@ -9,31 +9,24 @@
     becomes a no-op, so hot paths pay one predictable branch.  Per-cache
     statistics ({!Cache}) are plain field increments on a record owned
     by the instrumented structure and are always maintained — they cost
-    a couple of stores next to a hash-table probe that dwarfs them.
+    a couple of stores next to a hash-table probe that dwarfs them.  The
+    {!Attribution} cost-center profiler shares the master switch
+    ({!set_enabled} arms both).
 
-    Metrics are exported either as a human-readable summary table
-    ({!pp_summary}) or as JSON under the stable [ctwsdd-metrics/v4]
-    schema ({!snapshot}, {!write_json}) — a strict superset of v3 (which
-    added [run_id], per-event [run] attribution and [flight_recorder]
-    over v2's [histograms], [gc], [events], [trace] and per-span GC
-    deltas) adding an [attribution] section: the {!Attribution}
-    cost-center rows charging time, allocated nodes/elements, apply
-    misses and compaction pauses to semantic centers (vtree node,
-    treewidth bag, CNF clause, component, pipeline rung).  The
-    attribution profiler shares the master switch ({!set_enabled} arms
-    both).
+    Metrics are exported as a human-readable summary table
+    ({!pp_summary}) or as the JSON sections ({!sections}) of the
+    [ctwsdd-run/v1] run record that [Run_record] assembles.
 
     The {!Ring} is the one store for individual occurrences: every span
     completion, {!event}, budget poll and budget trip lands there
-    whatever the switch.  Three outputs are rendered from it: {!events}
-    (and the metrics [events] section), the Chrome [trace_event] file
-    ({!write_trace}) that loads in Perfetto / chrome://tracing with one
-    track per OCaml domain, and the postmortem tail ({!Postmortem}).
-    The ring holds 4096 entries with collection off and 2{^18} while
-    collecting; beyond that the oldest entries are overwritten and
-    counted.  {!Openmetrics} renders the current state in
-    OpenMetrics/Prometheus text format for scraping.  See EXPERIMENTS.md
-    for the schema reference. *)
+    whatever the switch.  The record's [events] and [ring] sections, the
+    Chrome [trace_event] file ({!write_trace}) that loads in Perfetto /
+    chrome://tracing with one track per OCaml domain, and a dump's
+    [ring.entries] tail are all rendered from it.  The ring holds 4096
+    entries with collection off and 2{^18} while collecting; beyond that
+    the oldest entries are overwritten and counted.  {!Openmetrics}
+    renders the current state in OpenMetrics/Prometheus text format.
+    See EXPERIMENTS.md for the schema reference. *)
 
 (** {1 Enabling} *)
 
@@ -315,11 +308,6 @@ module Ring : sig
   val tail : ?max:int -> unit -> entry list
   (** The retained window, oldest first ([max] truncates to the newest
       [max] entries). *)
-
-  val entry_to_json : entry -> Json.t
-  (** [{kind, name, ts_unix_s, tid, run, dur_s, args}], [kind] one of
-      ["event"], ["span"], ["budget_poll"], ["budget_trip"], ["note"]:
-      one entry of the postmortem tail. *)
 end
 
 (** {1 Structured events} *)
@@ -332,8 +320,7 @@ val event : string -> (string * Json.t) list -> unit
 val events : unit -> Ring.entry list
 (** The [Event] and [Budget_trip] entries retained in the {!Ring} (from
     every domain), sorted by timestamp: the [events] section of the
-    metrics JSON (where [ts_s] is seconds since the last {!reset}) and
-    the instants of the Chrome trace. *)
+    run record and the instants of the Chrome trace. *)
 
 (** {1 Worker domains}
 
@@ -412,30 +399,22 @@ end
 
 (** {1 Export} *)
 
-val schema_version : string
-(** ["ctwsdd-metrics/v4"]. *)
+val sections : ?dump:bool -> unit -> (string * Json.t) list
+(** The metric sections of the run record, in order: [counters],
+    [gauges], [caches], [histograms], [spans] (with per-span [gc]
+    sub-objects), [events] (see {!events}; [ts_s] is seconds since the
+    last {!reset}, each with its [run] attribution), [gc] (deltas since
+    {!reset} plus current/top heap words) and [ring] (capacity,
+    recorded and overwritten counts, plus the track ids, rendered trace
+    events and instants of the Chrome trace).  With [~dump:true] (default
+    [false]) [gc] adds the fields of a full {!Gc.stat} and [ring] adds
+    [entries], the retained tail as
+    [{kind, name, ts_unix_s, tid, run, dur_s, args}] objects. *)
 
-val attribution_section : unit -> Json.t
-(** Just the [attribution] rows of {!snapshot}, as a JSON list sorted by
-    descending self time.  Reused by the postmortem dump so attribution
-    appears both inside [metrics] and as a top-level field. *)
-
-val snapshot : ?extra:(string * Json.t) list -> unit -> Json.t
-(** The full metrics state as a [ctwsdd-metrics/v4] object: [schema],
-    [run_id], [counters], [gauges], [caches], [histograms], [gc] (deltas
-    since {!reset} plus current/top heap words), [events] (see {!events},
-    each with its [run] attribution), [trace] (track ids, rendered trace
-    event and instant counts, and [dropped] = entries the {!Ring}
-    overwrote), [flight_recorder] ([enabled] is always true, capacity,
-    recorded/overwritten counts),
-    [attribution] (cost-center rows, sorted by descending self time,
-    each [{kind, label, time_s, root_s, nodes, elements, apply_misses,
-    compaction_pause_us, enters, width}]) and [spans] (with per-span
-    [gc] sub-objects).  [extra] fields are prepended after the [schema]
-    field. *)
-
-val write_json : ?extra:(string * Json.t) list -> string -> unit
-(** [write_json path] writes [snapshot ()] to [path]. *)
+val write_atomic : string -> string -> (unit, string) result
+(** [write_atomic path contents] writes [contents] to a sibling temporary
+    file and renames it over [path], so readers never see a torn file.
+    [Error msg] on I/O failure; nothing is left behind. *)
 
 val trace_json : unit -> Json.t
 (** The {!Ring} rendered as a Chrome [trace_event] document:
@@ -447,8 +426,9 @@ val trace_json : unit -> Json.t
     microseconds since the earliest rendered event.  Loads in Perfetto
     and chrome://tracing. *)
 
-val write_trace : string -> unit
-(** [write_trace path] writes {!trace_json} to [path]. *)
+val write_trace : string -> (unit, string) result
+(** [write_trace path] writes {!trace_json} to [path] with
+    {!write_atomic}. *)
 
 val pp_summary : Format.formatter -> unit -> unit
 (** Human-readable tables: spans (indented, with timings and allocation),

@@ -176,26 +176,10 @@ let render () =
 
 let write path =
   if path = "-" then begin
-    (* Snapshot to stdout: no temp file, just flush so interleaving with
-       the CLI's own output stays ordered. *)
+    (* Snapshot to stdout: just flush so interleaving with the CLI's own
+       output stays ordered. *)
     print_string (render ());
-    flush stdout
+    flush stdout;
+    Ok ()
   end
-  else begin
-  let dir = Filename.dirname path in
-  let tmp =
-    Filename.concat dir
-      (Printf.sprintf ".%s.%d.tmp" (Filename.basename path) (Unix.getpid ()))
-  in
-  let oc = open_out tmp in
-  (match
-     output_string oc (render ());
-     close_out oc
-   with
-  | () -> ()
-  | exception e ->
-    close_out_noerr oc;
-    (try Sys.remove tmp with Sys_error _ -> ());
-    raise e);
-  Sys.rename tmp path
-  end
+  else Obs.write_atomic path (render ())

@@ -14,24 +14,19 @@
     [ctwsdd_attr_compaction_pause_us_total], labelled by [kind] and
     [center].
 
-    {!write} is atomic (write to a sibling temporary file, then
-    [Sys.rename]), so a reader tailing the file — `watch cat
-    telemetry.prom`, a node_exporter textfile collector, a sidecar
-    scraper — never observes a torn snapshot.  The CLI's
-    [--telemetry-out FILE --telemetry-interval SEC] re-renders on a
-    periodic timer; long-lived runs can thus be watched mid-flight
-    without waiting for the exit dump. *)
+    {!write} is atomic ({!Obs.write_atomic}), so a reader of the file
+    never observes a torn snapshot.  The CLI writes one snapshot at exit
+    ([--telemetry-out FILE]). *)
 
 val render : unit -> string
 (** The current metrics state as an OpenMetrics text document,
     terminated by `# EOF`. *)
 
-val write : string -> unit
-(** [write path] renders and atomically replaces [path] (temporary file
-    + rename in [path]'s directory).  [write "-"] instead prints the
-    snapshot to stdout and flushes — no temporary file, no rename — so
-    telemetry can be piped ([--telemetry-out -]).
-    @raise Sys_error on I/O failure. *)
+val write : string -> (unit, string) result
+(** [write path] renders and atomically replaces [path]
+    ({!Obs.write_atomic}).  [write "-"] instead prints the snapshot to
+    stdout and flushes, so telemetry can be piped ([--telemetry-out -]).
+    [Error msg] on I/O failure. *)
 
 val escape_label : string -> string
 (** OpenMetrics label-value escaping ([\\] → [\\\\], ["] → [\\"],

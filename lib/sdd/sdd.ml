@@ -115,7 +115,7 @@ type manager = {
 }
 
 (* Weak registry of live managers, so process-level consumers (the
-   postmortem census provider at the bottom of this file) can enumerate
+   run record's census) can enumerate
    them without keeping them alive.  Registration is once per manager;
    the mutex covers managers created on several domains at once. *)
 let registry_mu = Mutex.create ()
@@ -258,7 +258,7 @@ let probe_occupancy m =
     (Int_tbl.length m.and_cache + Int_tbl.length m.or_cache)
 
 (* ------------------------------------------------------------------ *)
-(* Manager census (postmortem and telemetry surface)                   *)
+(* Manager census (run-record surface)                                 *)
 (* ------------------------------------------------------------------ *)
 
 type census = {
@@ -357,14 +357,7 @@ let census_to_json c =
 
 let census_all () = List.map census (live_managers ())
 
-(* Every postmortem dump carries a census of each live manager. *)
-let () =
-  Postmortem.add_census_provider (fun () ->
-      List.mapi
-        (fun i c -> (Printf.sprintf "sdd_manager_%d" i, census_to_json c))
-        (census_all ()))
-
-(* Occupancy gauges for the periodic telemetry exporter: cheap summary
+(* Occupancy gauges for the telemetry exporters: cheap summary
    numbers (no node walk) refreshed whenever occupancy is probed. *)
 let occupancy_gauges m =
   if !Obs.enabled_ref then begin

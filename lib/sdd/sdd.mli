@@ -12,7 +12,7 @@
 
     A manager and its handles belong to one domain at a time; parallel
     callers give each domain its own manager and {!import} the results.
-    The only cross-domain read is the postmortem census
+    The only cross-domain read is the run record's census
     ({!census_all}). *)
 
 type manager
@@ -135,14 +135,12 @@ type census = {
 
 val census : manager -> census
 (** Exact walk over the node store — O(allocated), intended for
-    postmortem dumps and telemetry snapshots, not hot paths. *)
+    run records and dumps, not hot paths. *)
 
 val census_all : unit -> census list
 (** Censuses of every manager still alive in the process (tracked
     through a weak registry, so the census never extends a manager's
-    lifetime).  A {!Postmortem} census provider exposing these as
-    [sdd_manager_<i>] objects is registered at module-initialization
-    time. *)
+    lifetime): the run record's default [managers] section. *)
 
 val census_to_json : census -> Obs.Json.t
 

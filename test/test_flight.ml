@@ -1,4 +1,5 @@
-(* Flight-recorder ring, postmortem dumps and the OpenMetrics exporter.
+(* Flight-recorder ring, the run record and its dumps, and the
+   OpenMetrics exporter.
 
    The ring and run-ID state are process-global, so cases that resize
    or clear the ring restore the default capacity afterwards. *)
@@ -198,53 +199,74 @@ let member_exn name j =
   | Some v -> v
   | None -> Alcotest.failf "field %s missing" name
 
+let read_json path =
+  let ic = open_in_bin path in
+  let s =
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  in
+  match Obs.Json.of_string (String.trim s) with
+  | Ok j -> j
+  | Error e -> Alcotest.fail e
+
+let ring_entries j =
+  match member_exn "entries" (member_exn "ring" j) with
+  | Obs.Json.List entries -> entries
+  | _ -> Alcotest.fail "ring.entries not a list"
+
+let has_entry name j =
+  List.exists
+    (fun e -> Obs.Json.member "name" e = Some (Obs.Json.String name))
+    (ring_entries j)
+
+(* Dumps go to [path] for the duration of [f]. *)
+let with_dump_path f =
+  let path = Filename.temp_file "ctwsdd_pm" ".json" in
+  let saved = Run_record.dump_path () in
+  Run_record.set_dump_path path;
+  Fun.protect
+    ~finally:(fun () ->
+      Run_record.set_dump_path saved;
+      Sys.remove path)
+    (fun () -> f path)
+
 let postmortem_suite =
   [
-    case "dump follows the ctwsdd-postmortem/v1 schema and round-trips"
-      (fun () ->
+    case "dump follows the ctwsdd-run/v1 layout and round-trips" (fun () ->
         with_fresh_ring (fun () ->
             Obs.with_run_id "r-pm" (fun () ->
                 Obs.Ring.record Obs.Ring.Note "pm.marker";
-                let j = Postmortem.json ~reason:"test" ~detail:"unit" () in
+                let j = Run_record.json ~reason:"test" ~detail:"unit" () in
                 (match Obs.Json.of_string (Obs.Json.to_string j) with
                  | Ok j' -> checkb "round-trip" true (j = j')
                  | Error e -> Alcotest.fail e);
                 checkb "schema" true
-                  (member_exn "schema" j
-                  = Obs.Json.String "ctwsdd-postmortem/v1");
+                  (member_exn "schema" j = Obs.Json.String "ctwsdd-run/v1");
                 checkb "reason" true
                   (member_exn "reason" j = Obs.Json.String "test");
+                checkb "detail" true
+                  (member_exn "detail" j = Obs.Json.String "unit");
                 checkb "run id" true
                   (member_exn "run_id" j = Obs.Json.String "r-pm");
-                checkb "pid" true
-                  (member_exn "pid" j = Obs.Json.Int (Unix.getpid ()));
-                (* Self-contained: GC stats, metrics snapshot and the
-                   recorder tail all ride inside the one document. *)
+                (* Self-contained: the full GC stats, the metric sections
+                   and the recorder tail ride in the one document. *)
                 checkb "gc live_words" true
                   (Obs.Json.member "live_words" (member_exn "gc" j) <> None);
-                checkb "metrics schema v4" true
-                  (Obs.Json.member "schema" (member_exn "metrics" j)
-                  = Some (Obs.Json.String "ctwsdd-metrics/v4"));
+                checkb "no nested metrics" true
+                  (Obs.Json.member "metrics" j = None);
                 checkb "top-level attribution" true
                   (match Obs.Json.member "attribution" j with
                    | Some (Obs.Json.List _) -> true
                    | _ -> false);
-                match member_exn "entries" (member_exn "flight_recorder" j) with
-                | Obs.Json.List entries ->
-                  checkb "marker in tail" true
-                    (List.exists
-                       (fun e ->
-                         Obs.Json.member "name" e
-                         = Some (Obs.Json.String "pm.marker"))
-                       entries)
-                | _ -> Alcotest.fail "entries not a list")));
+                checkb "marker in tail" true (has_entry "pm.marker" j))));
     case "unbudgeted dump shows an inactive budget, budgeted dump has caps"
       (fun () ->
-        let j = Postmortem.json ~budget:Budget.unlimited ~reason:"t" () in
+        let j = Run_record.json ~budget:Budget.unlimited ~reason:"t" () in
         checkb "inactive budget" true
           (member_exn "active" (member_exn "budget" j) = Obs.Json.Bool false);
         let b = Budget.create ~max_nodes:42 () in
-        let j = Postmortem.json ~budget:b ~reason:"t" () in
+        let j = Run_record.json ~budget:b ~reason:"t" () in
         let bj = member_exn "budget" j in
         checkb "max_nodes" true (member_exn "max_nodes" bj = Obs.Json.Int 42);
         checkb "unlimited cap is null" true
@@ -252,15 +274,18 @@ let postmortem_suite =
     case "manager census appears in the dump" (fun () ->
         let m = Sdd.manager (Vtree.balanced [ "a"; "b"; "c" ]) in
         ignore (Sdd.compile_circuit m (Circuit.of_string "(or a (and b c))"));
-        let j = Postmortem.json ~reason:"t" () in
+        let j = Run_record.json ~reason:"t" () in
         (match member_exn "managers" j with
-         | Obs.Json.Obj fields ->
-           checkb "a census registered" true
-             (List.exists
-                (fun (k, _) ->
-                  String.length k >= 12 && String.sub k 0 12 = "sdd_manager_")
-                fields)
-         | _ -> Alcotest.fail "managers not an object");
+         | Obs.Json.List (_ :: _ as ms) ->
+           checkb "every census has the arena fields" true
+             (List.for_all
+                (fun c ->
+                  List.for_all
+                    (fun k -> Obs.Json.member k c <> None)
+                    [ "allocated"; "garbage_words"; "generation";
+                      "compactions"; "bytes_per_node" ])
+                ms)
+         | _ -> Alcotest.fail "managers not a non-empty list");
         (* The direct census agrees with the manager. *)
         let c = Sdd.census m in
         checki "allocated" (Sdd.num_nodes_allocated m) c.Sdd.allocated;
@@ -269,23 +294,17 @@ let postmortem_suite =
           = 2 + c.Sdd.decisions + c.Sdd.literals + c.Sdd.tombstones);
         checkb "bytes per node positive" true (c.Sdd.bytes_per_node > 0));
     case "write is atomic and the file parses" (fun () ->
-        let path = Filename.temp_file "ctwsdd_pm" ".json" in
-        Fun.protect
-          ~finally:(fun () -> Sys.remove path)
-          (fun () ->
-            let written = Postmortem.write ~path ~reason:"disk" () in
-            checks "returns the path" path written;
-            let ic = open_in_bin path in
-            let s =
-              Fun.protect
-                ~finally:(fun () -> close_in_noerr ic)
-                (fun () -> really_input_string ic (in_channel_length ic))
-            in
-            match Obs.Json.of_string (String.trim s) with
-            | Error e -> Alcotest.fail e
-            | Ok j ->
-              checkb "reason" true
-                (member_exn "reason" j = Obs.Json.String "disk")));
+        with_dump_path (fun path ->
+            checkb "written" true (Run_record.dump ~reason:"disk" () = Ok ());
+            checkb "reason" true
+              (member_exn "reason" (read_json path) = Obs.Json.String "disk");
+            (* A write that cannot happen is an error, not an exception,
+               and leaves nothing behind. *)
+            let missing = Filename.concat path "sub/pm.json" in
+            checkb "unwritable path is an Error" true
+              (match Obs.write_atomic missing "{}" with
+               | Error _ -> true
+               | Ok () -> false)));
     case "node-limit trip leaves budget.trip in the recorder tail"
       (fun () ->
         with_fresh_ring (fun () ->
@@ -300,26 +319,115 @@ let postmortem_suite =
             | Ok _ -> Alcotest.fail "expected a node-limit trip"
             | Error e ->
               checkb "node limit" true (e = Ctwsdd_error.Node_limit);
-              let j = Postmortem.json ~reason:"node_limit" () in
-              (match member_exn "entries" (member_exn "flight_recorder" j) with
-               | Obs.Json.List entries ->
-                 checkb "budget.trip in postmortem tail" true
-                   (List.exists
-                      (fun e ->
-                        Obs.Json.member "name" e
-                        = Some (Obs.Json.String "budget.trip"))
-                      entries)
-               | _ -> Alcotest.fail "entries not a list")));
-    case "a raising census provider is contained" (fun () ->
-        Postmortem.add_census_provider (fun () -> failwith "boom");
-        let j = Postmortem.json ~reason:"t" () in
-        match member_exn "managers" j with
-        | Obs.Json.Obj fields ->
-          checkb "error embedded" true
-            (List.exists
-               (fun (k, _) -> k = "census_provider_error")
-               fields)
-        | _ -> Alcotest.fail "managers not an object");
+              checkb "budget.trip in the dump's ring tail" true
+                (has_entry "budget.trip"
+                   (Run_record.json ~reason:"node_limit" ()))));
+    case "SIGUSR1 writes the record with its ring tail" (fun () ->
+        with_dump_path (fun path ->
+            Sys.remove path;
+            Run_record.install_sigusr1 ();
+            Fun.protect
+              ~finally:(fun () -> Sys.set_signal Sys.sigusr1 Sys.Signal_default)
+              (fun () ->
+                Obs.Ring.record Obs.Ring.Note "usr1.marker";
+                Unix.kill (Unix.getpid ()) Sys.sigusr1;
+                (* The handler runs at the next safe point. *)
+                let rec wait n =
+                  if (not (Sys.file_exists path)) && n > 0 then begin
+                    Unix.sleepf 0.01;
+                    wait (n - 1)
+                  end
+                in
+                wait 500;
+                let j = read_json path in
+                checkb "reason" true
+                  (member_exn "reason" j = Obs.Json.String "sigusr1");
+                checkb "ring entries" true (has_entry "usr1.marker" j))));
+  ]
+
+(* The run record's structure: each fact once, dumps distinguished by
+   [reason] and the ring tail, the backend section read from [Backend],
+   and the explain sections consistent with the attribution. *)
+let record_suite =
+  [
+    case "attribution, gc and ring appear once; no metrics copy" (fun () ->
+        with_obs (fun () ->
+            Obs.span "stage" (fun () -> ());
+            let j = Run_record.json ~reason:"t" () in
+            let rec keys = function
+              | Obs.Json.Obj fields ->
+                List.concat_map (fun (k, v) -> k :: keys v) fields
+              | Obs.Json.List l -> List.concat_map keys l
+              | _ -> []
+            in
+            let top =
+              match j with
+              | Obs.Json.Obj fields -> List.map fst fields
+              | _ -> Alcotest.fail "record not an object"
+            in
+            let count k l = List.length (List.filter (( = ) k) l) in
+            List.iter
+              (fun k -> checki ("top-level " ^ k) 1 (count k top))
+              [ "attribution"; "gc"; "ring"; "backend"; "explain" ];
+            List.iter
+              (fun k -> checki ("anywhere " ^ k) 1 (count k (keys j)))
+              [ "attribution"; "ring"; "explain" ];
+            checkb "one ring tail" true (ring_entries j <> []);
+            List.iter
+              (fun k -> checki ("absent " ^ k) 0 (count k (keys j)))
+              [ "metrics"; "flight_recorder"; "trace"; "cost_centers" ]));
+    case "a dump adds reason and ring.entries; an export has neither"
+      (fun () ->
+        let export = Run_record.json () in
+        checkb "export reason null" true
+          (member_exn "reason" export = Obs.Json.Null);
+        checkb "export has no ring.entries" true
+          (Obs.Json.member "entries" (member_exn "ring" export) = None);
+        checkb "export gc is quick" true
+          (Obs.Json.member "live_words" (member_exn "gc" export) = None);
+        let dump = Run_record.json ~reason:"timeout" () in
+        checkb "dump reason" true
+          (member_exn "reason" dump = Obs.Json.String "timeout");
+        checkb "dump has ring.entries" true
+          (match Obs.Json.member "entries" (member_exn "ring" dump) with
+           | Some (Obs.Json.List _) -> true
+           | _ -> false));
+    case "backend is the last backend selection" (fun () ->
+        ignore (Backend.resolve_cnf `Auto);
+        match (Backend.last_selection (), member_exn "backend" (Run_record.json ())) with
+        | Some (requested, chosen, reason), b ->
+          checkb "requested" true
+            (member_exn "requested" b = Obs.Json.String requested);
+          checkb "chosen" true (member_exn "chosen" b = Obs.Json.String chosen);
+          checkb "reason" true (member_exn "reason" b = Obs.Json.String reason)
+        | None, _ -> Alcotest.fail "no selection recorded");
+    case "bag coverage of a 60-variable chain is within 5% of 1" (fun () ->
+        with_obs (fun () ->
+            let d =
+              {
+                Dimacs.num_vars = 60;
+                clauses = List.init 59 (fun i -> [ -(i + 1); i + 2 ]);
+              }
+            in
+            match Pipeline.compile_cnf ~domains:1 d with
+            | Error _ -> Alcotest.fail "compile failed"
+            | Ok r ->
+              checki "one component" 1 (List.length r.Pipeline.components);
+              let censuses =
+                List.map
+                  (fun (c : Pipeline.cnf_component) ->
+                    Sdd.census c.Pipeline.k_manager)
+                  r.Pipeline.components
+              in
+              let bags =
+                member_exn "bags"
+                  (member_exn "explain" (Run_record.json ~censuses ()))
+              in
+              match member_exn "coverage" bags with
+              | Obs.Json.Float c ->
+                checkb (Printf.sprintf "coverage %.3f" c) true
+                  (Float.abs (c -. 1.) <= 0.05)
+              | _ -> Alcotest.fail "coverage not a float"));
   ]
 
 (* A tiny line-level check of the Prometheus/OpenMetrics text format:
@@ -407,8 +515,8 @@ let openmetrics_suite =
         Fun.protect
           ~finally:(fun () -> Sys.remove path)
           (fun () ->
-            Openmetrics.write path;
-            Openmetrics.write path;
+            checkb "first write" true (Openmetrics.write path = Ok ());
+            checkb "second write" true (Openmetrics.write path = Ok ());
             let ic = open_in_bin path in
             let s =
               Fun.protect
@@ -435,5 +543,6 @@ let suites =
     ("flight recorder", recorder_suite);
     ("run ids", run_id_suite);
     ("postmortem", postmortem_suite);
+    ("run record", record_suite);
     ("openmetrics", openmetrics_suite);
   ]

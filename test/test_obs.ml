@@ -117,47 +117,49 @@ let json_suite =
             | Ok _ -> Alcotest.failf "accepted %S" s
             | Error _ -> ())
           [ "{"; "[1,]"; "\"open"; "tru"; "{\"a\":1,}"; "1 2"; "" ]);
-    case "snapshot follows the ctwsdd-metrics/v4 schema" (fun () ->
+    case "snapshot follows the ctwsdd-run/v1 schema" (fun () ->
         with_obs (fun () ->
             Obs.incr ~by:3 "work.items";
             Obs.gauge_max "work.peak" 9;
             Obs.span "stage" (fun () -> ());
             Obs.hist_record "work.sizes" 5;
             Obs.event "work.step" [ ("n", Obs.Json.Int 1) ];
-            let j = Obs.snapshot ~extra:[ ("run", Obs.Json.Int 1) ] () in
+            let j = Run_record.json ~extra:[ ("run", Obs.Json.Int 1) ] () in
             (* The exporter's output must parse back to itself. *)
             (match Obs.Json.of_string (Obs.Json.to_string j) with
              | Ok j' -> checkb "export round-trip" true (j = j')
              | Error e -> Alcotest.fail e);
             checkb "schema field" true
               (Obs.Json.member "schema" j
-              = Some (Obs.Json.String Obs.schema_version));
-            checks "schema is v4" "ctwsdd-metrics/v4" Obs.schema_version;
-            (* v4 addition: the attribution section (a list, empty when
-               no cost center was ever entered). *)
+              = Some (Obs.Json.String Run_record.schema_version));
+            checks "schema is run/v1" "ctwsdd-run/v1" Run_record.schema_version;
+            (* The attribution section (a list, empty when no cost
+               center was ever entered). *)
             checkb "attribution section" true
               (match Obs.Json.member "attribution" j with
                | Some (Obs.Json.List _) -> true
                | _ -> false);
             checkb "extra field" true
               (Obs.Json.member "run" j = Some (Obs.Json.Int 1));
-            (* v3 additions: run attribution and the flight recorder. *)
             checkb "run_id field" true
               (Obs.Json.member "run_id" j
               = Some (Obs.Json.String (Obs.run_id ())));
-            (match Obs.Json.member "flight_recorder" j with
-             | Some fr ->
-               checkb "flight capacity" true
-                 (match Obs.Json.member "capacity" fr with
+            (match Obs.Json.member "ring" j with
+             | Some ring ->
+               checkb "ring capacity" true
+                 (match Obs.Json.member "capacity" ring with
                   | Some (Obs.Json.Int c) -> c > 0
+                  | _ -> false);
+               checkb "ring tids" true
+                 (match Obs.Json.member "tids" ring with
+                  | Some (Obs.Json.List _) -> true
                   | _ -> false)
-             | None -> Alcotest.fail "flight_recorder missing");
+             | None -> Alcotest.fail "ring missing");
             (match Obs.Json.member "counters" j with
              | Some (Obs.Json.Obj fields) ->
                checkb "counter exported" true
                  (List.assoc_opt "work.items" fields = Some (Obs.Json.Int 3))
              | _ -> Alcotest.fail "counters missing");
-            (* v2 additions: histograms, gc, events, trace ids. *)
             (match Obs.Json.member "histograms" j with
              | Some (Obs.Json.List [ h ]) ->
                checkb "hist name" true
@@ -186,13 +188,6 @@ let json_suite =
                  (Obs.Json.member "run" e
                  = Some (Obs.Json.String (Obs.run_id ())))
              | _ -> Alcotest.fail "events missing");
-            (match Obs.Json.member "trace" j with
-             | Some tr ->
-               checkb "trace tids" true
-                 (match Obs.Json.member "tids" tr with
-                  | Some (Obs.Json.List _) -> true
-                  | _ -> false)
-             | None -> Alcotest.fail "trace missing");
             match Obs.Json.member "spans" j with
             | Some (Obs.Json.List [ span ]) ->
               checkb "span name" true
@@ -203,7 +198,7 @@ let json_suite =
                  | Some gc -> Obs.Json.member "minor_words" gc <> None
                  | None -> false)
             | _ -> Alcotest.fail "spans missing"));
-    case "write_json output round-trips through the parser" (fun () ->
+    case "record write output round-trips through the parser" (fun () ->
         with_obs (fun () ->
             let m = Sdd.manager (Vtree.balanced [ "a"; "b"; "c" ]) in
             ignore (Sdd.compile_circuit m (Circuit.of_string "(and a (or b c))"));
@@ -211,7 +206,7 @@ let json_suite =
             Fun.protect
               ~finally:(fun () -> Sys.remove path)
               (fun () ->
-                Obs.write_json path;
+                checkb "written" true (Run_record.write path = Ok ());
                 let ic = open_in_bin path in
                 let s =
                   Fun.protect
@@ -223,7 +218,7 @@ let json_suite =
                 | Ok j ->
                   checkb "schema" true
                     (Obs.Json.member "schema" j
-                    = Some (Obs.Json.String Obs.schema_version));
+                    = Some (Obs.Json.String Run_record.schema_version));
                   (* hits + misses = lookups for every exported cache. *)
                   (match Obs.Json.member "caches" j with
                    | Some (Obs.Json.List caches) ->
@@ -337,7 +332,7 @@ let trace_suite =
           Fun.protect
             ~finally:(fun () -> Sys.remove path)
             (fun () ->
-              Obs.write_trace path;
+              checkb "written" true (Obs.write_trace path = Ok ());
               let ic = open_in_bin path in
               let s =
                 Fun.protect
@@ -444,15 +439,15 @@ let trace_suite =
                  (List.exists
                     (fun n -> n = "budget.poll" || n = "note")
                     (names "X" @ names "i")));
-            let trace =
-              match Obs.Json.member "trace" (Obs.snapshot ()) with
+            let ring =
+              match Obs.Json.member "ring" (Run_record.json ()) with
               | Some t -> t
-              | None -> Alcotest.fail "trace section missing"
+              | None -> Alcotest.fail "ring section missing"
             in
-            checkb "trace.dropped = overwritten" true
-              (Obs.Json.member "dropped" trace = Some (Obs.Json.Int 9));
-            checkb "trace.span_events counts X and i" true
-              (Obs.Json.member "span_events" trace
+            checkb "ring.overwritten" true
+              (Obs.Json.member "overwritten" ring = Some (Obs.Json.Int 9));
+            checkb "ring.span_events counts X and i" true
+              (Obs.Json.member "span_events" ring
               = Some (Obs.Json.Int (List.length spans + List.length instants)));
             checkb "events lists the same instants" true
               (List.map (fun e -> e.Obs.Ring.name) (Obs.events ()) = instants)));
