@@ -17,13 +17,12 @@
    Every subcommand accepts --stats (human-readable span timings, cache
    statistics and histograms on stderr, keeping stdout pipeable),
    --trace FILE (the ctwsdd-run/v1 run record), --trace-out FILE (Chrome
-   trace_event file for Perfetto / chrome://tracing), --telemetry-out
-   FILE (one OpenMetrics text snapshot at exit; FILE may be `-` for
-   stdout) and --postmortem FILE (where dumps land); see EXPERIMENTS.md
-   for the formats.  Spans, events and budget activity are kept in one
-   flight-recorder ring (4096 entries, 2^18 while collecting) from which
-   the record's events, the Chrome trace and a dump's ring tail are all
-   rendered.  CTWSDD_DOMAINS caps the parallel worker pool.
+   trace_event file for Perfetto / chrome://tracing) and --postmortem
+   FILE (where dumps land); see EXPERIMENTS.md for the formats.  Spans,
+   events and budget activity are kept in one flight-recorder ring
+   (4096 entries, 2^18 while collecting) from which the record's
+   events, the Chrome trace and a dump's ring tail are all rendered.
+   CTWSDD_DOMAINS caps the parallel worker pool.
 
    A dump (the run record with a reason, the ring tail and the full GC
    stats) is written on every budget trip, on uncaught exceptions, and
@@ -143,7 +142,7 @@ let budget_of timeout max_nodes =
 (* Report one output file; [false] when it could not be written. *)
 let report_write label path = function
   | Ok () ->
-    if path <> "-" then Printf.eprintf "%s: wrote %s\n%!" label path;
+    Printf.eprintf "%s: wrote %s\n%!" label path;
     true
   | Error msg ->
     Printf.eprintf "ctwsdd: cannot write %s: %s\n%!" path msg;
@@ -200,7 +199,6 @@ type obs_opts = {
   stats : bool;
   trace : string option;
   trace_out : string option;
-  telemetry_out : string option;
   postmortem : string;
 }
 
@@ -221,13 +219,6 @@ let trace_out_file =
                Chrome trace_event file to $(docv); open it in Perfetto \
                (ui.perfetto.dev) or chrome://tracing.  Implies collection.")
 
-let telemetry_out_file =
-  Arg.(value & opt (some string) None & info [ "telemetry-out" ] ~docv:"FILE"
-         ~doc:"At exit, write an OpenMetrics / Prometheus text snapshot of \
-               the counters, gauges, histograms, caches, attribution cost \
-               centers and GC state to $(docv) (atomic replace; `-` prints \
-               to stdout instead).  Implies collection.")
-
 let postmortem_file =
   Arg.(value & opt string "ctwsdd-postmortem.json" & info [ "postmortem" ]
          ~docv:"FILE"
@@ -235,11 +226,10 @@ let postmortem_file =
                trips, uncaught exceptions and SIGUSR1).")
 
 let obs_term =
-  let mk stats trace trace_out telemetry_out postmortem =
-    { stats; trace; trace_out; telemetry_out; postmortem }
+  let mk stats trace trace_out postmortem =
+    { stats; trace; trace_out; postmortem }
   in
-  Term.(const mk $ stats_flag $ trace_file $ trace_out_file
-        $ telemetry_out_file $ postmortem_file)
+  Term.(const mk $ stats_flag $ trace_file $ trace_out_file $ postmortem_file)
 
 (* The managers the exported record reports; [explain] pins them to its
    compile's components so other live managers do not dilute the bag
@@ -249,12 +239,12 @@ let record_censuses : Sdd.census list option ref = ref None
 (* Runs the body (which returns the process exit code: 0, or a budget
    code from the table above) with observability enabled when requested,
    then exports.  Human summaries go to stderr so stdout stays pipeable.
-   Records, traces and telemetry are written even on budget exits — a
-   degraded run's record is exactly the one worth inspecting.  A failed
-   export turns exit 0 into 124, the code a [Sys_error] in the body
-   gets.  Errors terminate through Cmdliner or the exit-code contract,
-   never via an uncaught backtrace; any exception outside that contract
-   still leaves a dump behind before propagating. *)
+   Records and traces are written even on budget exits — a degraded
+   run's record is exactly the one worth inspecting.  A failed export
+   turns exit 0 into 124, the code a [Sys_error] in the body gets.
+   Errors terminate through Cmdliner or the exit-code contract, never
+   via an uncaught backtrace; any exception outside that contract still
+   leaves a dump behind before propagating. *)
 let run_with_obs o f =
   (* Fresh run: clear the flight recorder and every per-domain metric
      table left over from earlier library use in this process, and mint
@@ -263,8 +253,7 @@ let run_with_obs o f =
   record_censuses := None;
   Run_record.set_dump_path o.postmortem;
   Run_record.install_sigusr1 ();
-  if o.stats || o.trace <> None || o.trace_out <> None || o.telemetry_out <> None
-  then begin
+  if o.stats || o.trace <> None || o.trace_out <> None then begin
     Obs.set_enabled true;
     Obs.reset ()
   end;
@@ -283,7 +272,6 @@ let run_with_obs o f =
           ("record  ", o.trace,
            fun p -> Run_record.write ?censuses:!record_censuses p);
           ("trace   ", o.trace_out, Obs.write_trace);
-          ("telemetry", o.telemetry_out, Openmetrics.write);
         ]
     in
     if failed = [] || code <> 0 then code else Cmd.Exit.cli_error

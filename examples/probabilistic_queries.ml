@@ -38,8 +38,8 @@ let report name q =
     (List.length (Circuit.variables lineage));
   let exact = Prob.brute q db in
   let p_obdd, obdd_size = Prob.via_obdd_exn q db in
-  let p_sdd, sdd_size = Prob.via_sdd_exn q db in
-  let p_dnnf, dnnf_size = Prob.via_dnnf_exn q db in
+  let p_sdd, sdd_size = Prob.via_exn q db in
+  let p_dnnf, dnnf_size = Prob.via_exn ~backend:`Dnnf q db in
   Printf.printf "P = %s = %.6f\n" (Ratio.to_string exact) (Ratio.to_float exact);
   Printf.printf "  brute force        : %s\n" (Ratio.to_string exact);
   Printf.printf "  via OBDD  (size %3d): %s\n" obdd_size (Ratio.to_string p_obdd);

@@ -6,7 +6,7 @@ let compile_exn = Pipeline.compile_exn
 let compile_cnf = Pipeline.compile_cnf
 let conjoin_components = Pipeline.conjoin_components
 let prob = Prob.via
-let prob_exn = Prob.via_sdd_exn
+let prob_exn = Prob.via_exn
 
 (* Counting-only entry point: [`Auto] resolves with the counting-only
    hint (→ the non-canonical d-DNNF fast path), and the count read off

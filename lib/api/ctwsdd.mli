@@ -142,7 +142,7 @@ val prob_exn :
   Ucq.t ->
   Pdb.t ->
   Ratio.t * int
-(** Raising variant of {!prob} ({!Prob.via_sdd_exn}). *)
+(** Raising variant of {!prob} ({!Prob.via_exn}). *)
 
 val minimize_exn :
   ?budget:Budget.t ->

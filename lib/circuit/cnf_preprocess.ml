@@ -26,7 +26,7 @@ let run ?(level = `Count) (d : Dimacs.t) =
   let n = d.Dimacs.num_vars in
   List.iter
     (List.iter (fun l ->
-         if l = 0 || abs l > n then
+         if l = 0 || l < -n || l > n then
            invalid_arg "Cnf_preprocess.run: literal out of range"))
     d.Dimacs.clauses;
   (* assignment.(v-1): 0 unset, 1 forced true, -1 forced false *)

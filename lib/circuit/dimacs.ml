@@ -40,10 +40,11 @@ let parse text =
       else if line.[0] = 'p' then begin
         match tokens line with
         | [ "p"; "cnf"; v; c ] ->
-          (try
-             num_vars := int_of_string v;
-             num_clauses := int_of_string c
-           with Failure _ -> malformed "bad header numbers")
+          (match (int_of_string_opt v, int_of_string_opt c) with
+           | Some v, Some c when v >= 0 && c >= 0 ->
+             num_vars := v;
+             num_clauses := c
+           | _ -> malformed "bad header numbers")
         | _ -> malformed "bad problem line"
       end
       else begin
@@ -56,7 +57,9 @@ let parse text =
               clauses := List.rev !current :: !clauses;
               current := []
             | Some l ->
-              if abs l > !num_vars then malformed "literal out of range";
+              (* Not [abs l]: [abs min_int] is [min_int], negative. *)
+              if l < - !num_vars || l > !num_vars then
+                malformed "literal out of range";
               current := l :: !current)
           (tokens line)
       end)
@@ -64,7 +67,7 @@ let parse text =
   if !current <> [] then clauses := List.rev !current :: !clauses;
   if !num_vars < 0 then malformed "missing problem line";
   let clauses = List.rev !clauses in
-  if !num_clauses >= 0 && List.length clauses <> !num_clauses then
+  if List.length clauses <> !num_clauses then
     malformed
       (Printf.sprintf "expected %d clauses, found %d" !num_clauses
          (List.length clauses));

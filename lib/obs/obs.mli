@@ -24,9 +24,8 @@
     chrome://tracing with one track per OCaml domain, and a dump's
     [ring.entries] tail are all rendered from it.  The ring holds 4096
     entries with collection off and 2{^18} while collecting; beyond that
-    the oldest entries are overwritten and counted.  {!Openmetrics}
-    renders the current state in OpenMetrics/Prometheus text format.
-    See EXPERIMENTS.md for the schema reference. *)
+    the oldest entries are overwritten and counted.  See EXPERIMENTS.md
+    for the schema reference. *)
 
 (** {1 Enabling} *)
 

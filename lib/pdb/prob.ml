@@ -121,12 +121,6 @@ let via_obdd q db =
   Backend.keep_selection @@ fun () ->
   evaluate `Obdd ?vtree:(linear_vtree (default_order q db)) q db
 
-let via_sdd ?budget ?vtree ?minimize ?compact_every ?backend q db =
-  via ?budget ?vtree ?minimize ?compact_every ?backend q db
-
-let via_dnnf ?budget ?minimize ?compact_every q db =
-  via ?budget ?minimize ?compact_every ~backend:`Dnnf q db
-
 let unpack = function
   | Error e -> Ctwsdd_error.throw e
   | Ok { degraded = Some r; _ } -> raise (Budget.Exhausted r)
@@ -134,8 +128,5 @@ let unpack = function
 
 let via_obdd_exn q db = unpack (via_obdd q db)
 
-let via_sdd_exn ?budget ?vtree ?minimize ?compact_every ?backend q db =
-  unpack (via_sdd ?budget ?vtree ?minimize ?compact_every ?backend q db)
-
-let via_dnnf_exn ?budget ?minimize ?compact_every q db =
-  unpack (via_dnnf ?budget ?minimize ?compact_every q db)
+let via_exn ?budget ?vtree ?minimize ?compact_every ?backend q db =
+  unpack (via ?budget ?vtree ?minimize ?compact_every ?backend q db)

@@ -48,58 +48,31 @@ val via :
   Pdb.t ->
   (answer, Ctwsdd_error.t) result
 (** Evaluate through the backend-agnostic pipeline ({!Backend}).
-    Default [backend = `Sdd] — the historical {!via_sdd} behaviour.
-    [`Auto] resolves from the query's safety level: hierarchical
-    single-CQ queries compile to an OBDD on the hierarchical variable
-    order ({!Qsafety.hierarchical_variable_order}), inversion-free
-    queries to a canonical SDD on the treewidth-derived vtree, and the
-    rest to a canonical SDD on a balanced vtree; the choice is recorded
-    ({!Backend.last_selection}) and reported in {!answer.backend}.
-    [minimize] requires the [`Sdd] backend
-    ([Error (Invalid_input _)] otherwise). *)
-
-val via_sdd :
-  ?budget:Budget.t ->
-  ?vtree:Vtree.t ->
-  ?minimize:bool ->
-  ?compact_every:int ->
-  ?backend:Backend.tag ->
-  Ucq.t ->
-  Pdb.t ->
-  (answer, Ctwsdd_error.t) result
-(** {!via} under its historical name; the answer carries the compiled
-    size.  By default inversion-free queries are compiled with
+    Default [backend = `Sdd]: inversion-free queries are compiled with
     {!Pipeline.compile} on a treewidth-derived vtree ([`Treedec]) — the
-    paper's pipeline, exponentially better than the balanced vtree that
-    used to be the default here on bounded-treewidth lineages; queries
-    with inversions keep the balanced vtree (their lineage treewidth
-    grows, and the Lemma 1 vtree degrades apply compilation there).
-    An explicit [vtree] is compiled as {!Pipeline.compile}'s
-    [`Pinned] strategy, a ladder of one rung: a budget trip is then an
-    [Error].  [minimize] runs the
-    in-manager dynamic vtree search after compilation — anytime under a
-    budget.  [compact_every] arms generational arena compaction on the
-    compile's manager(s), as on {!Pipeline.compile}.  Constant lineages (no variables) return
-    size 0 without building a manager. *)
-
-val via_dnnf :
-  ?budget:Budget.t ->
-  ?minimize:bool ->
-  ?compact_every:int ->
-  Ucq.t ->
-  Pdb.t ->
-  (answer, Ctwsdd_error.t) result
-(** [{!via} ~backend:`Dnnf]: the counting-only non-canonical arena
-    ({!Sdd.dnnf_manager}) — no unique-table find-or-claim, no
-    compression disjunctions — with the exact WMC read directly off the
-    arena (no NNF-circuit export).  The answer carries the arena node
-    size.  [minimize] is rejected ([Invalid_input]): dynamic vtree
-    edits assume canonicity. *)
+    paper's pipeline, exponentially better than a balanced vtree on
+    bounded-treewidth lineages; queries with inversions keep the
+    balanced vtree (their lineage treewidth grows, and the Lemma 1
+    vtree degrades apply compilation there).  [`Auto] resolves from the
+    query's safety level: hierarchical single-CQ queries compile to an
+    OBDD on the hierarchical variable order
+    ({!Qsafety.hierarchical_variable_order}), the rest as [`Sdd] does;
+    the choice is recorded ({!Backend.last_selection}) and reported in
+    {!answer.backend}.  [`Dnnf] is the counting-only non-canonical
+    arena ({!Sdd.dnnf_manager}).  An explicit [vtree] is compiled as
+    {!Pipeline.compile}'s [`Pinned] strategy, a ladder of one rung: a
+    budget trip is then an [Error].  [minimize] runs the in-manager
+    dynamic vtree search after compilation — anytime under a budget —
+    and requires the [`Sdd] backend ([Error (Invalid_input _)]
+    otherwise).  [compact_every] arms generational arena compaction on
+    the compile's manager(s), as on {!Pipeline.compile}.  Constant
+    lineages (no variables) return size 0 without building a
+    manager. *)
 
 val via_obdd_exn : Ucq.t -> Pdb.t -> Ratio.t * int
 (** {!via_obdd} with the historical signature. *)
 
-val via_sdd_exn :
+val via_exn :
   ?budget:Budget.t ->
   ?vtree:Vtree.t ->
   ?minimize:bool ->
@@ -108,14 +81,5 @@ val via_sdd_exn :
   Ucq.t ->
   Pdb.t ->
   Ratio.t * int
-(** {!via_sdd} with the historical signature.
+(** {!via} returning [(probability, size)].
     @raise Budget.Exhausted on any budget trip, degraded or not. *)
-
-val via_dnnf_exn :
-  ?budget:Budget.t ->
-  ?minimize:bool ->
-  ?compact_every:int ->
-  Ucq.t ->
-  Pdb.t ->
-  Ratio.t * int
-(** {!via_dnnf} with the historical signature. *)

@@ -62,6 +62,12 @@ let preprocess_tests =
         match Cnf_preprocess.run (cnf ~vars:3 [ [ 1; 2 ]; [] ]) with
         | Unsat -> ()
         | Simplified _ -> Alcotest.fail "empty clause not Unsat");
+    case "a min_int literal is out of range" (fun () ->
+        try
+          ignore (Cnf_preprocess.run (cnf ~vars:2 [ [ min_int ] ]));
+          Alcotest.fail "min_int literal accepted"
+        with Invalid_argument msg ->
+          checks "message" "Cnf_preprocess.run: literal out of range" msg);
     case "tautologies and duplicates are counted and removed" (fun () ->
         let d =
           cnf ~vars:3 [ [ 1; -1; 2 ]; [ 2; 3 ]; [ 3; 2 ]; [ 2; 2; 3 ] ]
@@ -402,6 +408,25 @@ let parse_tests =
           Alcotest.fail "accepted a p dnf header"
         with Invalid_argument _ -> ());
   ]
+  @ List.map
+      (fun (name, text, msg) ->
+        case name (fun () ->
+            match Ctwsdd_error.guard (fun () -> Dimacs.parse text) with
+            | Ok _ -> Alcotest.fail "malformed input accepted"
+            | Error e ->
+              checki "exit code" 3 (Ctwsdd_error.exit_code e);
+              checks "message" ("invalid input: Dimacs.parse: " ^ msg)
+                (Ctwsdd_error.to_string e)))
+      [
+        ( "min_int literal is out of range",
+          Printf.sprintf "p cnf 2 1\n%d 0\n" min_int,
+          "literal out of range" );
+        ( "min_int literal before a valid clause is out of range",
+          Printf.sprintf "p cnf 2 2\n%d 0\n1 2 0\n" min_int,
+          "literal out of range" );
+        ("negative variable count", "p cnf -3 1\n1 0\n", "bad header numbers");
+        ("negative clause count", "p cnf 3 -1\n1 0\n", "bad header numbers");
+      ]
 
 let suites =
   [

@@ -419,7 +419,7 @@ let pdb_deep =
         let db = Pdb.uniform (Ratio.of_ints 1 3) facts in
         let q = Ucq.of_string "R(x), S(x,y), T(y)" in
         let a, _ = Prob.via_obdd_exn q db in
-        let b, _ = Prob.via_sdd_exn q db in
+        let b, _ = Prob.via_exn q db in
         Ratio.equal a b);
   ]
 

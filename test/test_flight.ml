@@ -1,5 +1,4 @@
-(* Flight-recorder ring, the run record and its dumps, and the
-   OpenMetrics exporter.
+(* Flight-recorder ring, the run record and its dumps.
 
    The ring and run-ID state are process-global, so cases that resize
    or clear the ring restore the default capacity afterwards. *)
@@ -428,114 +427,66 @@ let record_suite =
                 checkb (Printf.sprintf "coverage %.3f" c) true
                   (Float.abs (c -. 1.) <= 0.05)
               | _ -> Alcotest.fail "coverage not a float"));
-  ]
-
-(* A tiny line-level check of the Prometheus/OpenMetrics text format:
-   every non-comment line is `name[{labels}] value` with a parseable
-   value and balanced quotes. *)
-let check_exposition_line line =
-  if line = "" || line.[0] = '#' then ()
-  else
-    match String.rindex_opt line ' ' with
-    | None -> Alcotest.failf "no value separator in %S" line
-    | Some i ->
-      let value = String.sub line (i + 1) (String.length line - i - 1) in
-      (match float_of_string_opt value with
-       | Some _ -> ()
-       | None ->
-         if value <> "+Inf" then Alcotest.failf "bad value in %S" line);
-      let quotes =
-        String.fold_left
-          (fun (n, esc) c ->
-            if esc then (n, false)
-            else if c = '\\' then (n, true)
-            else if c = '"' then (n + 1, false)
-            else (n, false))
-          (0, false) (String.sub line 0 i)
-      in
-      if fst quotes mod 2 <> 0 then Alcotest.failf "unbalanced quotes in %S" line
-
-let openmetrics_suite =
-  [
-    case "label escaping" (fun () ->
-        checks "backslash" "a\\\\b" (Openmetrics.escape_label "a\\b");
-        checks "quote" "a\\\"b" (Openmetrics.escape_label "a\"b");
-        checks "newline" "a\\nb" (Openmetrics.escape_label "a\nb");
-        checks "plain" "plain" (Openmetrics.escape_label "plain"));
-    case "render is well-formed and ends with EOF" (fun () ->
+    case "counters, gauges, histograms and run_id are in the record"
+      (fun () ->
         with_obs (fun () ->
-            Obs.incr ~by:7 "om.counter";
-            Obs.gauge_set "om.gauge" 3;
-            Obs.hist_record "om.hist" 5;
-            Obs.hist_record "om.hist" 900;
-            let text = Openmetrics.render () in
-            let lines = String.split_on_char '\n' text in
-            List.iter check_exposition_line lines;
-            checkb "ends with EOF" true
-              (match List.rev lines with
-               | "" :: "# EOF" :: _ -> true
-               | _ -> false);
-            checkb "counter exported" true
-              (List.mem "ctwsdd_counter_total{name=\"om.counter\"} 7" lines);
-            checkb "gauge exported" true
-              (List.mem "ctwsdd_gauge{name=\"om.gauge\"} 3" lines);
-            checkb "run info exported" true
-              (List.mem
-                 (Printf.sprintf "ctwsdd_run_info{run_id=\"%s\"} 1"
-                    (Obs.run_id ()))
-                 lines);
-            (* Histogram buckets are cumulative and +Inf equals count. *)
-            let bucket_counts =
-              List.filter_map
-                (fun l ->
-                  let prefix = "ctwsdd_histogram_bucket{name=\"om.hist\"" in
-                  if String.length l >= String.length prefix
-                     && String.sub l 0 (String.length prefix) = prefix
-                  then
-                    String.rindex_opt l ' '
-                    |> Option.map (fun i ->
-                           int_of_string
-                             (String.sub l (i + 1) (String.length l - i - 1)))
-                  else None)
-                lines
+            Obs.incr ~by:7 "rec.counter";
+            Obs.gauge_set "rec.gauge" 3;
+            Obs.hist_record "rec.hist" 5;
+            Obs.hist_record "rec.hist" 900;
+            let j = Run_record.json () in
+            checkb "counter" true
+              (member_exn "rec.counter" (member_exn "counters" j)
+              = Obs.Json.Int 7);
+            checkb "gauge" true
+              (member_exn "rec.gauge" (member_exn "gauges" j) = Obs.Json.Int 3);
+            let h =
+              match member_exn "histograms" j with
+              | Obs.Json.List hs ->
+                (match
+                   List.find_opt
+                     (fun h ->
+                       Obs.Json.member "name" h
+                       = Some (Obs.Json.String "rec.hist"))
+                     hs
+                 with
+                 | Some h -> h
+                 | None -> Alcotest.fail "histogram missing")
+              | _ -> Alcotest.fail "histograms not a list"
             in
-            checkb "has buckets" true (bucket_counts <> []);
-            checkb "cumulative" true
-              (bucket_counts = List.sort compare bucket_counts);
-            checki "+Inf equals count" 2
-              (List.nth bucket_counts (List.length bucket_counts - 1))));
-    case "labels with hostile characters stay parseable" (fun () ->
-        with_obs (fun () ->
-            Obs.with_run_id "r-\"quoted\\evil\"\n" (fun () ->
-                let text = Openmetrics.render () in
-                List.iter check_exposition_line
-                  (String.split_on_char '\n' text))));
-    case "write replaces the file atomically" (fun () ->
-        let path = Filename.temp_file "ctwsdd_om" ".prom" in
+            checkb "count" true (member_exn "count" h = Obs.Json.Int 2);
+            let bucket_total =
+              match member_exn "buckets" h with
+              | Obs.Json.List bs ->
+                List.fold_left
+                  (fun acc b ->
+                    match member_exn "count" b with
+                    | Obs.Json.Int c -> acc + c
+                    | _ -> Alcotest.fail "bucket count not an int")
+                  0 bs
+              | _ -> Alcotest.fail "buckets not a list"
+            in
+            checki "bucket counts sum to count" 2 bucket_total;
+            checkb "run_id" true
+              (member_exn "run_id" j = Obs.Json.String (Obs.run_id ()))));
+    case "a hostile run_id round-trips through the written record"
+      (fun () ->
+        let rid = "r-\"quoted\\evil\"\n" in
+        let path = Filename.temp_file "ctwsdd_rec" ".json" in
         Fun.protect
           ~finally:(fun () -> Sys.remove path)
           (fun () ->
-            checkb "first write" true (Openmetrics.write path = Ok ());
-            checkb "second write" true (Openmetrics.write path = Ok ());
-            let ic = open_in_bin path in
-            let s =
-              Fun.protect
-                ~finally:(fun () -> close_in_noerr ic)
-                (fun () -> really_input_string ic (in_channel_length ic))
-            in
-            checkb "nonempty" true (String.length s > 0);
-            checkb "terminated" true
-              (String.length s >= 6
-              && String.sub s (String.length s - 6) 6 = "# EOF\n");
-            checkb "no tmp litter" true
-              (Sys.readdir (Filename.dirname path)
-              |> Array.for_all (fun f ->
-                     not
-                       (String.length f > String.length ".ctwsdd_om"
-                       && String.sub f 0 1 = "."
-                       && Filename.check_suffix f ".tmp"
-                       && String.length f >= 10
-                       && String.sub f 1 9 = "ctwsdd_om")))));
+            Obs.with_run_id rid (fun () ->
+                (* The second write replaces the first atomically. *)
+                checkb "first write" true (Run_record.write path = Ok ());
+                checkb "second write" true (Run_record.write path = Ok ()));
+            checkb "no tmp litter" false
+              (Sys.file_exists
+                 (Filename.concat (Filename.dirname path)
+                    (Printf.sprintf ".%s.%d.tmp" (Filename.basename path)
+                       (Unix.getpid ()))));
+            checkb "run_id" true
+              (member_exn "run_id" (read_json path) = Obs.Json.String rid)));
   ]
 
 let suites =
@@ -544,5 +495,4 @@ let suites =
     ("run ids", run_id_suite);
     ("postmortem", postmortem_suite);
     ("run record", record_suite);
-    ("openmetrics", openmetrics_suite);
   ]

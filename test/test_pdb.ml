@@ -188,10 +188,10 @@ let prob_suite =
           (fun q ->
             let expected = Prob.brute q tiny_db in
             let via_o, _ = Prob.via_obdd_exn q tiny_db in
-            let via_s, _ = Prob.via_sdd_exn q tiny_db in
-            let via_d, _ = Prob.via_dnnf_exn q tiny_db in
+            let via_s, _ = Prob.via_exn q tiny_db in
+            let via_d, _ = Prob.via_exn ~backend:`Dnnf q tiny_db in
             let via_m, _ =
-              Prob.via_sdd_exn
+              Prob.via_exn
                 ~vtree:(Vtree.right_linear (Lineage.variables tiny_db))
                 ~minimize:true q tiny_db
             in
@@ -205,7 +205,7 @@ let prob_suite =
         let q = q_rst in
         let expected = Prob.brute q db in
         let via_o, _ = Prob.via_obdd_exn q db in
-        let via_s, _ = Prob.via_sdd_exn q db in
+        let via_s, _ = Prob.via_exn q db in
         Ratio.equal expected via_o && Ratio.equal expected via_s)
       ~count:1;
     case "empty database: every route answers P = 0 with size 0" (fun () ->

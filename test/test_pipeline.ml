@@ -88,13 +88,13 @@ let query_suite =
         checki "beyond tabulation limit" 42
           (List.length (Circuit.variables c));
         let expected = closed_form_rs 6 in
-        let p, size = Prob.via_sdd_exn q_rs db in
-        check ratio "via_sdd" expected p;
+        let p, size = Prob.via_exn q_rs db in
+        check ratio "sdd" expected p;
         checkb "nontrivial SDD" true (size > 0);
-        let p_min, _ = Prob.via_sdd_exn ~minimize:true q_rs db in
-        check ratio "via_sdd minimized" expected p_min;
-        let p_dnnf, _ = Prob.via_dnnf_exn q_rs db in
-        check ratio "via_dnnf" expected p_dnnf);
+        let p_min, _ = Prob.via_exn ~minimize:true q_rs db in
+        check ratio "sdd minimized" expected p_min;
+        let p_dnnf, _ = Prob.via_exn ~backend:`Dnnf q_rs db in
+        check ratio "dnnf" expected p_dnnf);
     case "pipeline default agrees with brute force on shrinks" (fun () ->
         List.iter
           (fun n ->
@@ -102,7 +102,7 @@ let query_suite =
             List.iter
               (fun q ->
                 let expected = Prob.brute q db in
-                let p, _ = Prob.via_sdd_exn q db in
+                let p, _ = Prob.via_exn q db in
                 check ratio
                   (Printf.sprintf "n=%d" n)
                   expected p)
@@ -115,11 +115,11 @@ let query_suite =
         checki "beyond tabulation limit" 35
           (List.length (Circuit.variables c));
         let p_obdd, _ = Prob.via_obdd_exn q_rst db in
-        let p_sdd, _ = Prob.via_sdd_exn q_rst db in
+        let p_sdd, _ = Prob.via_exn q_rst db in
         check ratio "independent compilers agree" p_obdd p_sdd);
     case "constant lineage short-circuits" (fun () ->
         let empty = Pdb.make [] in
-        let p, size = Prob.via_sdd_exn q_rs empty in
+        let p, size = Prob.via_exn q_rs empty in
         check ratio "false lineage" Ratio.zero p;
         checki "no manager built" 0 size);
   ]
