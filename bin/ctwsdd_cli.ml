@@ -383,12 +383,13 @@ let compile_cmd =
   let vtree_choice =
     Arg.(value & opt vtree_conv `Lemma1 & info [ "vtree" ] ~docv:"KIND"
            ~doc:"Vtree: $(b,balanced), $(b,right), $(b,left), $(b,lemma1) \
-                 (from a tree decomposition of the circuit), $(b,treedec) \
-                 (pipeline: best of direct and Tseitin-route \
-                 decompositions) or $(b,search) (compile several \
-                 candidates in parallel, keep the smallest SDD).  \
-                 $(b,left) and $(b,lemma1) are pinned: under a budget \
-                 there is no cheaper vtree to step down to.")
+                 (the Lemma 1 vtree of a tree decomposition of the \
+                 circuit), $(b,treedec) (the same Lemma 1 vtree, with the \
+                 degradation ladder to balanced and right-linear under a \
+                 budget) or $(b,search) (compile several candidates in \
+                 parallel, keep the smallest SDD).  $(b,left) and \
+                 $(b,lemma1) are pinned: under a budget there is no \
+                 cheaper vtree to step down to.")
   in
   let count =
     Arg.(value & flag & info [ "count" ] ~doc:"Print the exact model count.")

@@ -181,6 +181,14 @@ type component = { comp_cnf : Dimacs.t; comp_var_of_new : int array }
 
 let split (d : Dimacs.t) =
   let n = d.Dimacs.num_vars in
+  (* The range check of [run], for callers that skip preprocessing. *)
+  let used = Array.make n false in
+  List.iter
+    (List.iter (fun l ->
+         if l = 0 || l < -n || l > n then
+           invalid_arg "Cnf_preprocess.split: literal out of range";
+         used.(abs l - 1) <- true))
+    d.Dimacs.clauses;
   let uf = Ugraph.Union_find.create n in
   List.iter
     (function
@@ -192,8 +200,6 @@ let split (d : Dimacs.t) =
   (* Components of the used variables only, keyed by class root; each
      clause lands with its variables (a clause's variables are all in
      one class by construction). *)
-  let used = Array.make n false in
-  List.iter (List.iter (fun l -> used.(abs l - 1) <- true)) d.Dimacs.clauses;
   let comp_index = Hashtbl.create 16 in
   let n_comps = ref 0 in
   for v = 0 to n - 1 do

@@ -98,9 +98,13 @@ let to_circuit t =
        t.clauses)
 
 let free_var_count t =
-  let used = Hashtbl.create 16 in
-  List.iter (List.iter (fun l -> Hashtbl.replace used (abs l) ())) t.clauses;
-  t.num_vars - Hashtbl.length used
+  let n = Stdlib.max 0 t.num_vars in
+  let used = Array.make n false in
+  List.iter
+    (List.iter (fun l ->
+         if l <> 0 && l >= -n && l <= n then used.(abs l - 1) <- true))
+    t.clauses;
+  Array.fold_left (fun k u -> if u then k else k + 1) 0 used
 
 let of_clauses named =
   let index = Hashtbl.create 16 in

@@ -18,52 +18,11 @@ type result = {
   minimize_steps : int;
 }
 
-(* Map a tree decomposition of the Tseitin CNF's primal graph back to a
-   decomposition of the circuit's gate graph.  Tseitin names the signal
-   of gate [i] either "_g<i>" (internal and constant gates) or the input
-   variable itself, so the renaming is per-vertex and injective for
-   builder-constructed circuits, and every wire (j, i) of the circuit
-   appears in the clause relating gate [i] to its fanins — hence in some
-   primal bag.  The primal graph also has fanin-fanin edges the circuit
-   graph lacks, which only makes the mapped decomposition valid for a
-   supergraph — harmless.  If the mapping misses a gate (duplicate input
-   gates of a hand-assembled circuit), validation fails and the caller
-   falls back to the direct decomposition. *)
-let tseitin_decomposition ?budget c =
-  let cnf = Tseitin.transform c in
-  let g, names = Tseitin.primal_graph cnf in
-  let gate_of_name = Hashtbl.create 64 in
-  Array.iteri
-    (fun i gate ->
-      match gate with
-      | Circuit.Var x -> Hashtbl.replace gate_of_name x i
-      | _ -> Hashtbl.replace gate_of_name (Printf.sprintf "_g%d" i) i)
-    c.Circuit.gates;
-  let td = Treewidth.decomposition ?budget g in
-  let map_bag bag =
-    List.sort_uniq compare
-      (List.filter_map (fun v -> Hashtbl.find_opt gate_of_name names.(v)) bag)
-  in
-  let td' =
-    { Treedec.bags = Array.map map_bag td.Treedec.bags; tree = td.Treedec.tree }
-  in
-  match Treedec.validate (Circuit.underlying_graph c) td' with
-  | Ok () -> Some td'
-  | Error _ -> None
-
 let treedec_vtree ?budget c =
   Obs.span "pipeline.treedec_vtree" @@ fun () ->
-  let direct = snd (Circuit.treewidth_upper ?budget c) in
-  let td, source =
-    match tseitin_decomposition ?budget c with
-    | Some td' when Treedec.width td' < Treedec.width direct -> (td', "tseitin")
-    | _ -> (direct, "direct")
-  in
-  if !Obs.enabled_ref then begin
-    Obs.incr ("pipeline.treedec." ^ source);
-    Obs.hist_record "pipeline.treedec_width" (Treedec.width td)
-  end;
-  (Lemma1.vtree_of_decomposition c td, Treedec.width td)
+  let w, td = Circuit.treewidth_upper ?budget c in
+  if !Obs.enabled_ref then Obs.hist_record "pipeline.treedec_width" w;
+  (Lemma1.vtree_of_decomposition c td, w)
 
 (* Backend-parametric single-vtree compile: the backend decides the
    manager flavour ([`Obdd] right-linearizes the proposed vtree over

@@ -1,12 +1,13 @@
 (** Circuit-native compilation pipeline.
 
     One entry point from a Boolean circuit to a canonical SDD, chaining
-    the paper's ingredients without ever tabulating a truth table:
-    Tseitin / primal-graph treewidth (Section 1), the Lemma 1 vtree of a
-    tree decomposition, bottom-up apply compilation, and in-manager
-    dynamic vtree minimization.  This is the path the probabilistic-
-    database evaluator and the CLI use for lineages beyond the
-    tabulation limit.
+    the paper's ingredients without ever tabulating a truth table: a
+    heuristic tree decomposition of the circuit's gate graph (circuit
+    treewidth, Section 3.1), the Lemma 1 vtree of that decomposition,
+    bottom-up apply compilation, and in-manager dynamic vtree
+    minimization.  This is the path the probabilistic-database
+    evaluator and the CLI use for lineages beyond the tabulation
+    limit.
 
     Compilation is governed by a {!Budget.t} and degrades gracefully:
     when the requested strategy trips the budget the pipeline steps down
@@ -21,8 +22,8 @@ type vtree_strategy =
     - [`Right] — right-linear over the circuit's variables (an OBDD-style
       order, the paper's Section 2.2 baseline);
     - [`Balanced] — balanced over the circuit's variables;
-    - [`Treedec] — the Lemma 1 vtree of the best available tree
-      decomposition of the circuit's gate graph (see {!treedec_vtree});
+    - [`Treedec] — the Lemma 1 vtree of a heuristic tree decomposition
+      of the circuit's gate graph (see {!treedec_vtree});
     - [`Search] — compile the [`Treedec], [`Balanced] and [`Right]
       candidates in parallel and keep the smallest SDD (deterministic:
       first minimum in that order, independent of [domains]).  Under a
@@ -60,23 +61,12 @@ type result = {
           [minimize] was off). *)
 }
 
-val tseitin_decomposition : ?budget:Budget.t -> Circuit.t -> Treedec.t option
-(** Tree decomposition of the circuit's gate graph obtained indirectly:
-    decompose the primal graph of the circuit's Tseitin CNF, then rename
-    each CNF variable back to the gate it stands for.  The primal graph
-    has extra fanin–fanin edges, so the renamed decomposition covers a
-    supergraph of the gate graph and is usually at least as good as —
-    sometimes better than — the direct elimination-order bound.  [None]
-    if the renamed decomposition fails validation (possible for
-    hand-assembled circuits with duplicate input gates). *)
-
 val treedec_vtree : ?budget:Budget.t -> Circuit.t -> Vtree.t * int
-(** The Lemma 1 vtree of the circuit, from the narrower of the direct
-    decomposition ({!Circuit.treewidth_upper}) and the Tseitin-route one
-    ({!tseitin_decomposition}).  Also returns the width of the chosen
-    decomposition.  [budget] is polled during the underlying treewidth
-    heuristics — on fill-heavy gate graphs they dominate a budgeted
-    compile otherwise.
+(** The Lemma 1 vtree of the circuit ({!Lemma1.vtree_of_decomposition})
+    built from the heuristic decomposition of its gate graph
+    ({!Circuit.treewidth_upper}), with the width of that decomposition.
+    [budget] is polled during the treewidth heuristics — on fill-heavy
+    gate graphs they dominate a budgeted compile otherwise.
     @raise Budget.Exhausted on a trip. *)
 
 val compile :

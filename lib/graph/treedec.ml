@@ -7,93 +7,99 @@ let width t =
 
 let num_bags t = Array.length t.bags
 
-(* Check that [tree] is a spanning tree over bag indices. *)
-let tree_ok t =
+(* Parent of each bag when [tree] is rooted at bag 0 ([-1] at the
+   root), or [None] when [tree] is not a spanning tree over the bag
+   indices: an edge out of range or a self-loop, a wrong edge count, or
+   a bag unreachable from bag 0. *)
+let rooted_parents t =
   let n = Array.length t.bags in
-  if n = 0 then t.tree = []
-  else if List.length t.tree <> n - 1 then false
+  if n = 0 then if t.tree = [] then Some [||] else None
+  else if List.length t.tree <> n - 1 then None
+  else if
+    List.exists
+      (fun (a, b) -> a < 0 || a >= n || b < 0 || b >= n || a = b)
+      t.tree
+  then None
   else begin
     let adj = Array.make n [] in
-    let ok = ref true in
     List.iter
       (fun (a, b) ->
-        if a < 0 || a >= n || b < 0 || b >= n || a = b then ok := false
-        else begin
-          adj.(a) <- b :: adj.(a);
-          adj.(b) <- a :: adj.(b)
-        end)
+        adj.(a) <- b :: adj.(a);
+        adj.(b) <- a :: adj.(b))
       t.tree;
-    if not !ok then false
-    else begin
-      let seen = Array.make n false in
-      let rec dfs v =
-        seen.(v) <- true;
-        List.iter (fun w -> if not seen.(w) then dfs w) adj.(v)
-      in
-      dfs 0;
-      Array.for_all Fun.id seen
-    end
+    let parent = Array.make n (-2) in
+    let rec visit p v =
+      parent.(v) <- p;
+      List.iter (fun w -> if parent.(w) = -2 then visit v w) adj.(v)
+    in
+    visit (-1) 0;
+    if Array.mem (-2) parent then None else Some parent
   end
 
+let mem_sorted (a : int array) x =
+  let rec go lo hi =
+    lo < hi
+    &&
+    let mid = (lo + hi) lsr 1 in
+    let y = a.(mid) in
+    y = x || if y < x then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length a)
+
+(* One pass builds the ascending bags-of-vertex lists; the edge check
+   probes the shorter list of each edge against the other endpoint's
+   bags (binary search), and the connectivity check counts top bags. *)
 let validate g t =
   let n = Ugraph.num_vertices g in
-  if not (tree_ok t) then Error "tree edges do not form a tree over the bags"
-  else begin
-    let bag_sets = Array.map ISet.of_list t.bags in
-    (* 1. vertex coverage *)
-    let covered = Array.make n false in
-    Array.iter (ISet.iter (fun v -> if v >= 0 && v < n then covered.(v) <- true)) bag_sets;
-    let missing = List.filter (fun v -> not covered.(v)) (Ugraph.vertices g) in
-    if missing <> [] then
-      Error (Printf.sprintf "vertex %d is in no bag" (List.hd missing))
-    else begin
-      (* 2. edge coverage *)
-      let edge_missing =
-        List.find_opt
-          (fun (u, v) ->
-            not (Array.exists (fun b -> ISet.mem u b && ISet.mem v b) bag_sets))
-          (Ugraph.edges g)
-      in
-      match edge_missing with
-      | Some (u, v) -> Error (Printf.sprintf "edge (%d,%d) is in no bag" u v)
-      | None ->
-        (* 3. connectedness of occurrence sets: for each vertex, the bags
-           containing it must induce a connected subtree. *)
-        let nb = Array.length t.bags in
-        let adj = Array.make nb [] in
-        List.iter
-          (fun (a, b) ->
-            adj.(a) <- b :: adj.(a);
-            adj.(b) <- a :: adj.(b))
-          t.tree;
-        let bad = ref None in
-        for v = 0 to n - 1 do
-          if !bad = None then begin
-            let occ = ref [] in
-            Array.iteri (fun i b -> if ISet.mem v b then occ := i :: !occ) bag_sets;
-            match !occ with
-            | [] -> ()
-            | start :: _ ->
-              let occ_set = ISet.of_list !occ in
-              let seen = Hashtbl.create 16 in
-              let rec dfs i =
-                Hashtbl.replace seen i ();
-                List.iter
-                  (fun j ->
-                    if ISet.mem j occ_set && not (Hashtbl.mem seen j) then dfs j)
-                  adj.(i)
-              in
-              dfs start;
-              if Hashtbl.length seen <> ISet.cardinal occ_set then
-                bad := Some v
-          end
-        done;
-        (match !bad with
-         | Some v ->
-           Error (Printf.sprintf "occurrence set of vertex %d is disconnected" v)
-         | None -> Ok ())
-    end
-  end
+  match rooted_parents t with
+  | None -> Error "tree edges do not form a tree over the bags"
+  | Some parent ->
+    let bags =
+      Array.map
+        (fun b ->
+          let a = Array.of_list b in
+          Array.sort Int.compare a;
+          a)
+        t.bags
+    in
+    let bags_of = Array.make n [] in
+    for i = Array.length bags - 1 downto 0 do
+      Array.iter
+        (fun v ->
+          if v >= 0 && v < n then
+            match bags_of.(v) with
+            | j :: _ when j = i -> ()
+            | l -> bags_of.(v) <- i :: l)
+        bags.(i)
+    done;
+    (match List.find_opt (fun v -> bags_of.(v) = []) (Ugraph.vertices g) with
+     | Some v -> Error (Printf.sprintf "vertex %d is in no bag" v)
+     | None ->
+       let shared (u, v) =
+         let occ, other =
+           if List.compare_lengths bags_of.(u) bags_of.(v) <= 0 then
+             (bags_of.(u), v)
+           else (bags_of.(v), u)
+         in
+         List.exists (fun b -> mem_sorted bags.(b) other) occ
+       in
+       (match List.find_opt (fun e -> not (shared e)) (Ugraph.edges g) with
+        | Some (u, v) -> Error (Printf.sprintf "edge (%d,%d) is in no bag" u v)
+        | None ->
+          (* Each component of an occurrence set has one top bag: one
+             whose parent does not hold the vertex. *)
+          let tops v =
+            List.fold_left
+              (fun k b ->
+                let p = parent.(b) in
+                if p < 0 || not (mem_sorted bags.(p) v) then k + 1 else k)
+              0 bags_of.(v)
+          in
+          (match List.find_opt (fun v -> tops v > 1) (Ugraph.vertices g) with
+           | Some v ->
+             Error
+               (Printf.sprintf "occurrence set of vertex %d is disconnected" v)
+           | None -> Ok ())))
 
 let is_valid g t = Result.is_ok (validate g t)
 

@@ -4,11 +4,14 @@ module ISet = Set.Make (Int)
 (* Greedy elimination orders                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* Returns the order with its width: the largest neighbourhood a vertex
+   has when it is eliminated (the bag [v :: nbrs] of
+   [Treedec.of_elimination_order] has that many vertices besides [v]). *)
 let greedy_order ?(budget = Budget.unlimited) score g =
   let n = Ugraph.num_vertices g in
   let adj = Array.init n (fun v -> ISet.of_list (Ugraph.neighbors g v)) in
   let alive = Array.make n true in
-  let order = ref [] in
+  let order = ref [] and width = ref (-1) in
   for _ = 1 to n do
     (* Pick the alive vertex minimizing the score. *)
     let best = ref (-1) and best_score = ref max_int in
@@ -30,6 +33,7 @@ let greedy_order ?(budget = Budget.unlimited) score g =
     order := v :: !order;
     (* Eliminate: clique-ify neighbors, drop v. *)
     let nbrs = adj.(v) in
+    width := Stdlib.max !width (ISet.cardinal nbrs);
     ISet.iter
       (fun a ->
         ISet.iter
@@ -43,25 +47,24 @@ let greedy_order ?(budget = Budget.unlimited) score g =
     ISet.iter (fun a -> adj.(a) <- ISet.remove v adj.(a)) nbrs;
     adj.(v) <- ISet.empty
   done;
-  List.rev !order
+  (!width, List.rev !order)
 
-let min_degree_order ?budget g =
-  greedy_order ?budget (fun adj v -> ISet.cardinal adj.(v)) g
+let min_degree adj v = ISet.cardinal adj.(v)
 
-let min_fill_order ?budget g =
-  let fill adj v =
-    let nbrs = ISet.elements adj.(v) in
-    let missing = ref 0 in
-    let rec pairs = function
-      | [] -> ()
-      | a :: rest ->
-        List.iter (fun b -> if not (ISet.mem b adj.(a)) then incr missing) rest;
-        pairs rest
-    in
-    pairs nbrs;
-    !missing
+let min_fill adj v =
+  let nbrs = ISet.elements adj.(v) in
+  let missing = ref 0 in
+  let rec pairs = function
+    | [] -> ()
+    | a :: rest ->
+      List.iter (fun b -> if not (ISet.mem b adj.(a)) then incr missing) rest;
+      pairs rest
   in
-  greedy_order ?budget fill g
+  pairs nbrs;
+  !missing
+
+let min_degree_order ?budget g = snd (greedy_order ?budget min_degree g)
+let min_fill_order ?budget g = snd (greedy_order ?budget min_fill g)
 
 let width_of_order g order =
   Treedec.width (Treedec.of_elimination_order g order)
@@ -69,11 +72,9 @@ let width_of_order g order =
 let upper_bound ?budget g =
   if Ugraph.num_vertices g = 0 then (-1, [])
   else begin
-    let candidates = [ min_fill_order ?budget g; min_degree_order ?budget g ] in
-    let scored = List.map (fun o -> (width_of_order g o, o)) candidates in
-    List.fold_left
-      (fun (bw, bo) (w, o) -> if w < bw then (w, o) else (bw, bo))
-      (List.hd scored) (List.tl scored)
+    let ((wf, _) as fill) = greedy_order ?budget min_fill g in
+    let ((wd, _) as degree) = greedy_order ?budget min_degree g in
+    if wd < wf then degree else fill
   end
 
 let decomposition ?budget g =

@@ -16,7 +16,9 @@ val width_of_order : Ugraph.t -> int list -> int
 (** {1 Upper bounds} *)
 
 val upper_bound : ?budget:Budget.t -> Ugraph.t -> int * int list
-(** Best width over the built-in heuristics, with a witnessing order.
+(** Best width over the built-in heuristics (min-fill, then min-degree
+    if strictly narrower), with a witnessing order.  The width is read
+    off the elimination pass: it equals [width_of_order g order].
     [budget] (default {!Budget.unlimited}) is polled once per candidate
     score evaluation — on fill-heavy graphs the heuristics dominate a
     budgeted compilation otherwise.

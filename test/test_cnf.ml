@@ -213,6 +213,29 @@ let split_tests =
                acc + List.length c.Cnf_preprocess.comp_cnf.Dimacs.clauses)
              0 comps
            = List.length d.Dimacs.clauses);
+    case "out-of-range literal is invalid input with or without preprocessing"
+      (fun () ->
+        List.iter
+          (fun clauses ->
+            List.iter
+              (fun (preprocess, fn) ->
+                match Pipeline.compile_cnf ~preprocess (cnf ~vars:2 clauses) with
+                | Ok _ -> Alcotest.fail "out-of-range literal accepted"
+                | Error e ->
+                  checki "exit code" 3 (Ctwsdd_error.exit_code e);
+                  checks "message"
+                    ("invalid input: Cnf_preprocess." ^ fn
+                   ^ ": literal out of range")
+                    (Ctwsdd_error.to_string e))
+              [ (false, "split"); (true, "run") ])
+          [ [ [ 5; 1 ] ]; [ [ 1; -3 ] ]; [ [ 2 ]; [ 0; 1 ] ] ]);
+    case "free_var_count ignores out-of-range literals" (fun () ->
+        checki "[[5; 1]] over 2" 1
+          (Dimacs.free_var_count (cnf ~vars:2 [ [ 5; 1 ] ]));
+        checki "[[-7]; [0]] over 3" 3
+          (Dimacs.free_var_count (cnf ~vars:3 [ [ -7 ]; [ 0 ] ]));
+        checki "[[1; -2]; [2]] over 3" 1
+          (Dimacs.free_var_count (cnf ~vars:3 [ [ 1; -2 ]; [ 2 ] ])));
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -5,6 +5,132 @@ let td_valid g t =
   | Ok () -> true
   | Error msg -> Alcotest.failf "invalid decomposition: %s" msg
 
+(* [Treedec.validate] before it was made near-linear: O(m·bags) edge
+   scan and a per-vertex bag scan with a Hashtbl DFS.  Kept as the
+   reference for the differential test below. *)
+module ISet = Set.Make (Int)
+
+let reference_validate g (t : Treedec.t) =
+  let tree_ok () =
+    let n = Array.length t.bags in
+    if n = 0 then t.tree = []
+    else if List.length t.tree <> n - 1 then false
+    else begin
+      let adj = Array.make n [] in
+      let ok = ref true in
+      List.iter
+        (fun (a, b) ->
+          if a < 0 || a >= n || b < 0 || b >= n || a = b then ok := false
+          else begin
+            adj.(a) <- b :: adj.(a);
+            adj.(b) <- a :: adj.(b)
+          end)
+        t.tree;
+      if not !ok then false
+      else begin
+        let seen = Array.make n false in
+        let rec dfs v =
+          seen.(v) <- true;
+          List.iter (fun w -> if not seen.(w) then dfs w) adj.(v)
+        in
+        dfs 0;
+        Array.for_all Fun.id seen
+      end
+    end
+  in
+  let n = Ugraph.num_vertices g in
+  if not (tree_ok ()) then Error "tree edges do not form a tree over the bags"
+  else begin
+    let bag_sets = Array.map ISet.of_list t.bags in
+    let covered = Array.make n false in
+    Array.iter
+      (ISet.iter (fun v -> if v >= 0 && v < n then covered.(v) <- true))
+      bag_sets;
+    match List.filter (fun v -> not covered.(v)) (Ugraph.vertices g) with
+    | v :: _ -> Error (Printf.sprintf "vertex %d is in no bag" v)
+    | [] ->
+      (match
+         List.find_opt
+           (fun (u, v) ->
+             not (Array.exists (fun b -> ISet.mem u b && ISet.mem v b) bag_sets))
+           (Ugraph.edges g)
+       with
+       | Some (u, v) -> Error (Printf.sprintf "edge (%d,%d) is in no bag" u v)
+       | None ->
+         let nb = Array.length t.bags in
+         let adj = Array.make nb [] in
+         List.iter
+           (fun (a, b) ->
+             adj.(a) <- b :: adj.(a);
+             adj.(b) <- a :: adj.(b))
+           t.tree;
+         let bad = ref None in
+         for v = 0 to n - 1 do
+           if !bad = None then begin
+             let occ = ref [] in
+             Array.iteri (fun i b -> if ISet.mem v b then occ := i :: !occ) bag_sets;
+             match !occ with
+             | [] -> ()
+             | start :: _ ->
+               let occ_set = ISet.of_list !occ in
+               let seen = Hashtbl.create 16 in
+               let rec dfs i =
+                 Hashtbl.replace seen i ();
+                 List.iter
+                   (fun j ->
+                     if ISet.mem j occ_set && not (Hashtbl.mem seen j) then dfs j)
+                   adj.(i)
+               in
+               dfs start;
+               if Hashtbl.length seen <> ISet.cardinal occ_set then bad := Some v
+           end
+         done;
+         (match !bad with
+          | Some v ->
+            Error (Printf.sprintf "occurrence set of vertex %d is disconnected" v)
+          | None -> Ok ()))
+  end
+
+(* A valid decomposition of a random graph (from a random elimination
+   order), then one of five edits chosen by [seed]: none, a vertex
+   dropped from a bag, a tree edge removed, a bag split with the split-off
+   vertex hung elsewhere, or a vertex copied into a new leaf bag. *)
+let corrupted_decomposition seed =
+  let rng = Random.State.make [| seed |] in
+  let n = 1 + Random.State.int rng 12 in
+  let g = Ugraph.random_gnp ~seed n (Random.State.float rng 0.6) in
+  let order =
+    List.map snd
+      (List.sort compare
+         (List.map (fun v -> (Random.State.bits rng, v)) (Ugraph.vertices g)))
+  in
+  let td = Treedec.refine_connected (Treedec.of_elimination_order g order) in
+  let bags = Array.copy td.Treedec.bags in
+  let nb = Array.length bags in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let nonempty = List.filter (fun i -> bags.(i) <> []) (List.init nb Fun.id) in
+  let td' =
+    match Random.State.int rng 5 with
+    | 1 when nonempty <> [] ->
+      let i = pick nonempty in
+      let v = pick bags.(i) in
+      bags.(i) <- List.filter (( <> ) v) bags.(i);
+      { td with bags }
+    | 2 when td.Treedec.tree <> [] ->
+      let e = pick td.Treedec.tree in
+      { td with tree = List.filter (( <> ) e) td.Treedec.tree }
+    | (3 | 4) as edit when nonempty <> [] ->
+      let i = pick nonempty in
+      let v = pick bags.(i) in
+      if edit = 3 then bags.(i) <- List.filter (( <> ) v) bags.(i);
+      {
+        Treedec.bags = Array.append bags [| [ v ] |];
+        tree = (nb, Random.State.int rng nb) :: td.Treedec.tree;
+      }
+    | _ -> td
+  in
+  (g, td')
+
 let ugraph_suite =
   [
     case "basic construction" (fun () ->
@@ -92,6 +218,23 @@ let treedec_suite =
         let g = Ugraph.random_gnp ~seed 9 0.3 in
         let order = Treewidth.min_fill_order g in
         td_valid g (Treedec.refine_connected (Treedec.of_elimination_order g order)));
+    qtest ~count:500 "validate agrees with the reference on corrupted decompositions"
+      QCheck2.Gen.(int_range 0 100_000)
+      (fun seed ->
+        let g, td = corrupted_decomposition seed in
+        Treedec.validate g td = reference_validate g td);
+    case "each corruption is caught with the reference's message" (fun () ->
+        let messages = Hashtbl.create 8 in
+        for seed = 0 to 999 do
+          let g, td = corrupted_decomposition seed in
+          match reference_validate g td with
+          | Ok () -> ()
+          | Error msg ->
+            checkb msg true (Treedec.validate g td = Error msg);
+            Hashtbl.replace messages (List.hd (String.split_on_char ' ' msg)) ()
+        done;
+        (* tree / vertex / edge / occurrence: all four failure kinds. *)
+        checki "failure kinds seen" 4 (Hashtbl.length messages));
   ]
 
 let nice_suite =
@@ -157,6 +300,17 @@ let treewidth_suite =
         let ex = Treewidth.exact g in
         let lb = Treewidth.lower_bound_mmd g in
         lb <= ex && ex <= ub);
+    qtest "greedy width is the width of its order" QCheck2.Gen.(int_range 0 300)
+      (fun seed ->
+        let g = Ugraph.random_gnp ~seed (1 + (seed mod 14)) 0.35 in
+        let w, order = Treewidth.upper_bound g in
+        let fill = Treewidth.min_fill_order g
+        and degree = Treewidth.min_degree_order g in
+        let wf = Treewidth.width_of_order g fill
+        and wd = Treewidth.width_of_order g degree in
+        w = Treewidth.width_of_order g order
+        && w = Stdlib.min wf wd
+        && order = if wd < wf then degree else fill);
     qtest "pathwidth >= treewidth" QCheck2.Gen.(int_range 0 100) (fun seed ->
         let g = Ugraph.random_gnp ~seed 8 0.35 in
         Treewidth.pathwidth_exact g >= Treewidth.exact g);

@@ -1,5 +1,6 @@
-(* The circuit-native pipeline: Tseitin/treewidth vtrees, strategy
-   selection, and truth-table-free query evaluation.
+(* The circuit-native pipeline: Lemma 1 vtrees of the gate graph's
+   tree decomposition, strategy selection, and truth-table-free query
+   evaluation.
 
    The headline acceptance test compiles a 42-variable UCQ lineage —
    far beyond the Boolfun tabulation limit — and checks the probability
@@ -47,19 +48,32 @@ let pipeline_suite =
             Generators.chain_implications 9;
             Generators.random_formula ~seed:5 ~vars:7 ~depth:4;
           ]);
-    case "tseitin decomposition is valid for the gate graph" (fun () ->
+    case "treedec vtree is Lemma 1 on the direct decomposition" (fun () ->
         List.iter
           (fun c ->
-            match Pipeline.tseitin_decomposition c with
-            | None -> Alcotest.fail "tseitin route failed validation"
-            | Some td ->
-              checkb "validates" true
-                (Treedec.validate (Circuit.underlying_graph c) td = Ok ()))
+            let w, td = Circuit.treewidth_upper c in
+            let vt, w' = Pipeline.treedec_vtree c in
+            checkb "vtree" true
+              (Vtree.equal vt (Lemma1.vtree_of_decomposition c td));
+            checki "width" w w';
+            let size strategy =
+              match Pipeline.compile ~vtree_strategy:strategy c with
+              | Ok r -> Sdd.size r.Pipeline.manager r.Pipeline.root
+              | Error e -> Alcotest.fail (Ctwsdd_error.to_string e)
+            in
+            checki "sdd size"
+              (size (`Pinned (fst (Lemma1.vtree_of_circuit c))))
+              (size `Treedec))
           [
             Generators.band_cnf ~width:3 10;
             Generators.chain_implications 12;
             Generators.parity_chain 9;
+            Generators.ladder ~tracks:3 6;
             Generators.random_formula ~seed:2 ~vars:8 ~depth:5;
+            Lineage.circuit q_rs (Pdb.complete_rst 4);
+            Lineage.circuit q_rst (Pdb.complete_rst 3);
+            Lineage.circuit (Ucq.of_string "R(x), S(x,y) | S(x,y), T(y)")
+              (Pdb.complete_rst 3);
           ]);
     case "constant circuit is rejected" (fun () ->
         let c = Circuit.of_string "(and true false)" in
