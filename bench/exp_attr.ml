@@ -77,7 +77,7 @@ let bag_rows () =
   List.filter (fun r -> r.Attribution.kind = "bag") (Attribution.rows ())
 
 let run () =
-  Table.section "E21 — attribution profiler (ctwsdd explain)";
+  Table.section "E21 — attribution profiler (the --stats report)";
 
   (* 1. Coverage: attributed bag nodes vs the managers' census, per
      family.  [Attribution.fresh] isolates each family's rows without

@@ -173,7 +173,7 @@ let run () =
     rows;
 
   (* 3. Auto selection: the per-workload choices and their reasons, as
-     they land in the run record's events and `ctwsdd explain`. *)
+     they land in the run record's events and `backend` section. *)
   let rows =
     List.map
       (fun (name, chosen, reason) -> [ name; chosen; reason ])
@@ -191,7 +191,7 @@ let run () =
         ])
   in
   Table.print
-    ~title:"`Auto resolution per workload (recorded in metrics + explain)"
+    ~title:"`Auto resolution per workload (recorded in the run record)"
     ~header:[ "workload"; "chosen"; "reason" ]
     rows;
   Table.note

@@ -63,15 +63,17 @@ let () =
         Printf.printf "\n  [%s finished in %.1fs]\n" name dt;
         if json then begin
           let file = metrics_file ids in
-          Run_record.write
-            ~extra:
-              [
-                ("experiment", Obs.Json.String name);
-                ( "ids",
-                  Obs.Json.List (List.map (fun i -> Obs.Json.String i) ids) );
-                ("wall_s", Obs.Json.Float dt);
-              ]
-            file
+          Run_record.write file
+            (Run_record.json
+               ~extra:
+                 [
+                   ("experiment", Obs.Json.String name);
+                   ( "ids",
+                     Obs.Json.List (List.map (fun i -> Obs.Json.String i) ids)
+                   );
+                   ("wall_s", Obs.Json.Float dt);
+                 ]
+               ())
           |> Result.iter_error (fun msg -> failwith (file ^ ": " ^ msg));
           Printf.printf "  [metrics -> %s]\n" file
         end;

@@ -3,8 +3,7 @@
      ctwsdd compile   -c "(or (and x y) (not z))" --vtree lemma1
      ctwsdd treewidth -c "(and (or a b) (or b c))"
      ctwsdd query     -q "R(x), S(x,y)" --db facts.txt
-     ctwsdd cnf       instance.cnf --minimize
-     ctwsdd explain   instance.cnf --components 4
+     ctwsdd cnf       instance.cnf --components 4 --stats
      ctwsdd isa 18
 
    Database files contain one fact per line: `R(a,b) 1/2`.
@@ -12,10 +11,11 @@
    Each input kind has one compile path: a circuit goes through
    Pipeline.compile (compile's --vtree picks its strategy; left and
    lemma1 are pinned vtrees), a DIMACS file through Pipeline.compile_cnf
-   (cnf and explain; no --vtree).
+   (cnf; no --vtree).
 
-   Every subcommand accepts --stats (human-readable span timings, cache
-   statistics and histograms on stderr, keeping stdout pipeable),
+   Every subcommand accepts --stats (the run record's text report on
+   stderr, keeping stdout pipeable: cost centers, bags, parallelism,
+   critical path, spans, caches, histograms, GC, counters and gauges),
    --trace FILE (the ctwsdd-run/v1 run record), --trace-out FILE (Chrome
    trace_event file for Perfetto / chrome://tracing) and --postmortem
    FILE (where dumps land); see EXPERIMENTS.md for the formats.  Spans,
@@ -96,10 +96,9 @@ let minimize_flag =
                vtree search (greedy rotations and swaps applied to the \
                live manager).")
 
-(* A strictly positive integer option (--components, --top,
-   --compact-every): non-positive and unparseable values become a clean
-   Cmdliner usage error instead of an Invalid_argument from deep inside
-   the library. *)
+(* A strictly positive integer option (--components, --compact-every):
+   non-positive and unparseable values become a clean Cmdliner usage
+   error instead of an Invalid_argument from deep inside the library. *)
 let pos_int =
   let parse s =
     match int_of_string_opt s with
@@ -204,8 +203,10 @@ type obs_opts = {
 
 let stats_flag =
   Arg.(value & flag & info [ "stats" ]
-         ~doc:"After the run, print per-stage span timings and the SDD \
-               manager's cache hit/miss statistics.")
+         ~doc:"After the run, print the run record's report on stderr: \
+               cost centers, top bags, parallelism, critical path, span \
+               timings, cache hit/miss statistics, histograms, GC, \
+               counters and gauges.")
 
 let trace_file =
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
@@ -231,17 +232,18 @@ let obs_term =
   in
   Term.(const mk $ stats_flag $ trace_file $ trace_out_file $ postmortem_file)
 
-(* The managers the exported record reports; [explain] pins them to its
+(* The managers the exported record reports; [cnf] pins them to its
    compile's components so other live managers do not dilute the bag
    coverage. *)
 let record_censuses : Sdd.census list option ref = ref None
 
 (* Runs the body (which returns the process exit code: 0, or a budget
    code from the table above) with observability enabled when requested,
-   then exports.  Human summaries go to stderr so stdout stays pipeable.
-   Records and traces are written even on budget exits — a degraded
-   run's record is exactly the one worth inspecting.  A failed export
-   turns exit 0 into 124, the code a [Sys_error] in the body gets.
+   then exports.  One record feeds both the --stats report, which goes
+   to stderr so stdout stays pipeable, and --trace.  Both are written
+   even on budget exits — a degraded run's record is exactly the one
+   worth inspecting.  A failed export turns exit 0 into 124, the code a
+   [Sys_error] in the body gets.
    Errors terminate through Cmdliner or the exit-code contract, never
    via an uncaught backtrace; any exception outside that contract still
    leaves a dump behind before propagating. *)
@@ -258,9 +260,10 @@ let run_with_obs o f =
     Obs.reset ()
   end;
   let export code =
+    let record = lazy (Run_record.json ?censuses:!record_censuses ()) in
     if o.stats then begin
       prerr_newline ();
-      Obs.pp_summary Format.err_formatter ()
+      Run_record.pp Format.err_formatter (Lazy.force record)
     end;
     let failed =
       List.filter
@@ -270,7 +273,7 @@ let run_with_obs o f =
           | Some p -> not (report_write label p (write p)))
         [
           ("record  ", o.trace,
-           fun p -> Run_record.write ?censuses:!record_censuses p);
+           fun p -> Run_record.write p (Lazy.force record));
           ("trace   ", o.trace_out, Obs.write_trace);
         ]
     in
@@ -300,14 +303,6 @@ let run_with_obs o f =
     write_dump ~detail:(Printexc.to_string e) "uncaught_exception";
     ignore (export 0);
     raise e
-
-let print_manager_stats m =
-  List.iter
-    (fun s ->
-      Printf.eprintf "  %-16s lookups %-8d hits %-8d misses %-8d entries %d\n"
-        s.Obs.Cache.cache s.Obs.Cache.lookups s.Obs.Cache.hits
-        s.Obs.Cache.misses s.Obs.Cache.entries)
-    (Sdd.stats m)
 
 (* ------------------------------------------------------------------ *)
 (* compile                                                             *)
@@ -371,12 +366,6 @@ let compile_cmd =
         Printf.printf "OBDD    : size %d, width %d (order: %s)\n"
           (Sdd.Obdd.size om onode) (Sdd.Obdd.width om onode)
           (String.concat "<" order)
-      end;
-      if o.stats then begin
-        Printf.eprintf "backend : %s\n" (backend_label chosen);
-        Printf.eprintf "manager : %d nodes allocated, %d compactions\n"
-          (Sdd.num_nodes_allocated m) (Sdd.compactions m);
-        print_manager_stats m
       end;
       report_degraded degraded
   in
@@ -506,8 +495,6 @@ let query_cmd =
            | Some (_, _, reason) -> Printf.sprintf "  (%s)" reason
            | None -> ""
          else "");
-      if o.stats then
-        Printf.eprintf "backend : %s\n" (backend_label a.Prob.backend);
       (* The comparison evaluators are unbudgeted; run them only on
          unbudgeted invocations. *)
       if Budget.is_unlimited budget then begin
@@ -554,7 +541,6 @@ let query_cmd =
 (* cnf : DIMACS model counting                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Flags shared by the two DIMACS subcommands, cnf and explain. *)
 let dimacs_file =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE")
 
@@ -570,8 +556,8 @@ let schedule_arg =
        & info [ "schedule" ] ~docv:"ORDER"
            ~doc:"Clause conjunction order within a component: $(b,bags) \
                  (bag-by-bag bottom-up along the tree decomposition, the \
-                 default) or $(b,clauses) (input order; $(b,explain) then \
-                 has no bag cost centers to report).")
+                 default) or $(b,clauses) (input order; the \
+                 $(b,--stats) report then has no bag cost centers).")
 
 let components_arg =
   Arg.(value & opt (some pos_int) None & info [ "components" ] ~docv:"N"
@@ -641,10 +627,13 @@ let cnf_cmd =
       Printf.printf "SDD: size %d (%d components)\n" total_size
         (List.length comps);
       Printf.printf "models: %s\n" (Bigint.to_string r.Pipeline.count);
-      if o.stats then begin
-        Printf.eprintf "backend : %s\n" (backend_label r.Pipeline.cnf_backend);
-        List.iter (fun c -> print_manager_stats c.Pipeline.k_manager) comps
-      end;
+      if comps <> [] then
+        record_censuses :=
+          Some
+            (List.map
+               (fun (c : Pipeline.cnf_component) ->
+                 Sdd.census c.Pipeline.k_manager)
+               comps);
       report_degraded (List.find_map (fun (_, _, t) -> t) sized)
   in
   Cmd.v
@@ -653,64 +642,6 @@ let cnf_cmd =
     Term.(ret (const run $ dimacs_file $ backend_arg $ minimize_flag
                $ no_preprocess_flag $ schedule_arg $ components_arg
                $ compact_every_arg $ timeout_arg $ max_nodes_arg $ obs_term))
-
-(* ------------------------------------------------------------------ *)
-(* explain : attribution report for a CNF compile                      *)
-(* ------------------------------------------------------------------ *)
-
-let explain_cmd =
-  let run path schedule backend domains no_preprocess compact_every top
-      timeout max_nodes o =
-    run_with_obs o @@ fun () ->
-    (* The whole point of this subcommand is the attribution report:
-       collection is on regardless of the --stats/--trace switches. *)
-    if not (Obs.enabled ()) then begin
-      Obs.set_enabled true;
-      Obs.reset ()
-    end;
-    let budget = budget_of timeout max_nodes in
-    let d = Obs.span "cli.parse" (fun () -> Dimacs.parse_file path) in
-    Printf.eprintf "cnf: %d variables, %d clauses\n%!" d.Dimacs.num_vars
-      (List.length d.Dimacs.clauses);
-    match
-      Ctwsdd.compile_cnf ~budget ~preprocess:(not no_preprocess) ~schedule
-        ~backend ?domains ?compact_every d
-    with
-    | Error e -> report_error e
-    | Ok r ->
-      if r.Pipeline.components <> [] then
-        record_censuses :=
-          Some
-            (List.map
-               (fun (c : Pipeline.cnf_component) ->
-                 Sdd.census c.Pipeline.k_manager)
-               r.Pipeline.components);
-      Format.printf "%a@." (Run_record.pp ~top)
-        (Run_record.json ?censuses:!record_censuses ());
-      report_degraded r.Pipeline.cnf_degraded
-  in
-  let top =
-    Arg.(value & opt pos_int 10 & info [ "top" ] ~docv:"K"
-           ~doc:"Rows in the ranked tables (cost centers, bags).")
-  in
-  Cmd.v
-    (Cmd.info "explain" ~exits:exit_code_docs
-       ~doc:"Compile a DIMACS CNF and report where the time and nodes went"
-       ~man:
-         [
-           `S Manpage.s_description;
-           `P
-             "Runs the same scaling pipeline as $(b,ctwsdd cnf) with the \
-              attribution profiler on, then prints a ranked cost-center \
-              table (treewidth bags, clauses, components, pipeline \
-              rungs), the top bags by node growth with bag width against \
-              log2(nodes), and the parallelism/Amdahl summary with the \
-              critical path.  $(b,--trace) writes the run record the \
-              report is rendered from.";
-         ])
-    Term.(ret (const run $ dimacs_file $ schedule_arg $ backend_arg
-               $ components_arg $ no_preprocess_flag $ compact_every_arg $ top
-               $ timeout_arg $ max_nodes_arg $ obs_term))
 
 (* ------------------------------------------------------------------ *)
 (* isa                                                                 *)
@@ -727,8 +658,7 @@ let isa_cmd =
     if n <= 18 then begin
       let mgr, node = Obs.span "cli.isa_compile" (fun () -> Isa.compile n) in
       Printf.printf "canonical SDD on the Figure 4 vtree: size %d, width %d\n"
-        (Sdd.size mgr node) (Sdd.width mgr node);
-      if o.stats then print_manager_stats mgr
+        (Sdd.size mgr node) (Sdd.width mgr node)
     end;
     if explicit && n <= 18 then begin
       let t = Obs.span "cli.isa_explicit" (fun () -> Isa_explicit.build n) in
@@ -763,5 +693,4 @@ let () =
   exit
     (Cmd.eval'
        (Cmd.group info
-          [ compile_cmd; treewidth_cmd; query_cmd; cnf_cmd; explain_cmd;
-            isa_cmd ]))
+          [ compile_cmd; treewidth_cmd; query_cmd; cnf_cmd; isa_cmd ]))

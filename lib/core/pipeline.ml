@@ -562,11 +562,10 @@ let compile_cnf ?(budget = Budget.unlimited) ?(preprocess = true)
   in
   let proceed base to_original free forced_vars =
     let comps = Obs.span "pipeline.cnf_split" (fun () -> Cnf_preprocess.split base) in
-    (* A variable-free component can only be a bundle of empty clauses —
-       unsatisfiable (non-empty empty-clause lists only reach here with
-       preprocessing off). *)
-    if List.exists (fun c -> c.Cnf_preprocess.comp_cnf.Dimacs.num_vars = 0) comps
-    then unsat
+    (* An empty clause is unsatisfiable; only an unpreprocessed CNF can
+       still have one.  The check follows [split], which range-checks
+       every literal, so out-of-range input is rejected either way. *)
+    if List.mem [] base.Dimacs.clauses then unsat
     else begin
       let k = List.length comps in
       Obs.incr ~by:k "cnf.components";
@@ -682,7 +681,6 @@ let compile_cnf ?(budget = Budget.unlimited) ?(preprocess = true)
         s.Cnf_preprocess.free_vars
         (List.length s.Cnf_preprocess.forced)
   end
-  else if List.exists (fun c -> c = []) d.Dimacs.clauses then unsat
   else proceed d (fun v -> v) (Dimacs.free_var_count d) 0
 
 let conjoin_components r =

@@ -1,6 +1,6 @@
 (* The ctwsdd-run/v1 run record: assembled once from the Obs sections,
    the attribution rows, the backend selection, the budget and the
-   manager censuses, and rendered as the explain text report.  See the
+   manager censuses, and rendered as the --stats text report.  See the
    interface for the layout. *)
 
 module J = Obs.Json
@@ -177,8 +177,7 @@ let json ?(extra = []) ?censuses ?budget ?reason ?detail () =
         ("managers", J.List (List.map Sdd.census_to_json censuses));
       ])
 
-let to_file path j = Obs.write_atomic path (J.to_string j ^ "\n")
-let write ?extra ?censuses path = to_file path (json ?extra ?censuses ())
+let write path j = Obs.write_atomic path (J.to_string j ^ "\n")
 
 (* ------------------------------------------------------------------ *)
 (* Dumps                                                               *)
@@ -190,7 +189,7 @@ let set_dump_path p = dump_path_ref := p
 
 let dump ?detail ~reason () =
   match json ?detail ~reason () with
-  | j -> to_file !dump_path_ref j
+  | j -> write !dump_path_ref j
   | exception e -> Error (Printexc.to_string e)
 
 let install_sigusr1 () =
@@ -204,7 +203,7 @@ let install_sigusr1 () =
   with Invalid_argument _ | Sys_error _ -> ()
 
 (* ------------------------------------------------------------------ *)
-(* The explain text report                                             *)
+(* The text report                                                     *)
 (* ------------------------------------------------------------------ *)
 
 let get path j =
@@ -220,13 +219,28 @@ let int path j = match get path j with Some (J.Int i) -> i | _ -> 0
 let str path j = match get path j with Some (J.String s) -> s | _ -> ""
 let list path j = match get path j with Some (J.List l) -> l | _ -> []
 let log2_nodes n = if n <= 0 then 0. else log (float_of_int n) /. log 2.
-let take n l = List.filteri (fun i _ -> i < n) l
+let take l = List.filteri (fun i _ -> i < 10) l
 
-let pp ?(top = 10) ppf r =
+let words w =
+  if w >= 1e9 then Printf.sprintf "%.1fGw" (w /. 1e9)
+  else if w >= 1e6 then Printf.sprintf "%.1fMw" (w /. 1e6)
+  else if w >= 1e3 then Printf.sprintf "%.1fkw" (w /. 1e3)
+  else Printf.sprintf "%.0fw" w
+
+let pp ppf r =
   let open Format in
+  (* A titled table; [empty] stands in for it when there are no rows. *)
+  let section title ~empty ?(header = ignore) rows row =
+    fprintf ppf "@.%s@." title;
+    if rows = [] then fprintf ppf "  (%s)@." empty
+    else begin
+      header ();
+      List.iter row rows
+    end
+  in
   let wall = num [ "explain"; "wall_s" ] r in
   let attributed = num [ "explain"; "attributed_s" ] r in
-  fprintf ppf "explain report (%s)  run %s@." (str [ "schema" ] r)
+  fprintf ppf "run report (%s)  run %s@." (str [ "schema" ] r)
     (str [ "run_id" ] r);
   fprintf ppf "wall %.4fs  attributed %.4fs (%.1f%%)@." wall attributed
     (if wall > 0. then 100. *. attributed /. wall else 0.);
@@ -234,78 +248,114 @@ let pp ?(top = 10) ppf r =
   | Some (J.Obj _ as b) ->
     let chosen = str [ "chosen" ] b and requested = str [ "requested" ] b in
     if requested = chosen then
-      fprintf ppf "backend: %s (%s)@.@." chosen (str [ "reason" ] b)
+      fprintf ppf "backend: %s (%s)@." chosen (str [ "reason" ] b)
     else
-      fprintf ppf "backend: %s (requested %s: %s)@.@." chosen requested
+      fprintf ppf "backend: %s (requested %s: %s)@." chosen requested
         (str [ "reason" ] b)
-  | _ -> fprintf ppf "backend: (no backend resolution recorded)@.@.");
-  (* Ranked cost centers. *)
+  | _ -> fprintf ppf "backend: (no backend resolution recorded)@.");
   let rows = list [ "attribution" ] r in
-  fprintf ppf "top cost centers (self time)@.";
-  fprintf ppf "  %-10s %-14s %10s %10s %10s %8s@." "kind" "label" "time_ms"
-    "nodes" "misses" "enters";
-  if rows = [] then fprintf ppf "  (no cost centers recorded)@.";
-  List.iter
+  section "top cost centers (self time)" ~empty:"no cost centers recorded"
+    ~header:(fun () ->
+      fprintf ppf "  %-10s %-14s %10s %10s %10s %8s@." "kind" "label"
+        "time_ms" "nodes" "misses" "enters")
+    (take rows)
     (fun c ->
       fprintf ppf "  %-10s %-14s %10.2f %10d %10d %8d@." (str [ "kind" ] c)
         (str [ "label" ] c)
         (1e3 *. num [ "time_s" ] c)
-        (int [ "nodes" ] c) (int [ "apply_misses" ] c) (int [ "enters" ] c))
-    (take top rows);
-  pp_print_newline ppf ();
+        (int [ "nodes" ] c) (int [ "apply_misses" ] c) (int [ "enters" ] c));
   (* Top bags: the treewidth bound, empirically. *)
-  fprintf ppf "top bags by node growth (width vs log2 nodes)@.";
   let bags =
     List.filter (fun c -> str [ "kind" ] c = "bag") rows
-    |> List.stable_sort (fun a b -> compare (int [ "nodes" ] b) (int [ "nodes" ] a))
+    |> List.stable_sort (fun a b ->
+           compare (int [ "nodes" ] b) (int [ "nodes" ] a))
   in
-  if bags = [] then
-    fprintf ppf "  (no bag centers: not a bag-scheduled CNF compile)@."
-  else begin
-    fprintf ppf "  %-12s %6s %10s %12s %10s@." "bag" "width" "nodes"
-      "log2(nodes)" "time_ms";
-    List.iter
-      (fun c ->
-        fprintf ppf "  %-12s %6d %10d %12.2f %10.2f@." (str [ "label" ] c)
-          (int [ "width" ] c) (int [ "nodes" ] c)
-          (log2_nodes (int [ "nodes" ] c))
-          (1e3 *. num [ "time_s" ] c))
-      (take top bags);
+  section "top bags by node growth (width vs log2 nodes)"
+    ~empty:"no bag centers: not a bag-scheduled CNF compile"
+    ~header:(fun () ->
+      fprintf ppf "  %-12s %6s %10s %12s %10s@." "bag" "width" "nodes"
+        "log2(nodes)" "time_ms")
+    (take bags)
+    (fun c ->
+      fprintf ppf "  %-12s %6d %10d %12.2f %10.2f@." (str [ "label" ] c)
+        (int [ "width" ] c) (int [ "nodes" ] c)
+        (log2_nodes (int [ "nodes" ] c))
+        (1e3 *. num [ "time_s" ] c));
+  if bags <> [] then begin
     let b = [ "explain"; "bags" ] in
     fprintf ppf "  bag nodes %d vs census allocated %d (coverage %.1f%%)@."
       (int (b @ [ "bag_nodes" ]) r)
       (int (b @ [ "census_allocated" ]) r)
       (100. *. num (b @ [ "coverage" ]) r)
   end;
-  pp_print_newline ppf ();
-  (* Parallelism. *)
-  fprintf ppf "parallelism@.";
   let p = Option.value (get [ "explain"; "parallelism" ] r) ~default:J.Null in
-  if int [ "regions" ] p = 0 then
-    fprintf ppf "  (no parallel_map regions recorded)@."
-  else begin
-    fprintf ppf "  %d region(s) over %d domain(s): region %.4fs, busy %.4fs@."
-      (int [ "regions" ] p) (int [ "domains" ] p) (num [ "region_s" ] p)
-      (num [ "busy_s" ] p);
-    fprintf ppf
-      "  achieved speedup %.2fx vs Amdahl bound %.2fx (serial fraction %.1f%%)@."
-      (num [ "achieved_speedup" ] p)
-      (num [ "amdahl_bound" ] p)
-      (100. *. num [ "serial_fraction" ] p);
-    fprintf ppf "  items %d, stolen by workers %d@." (int [ "items" ] p)
-      (int [ "steals" ] p)
-  end;
-  pp_print_newline ppf ();
-  (* Critical path. *)
-  fprintf ppf "critical path (heaviest span chain)@.";
-  match list [ "explain"; "critical_path" ] r with
-  | [] -> fprintf ppf "  (no spans recorded)@."
-  | steps ->
-    List.iteri
-      (fun i c ->
-        fprintf ppf "  %s%-28s %10.2fms  x%d@."
-          (String.make (2 * i) ' ')
-          (str [ "span" ] c)
-          (1e3 *. num [ "total_s" ] c)
-          (int [ "calls" ] c))
-      steps
+  section "parallelism" ~empty:"no parallel_map regions recorded"
+    (if int [ "regions" ] p = 0 then [] else [ p ])
+    (fun p ->
+      fprintf ppf "  %d region(s) over %d domain(s): region %.4fs, busy %.4fs@."
+        (int [ "regions" ] p) (int [ "domains" ] p) (num [ "region_s" ] p)
+        (num [ "busy_s" ] p);
+      fprintf ppf
+        "  achieved speedup %.2fx vs Amdahl bound %.2fx (serial fraction \
+         %.1f%%)@."
+        (num [ "achieved_speedup" ] p)
+        (num [ "amdahl_bound" ] p)
+        (100. *. num [ "serial_fraction" ] p);
+      fprintf ppf "  items %d, stolen by workers %d@." (int [ "items" ] p)
+        (int [ "steals" ] p));
+  section "critical path (heaviest span chain)" ~empty:"no spans recorded"
+    (List.mapi (fun i c -> (i, c)) (list [ "explain"; "critical_path" ] r))
+    (fun (i, c) ->
+      fprintf ppf "  %s%-28s %10.2fms  x%d@."
+        (String.make (2 * i) ' ')
+        (str [ "span" ] c)
+        (1e3 *. num [ "total_s" ] c)
+        (int [ "calls" ] c));
+  let rec span indent s =
+    fprintf ppf "  %-40s %8d %10.3fms %10s@."
+      (String.make indent ' ' ^ str [ "name" ] s)
+      (int [ "calls" ] s)
+      (1e3 *. num [ "total_s" ] s)
+      (words (num [ "gc"; "minor_words" ] s +. num [ "gc"; "major_words" ] s));
+    List.iter (span (indent + 2)) (list [ "children" ] s)
+  in
+  section "spans (calls, total time, allocation)" ~empty:"no spans recorded"
+    ~header:(fun () ->
+      fprintf ppf "  %-40s %8s %12s %10s@." "name" "calls" "total" "alloc")
+    (list [ "spans" ] r) (span 0);
+  section "caches" ~empty:"no caches registered"
+    ~header:(fun () ->
+      fprintf ppf "  %-24s %10s %10s %10s %8s %10s@." "name" "lookups" "hits"
+        "misses" "hit%" "entries")
+    (list [ "caches" ] r)
+    (fun c ->
+      let lookups = int [ "lookups" ] c in
+      fprintf ppf "  %-24s %10d %10d %10d %7.1f%% %10d@." (str [ "name" ] c)
+        lookups (int [ "hits" ] c) (int [ "misses" ] c)
+        (if lookups = 0 then 0.
+         else 100. *. num [ "hits" ] c /. float_of_int lookups)
+        (int [ "entries" ] c));
+  section "histograms" ~empty:"no histograms recorded"
+    ~header:(fun () ->
+      fprintf ppf "  %-32s %10s %6s %8s %8s %8s %8s@." "name" "count" "min"
+        "p50" "p90" "p99" "max")
+    (list [ "histograms" ] r)
+    (fun h ->
+      fprintf ppf "  %-32s %10d %6d %8d %8d %8d %8d@." (str [ "name" ] h)
+        (int [ "count" ] h) (int [ "min" ] h) (int [ "p50" ] h)
+        (int [ "p90" ] h) (int [ "p99" ] h) (int [ "max" ] h));
+  fprintf ppf
+    "@.gc: minor %s, major %s, promoted %s, collections %d/%d, top heap %s@."
+    (words (num [ "gc"; "minor_words" ] r))
+    (words (num [ "gc"; "major_words" ] r))
+    (words (num [ "gc"; "promoted_words" ] r))
+    (int [ "gc"; "minor_collections" ] r)
+    (int [ "gc"; "major_collections" ] r)
+    (words (num [ "gc"; "top_heap_words" ] r));
+  List.iter
+    (fun name ->
+      let fields = match get [ name ] r with Some (J.Obj l) -> l | _ -> [] in
+      section name ~empty:("no " ^ name ^ " recorded") fields (fun (k, v) ->
+          fprintf ppf "  %-40s %12d@." k (int [] v)))
+    [ "counters"; "gauges" ]
+

@@ -1,9 +1,9 @@
 (** The run record: one [ctwsdd-run/v1] JSON document per run.
 
     Every output that describes a run is this document: the CLI's
-    [--trace FILE], the bench harness's [BENCH_<ids>.json], the dump
-    written on a budget trip, an uncaught exception or [SIGUSR1], and
-    [ctwsdd explain], whose text report ({!pp}) is rendered from it.
+    [--trace FILE], the bench harness's [BENCH_<ids>.json] and the dump
+    written on a budget trip, an uncaught exception or [SIGUSR1].  The
+    CLI's [--stats] prints its text report ({!pp}).
 
     Layout, each fact once: [schema], [run_id], the caller's [extra]
     fields, [reason] and [detail] ([null] except in a dump), [backend]
@@ -38,19 +38,18 @@ val json :
     live managers would dilute the coverage.  [budget] defaults to
     {!Budget.current}.  Passing [reason] makes the record a dump. *)
 
-val write :
-  ?extra:(string * Obs.Json.t) list ->
-  ?censuses:Sdd.census list ->
-  string ->
-  (unit, string) result
-(** [write path] writes {!json} to [path] with {!Obs.write_atomic}. *)
+val write : string -> Obs.Json.t -> (unit, string) result
+(** [write path record] writes a {!json} record to [path] with
+    {!Obs.write_atomic}. *)
 
-val pp : ?top:int -> Format.formatter -> Obs.Json.t -> unit
-(** The [ctwsdd explain] text report of a record: ranked cost centers,
-    the top bags by node growth (bag width against log₂ nodes, where the
-    treewidth bound shows per bag), the parallelism summary against its
-    Amdahl bound, and the critical path.  [top] (default 10) bounds the
-    ranked tables.  Empty sections say so rather than disappearing. *)
+val pp : Format.formatter -> Obs.Json.t -> unit
+(** The text report of a record, a pure function of it: the ten heaviest
+    cost centers, the ten top bags by node growth (bag width against
+    log₂ nodes, where the treewidth bound shows per bag), the
+    parallelism summary against its Amdahl bound, the critical path, the
+    span tree (calls, time, allocation), caches, histograms, the GC line,
+    counters and gauges.  Empty sections say so rather than
+    disappearing. *)
 
 (** {1 Dumps} *)
 

@@ -1263,87 +1263,3 @@ let trace_json () =
     ]
 
 let write_trace path = write_atomic path (Json.to_string (trace_json ()) ^ "\n")
-
-(* ------------------------------------------------------------------ *)
-(* Human summary                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let fmt_words w =
-  if w >= 1e9 then Printf.sprintf "%.1fGw" (w /. 1e9)
-  else if w >= 1e6 then Printf.sprintf "%.1fMw" (w /. 1e6)
-  else if w >= 1e3 then Printf.sprintf "%.1fkw" (w /. 1e3)
-  else Printf.sprintf "%.0fw" w
-
-let pp_summary ppf () =
-  let spans = span_roots () in
-  if spans <> [] then begin
-    Format.fprintf ppf "@[<v>spans:@,";
-    Format.fprintf ppf "  %-40s %8s %12s %10s@," "name" "calls" "total" "alloc";
-    let rec pp_span indent t =
-      Format.fprintf ppf "  %-40s %8d %10.3fms %10s@,"
-        (String.make indent ' ' ^ t.span)
-        t.calls (1000.0 *. t.total_s)
-        (fmt_words (t.gc_minor_words +. t.gc_major_words));
-      List.iter (pp_span (indent + 2)) t.children
-    in
-    List.iter (pp_span 0) spans;
-    Format.fprintf ppf "@]"
-  end;
-  let cache_list = caches () in
-  if cache_list <> [] then begin
-    Format.fprintf ppf "@[<v>caches:@,";
-    Format.fprintf ppf "  %-24s %10s %10s %10s %8s %10s@," "name" "lookups"
-      "hits" "misses" "hit%" "entries";
-    List.iter
-      (fun s ->
-        let rate =
-          if s.Cache.lookups = 0 then 0.0
-          else 100.0 *. float_of_int s.Cache.hits /. float_of_int s.Cache.lookups
-        in
-        Format.fprintf ppf "  %-24s %10d %10d %10d %7.1f%% %10d@,"
-          s.Cache.cache s.Cache.lookups s.Cache.hits s.Cache.misses rate
-          s.Cache.entries)
-      cache_list;
-    Format.fprintf ppf "@]"
-  end;
-  let hist_list = histograms () in
-  if hist_list <> [] then begin
-    Format.fprintf ppf "@[<v>histograms:@,";
-    Format.fprintf ppf "  %-32s %10s %6s %8s %8s %8s %8s@," "name" "count"
-      "min" "p50" "p90" "p99" "max";
-    List.iter
-      (fun s ->
-        Format.fprintf ppf "  %-32s %10d %6d %8d %8d %8d %8d@,"
-          s.Histogram.hist s.Histogram.count s.Histogram.min_value
-          s.Histogram.p50 s.Histogram.p90 s.Histogram.p99 s.Histogram.max_value)
-      hist_list;
-    Format.fprintf ppf "@]"
-  end;
-  (let b = Domain.DLS.get gc_baseline_key in
-   let g = Gc.quick_stat () in
-   Format.fprintf ppf
-     "@[<v>gc: minor %s, major %s, promoted %s, collections %d/%d, top heap \
-      %s@,@]"
-     (fmt_words (g.Gc.minor_words -. b.Gc.minor_words))
-     (fmt_words (g.Gc.major_words -. b.Gc.major_words))
-     (fmt_words (g.Gc.promoted_words -. b.Gc.promoted_words))
-     (g.Gc.minor_collections - b.Gc.minor_collections)
-     (g.Gc.major_collections - b.Gc.major_collections)
-     (fmt_words (float_of_int g.Gc.top_heap_words)));
-  let counter_list = counters () in
-  if counter_list <> [] then begin
-    Format.fprintf ppf "@[<v>counters:@,";
-    List.iter
-      (fun (k, v) -> Format.fprintf ppf "  %-40s %12d@," k v)
-      counter_list;
-    Format.fprintf ppf "@]"
-  end;
-  let gauge_list = gauges () in
-  if gauge_list <> [] then begin
-    Format.fprintf ppf "@[<v>gauges:@,";
-    List.iter
-      (fun (k, v) -> Format.fprintf ppf "  %-40s %12d@," k v)
-      gauge_list;
-    Format.fprintf ppf "@]"
-  end;
-  Format.pp_print_flush ppf ()

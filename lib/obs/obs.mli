@@ -13,9 +13,9 @@
     {!Attribution} cost-center profiler shares the master switch
     ({!set_enabled} arms both).
 
-    Metrics are exported as a human-readable summary table
-    ({!pp_summary}) or as the JSON sections ({!sections}) of the
-    [ctwsdd-run/v1] run record that [Run_record] assembles.
+    Metrics are exported as the JSON sections ({!sections}) of the
+    [ctwsdd-run/v1] run record that [Run_record] assembles; its text
+    report ([Run_record.pp], the CLI's [--stats]) is rendered from them.
 
     The {!Ring} is the one store for individual occurrences: every span
     completion, {!event}, budget poll and budget trip lands there
@@ -428,9 +428,3 @@ val trace_json : unit -> Json.t
 val write_trace : string -> (unit, string) result
 (** [write_trace path] writes {!trace_json} to [path] with
     {!write_atomic}. *)
-
-val pp_summary : Format.formatter -> unit -> unit
-(** Human-readable tables: spans (indented, with timings and allocation),
-    cache hit/miss rates, histograms (count and percentiles), a GC
-    summary line, counters and gauges.  Sections with no data are
-    omitted. *)

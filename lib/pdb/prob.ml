@@ -109,7 +109,8 @@ let via ?budget ?vtree ?minimize ?compact_every ?(backend = `Sdd) q db =
   if minimize = Some true then Backend.require_minimizable chosen;
   let a = evaluate chosen ?budget ?vtree ?minimize ?compact_every q db in
   (* The pipeline re-notes its (explicit) selection; restore the
-     query-level reason so [ctwsdd explain] shows why. *)
+     query-level reason so the run record (and the --stats report)
+     shows why. *)
   Backend.note_selection ~requested:backend ~chosen ~reason;
   a
 

@@ -9,8 +9,8 @@
    the payload (every array is immediate ints).
 
    A manager is used from one domain at a time.  The store and the node
-   count are still published through [Atomic.t]s because the postmortem
-   census ([census_all], run from a signal handler or a budget trip) can
+   count are still published through [Atomic.t]s because the census of a
+   dump ([census_all], run from a signal handler or a budget trip) can
    read a manager owned by a worker domain: growth copies into fresh
    arrays and republishes, and an old snapshot stays valid for every
    node it covers, because node cells are written once, before [count]
@@ -357,8 +357,9 @@ let census_to_json c =
 
 let census_all () = List.map census (live_managers ())
 
-(* Occupancy gauges for the telemetry exporters: cheap summary
-   numbers (no node walk) refreshed whenever occupancy is probed. *)
+(* Occupancy gauges for the run record's [gauges] section: cheap
+   summary numbers (no node walk) refreshed whenever occupancy is
+   probed. *)
 let occupancy_gauges m =
   if !Obs.enabled_ref then begin
     Obs.gauge_set "sdd.nodes_allocated" (Atomic.get m.count);
@@ -433,7 +434,7 @@ let[@inline] after_alloc m count =
     Attribution.charge_nodes 1
   end;
   (* Occupancy pulse: one flight-recorder note (and gauge refresh) every
-     4096 allocations, so a postmortem tail shows growth history without
+     4096 allocations, so a dump's ring tail shows growth history without
      taxing the per-alloc path beyond a mask-and-branch. *)
   if count land 4095 = 0 then occupancy_gauges m
 

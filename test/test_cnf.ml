@@ -228,7 +228,7 @@ let split_tests =
                    ^ ": literal out of range")
                     (Ctwsdd_error.to_string e))
               [ (false, "split"); (true, "run") ])
-          [ [ [ 5; 1 ] ]; [ [ 1; -3 ] ]; [ [ 2 ]; [ 0; 1 ] ] ]);
+          [ [ [ 5; 1 ] ]; [ [ 1; -3 ] ]; [ [ 2 ]; [ 0; 1 ] ]; [ [ 5 ]; [] ] ]);
     case "free_var_count ignores out-of-range literals" (fun () ->
         checki "[[5; 1]] over 2" 1
           (Dimacs.free_var_count (cnf ~vars:2 [ [ 5; 1 ] ]));
@@ -279,10 +279,14 @@ let compile_tests =
         check bigint "zero" Bigint.zero r.Pipeline.count;
         checki "components" 0 (List.length r.Pipeline.components));
     case "unsat without preprocessing" (fun () ->
-        let r =
-          compile_ok ~preprocess:false (cnf ~vars:2 [ [ 1; 2 ]; [] ])
-        in
-        check bigint "zero" Bigint.zero r.Pipeline.count);
+        (* An empty clause counts 0 without compiling a component, with
+           preprocessing off and on alike. *)
+        List.iter
+          (fun preprocess ->
+            let r = compile_ok ~preprocess (cnf ~vars:2 [ [ 1; 2 ]; [] ]) in
+            check bigint "zero" Bigint.zero r.Pipeline.count;
+            checki "components" 0 (List.length r.Pipeline.components))
+          [ false; true ]);
     case "free and forced variables are folded into the count" (fun () ->
         (* v1 forced, v2..v3 constrained, v4..v5 free. *)
         let d = cnf ~vars:5 [ [ 1 ]; [ -2; 3 ] ] in

@@ -209,6 +209,13 @@ let read_json path =
   | Ok j -> j
   | Error e -> Alcotest.fail e
 
+let mentions text sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length text && (String.sub text i n = sub || go (i + 1))
+  in
+  go 0
+
 let ring_entries j =
   match member_exn "entries" (member_exn "ring" j) with
   | Obs.Json.List entries -> entries
@@ -469,6 +476,53 @@ let record_suite =
             checki "bucket counts sum to count" 2 bucket_total;
             checkb "run_id" true
               (member_exn "run_id" j = Obs.Json.String (Obs.run_id ()))));
+    case "the report renders every section, and the same text when reread"
+      (fun () ->
+        with_obs (fun () ->
+            (match Pipeline.compile (Circuit.of_string "(or (and x y) (not z))")
+             with
+             | Ok _ -> ()
+             | Error e -> Alcotest.fail (Ctwsdd_error.to_string e));
+            let chain k = List.init 4 (fun i -> [ -(k + i + 1); k + i + 2 ]) in
+            let d = { Dimacs.num_vars = 10; clauses = chain 0 @ chain 5 } in
+            match Pipeline.compile_cnf ~domains:1 d with
+            | Error e -> Alcotest.fail (Ctwsdd_error.to_string e)
+            | Ok r ->
+              checki "two components" 2 (List.length r.Pipeline.components);
+              let censuses =
+                List.map
+                  (fun (c : Pipeline.cnf_component) ->
+                    Sdd.census c.Pipeline.k_manager)
+                  r.Pipeline.components
+              in
+              let j = Run_record.json ~censuses () in
+              let text = Format.asprintf "%a" Run_record.pp j in
+              List.iter
+                (fun sub -> checkb sub true (mentions text sub))
+                [
+                  "\ntop cost centers";
+                  "\ntop bags by node growth";
+                  "\nparallelism\n";
+                  "\ncritical path";
+                  "\nspans";
+                  "\ncaches\n";
+                  "\nhistograms\n";
+                  "\ngc: ";
+                  "\ncounters\n";
+                  "\ngauges\n";
+                  "  pipeline.compile_cnf ";
+                  "  cnf.components ";
+                ];
+              let path = Filename.temp_file "ctwsdd_report" ".json" in
+              Fun.protect
+                ~finally:(fun () -> Sys.remove path)
+                (fun () ->
+                  checkb "written" true (Run_record.write path j = Ok ());
+                  (* Rendered after a reset: the report reads only the
+                     record, never the live state. *)
+                  Obs.reset ();
+                  checks "reread record, same report" text
+                    (Format.asprintf "%a" Run_record.pp (read_json path)))));
     case "a hostile run_id round-trips through the written record"
       (fun () ->
         let rid = "r-\"quoted\\evil\"\n" in
@@ -478,8 +532,10 @@ let record_suite =
           (fun () ->
             Obs.with_run_id rid (fun () ->
                 (* The second write replaces the first atomically. *)
-                checkb "first write" true (Run_record.write path = Ok ());
-                checkb "second write" true (Run_record.write path = Ok ()));
+                checkb "first write" true
+                  (Run_record.write path (Run_record.json ()) = Ok ());
+                checkb "second write" true
+                  (Run_record.write path (Run_record.json ()) = Ok ()));
             checkb "no tmp litter" false
               (Sys.file_exists
                  (Filename.concat (Filename.dirname path)

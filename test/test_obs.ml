@@ -206,7 +206,8 @@ let json_suite =
             Fun.protect
               ~finally:(fun () -> Sys.remove path)
               (fun () ->
-                checkb "written" true (Run_record.write path = Ok ());
+                checkb "written" true
+                  (Run_record.write path (Run_record.json ()) = Ok ());
                 let ic = open_in_bin path in
                 let s =
                   Fun.protect
