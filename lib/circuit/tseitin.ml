@@ -50,27 +50,3 @@ let projected_models_agree c cnf =
   let t = Boolfun.lift (Circuit.to_boolfun (to_circuit cnf)) (Circuit.variables c) in
   let projected = List.fold_left (fun f z -> Boolfun.exists_ z f) t cnf.gate_vars in
   Boolfun.equal projected (Circuit.to_boolfun c)
-
-let primal_graph cnf =
-  let vars =
-    List.sort_uniq compare
-      (List.concat_map (List.map fst) cnf.clauses)
-  in
-  let arr = Array.of_list vars in
-  let index = Hashtbl.create 64 in
-  Array.iteri (fun i v -> Hashtbl.add index v i) arr;
-  let g = Ugraph.create (Array.length arr) in
-  List.iter
-    (fun cl ->
-      let vs = List.sort_uniq compare (List.map fst cl) in
-      let rec pairs = function
-        | [] -> ()
-        | a :: rest ->
-          List.iter
-            (fun b -> Ugraph.add_edge g (Hashtbl.find index a) (Hashtbl.find index b))
-            rest;
-          pairs rest
-      in
-      pairs vs)
-    cnf.clauses;
-  (g, arr)

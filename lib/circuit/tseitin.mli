@@ -19,7 +19,3 @@ val to_circuit : cnf -> Circuit.t
 
 val projected_models_agree : Circuit.t -> cnf -> bool
 (** Checks [C(X) ≡ ∃Z. T(X,Z)] extensionally (small circuits only). *)
-
-val primal_graph : cnf -> Ugraph.t * string array
-(** Primal graph of the CNF: vertices are variables, edges join variables
-    sharing a clause.  Returns the vertex-to-name map. *)

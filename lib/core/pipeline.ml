@@ -283,12 +283,15 @@ let cnf_primal_graph (d : Dimacs.t) =
     d.Dimacs.clauses;
   g
 
-(* Heuristic tree decomposition sized to the component: the min-fill
-   pass inside [Treewidth.decomposition] is cubic-ish and dominates at
-   SAT scale, so large components fall back to min-degree alone. *)
+(* Heuristic tree decomposition sized to the component: best of
+   min-fill and min-degree up to 300 variables, min-degree alone beyond.
+   Both greedy passes rescore only the vertices an elimination touches,
+   so neither dominates at SAT scale; the cut stays because its
+   min-degree orders fix the compiled sizes of large components. *)
 let var_treedec ?budget g =
   if Ugraph.num_vertices g <= 300 then Treewidth.decomposition ?budget g
   else
+    Obs.span "treewidth.decomposition" @@ fun () ->
     Treedec.refine_connected
       (Treedec.of_elimination_order g (Treewidth.min_degree_order ?budget g))
 

@@ -4,67 +4,104 @@ module ISet = Set.Make (Int)
 (* Greedy elimination orders                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* Live vertices keyed by [(score, vertex)]: the minimum is the vertex an
+   ascending scan with a strict [<] would pick, the first of the lowest
+   score. *)
+module By_score = Set.Make (struct
+  type t = int * int
+
+  let compare (s, v) (s', v') =
+    let c = Int.compare s s' in
+    if c <> 0 then c else Int.compare v v'
+end)
+
+type heuristic = Min_degree | Min_fill
+
+let score heuristic adj v =
+  match heuristic with
+  | Min_degree -> ISet.cardinal adj.(v)
+  | Min_fill ->
+    (* Non-adjacent pairs of neighbours: the edges eliminating [v] adds. *)
+    let rec pairs missing = function
+      | [] -> missing
+      | a :: rest ->
+        let adj_a = adj.(a) in
+        pairs
+          (List.fold_left
+             (fun m b -> if ISet.mem b adj_a then m else m + 1)
+             missing rest)
+          rest
+    in
+    pairs 0 (ISet.elements adj.(v))
+
 (* Returns the order with its width: the largest neighbourhood a vertex
    has when it is eliminated (the bag [v :: nbrs] of
-   [Treedec.of_elimination_order] has that many vertices besides [v]). *)
-let greedy_order ?(budget = Budget.unlimited) score g =
+   [Treedec.of_elimination_order] has that many vertices besides [v]).
+
+   Scores are kept current in a [By_score] set, not recomputed for every
+   live vertex per step.  Eliminating [v] changes the degree only of its
+   neighbours, and the fill only of its neighbours and of the vertices
+   adjacent to both ends of an added edge (all neighbours of an endpoint
+   of a fill edge), so only those are rescored. *)
+let greedy_order ?(budget = Budget.unlimited) heuristic g =
   let n = Ugraph.num_vertices g in
   let adj = Array.init n (fun v -> ISet.of_list (Ugraph.neighbors g v)) in
-  let alive = Array.make n true in
-  let order = ref [] and width = ref (-1) in
-  for _ = 1 to n do
-    (* Pick the alive vertex minimizing the score. *)
-    let best = ref (-1) and best_score = ref max_int in
-    for v = 0 to n - 1 do
-      if alive.(v) then begin
-        (* On fill-heavy graphs a single score evaluation is O(deg²),
-           so the heuristic as a whole can dominate a budgeted compile;
-           poll per evaluation to keep vtree construction pollable. *)
-        if budget.Budget.active then Budget.poll budget;
-        let s = score adj v in
-        if s < !best_score then begin
-          best := v;
-          best_score := s
-        end
+  let scores = Array.make n 0 in
+  (* On fill-heavy graphs a single score evaluation is O(deg²), so the
+     heuristic as a whole can dominate a budgeted compile; poll per
+     evaluation to keep vtree construction pollable. *)
+  let evaluate v =
+    if budget.Budget.active then Budget.poll budget;
+    score heuristic adj v
+  in
+  let queue = ref By_score.empty in
+  for v = 0 to n - 1 do
+    scores.(v) <- evaluate v;
+    queue := By_score.add (scores.(v), v) !queue
+  done;
+  (* [stamp.(w) = step]: [w] was rescored after the [step]-th elimination. *)
+  let stamp = Array.make n (-1) in
+  let rescore step w =
+    if stamp.(w) <> step then begin
+      stamp.(w) <- step;
+      let s = evaluate w in
+      if s <> scores.(w) then begin
+        queue := By_score.add (s, w) (By_score.remove (scores.(w), w) !queue);
+        scores.(w) <- s
       end
-    done;
-    let v = !best in
-    alive.(v) <- false;
+    end
+  in
+  let order = ref [] and width = ref (-1) in
+  for step = 0 to n - 1 do
+    let ((_, v) as top) = By_score.min_elt !queue in
+    queue := By_score.remove top !queue;
     order := v :: !order;
-    (* Eliminate: clique-ify neighbors, drop v. *)
+    (* Eliminate: clique-ify neighbours, drop v. *)
     let nbrs = adj.(v) in
     width := Stdlib.max !width (ISet.cardinal nbrs);
+    (* Fill-edge endpoints, whose neighbours' fill may drop (min-fill). *)
+    let endpoints = ref ISet.empty in
     ISet.iter
       (fun a ->
         ISet.iter
           (fun b ->
-            if a < b then begin
+            if a < b && not (ISet.mem b adj.(a)) then begin
               adj.(a) <- ISet.add b adj.(a);
-              adj.(b) <- ISet.add a adj.(b)
+              adj.(b) <- ISet.add a adj.(b);
+              if heuristic = Min_fill then
+                endpoints := ISet.add a (ISet.add b !endpoints)
             end)
           nbrs)
       nbrs;
     ISet.iter (fun a -> adj.(a) <- ISet.remove v adj.(a)) nbrs;
-    adj.(v) <- ISet.empty
+    adj.(v) <- ISet.empty;
+    ISet.iter (rescore step) nbrs;
+    ISet.iter (fun a -> ISet.iter (rescore step) adj.(a)) !endpoints
   done;
   (!width, List.rev !order)
 
-let min_degree adj v = ISet.cardinal adj.(v)
-
-let min_fill adj v =
-  let nbrs = ISet.elements adj.(v) in
-  let missing = ref 0 in
-  let rec pairs = function
-    | [] -> ()
-    | a :: rest ->
-      List.iter (fun b -> if not (ISet.mem b adj.(a)) then incr missing) rest;
-      pairs rest
-  in
-  pairs nbrs;
-  !missing
-
-let min_degree_order ?budget g = snd (greedy_order ?budget min_degree g)
-let min_fill_order ?budget g = snd (greedy_order ?budget min_fill g)
+let min_degree_order ?budget g = snd (greedy_order ?budget Min_degree g)
+let min_fill_order ?budget g = snd (greedy_order ?budget Min_fill g)
 
 let width_of_order g order =
   Treedec.width (Treedec.of_elimination_order g order)
@@ -72,8 +109,8 @@ let width_of_order g order =
 let upper_bound ?budget g =
   if Ugraph.num_vertices g = 0 then (-1, [])
   else begin
-    let ((wf, _) as fill) = greedy_order ?budget min_fill g in
-    let ((wd, _) as degree) = greedy_order ?budget min_degree g in
+    let ((wf, _) as fill) = greedy_order ?budget Min_fill g in
+    let ((wd, _) as degree) = greedy_order ?budget Min_degree g in
     if wd < wf then degree else fill
   end
 

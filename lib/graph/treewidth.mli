@@ -19,9 +19,17 @@ val upper_bound : ?budget:Budget.t -> Ugraph.t -> int * int list
 (** Best width over the built-in heuristics (min-fill, then min-degree
     if strictly narrower), with a witnessing order.  The width is read
     off the elimination pass: it equals [width_of_order g order].
-    [budget] (default {!Budget.unlimited}) is polled once per candidate
-    score evaluation — on fill-heavy graphs the heuristics dominate a
-    budgeted compilation otherwise.
+
+    Cost: each pass scores every vertex once, then keeps the scores in
+    a set ordered by [(score, vertex)] (its minimum is the first vertex
+    of the lowest score, so ties go to the lowest index).  Eliminating
+    [v] rescores only [N(v)] for min-degree, and for min-fill also the
+    neighbours of every endpoint of an added fill edge (a subset of the
+    two-hop neighbourhood).  A min-fill evaluation is O(deg²·log n), so
+    a pass is about n·log n plus Σ over eliminations of the rescored
+    vertices' deg²·log n — near-linear on bounded-degree graphs.
+    [budget] (default {!Budget.unlimited}) is polled once per score
+    evaluation, so a budgeted compilation can stop inside a pass.
     @raise Budget.Exhausted on a trip. *)
 
 val decomposition : ?budget:Budget.t -> Ugraph.t -> Treedec.t

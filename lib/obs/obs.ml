@@ -750,15 +750,19 @@ let span name f =
         n
     in
     st.sstack <- node :: st.sstack;
+    (* [Gc.quick_stat]'s [minor_words] advances only at minor
+       collections; [Gc.minor_words ()] also counts the live minor heap. *)
     let g0 = Gc.quick_stat () in
+    let m0 = Gc.minor_words () in
     let t0 = now () in
     Fun.protect
       ~finally:(fun () ->
         let t1 = now () in
+        let m1 = Gc.minor_words () in
         let g1 = Gc.quick_stat () in
         node.calls <- node.calls + 1;
         node.total <- node.total +. (t1 -. t0);
-        node.gminor <- node.gminor +. (g1.Gc.minor_words -. g0.Gc.minor_words);
+        node.gminor <- node.gminor +. (m1 -. m0);
         node.gmajor <- node.gmajor +. (g1.Gc.major_words -. g0.Gc.major_words);
         node.gpromoted <-
           node.gpromoted +. (g1.Gc.promoted_words -. g0.Gc.promoted_words);
@@ -800,10 +804,12 @@ let rec freeze n =
 
 let span_roots () = (freeze (span_state ()).sroot).children
 
-(* GC counters at the last [reset]: the exported "gc" section reports
-   deltas against this baseline. *)
-let gc_baseline_key : Gc.stat Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Gc.quick_stat ())
+(* GC counters at the last [reset], with the exact [Gc.minor_words ()]:
+   the exported "gc" section reports deltas against this baseline. *)
+let gc_mark () = (Gc.quick_stat (), Gc.minor_words ())
+
+let gc_baseline_key : (Gc.stat * float) Domain.DLS.key =
+  Domain.DLS.new_key gc_mark
 
 let reset () =
   Hashtbl.reset (counter_tbl ());
@@ -813,7 +819,7 @@ let reset () =
   Domain.DLS.get absorbed_caches_key := [];
   Ring.clear ();
   Domain.DLS.get epoch_key := now ();
-  Domain.DLS.set gc_baseline_key (Gc.quick_stat ());
+  Domain.DLS.set gc_baseline_key (gc_mark ());
   let st = span_state () in
   st.sroot <- mk_span "<root>";
   st.sstack <- [];
@@ -839,7 +845,7 @@ module Worker = struct
     Domain.DLS.set hists_key (Hashtbl.create 32);
     Domain.DLS.set Cache.registry_key (ref []);
     Domain.DLS.set absorbed_caches_key (ref []);
-    Domain.DLS.set gc_baseline_key (Gc.quick_stat ());
+    Domain.DLS.set gc_baseline_key (gc_mark ());
     Domain.DLS.set span_key { sroot = mk_span "<root>"; sstack = [] };
     Attribution.fresh ()
 
@@ -1096,11 +1102,11 @@ let event_to_json e =
 (* Deltas since the last [reset].  A dump pays for the full [Gc.stat]
    (a major-heap walk) and adds the fields only it measures. *)
 let gc_to_json ~dump =
-  let b = Domain.DLS.get gc_baseline_key in
+  let b, b_minor = Domain.DLS.get gc_baseline_key in
   let g = if dump then Gc.stat () else Gc.quick_stat () in
   Json.Obj
     ([
-       ("minor_words", Json.Float (g.Gc.minor_words -. b.Gc.minor_words));
+       ("minor_words", Json.Float (Gc.minor_words () -. b_minor));
        ("major_words", Json.Float (g.Gc.major_words -. b.Gc.major_words));
        ( "promoted_words",
          Json.Float (g.Gc.promoted_words -. b.Gc.promoted_words) );

@@ -148,12 +148,6 @@ let tseitin_suite =
         let cnf = Tseitin.transform c in
         checkb "disjoint" true
           (List.for_all (fun g -> not (List.mem g (Circuit.variables c))) cnf.Tseitin.gate_vars));
-    case "primal graph treewidth tracks circuit treewidth" (fun () ->
-        let c = Generators.chain_implications 5 in
-        let cnf = Tseitin.transform c in
-        let g, _ = Tseitin.primal_graph cnf in
-        let w, _ = Treewidth.upper_bound g in
-        checkb "bounded" true (w <= 6));
     qtest "tseitin projection on random formulas" QCheck2.Gen.(int_range 0 40)
       (fun seed ->
         let c = Generators.random_formula ~seed ~vars:4 ~depth:4 in

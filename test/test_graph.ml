@@ -131,6 +131,98 @@ let corrupted_decomposition seed =
   in
   (g, td')
 
+(* [Treewidth]'s greedy elimination before it kept scores in a priority
+   set: every step rescans and rescores every live vertex and takes the
+   first of the lowest score.  Kept as the reference for the
+   differential test below. *)
+let reference_greedy_order score g =
+  let n = Ugraph.num_vertices g in
+  let adj = Array.init n (fun v -> ISet.of_list (Ugraph.neighbors g v)) in
+  let alive = Array.make n true in
+  let order = ref [] and width = ref (-1) in
+  for _ = 1 to n do
+    let best = ref (-1) and best_score = ref max_int in
+    for v = 0 to n - 1 do
+      if alive.(v) then begin
+        let s = score adj v in
+        if s < !best_score then begin
+          best := v;
+          best_score := s
+        end
+      end
+    done;
+    let v = !best in
+    alive.(v) <- false;
+    order := v :: !order;
+    let nbrs = adj.(v) in
+    width := Stdlib.max !width (ISet.cardinal nbrs);
+    ISet.iter
+      (fun a ->
+        ISet.iter
+          (fun b ->
+            if a < b then begin
+              adj.(a) <- ISet.add b adj.(a);
+              adj.(b) <- ISet.add a adj.(b)
+            end)
+          nbrs)
+      nbrs;
+    ISet.iter (fun a -> adj.(a) <- ISet.remove v adj.(a)) nbrs;
+    adj.(v) <- ISet.empty
+  done;
+  (!width, List.rev !order)
+
+let reference_min_degree adj v = ISet.cardinal adj.(v)
+
+let reference_min_fill adj v =
+  let nbrs = ISet.elements adj.(v) in
+  let missing = ref 0 in
+  let rec pairs = function
+    | [] -> ()
+    | a :: rest ->
+      List.iter (fun b -> if not (ISet.mem b adj.(a)) then incr missing) rest;
+      pairs rest
+  in
+  pairs nbrs;
+  !missing
+
+(* Both heuristics give the reference's order, the order's width is the
+   reference's width, and [upper_bound] keeps min-fill unless min-degree
+   is strictly narrower. *)
+let greedy_matches_reference g =
+  let same reference order =
+    reference = (Treewidth.width_of_order g order, order)
+  in
+  let ((wf, _) as fill) = reference_greedy_order reference_min_fill g
+  and ((wd, _) as degree) = reference_greedy_order reference_min_degree g in
+  same fill (Treewidth.min_fill_order g)
+  && same degree (Treewidth.min_degree_order g)
+  && Treewidth.upper_bound g = if wd < wf then degree else fill
+
+(* The primal graph of a CNF whose clauses span windows of [k + 1]
+   consecutive variables, each edge kept with probability 0.8, under a
+   random relabelling so that ties do not fall to the lowest index by
+   construction. *)
+let band_primal ~seed n k =
+  let rng = Random.State.make [| seed |] in
+  let label =
+    let perm = Array.init n Fun.id in
+    for i = n - 1 downto 1 do
+      let j = Random.State.int rng (i + 1) in
+      let t = perm.(i) in
+      perm.(i) <- perm.(j);
+      perm.(j) <- t
+    done;
+    perm
+  in
+  let g = Ugraph.create n in
+  for i = 0 to n - 1 do
+    for j = i + 1 to Stdlib.min (n - 1) (i + k) do
+      if j = i + 1 || Random.State.float rng 1.0 < 0.8 then
+        Ugraph.add_edge g label.(i) label.(j)
+    done
+  done;
+  g
+
 let ugraph_suite =
   [
     case "basic construction" (fun () ->
@@ -311,6 +403,27 @@ let treewidth_suite =
         w = Treewidth.width_of_order g order
         && w = Stdlib.min wf wd
         && order = if wd < wf then degree else fill);
+    qtest ~count:200 "greedy orders match the rescanning reference on random graphs"
+      QCheck2.Gen.(pair (int_range 1 60) (int_range 0 100_000))
+      (fun (n, seed) ->
+        let p = [| 0.03; 0.08; 0.15; 0.3; 0.5 |].(seed mod 5) in
+        greedy_matches_reference (Ugraph.random_gnp ~seed n p));
+    qtest ~count:8 "greedy orders match the reference above 300 vertices"
+      QCheck2.Gen.(int_range 0 100_000)
+      (fun seed ->
+        let g =
+          if seed mod 2 = 0 then band_primal ~seed (301 + (seed mod 150)) (2 + (seed mod 5))
+          else Ugraph.grid_graph (16 + (seed mod 5)) 20
+        in
+        Ugraph.num_vertices g > 300 && greedy_matches_reference g);
+    case "greedy matches the reference on the empty graph" (fun () ->
+        checkb "empty" true (greedy_matches_reference (Ugraph.create 0)));
+    case "a tripped budget stops the greedy heuristics" (fun () ->
+        let budget = Budget.create () in
+        Budget.cancel_now budget;
+        Alcotest.check_raises "upper_bound" (Budget.Exhausted Budget.Cancelled)
+          (fun () ->
+            ignore (Treewidth.upper_bound ~budget (band_primal ~seed:1 1000 4))));
     qtest "pathwidth >= treewidth" QCheck2.Gen.(int_range 0 100) (fun seed ->
         let g = Ugraph.random_gnp ~seed 8 0.35 in
         Treewidth.pathwidth_exact g >= Treewidth.exact g);

@@ -87,6 +87,22 @@ let spans_suite =
             match Obs.span_roots () with
             | [ t ] -> checki "recorded" 1 t.Obs.calls
             | _ -> Alcotest.fail "span not recorded"));
+    case "minor words include the live minor heap" (fun () ->
+        (* 10,000 cons cells are 30,000 words, far below one minor heap,
+           so no minor collection has to run inside the span. *)
+        with_obs (fun () ->
+            Obs.span "alloc" (fun () ->
+                ignore (Sys.opaque_identity (List.init 10_000 Fun.id)));
+            (match Obs.span_roots () with
+             | [ t ] ->
+               checkb "span minor words" true (t.Obs.gc_minor_words >= 30_000.)
+             | _ -> Alcotest.fail "span not recorded");
+            match List.assoc "gc" (Obs.sections ()) with
+            | Obs.Json.Obj fields ->
+              (match List.assoc "minor_words" fields with
+               | Obs.Json.Float w -> checkb "run minor words" true (w >= 30_000.)
+               | _ -> Alcotest.fail "minor_words is not a float")
+            | _ -> Alcotest.fail "gc is not an object"));
   ]
 
 let json_suite =
