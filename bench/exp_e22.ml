@@ -4,7 +4,7 @@
    pathwidth-bounded families fit OBDDs (CPW(O(1)) = OBDD(O(1))),
    treewidth-bounded ones fit SDDs (CTW(O(1)) = SDD(O(1))), and when
    only the count is needed canonicity is pure overhead — the d-DNNF
-   extractor skips the unique table and compression entirely.
+   extractor skips the unique table and the prime sort.
 
    Three tables measure those separations empirically on the E18
    circuit families and the E19 CNF families, all through the

@@ -13,7 +13,7 @@
    the bounded-pathwidth families scale far past that. *)
 let obdd_width_natural circuit =
   let m = Sdd.Obdd.manager (Circuit.variables circuit) in
-  Sdd.Obdd.width m (Sdd.Obdd.compile_circuit m circuit)
+  Sdd.Obdd.width m (Sdd.compile_circuit m circuit)
 
 (* Minimum OBDD width over every variable order, read off the truth
    table by the Sieling–Wegener oracle (tiny functions only). *)

@@ -23,7 +23,7 @@ let obdd_stats q db =
     | _ -> Lineage.variables db
   in
   let m = Sdd.Obdd.manager order in
-  let node = Sdd.Obdd.compile_circuit m (Lineage.circuit q db) in
+  let node = Sdd.compile_circuit m (Lineage.circuit q db) in
   (Sdd.Obdd.size m node, Sdd.Obdd.width m node)
 
 let sdd_stats q db =

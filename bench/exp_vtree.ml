@@ -58,7 +58,7 @@ let run () =
         let c = Generators.chain_implications n in
         let order = Lemma1.obdd_order_of_circuit ~exact:(n <= 5) c in
         let m = Sdd.Obdd.manager order in
-        let node = Sdd.Obdd.compile_circuit m c in
+        let node = Sdd.compile_circuit m c in
         let g = Circuit.underlying_graph c in
         let pw =
           if Ugraph.num_vertices g <= 16 then
@@ -121,7 +121,7 @@ let run () =
             let sdw = Compile.sdw f vt in
             let order = Lemma1.obdd_order_of_circuit c in
             let m = Sdd.Obdd.manager order in
-            let node = Sdd.Obdd.sift m (Sdd.Obdd.compile_circuit m c) in
+            let node = Sdd.Obdd.sift m (Sdd.compile_circuit m c) in
             let size = Sdd.Obdd.size m node in
             [
               Printf.sprintf "%s-%d" name n;

@@ -17,7 +17,7 @@ let test_obdd_compile =
   Test.make ~name:"obdd/compile-chain-12"
     (Staged.stage (fun () ->
          let m = Sdd.Obdd.manager (Families.xs 12) in
-         ignore (Sdd.Obdd.compile_circuit m (Generators.chain_implications 12))))
+         ignore (Sdd.compile_circuit m (Generators.chain_implications 12))))
 
 let test_factors =
   let f = Boolfun.random ~seed:9 (Families.xs 12) in

@@ -80,10 +80,12 @@ let backend_conv =
 let backend_arg =
   Arg.(value & opt backend_conv `Sdd & info [ "backend" ] ~docv:"KIND"
          ~doc:"Compilation target: $(b,sdd) (canonical SDD, the default), \
-               $(b,obdd) (right-linear OBDD specialization), $(b,dnnf) \
-               (counting-only non-canonical d-DNNF — no unique table, no \
-               compression) or $(b,auto) (pick per workload; the choice \
-               and its reason are reported).")
+               $(b,obdd) (canonical SDD on a right-linear vtree, where \
+               apply is the OBDD ITE recursion), $(b,dnnf) (counting-only \
+               non-canonical d-DNNF — no unique table, no prime sort; \
+               elements sharing a sub are still merged) or $(b,auto) \
+               (pick per workload; the choice and its reason are \
+               reported).")
 
 let backend_label = function
   | `Sdd -> "sdd"
@@ -361,7 +363,7 @@ let compile_cmd =
         let order = Circuit.variables c in
         let om = Sdd.Obdd.manager order in
         let onode =
-          Obs.span "cli.obdd" (fun () -> Sdd.Obdd.compile_circuit om c)
+          Obs.span "cli.obdd" (fun () -> Sdd.compile_circuit om c)
         in
         Printf.printf "OBDD    : size %d, width %d (order: %s)\n"
           (Sdd.Obdd.size om onode) (Sdd.Obdd.width om onode)

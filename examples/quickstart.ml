@@ -19,7 +19,7 @@ let () =
   (* OBDD compilation: a canonical SDD on the right-linear vtree. *)
   let order = Circuit.variables c in
   let om = Sdd.Obdd.manager order in
-  let obdd = Sdd.Obdd.compile_circuit om c in
+  let obdd = Sdd.compile_circuit om c in
   Printf.printf "OBDD (order %s): size %d, width %d\n"
     (String.concat "<" order) (Sdd.Obdd.size om obdd) (Sdd.Obdd.width om obdd);
 

@@ -97,7 +97,7 @@ val model_count :
 (** Exact model count of a circuit over its own variables.  [backend]
     defaults to [`Auto], which resolves with the counting-only hint —
     the non-canonical d-DNNF fast path (no unique-table find-or-claim,
-    no compression disjunctions).  Constant circuits count without
+    no prime sort).  Constant circuits count without
     building a manager.  A degraded (anytime) compile still yields the
     exact count — only its representation is larger. *)
 

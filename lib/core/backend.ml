@@ -45,12 +45,7 @@ module type S = sig
     ?budget:Budget.t -> ?compact_every:int -> Vtree.t -> Sdd.manager
 
   val compile_circuit : Sdd.manager -> Circuit.t -> Sdd.t
-  val conjoin : Sdd.manager -> Sdd.t -> Sdd.t -> Sdd.t
-  val disjoin : Sdd.manager -> Sdd.t -> Sdd.t -> Sdd.t
-  val negate : Sdd.manager -> Sdd.t -> Sdd.t
-  val literal : Sdd.manager -> string -> bool -> Sdd.t
   val model_count : Sdd.manager -> Sdd.t -> Bigint.t
-  val probability : Sdd.manager -> Sdd.t -> (string -> float) -> float
 
   val probability_ratio :
     Sdd.manager -> Sdd.t -> (string -> Ratio.t) -> Ratio.t
@@ -58,86 +53,64 @@ module type S = sig
   val size : Sdd.manager -> Sdd.t -> int
   val node_count : Sdd.manager -> Sdd.t -> int
   val width : Sdd.manager -> Sdd.t -> int
-  val poll : Sdd.manager -> unit
   val stats : Sdd.manager -> (string * int) list
 end
 
-(* The query/census surface every backend shares verbatim. *)
-let flat_stats m =
-  List.concat_map
-    (fun (s : Obs.Cache.snapshot) ->
-      [
-        (s.Obs.Cache.cache ^ ".hits", s.Obs.Cache.hits);
-        (s.Obs.Cache.cache ^ ".misses", s.Obs.Cache.misses);
-        (s.Obs.Cache.cache ^ ".entries", s.Obs.Cache.entries);
-      ])
-    (Sdd.stats m)
-  @ [ ("sdd.nodes_allocated", Sdd.num_nodes_allocated m) ]
-
-module Sdd_backend = struct
-  let backend : resolved = `Sdd
-  let name = "sdd"
-  let create_manager ?budget ?compact_every vt = Sdd.manager ?budget ?compact_every vt
+(* The compile/query/census surface every backend shares verbatim: the
+   manager is what differs, and [Sdd.conjoin] picks its apply from it. *)
+module Shared = struct
   let compile_circuit = Sdd.compile_circuit
-  let conjoin = Sdd.conjoin
-  let disjoin = Sdd.disjoin
-  let negate = Sdd.negate
-  let literal = Sdd.literal
   let model_count = Sdd.model_count
-  let probability = Sdd.probability
   let probability_ratio = Sdd.probability_ratio
   let size = Sdd.size
   let node_count = Sdd.node_count
+
+  let stats m =
+    List.concat_map
+      (fun (s : Obs.Cache.snapshot) ->
+        [
+          (s.Obs.Cache.cache ^ ".hits", s.Obs.Cache.hits);
+          (s.Obs.Cache.cache ^ ".misses", s.Obs.Cache.misses);
+          (s.Obs.Cache.cache ^ ".entries", s.Obs.Cache.entries);
+        ])
+      (Sdd.stats m)
+    @ [ ("sdd.nodes_allocated", Sdd.num_nodes_allocated m) ]
+end
+
+module Sdd_backend = struct
+  include Shared
+
+  let backend : resolved = `Sdd
+  let name = "sdd"
+  let create_manager ?budget ?compact_every vt = Sdd.manager ?budget ?compact_every vt
   let width = Sdd.width
-  let poll m = Budget.poll (Sdd.budget m)
-  let stats = flat_stats
 end
 
 module Obdd_backend = struct
+  include Shared
+
   let backend : resolved = `Obdd
   let name = "obdd"
 
   (* Whatever vtree the strategy ladder proposes contributes its
-     variable order; the manager itself is right-linear so the ITE
-     apply and the OBDD width census are well-defined. *)
+     variable order; the manager itself is right-linear, so apply runs
+     the ITE recursion and the OBDD width census is well-defined. *)
   let create_manager ?budget ?compact_every vt =
     Sdd.Obdd.manager ?budget ?compact_every (Vtree.leaf_order vt)
 
-  let compile_circuit = Sdd.Obdd.compile_circuit
-  let conjoin = Sdd.Obdd.conjoin
-  let disjoin = Sdd.Obdd.disjoin
-  let negate = Sdd.negate
-  let literal = Sdd.literal
-  let model_count = Sdd.model_count
-  let probability = Sdd.probability
-  let probability_ratio = Sdd.probability_ratio
-  let size = Sdd.size
-  let node_count = Sdd.node_count
   let width = Sdd.Obdd.width
-  let poll m = Budget.poll (Sdd.budget m)
-  let stats = flat_stats
 end
 
 module Dnnf_backend = struct
+  include Shared
+
   let backend : resolved = `Dnnf
   let name = "dnnf"
 
   let create_manager ?budget ?compact_every vt =
     Sdd.dnnf_manager ?budget ?compact_every vt
 
-  let compile_circuit = Sdd.compile_circuit
-  let conjoin = Sdd.conjoin
-  let disjoin = Sdd.disjoin
-  let negate = Sdd.negate
-  let literal = Sdd.literal
-  let model_count = Sdd.model_count
-  let probability = Sdd.probability
-  let probability_ratio = Sdd.probability_ratio
-  let size = Sdd.size
-  let node_count = Sdd.node_count
   let width = Sdd.width
-  let poll m = Budget.poll (Sdd.budget m)
-  let stats = flat_stats
 end
 
 let impl : resolved -> (module S) = function

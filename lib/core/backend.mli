@@ -3,16 +3,20 @@
     The paper is a {e panorama}: SDD, OBDD and structured-deterministic
     NNF classes related under circuit treewidth/pathwidth bounds
     (Figures 1–3).  This module is the engine-side counterpart — one
-    first-class-module signature ({!S}) over compile, conjoin, counting,
-    WMC, size/width census, budget polling and stats, with three
-    implementations sharing the arena manager:
+    first-class-module signature ({!S}) over the manager, compile,
+    counting, exact WMC, size/width census and stats, with three
+    implementations that differ only in the manager they create (and
+    the width they report); everything else is the shared {!Sdd} code,
+    and {!Sdd.conjoin} picks its apply from the manager:
 
-    - [`Sdd] — the canonical SDD apply ({!Sdd.compile_circuit});
-    - [`Obdd] — the right-linear ITE specialization ({!Sdd.Obdd}),
-      whose width is the OBDD width of the pathwidth claims;
-    - [`Dnnf] — the counting-only non-canonical fast path
-      ({!Sdd.dnnf_manager}): no unique-table find-or-claim, no
-      compression disjunctions, exact counts.
+    - [`Sdd] — a canonical manager on the strategy's vtree;
+    - [`Obdd] — a canonical manager on the right-linear vtree of that
+      vtree's leaf order ({!Sdd.Obdd}), where apply is the ITE
+      recursion and the width is the OBDD width of the pathwidth
+      claims;
+    - [`Dnnf] — the counting-only non-canonical manager
+      ({!Sdd.dnnf_manager}): no unique-table find-or-claim and no prime
+      sort (compression by sub id is kept), exact counts.
 
     [`Auto] resolves a backend per workload (pathwidth-shaped inputs →
     OBDD, treewidth-bounded → SDD, counting-only → d-DNNF); every
@@ -55,14 +59,7 @@ module type S = sig
       (so a treedec-derived vtree contributes its variable order). *)
 
   val compile_circuit : Sdd.manager -> Circuit.t -> Sdd.t
-
-  val conjoin : Sdd.manager -> Sdd.t -> Sdd.t -> Sdd.t
-  val disjoin : Sdd.manager -> Sdd.t -> Sdd.t -> Sdd.t
-  val negate : Sdd.manager -> Sdd.t -> Sdd.t
-  val literal : Sdd.manager -> string -> bool -> Sdd.t
-
   val model_count : Sdd.manager -> Sdd.t -> Bigint.t
-  val probability : Sdd.manager -> Sdd.t -> (string -> float) -> float
 
   val probability_ratio :
     Sdd.manager -> Sdd.t -> (string -> Ratio.t) -> Ratio.t
@@ -75,9 +72,6 @@ module type S = sig
   val width : Sdd.manager -> Sdd.t -> int
   (** SDD width (Definition 5) for [`Sdd]/[`Dnnf]; OBDD width
       (nodes per level) for [`Obdd]. *)
-
-  val poll : Sdd.manager -> unit
-  (** One cooperative budget poll against the manager's budget. *)
 
   val stats : Sdd.manager -> (string * int) list
   (** Serial-friendly flat counters (cache hits/misses/entries),

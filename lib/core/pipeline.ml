@@ -451,13 +451,14 @@ let compile_component_rung (module B : Backend.S) ~budget ~comp ?compact_every
     Budget.poll budget;
     let cl =
       List.fold_left
-        (fun acc l -> B.disjoin m acc (B.literal m names.(abs l - 1) (l > 0)))
+        (fun acc l ->
+          Sdd.disjoin m acc (Sdd.literal m names.(abs l - 1) (l > 0)))
         (Sdd.false_ m) clause
     in
     (* Compaction checkpoint (opt-in): the running conjunction is the
        only live root between clauses, so dead apply intermediates
        from earlier clauses can be reclaimed here. *)
-    Sdd.maybe_compact m (B.conjoin m acc cl)
+    Sdd.maybe_compact m (Sdd.conjoin m acc cl)
   in
   let idx = ref (-1) in
   let root =

@@ -545,6 +545,60 @@ let unique_find_or_add m v sorted k =
     Dec_tbl.add m.unique key id;
     id
 
+(* ------------------------------------------------------------------ *)
+(* Right-linear vtrees (OBDDs)                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* An OBDD is exactly a canonical SDD over a right-linear vtree
+   (Section 2.2 of the paper).  There every decision has exactly two
+   elements whose primes are the two literals of one variable, so apply
+   reduces to the classic Shannon/ITE recursion — cofactor both operands
+   on the topmost variable, recurse twice, rebuild — with no
+   [elements_at] views, no prime cross products and no prime conjoins.
+   The helpers below are that recursion's view of the arena.
+
+   Pre-order ids of a right-linear vtree: the spine internals are the
+   even ids 0, 2, ..., the leaf deciding level k is 2k+1, and the last
+   variable keeps the final even id — so levels are pure id arithmetic,
+   no per-manager tables. *)
+let[@inline] level_of st a =
+  let u = st.vnode.(a) in
+  if Bytes.unsafe_get st.kind a = k_dec then u / 2
+  else if u land 1 = 1 then (u - 1) / 2
+  else u / 2
+
+(* (hi, lo) cofactors of [a] on the variable of [lvl]; [la] is [a]'s
+   own level ([> lvl] means [a] does not mention the variable). *)
+let cofactors st a la lvl =
+  if la > lvl then (a, a)
+  else if Bytes.unsafe_get st.kind a = k_lit then
+    if st.aux.(a) = 1 then (1, 0) else (0, 1)
+  else begin
+    match elements_list st a with
+    | [ (p1, s1); (_, s2) ] -> if st.aux.(p1) = 1 then (s1, s2) else (s2, s1)
+    | _ -> assert false (* canonical right-linear: exactly 2 elements *)
+  end
+
+(* Canonical node for ITE(x_lvl, hi, lo): trims mirror [mk_decision]
+   ([hi = lo] merge, literal shortcuts), and the interned element list /
+   unique key match its layout exactly, so the nodes are the ones the
+   element product would build. *)
+let mk_node m lvl hi lo =
+  if hi = lo then hi
+  else begin
+    let leaf = (2 * lvl) + 1 in
+    if hi = 1 && lo = 0 then literal_at m leaf 1
+    else if hi = 0 && lo = 1 then literal_at m leaf 0
+    else begin
+      let pos = literal_at m leaf 1 and neg = literal_at m leaf 0 in
+      let v = 2 * lvl in
+      let sorted =
+        if pos < neg then [ (pos, hi); (neg, lo) ] else [ (neg, lo); (pos, hi) ]
+      in
+      unique_find_or_add m v sorted 2
+    end
+  end
+
 let rec negate m a =
   let c = cache_find m.neg_cache a in
   if c >= 0 then begin
@@ -567,91 +621,58 @@ let rec negate m a =
     r
   end
 
-(* Counting-only (non-canonical) decision constructor: no unique-table
-   find-or-claim, no element sort.  Compression by sub {e id} is kept —
-   merging (p₁,s) (p₂,s) into (p₁∨p₂,s) is semantics-preserving
-   whatever the ids mean, and without it conjunction chains double
-   their fanout per clause (exponential blowup on E19-style chains).
-   The primes handed in are pairwise disjoint and jointly exhaustive,
-   which keeps the result deterministic, decomposable and structured —
-   the invariants [model_count] / [probability*] rely on — at the cost
-   of canonicity: equal {e functions} may still get distinct ids.
-   Only id-safe trims are applied; the post-compression singleton trim
-   is sound because the primes' disjunction is ⊤ by exhaustiveness
-   even when its id is not 1. *)
-and mk_decision_nc m v elems =
-  let elems = List.filter (fun (p, _) -> p <> 0) elems in
+(* Compression: drop ⊥ primes, then merge the elements sharing a sub
+   by disjoining their primes; subs keep their first-occurrence order. *)
+and compress m elems =
   let by_sub = Hashtbl.create 8 in
   let subs_in_order = ref [] in
   List.iter
     (fun (p, s) ->
-      match Hashtbl.find_opt by_sub s with
-      | Some ps -> ps := p :: !ps
-      | None ->
-        Hashtbl.add by_sub s (ref [ p ]);
-        subs_in_order := s :: !subs_in_order)
+      if p <> 0 then begin
+        match Hashtbl.find_opt by_sub s with
+        | Some ps -> ps := p :: !ps
+        | None ->
+          Hashtbl.add by_sub s (ref [ p ]);
+          subs_in_order := s :: !subs_in_order
+      end)
     elems;
-  let compressed =
-    List.rev_map
-      (fun s ->
-        match !(Hashtbl.find by_sub s) with
-        | [ p ] -> (p, s)
-        | ps -> (List.fold_left (fun acc p -> disjoin m acc p) 0 ps, s))
-      !subs_in_order
-  in
-  match compressed with
+  List.rev_map
+    (fun s ->
+      match !(Hashtbl.find by_sub s) with
+      | [ p ] -> (p, s)
+      | ps -> (List.fold_left (fun acc p -> disjoin m acc p) 0 ps, s))
+    !subs_in_order
+
+(* Builds the node for a decision at vtree node [v] from an element list
+   whose primes are pairwise disjoint and jointly exhaustive (some primes
+   may be ⊥): compressed, trimmed and, in a canonical manager, sorted by
+   prime and interned in the unique table.
+
+   A counting-only (non-canonical) manager skips the find-or-claim and
+   the sort.  It keeps compression by sub {e id}: merging (p₁,s) (p₂,s)
+   into (p₁∨p₂,s) is semantics-preserving whatever the ids mean, and
+   without it conjunction chains double their fanout per clause
+   (exponential blowup on E19-style chains).  The result stays
+   deterministic, decomposable and structured — the invariants
+   [model_count] / [probability*] rely on — at the cost of canonicity:
+   equal {e functions} may get distinct ids.  Its trims are all id-safe:
+   the singleton trim holds because the primes' disjunction is ⊤ by
+   exhaustiveness even when its id is not 1. *)
+and mk_decision m v elems =
+  match compress m elems with
   | [] -> 0
-  | [ (_, s) ] ->
-    (* Exhaustive primes with one shared sub: ∨ᵢ(pᵢ ∧ s) ≡ s. *)
+  | [ (p, s) ] ->
+    assert ((not m.canonical) || p = 1);
     s
   | [ (p, 1); (_, 0) ] | [ (_, 0); (p, 1) ] -> p
   | compressed ->
     let k = List.length compressed in
     if !Obs.enabled_ref then Obs.hist_record "sdd.decision_fanout" k;
-    alloc_dec m v compressed k
-
-(* Builds the canonical node for a decision at vtree node [v] from an
-   element list whose primes are pairwise disjoint and jointly exhaustive
-   (some primes may be ⊥). *)
-and mk_decision m v elems =
-  if not m.canonical then mk_decision_nc m v elems
-  else begin
-  (* Drop false primes. *)
-  let elems = List.filter (fun (p, _) -> p <> 0) elems in
-  (* Compression: merge elements sharing a sub (disjoin their primes). *)
-  let by_sub = Hashtbl.create 8 in
-  let subs_in_order = ref [] in
-  List.iter
-    (fun (p, s) ->
-      match Hashtbl.find_opt by_sub s with
-      | Some ps -> ps := p :: !ps
-      | None ->
-        Hashtbl.add by_sub s (ref [ p ]);
-        subs_in_order := s :: !subs_in_order)
-    elems;
-  let compressed =
-    List.rev_map
-      (fun s ->
-        let ps = !(Hashtbl.find by_sub s) in
-        let p = List.fold_left (fun acc p -> disjoin m acc p) 0 ps in
-        (p, s))
-      !subs_in_order
-  in
-  match compressed with
-  | [] -> 0
-  | [ (p, s) ] ->
-    assert (p = 1);
-    s
-  | [ (p, 1); (_, 0) ] -> p
-  | [ (_, 0); (q, 1) ] -> q
-  | _ ->
-    let sorted =
-      List.sort (fun (p1, _) (p2, _) -> Int.compare p1 p2) compressed
-    in
-    let k = List.length sorted in
-    if !Obs.enabled_ref then Obs.hist_record "sdd.decision_fanout" k;
-    unique_find_or_add m v sorted k
-  end
+    if m.canonical then
+      unique_find_or_add m v
+        (List.sort (fun (p1, _) (p2, _) -> Int.compare p1 p2) compressed)
+        k
+    else alloc_dec m v compressed k
 
 (* ------------------------------------------------------------------ *)
 (* Apply                                                               *)
@@ -672,6 +693,11 @@ and elements_at m v a =
     end
   end
 
+(* The one apply.  The trivial cases and the caches are shared; a miss
+   is computed by the ITE recursion when the manager is an OBDD (a
+   canonical manager over a right-linear vtree — the flag lives in the
+   immutable vtree, so an edit or its rollback, which swap [m.vt], can
+   never leave it stale) and by the element product otherwise. *)
 and apply m op_and a b =
   let cache = if op_and then m.and_cache else m.or_cache in
   let neutral = if op_and then 1 else 0 in
@@ -692,39 +718,51 @@ and apply m op_and a b =
     else begin
       cache_miss cstat;
       if !Obs.enabled_ref then Attribution.charge_apply_miss ();
-      let va = Option.get (vtree_node m a) in
-      let vb = Option.get (vtree_node m b) in
       let r =
-        if va = vb && Vtree.is_leaf m.vt va then begin
-          (* Two distinct literals on the same variable. *)
-          if op_and then 0 else 1
+        if m.canonical && Vtree.is_right_linear m.vt then begin
+          let st = Atomic.get m.store in
+          let la = level_of st a and lb = level_of st b in
+          let lvl = Stdlib.min la lb in
+          let ah, al = cofactors st a la lvl in
+          let bh, bl = cofactors st b lb lvl in
+          let hi = apply m op_and ah bh in
+          let lo = apply m op_and al bl in
+          mk_node m lvl hi lo
         end
         else begin
-          let v = Vtree.lca m.vt va vb in
-          let v =
-            (* If one argument sits at [v] it must be a decision there;
-               if both are below on the same side, lca can be a strict
-               descendant of where we must decide — but lca of two
-               distinct nodes is internal unless equal. *)
-            if Vtree.is_leaf m.vt v then Option.get (Vtree.parent m.vt v) else v
-          in
-          let ea = elements_at m v a in
-          let eb = elements_at m v b in
-          let out = ref [] in
-          List.iter
-            (fun (p1, s1) ->
-              List.iter
-                (fun (p2, s2) ->
-                  let p = conjoin m p1 p2 in
-                  if p <> 0 then begin
-                    let s = apply m op_and s1 s2 in
-                    out := (p, s) :: !out
-                  end)
-                eb)
-            ea;
-          if !Obs.enabled_ref then
-            Obs.hist_record "sdd.apply_elements" (List.length !out);
-          mk_decision m v !out
+          let va = Option.get (vtree_node m a) in
+          let vb = Option.get (vtree_node m b) in
+          if va = vb && Vtree.is_leaf m.vt va then begin
+            (* Two distinct literals on the same variable. *)
+            if op_and then 0 else 1
+          end
+          else begin
+            let v = Vtree.lca m.vt va vb in
+            let v =
+              (* If one argument sits at [v] it must be a decision there;
+                 if both are below on the same side, lca can be a strict
+                 descendant of where we must decide — but lca of two
+                 distinct nodes is internal unless equal. *)
+              if Vtree.is_leaf m.vt v then Option.get (Vtree.parent m.vt v) else v
+            in
+            let ea = elements_at m v a in
+            let eb = elements_at m v b in
+            let out = ref [] in
+            List.iter
+              (fun (p1, s1) ->
+                List.iter
+                  (fun (p2, s2) ->
+                    let p = conjoin m p1 p2 in
+                    if p <> 0 then begin
+                      let s = apply m op_and s1 s2 in
+                      out := (p, s) :: !out
+                    end)
+                  eb)
+              ea;
+            if !Obs.enabled_ref then
+              Obs.hist_record "sdd.apply_elements" (List.length !out);
+            mk_decision m v !out
+          end
         end
       in
       Int_tbl.replace cache key r;
@@ -810,8 +848,6 @@ let rebuild_unique m =
     done
   end
 
-let saved_entries tbl = Int_tbl.fold (fun k r acc -> (k, r) :: acc) tbl []
-
 let reset_caches m =
   Int_tbl.reset m.and_cache;
   Int_tbl.reset m.or_cache;
@@ -822,7 +858,45 @@ let seed_neg m =
   Int_tbl.replace m.neg_cache 0 1;
   Int_tbl.replace m.neg_cache 1 0
 
+(* The entries of the and, or, neg and cond caches, in that order. *)
+let save_caches m =
+  let entries tbl = Int_tbl.fold (fun k r acc -> (k, r) :: acc) tbl [] in
+  (entries m.and_cache, entries m.or_cache, entries m.neg_cache,
+   entries m.cond_cache)
+
 let mask31 = (1 lsl 31) - 1
+
+(* Re-inserts saved cache entries after the node ids moved: [node] maps
+   an old id to its new one, or to -1 when the node was dropped (the
+   entries touching it go), and [leaf] maps the vtree leaf of a cond
+   key.  Apply keys are re-ordered min/max under the new ids; the neg
+   cache holds both directions of each pair, so each entry is mapped as
+   it stands.  The vtree keeps its node count across a move, so the
+   cond key packing is unchanged. *)
+let reinsert_caches m ~node ~leaf (s_and, s_or, s_neg, s_cond) =
+  let nn = Vtree.num_nodes m.vt in
+  let reinsert_apply tbl =
+    List.iter (fun (k, r) ->
+        let a = node (k lsr 31) and b = node (k land mask31) and r = node r in
+        if a >= 0 && b >= 0 && r >= 0 then
+          Int_tbl.replace tbl (pair_key (Stdlib.min a b) (Stdlib.max a b)) r)
+  in
+  reinsert_apply m.and_cache s_and;
+  reinsert_apply m.or_cache s_or;
+  List.iter
+    (fun (a, b) ->
+      let a = node a and b = node b in
+      if a >= 0 && b >= 0 then Int_tbl.replace m.neg_cache a b)
+    s_neg;
+  List.iter
+    (fun (k, r) ->
+      let value = k land 1 and k2 = k lsr 1 in
+      let a = node (k2 / nn) and r = node r in
+      if a >= 0 && r >= 0 then
+        Int_tbl.replace m.cond_cache
+          ((((a * nn) + leaf (k2 mod nn)) lsl 1) lor value)
+          r)
+    s_cond
 
 (* Compaction: mark live nodes from [roots], relocate them into
    exact-fit arrays with a monotone remap (ascending old id → ascending
@@ -930,10 +1004,7 @@ let compact_roots m (roots : int array) : int array =
   done;
   (* Save cache entries before the store flips (decode needs nothing,
      but keep mutation strictly after all reads of the old state). *)
-  let saved_and = saved_entries m.and_cache in
-  let saved_or = saved_entries m.or_cache in
-  let saved_neg = saved_entries m.neg_cache in
-  let saved_cond = saved_entries m.cond_cache in
+  let saved = save_caches m in
   Atomic.set m.store { kind; vnode; aux; off; elems };
   Atomic.set m.count !next;
   m.elems_len <- !epos;
@@ -949,35 +1020,7 @@ let compact_roots m (roots : int array) : int array =
      stay min/max-ordered and stored element sort orders were already
      preserved above. *)
   reset_caches m;
-  let reinsert_apply tbl entries =
-    List.iter
-      (fun (k, r) ->
-        let ka = k lsr 31 and kb = k land mask31 in
-        if remap.(ka) >= 0 && remap.(kb) >= 0 && remap.(r) >= 0 then begin
-          let a = remap.(ka) and b = remap.(kb) in
-          Int_tbl.replace tbl (pair_key (Stdlib.min a b) (Stdlib.max a b))
-            remap.(r)
-        end)
-      entries
-  in
-  reinsert_apply m.and_cache saved_and;
-  reinsert_apply m.or_cache saved_or;
-  List.iter
-    (fun (a, b) ->
-      if remap.(a) >= 0 && remap.(b) >= 0 then
-        Int_tbl.replace m.neg_cache remap.(a) remap.(b))
-    saved_neg;
-  let nn = Vtree.num_nodes m.vt in
-  List.iter
-    (fun (k, r) ->
-      let value = k land 1 in
-      let k2 = k lsr 1 in
-      let ka = k2 / nn and lx = k2 mod nn in
-      if remap.(ka) >= 0 && remap.(r) >= 0 then
-        Int_tbl.replace m.cond_cache
-          ((((remap.(ka) * nn) + lx) lsl 1) lor value)
-          remap.(r))
-    saved_cond;
+  reinsert_caches m ~node:(Array.get remap) ~leaf:Fun.id saved;
   (* Bookkeeping + telemetry: every compaction records one event with
      relocation and pause figures. *)
   let relocated = !next - 2 in
@@ -1117,10 +1160,7 @@ let dynamic_edit m move root =
     shift (Vtree.left old_vt v) 1);
   let old_count = Atomic.get m.count in
   let old_elems_len = m.elems_len in
-  let saved_and = saved_entries m.and_cache in
-  let saved_or = saved_entries m.or_cache in
-  let saved_neg = saved_entries m.neg_cache in
-  let saved_cond = saved_entries m.cond_cache in
+  let saved = save_caches m in
   (* Rollback snapshot, taken only when the budget can trip: the arena
      prefix (the rebuild rewrites literal leaves and unaffected
      decisions in place) and lit_tbl.  The caches are already saved
@@ -1155,10 +1195,7 @@ let dynamic_edit m move root =
     m.dead_elems <- s_de;
     Array.blit s_lit 0 m.lit_tbl 0 (Array.length s_lit);
     reset_caches m;
-    List.iter (fun (k, r) -> Int_tbl.replace m.and_cache k r) saved_and;
-    List.iter (fun (k, r) -> Int_tbl.replace m.or_cache k r) saved_or;
-    List.iter (fun (k, r) -> Int_tbl.replace m.neg_cache k r) saved_neg;
-    List.iter (fun (k, r) -> Int_tbl.replace m.cond_cache k r) saved_cond;
+    reinsert_caches m ~node:Fun.id ~leaf:Fun.id saved;
     rebuild_unique m;
     if !Obs.enabled_ref then Obs.incr "sdd.edit.rolled_back"
   in
@@ -1260,36 +1297,9 @@ let dynamic_edit m move root =
   done;
   (* Reinsert the cache entries whose nodes survived, under forwarded
      keys; entries referencing collected nodes are dropped. *)
-  let reinsert_apply tbl entries =
-    List.iter
-      (fun (k, r) ->
-        let ka = k lsr 31 and kb = k land mask31 in
-        if live.(ka) && live.(kb) && live.(r) then begin
-          let a = fwd.(ka) and b = fwd.(kb) in
-          Int_tbl.replace tbl
-            (pair_key (Stdlib.min a b) (Stdlib.max a b))
-            fwd.(r)
-        end)
-      entries
-  in
-  reinsert_apply m.and_cache saved_and;
-  reinsert_apply m.or_cache saved_or;
-  List.iter
-    (fun (a, b) ->
-      if live.(a) && live.(b) then Int_tbl.replace m.neg_cache fwd.(a) fwd.(b))
-    saved_neg;
-  List.iter
-    (fun (k, r) ->
-      let value = k land 1 in
-      let k2 = k lsr 1 in
-      let ka = k2 / nn in
-      if live.(ka) && live.(r) then begin
-        let a = fwd.(ka) and lx = map.(k2 mod nn) in
-        Int_tbl.replace m.cond_cache
-          ((((a * nn) + lx) lsl 1) lor value)
-          fwd.(r)
-      end)
-    saved_cond;
+  reinsert_caches m
+    ~node:(fun a -> if live.(a) then fwd.(a) else -1)
+    ~leaf:(Array.get map) saved;
   if !Obs.enabled_ref then begin
     Obs.incr
       (match move with
@@ -1693,8 +1703,8 @@ let compile_circuit m c =
       | Circuit.Var v -> literal m v true
       | Circuit.Const b -> if b then 1 else 0
       | Circuit.Not j -> negate m res.(j)
-      | Circuit.And js -> conjoin_list m (List.map (fun j -> res.(j)) js)
-      | Circuit.Or js -> disjoin_list m (List.map (fun j -> res.(j)) js));
+      | Circuit.And js -> List.fold_left (fun acc j -> conjoin m acc res.(j)) 1 js
+      | Circuit.Or js -> List.fold_left (fun acc j -> disjoin m acc res.(j)) 0 js);
     (* Per-gate compaction checkpoint (opt-in via [compact_every]): the
        live roots are exactly the gate results computed so far. *)
     if compact_due m then begin
@@ -1709,19 +1719,10 @@ let compile_circuit m c =
 (* OBDD specialization                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* An OBDD is exactly a canonical SDD over a right-linear vtree
-   (Section 2.2 of the paper), so the arena store, budget gate,
-   unique table and compaction machinery are reused as-is; what this
-   module replaces is the generic apply.  On a right-linear vtree every
-   decision has exactly two elements whose primes are the two literals
-   of one variable, so apply reduces to the classic Shannon/ITE
-   recursion — cofactor both operands on the topmost variable, recurse
-   twice, rebuild — with no [elements_at] views, no prime cross
-   products and no prime conjoins.  The nodes built are bit-identical
-   to what the generic apply would intern (same element order, same
-   unique keys), so the generic queries (model_count, size,
-   width_profile, validate, import, compaction) and the shared apply
-   caches remain sound on them. *)
+(* An OBDD manager is an ordinary canonical manager over a right-linear
+   vtree: [apply] already runs the ITE recursion there, so what this
+   module adds is the OBDD view of the nodes — per-level census, width
+   and size — and sifting by vtree edits. *)
 module Obdd = struct
   let manager ?budget ?compact_every order =
     create_manager ~canonical:true ?budget ?compact_every
@@ -1733,122 +1734,6 @@ module Obdd = struct
     if not (m.canonical && Vtree.is_right_linear m.vt) then
       invalid_arg
         (name ^ ": needs a canonical manager over a right-linear vtree")
-
-  (* Pre-order ids of a right-linear vtree: the spine internals are the
-     even ids 0, 2, ..., the leaf deciding level k is 2k+1, and the
-     last variable keeps the final even id — so levels are pure id
-     arithmetic, no per-manager tables. *)
-  let[@inline] level_of st a =
-    let u = st.vnode.(a) in
-    if Bytes.unsafe_get st.kind a = k_dec then u / 2
-    else if u land 1 = 1 then (u - 1) / 2
-    else u / 2
-
-  (* (hi, lo) cofactors of [a] on the variable of [lvl]; [la] is [a]'s
-     own level ([> lvl] means [a] does not mention the variable). *)
-  let cofactors st a la lvl =
-    if la > lvl then (a, a)
-    else if Bytes.unsafe_get st.kind a = k_lit then
-      if st.aux.(a) = 1 then (1, 0) else (0, 1)
-    else begin
-      match elements_list st a with
-      | [ (p1, s1); (_, s2) ] -> if st.aux.(p1) = 1 then (s1, s2) else (s2, s1)
-      | _ -> assert false (* canonical right-linear: exactly 2 elements *)
-    end
-
-  (* Canonical node for ITE(x_lvl, hi, lo): trims mirror [mk_decision]
-     ([hi = lo] merge, literal shortcuts), and the interned element
-     list / unique key match its layout exactly. *)
-  let mk_node m lvl hi lo =
-    if hi = lo then hi
-    else begin
-      let leaf = (2 * lvl) + 1 in
-      if hi = 1 && lo = 0 then literal_at m leaf 1
-      else if hi = 0 && lo = 1 then literal_at m leaf 0
-      else begin
-        let pos = literal_at m leaf 1 and neg = literal_at m leaf 0 in
-        let v = 2 * lvl in
-        let sorted =
-          if pos < neg then [ (pos, hi); (neg, lo) ]
-          else [ (neg, lo); (pos, hi) ]
-        in
-        unique_find_or_add m v sorted 2
-      end
-    end
-
-  let rec apply_rec m op_and a b =
-    let neutral = if op_and then 1 else 0 in
-    let absorbing = if op_and then 0 else 1 in
-    if a = absorbing || b = absorbing then absorbing
-    else if a = neutral then b
-    else if b = neutral then a
-    else if a = b then a
-    else if cache_find m.neg_cache a = b then absorbing
-    else begin
-      let cache = if op_and then m.and_cache else m.or_cache in
-      let cstat = if op_and then m.cs_and else m.cs_or in
-      let key = pair_key (Stdlib.min a b) (Stdlib.max a b) in
-      let cached = cache_find cache key in
-      if cached >= 0 then begin
-        cache_hit cstat;
-        cached
-      end
-      else begin
-        cache_miss cstat;
-        if !Obs.enabled_ref then Attribution.charge_apply_miss ();
-        let st = Atomic.get m.store in
-        let la = level_of st a and lb = level_of st b in
-        let lvl = Stdlib.min la lb in
-        let ah, al = cofactors st a la lvl in
-        let bh, bl = cofactors st b lb lvl in
-        let hi = apply_rec m op_and ah bh in
-        let lo = apply_rec m op_and al bl in
-        let r = mk_node m lvl hi lo in
-        Int_tbl.replace cache key r;
-        r
-      end
-    end
-
-  let conjoin m a b =
-    check m "Sdd.Obdd.conjoin";
-    apply_rec m true a b
-
-  let disjoin m a b =
-    check m "Sdd.Obdd.disjoin";
-    apply_rec m false a b
-
-  let conjoin_list m l =
-    check m "Sdd.Obdd.conjoin_list";
-    List.fold_left (apply_rec m true) 1 l
-
-  let disjoin_list m l =
-    check m "Sdd.Obdd.disjoin_list";
-    List.fold_left (apply_rec m false) 0 l
-
-  let compile_circuit m c =
-    check m "Sdd.Obdd.compile_circuit";
-    Obs.span "sdd.obdd_compile" @@ fun () ->
-    Budget.check m.budget;
-    let n = Circuit.size c in
-    let res = Array.make n 0 in
-    for i = 0 to n - 1 do
-      res.(i) <-
-        (match Circuit.gate c i with
-        | Circuit.Var v -> literal m v true
-        | Circuit.Const b -> if b then 1 else 0
-        | Circuit.Not j -> negate m res.(j)
-        | Circuit.And js ->
-          List.fold_left (fun acc j -> apply_rec m true acc res.(j)) 1 js
-        | Circuit.Or js ->
-          List.fold_left (fun acc j -> apply_rec m false acc res.(j)) 0 js);
-      (* Same per-gate compaction checkpoint as the generic compile. *)
-      if compact_due m then begin
-        let roots = compact_roots m (Array.sub res 0 (i + 1)) in
-        Array.blit roots 0 res 0 (i + 1)
-      end
-    done;
-    if !Obs.enabled_ref then probe_occupancy m;
-    res.(Circuit.output c)
 
   (* OBDD node census per level: the root plus the hi/lo closure, one
      node per decision (a literal in node position is the one-decision

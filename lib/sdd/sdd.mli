@@ -41,8 +41,10 @@ val manager : ?budget:Budget.t -> ?compact_every:int -> Vtree.t -> manager
 
 val dnnf_manager : ?budget:Budget.t -> ?compact_every:int -> Vtree.t -> manager
 (** A {e counting-only} manager: decisions are allocated without the
-    unique-table find-or-claim and without the compression disjunctions,
-    so node construction skips the canonicity machinery entirely.  The
+    unique-table find-or-claim and without sorting the elements by
+    prime, so node construction skips the canonicity machinery.  It
+    still compresses (elements sharing a sub {e id} are merged, which
+    keeps conjunction chains from doubling their fanout per clause).  The
     resulting DAGs are still deterministic, decomposable and structured
     by the vtree — a structured d-DNNF — so {!model_count},
     {!probability}, {!probability_ratio}, {!size}, {!eval} and
@@ -153,6 +155,11 @@ val literal : manager -> string -> bool -> t
 
 val negate : manager -> t -> t
 val conjoin : manager -> t -> t -> t
+(** The one apply.  On a canonical manager over a right-linear vtree (an
+    OBDD, see {!Obdd}) it is the Shannon/ITE recursion; otherwise the
+    element product at the operands' lowest common vtree ancestor.  The
+    trivial cases and the apply caches are shared by both. *)
+
 val disjoin : manager -> t -> t -> t
 val conjoin_list : manager -> t list -> t
 val disjoin_list : manager -> t list -> t
@@ -288,21 +295,23 @@ val any_model : manager -> t -> (string * bool) list option
 (** {1 Compilation and export} *)
 
 val compile_circuit : manager -> Circuit.t -> t
-(** Bottom-up apply compilation; circuit variables must appear in the
-    vtree. *)
+(** Bottom-up apply compilation, gate by gate, with a budget check up
+    front and a compaction checkpoint after every gate; circuit
+    variables must appear in the vtree.  The one compile loop for every
+    manager: on an OBDD manager its apply is the ITE recursion. *)
 
 (** {1 OBDD backend}
 
     An OBDD is a canonical SDD over a right-linear vtree (paper,
-    Section 2.2), so this backend shares the manager type — and with it
-    the arena store, the budget gate, the unique table and compaction —
-    while replacing the generic partition/element apply with the classic
-    Shannon/ITE recursion: cofactor both operands on the topmost
-    variable, recurse on the two halves, rebuild.  The nodes it builds
-    are bit-identical to the generic apply's (same unique keys), so
-    every generic query ({!model_count}, {!size}, {!width},
-    {!validate}, {!import}, {!compact}) works on them unchanged and the
-    apply caches are shared soundly. *)
+    Section 2.2), so an OBDD manager is an ordinary {!manager} — same
+    arena store, budget gate, unique table, compaction and apply.  On a
+    right-linear vtree {!conjoin}/{!disjoin} (and so {!compile_circuit})
+    run the classic Shannon/ITE recursion instead of the element
+    product: cofactor both operands on the topmost variable, recurse on
+    the two halves, rebuild.  The nodes are the ones the element product
+    would intern (same unique keys), so every generic query works on
+    them unchanged.  This module adds the OBDD view: the per-level node
+    census and sifting. *)
 module Obdd : sig
   val manager :
     ?budget:Budget.t -> ?compact_every:int -> string list -> manager
@@ -312,24 +321,14 @@ module Obdd : sig
   val order : manager -> string list
   (** The variable order (the vtree's leaf order). *)
 
-  val conjoin : manager -> t -> t -> t
-  val disjoin : manager -> t -> t -> t
-  val conjoin_list : manager -> t list -> t
-  val disjoin_list : manager -> t list -> t
-  (** Direct ITE-style apply.  All entry points
-      @raise Invalid_argument if the manager's vtree is not right-linear
-      (or the manager is counting-only). *)
-
-  val compile_circuit : manager -> Circuit.t -> t
-  (** {!Sdd.compile_circuit} through the ITE apply, with the same
-      per-gate budget polling and compaction checkpoints. *)
-
   val level_profile : manager -> t -> (string * int) list
   (** OBDD decision nodes per variable level, in order: the root plus
       its hi/lo closure, terminals excluded.  A literal in node position
       is a one-decision OBDD and counts; primes are encoding and do
       not.  This is the Sieling–Wegener count that
-      [Boolfun.obdd_profile] computes from the truth table. *)
+      [Boolfun.obdd_profile] computes from the truth table.
+      @raise Invalid_argument if the manager is counting-only or its
+      vtree is not right-linear (as do {!width}, {!size} and {!sift}). *)
 
   val width : manager -> t -> int
   (** Max of {!level_profile}: the OBDD width of Jha–Suciu/Razgon that

@@ -13,6 +13,7 @@ type t = {
   hi : int array;            (* rightmost leaf position in the subtree *)
   root : int;
   leaf_of_var : (string, int) Hashtbl.t;
+  right_linear : bool;  (* every left child is a leaf *)
 }
 
 let rec shape_leaves = function
@@ -74,7 +75,16 @@ let of_shape shape =
       id
   in
   let root = build 0 shape in
-  { left; right; parent; depth; var; vars_below; lo; hi; root; leaf_of_var = leaf_tbl }
+  let rec right_linear = function
+    | L _ -> true
+    | N (L _, b) -> right_linear b
+    | N (N _, _) -> false
+  in
+  {
+    left; right; parent; depth; var; vars_below; lo; hi; root;
+    leaf_of_var = leaf_tbl;
+    right_linear = right_linear shape;
+  }
 
 let check_nonempty_unique fn vars =
   if vars = [] then invalid_arg ("Vtree." ^ fn ^ ": empty variable list");
@@ -210,12 +220,7 @@ let lca t u v =
 let in_left_subtree t v u = not (is_leaf t v) && is_ancestor t t.left.(v) u
 let in_right_subtree t v u = not (is_leaf t v) && is_ancestor t t.right.(v) u
 
-let is_right_linear t =
-  let rec go v =
-    if is_leaf t v then true
-    else is_leaf t t.left.(v) && go t.right.(v)
-  in
-  go t.root
+let is_right_linear t = t.right_linear
 
 let leaf_order t =
   let acc = ref [] in

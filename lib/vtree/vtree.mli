@@ -85,7 +85,8 @@ val in_right_subtree : t -> node -> node -> bool
 
 val is_right_linear : t -> bool
 (** True iff every internal node's left child is a leaf — the vtrees whose
-    canonical SDDs are exactly OBDDs. *)
+    canonical SDDs are exactly OBDDs.  O(1): recorded by {!of_shape},
+    so {!Sdd.conjoin} can choose its apply from it per call. *)
 
 val leaf_order : t -> string list
 (** Variables in left-to-right leaf order. *)

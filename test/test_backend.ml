@@ -136,7 +136,7 @@ let obdd_suite =
           Vtree.leaf_order (Vtree.random ~seed:order_seed (small_vars n))
         in
         let m = Sdd.Obdd.manager order in
-        let node = Sdd.Obdd.compile_circuit m (Circuit.of_boolfun_dnf f) in
+        let node = Sdd.compile_circuit m (Circuit.of_boolfun_dnf f) in
         let oracle = Boolfun.obdd_profile f order in
         Sdd.Obdd.level_profile m node = oracle
         && Sdd.Obdd.width m node
@@ -146,21 +146,13 @@ let obdd_suite =
     case "Obdd level profile covers every level" (fun () ->
         let c = Generators.parity_chain 6 in
         let m = Sdd.Obdd.manager (Circuit.variables c) in
-        let node = Sdd.Obdd.compile_circuit m c in
+        let node = Sdd.compile_circuit m c in
         let profile = Sdd.Obdd.level_profile m node in
         checki "levels" (List.length (Circuit.variables c))
           (List.length profile);
         checkb "width is the profile max" true
           (Sdd.Obdd.width m node
           = List.fold_left (fun acc (_, n) -> max acc n) 0 profile));
-    case "Obdd entry points reject non-right-linear managers" (fun () ->
-        let m = Sdd.manager (Vtree.balanced [ "a"; "b"; "c"; "d" ]) in
-        let a = Sdd.literal m "a" true and b = Sdd.literal m "b" true in
-        Alcotest.check_raises "conjoin"
-          (Invalid_argument
-             "Sdd.Obdd.conjoin: needs a canonical manager over a \
-              right-linear vtree")
-          (fun () -> ignore (Sdd.Obdd.conjoin m a b)));
     case "minimize is rejected off the sdd backend" (fun () ->
         let c = Generators.chain_implications 6 in
         List.iter

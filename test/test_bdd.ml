@@ -23,34 +23,34 @@ let bdd_suite =
         let m = Sdd.Obdd.manager [ "x"; "y" ] in
         checkb "t<>f" false (Sdd.equal (Sdd.true_ m) (Sdd.false_ m));
         let x = lit m "x" in
-        checkb "x & x = x" true (Sdd.equal (Sdd.Obdd.conjoin m x x) x);
+        checkb "x & x = x" true (Sdd.equal (Sdd.conjoin m x x) x);
         checkb "x & ~x = F" true
-          (Sdd.is_false m (Sdd.Obdd.conjoin m x (Sdd.negate m x)));
+          (Sdd.is_false m (Sdd.conjoin m x (Sdd.negate m x)));
         checkb "x | ~x = T" true
-          (Sdd.is_true m (Sdd.Obdd.disjoin m x (Sdd.negate m x))));
+          (Sdd.is_true m (Sdd.disjoin m x (Sdd.negate m x))));
     case "canonicity across equivalent formulas" (fun () ->
         let m = Sdd.Obdd.manager [ "x"; "y"; "z" ] in
         let x = lit m "x" and y = lit m "y" and z = lit m "z" in
         let a =
-          Sdd.Obdd.disjoin m (Sdd.Obdd.conjoin m x y) (Sdd.Obdd.conjoin m x z)
+          Sdd.disjoin m (Sdd.conjoin m x y) (Sdd.conjoin m x z)
         in
-        let b = Sdd.Obdd.conjoin m x (Sdd.Obdd.disjoin m y z) in
+        let b = Sdd.conjoin m x (Sdd.disjoin m y z) in
         checkb "distribution" true (Sdd.equal a b));
     case "model count" (fun () ->
         let m = Sdd.Obdd.manager [ "x"; "y"; "z" ] in
-        let f = Sdd.Obdd.disjoin m (lit m "x") (lit m "y") in
+        let f = Sdd.disjoin m (lit m "x") (lit m "y") in
         check bigint "6 models" (Bigint.of_int 6) (Sdd.model_count m f);
         check bigint "T" (Bigint.of_int 8) (Sdd.model_count m (Sdd.true_ m));
         check bigint "F" Bigint.zero (Sdd.model_count m (Sdd.false_ m)));
     case "restrict and quantify" (fun () ->
         let m = Sdd.Obdd.manager [ "x"; "y" ] in
         let y = lit m "y" in
-        let f = Sdd.Obdd.conjoin m (lit m "x") y in
+        let f = Sdd.conjoin m (lit m "x") y in
         let f0 = Sdd.condition m f "x" false and f1 = Sdd.condition m f "x" true in
         checkb "f|x=1 = y" true (Sdd.equal f1 y);
         checkb "exists x f = y" true
           (Sdd.equal (Sdd_queries.forget m [ "x" ] f) y);
-        checkb "forall x f = F" true (Sdd.is_false m (Sdd.Obdd.conjoin m f0 f1)));
+        checkb "forall x f = F" true (Sdd.is_false m (Sdd.conjoin m f0 f1)));
     case "width of chain vs parity" (fun () ->
         (* chain implications: constant OBDD width in the natural order *)
         let n = 8 in
@@ -75,7 +75,7 @@ let bdd_suite =
           (Sdd.Obdd.width ms fs >= 1 lsl (n - 1)));
     case "probability" (fun () ->
         let m = Sdd.Obdd.manager [ "x"; "y" ] in
-        let f = Sdd.Obdd.disjoin m (lit m "x") (lit m "y") in
+        let f = Sdd.disjoin m (lit m "x") (lit m "y") in
         Alcotest.(check (float 1e-9)) "p(x|y)" 0.75 (Sdd.probability m f (fun _ -> 0.5));
         check ratio "exact" (Ratio.of_ints 3 4)
           (Sdd.probability_ratio m f (fun _ -> Ratio.of_ints 1 2)));
@@ -83,7 +83,7 @@ let bdd_suite =
         let m = Sdd.Obdd.manager [ "x"; "y" ] in
         Alcotest.(check (option (list (pair string bool))))
           "F has none" None (Sdd.any_model m (Sdd.false_ m));
-        let f = Sdd.Obdd.conjoin m (lit m "x") (Sdd.literal m "y" false) in
+        let f = Sdd.conjoin m (lit m "x") (Sdd.literal m "y" false) in
         Alcotest.(check (option (list (pair string bool))))
           "the only model" (Some [ ("x", true); ("y", false) ])
           (Sdd.any_model m f));
@@ -108,7 +108,7 @@ let bdd_suite =
       (fun seed ->
         let c = Generators.random_formula ~seed ~vars:4 ~depth:5 in
         let m = Sdd.Obdd.manager (small_vars 4) in
-        let node = Sdd.Obdd.compile_circuit m c in
+        let node = Sdd.compile_circuit m c in
         Boolfun.equal
           (Boolfun.lift (Circuit.to_boolfun c) (small_vars 4))
           (Sdd.to_boolfun m node));
@@ -123,9 +123,9 @@ let bdd_suite =
         let m, bf = obdd_of_boolfun (small_vars 4) f in
         let x = lit m "x01" in
         let decomposed =
-          Sdd.Obdd.disjoin m
-            (Sdd.Obdd.conjoin m x (Sdd.condition m bf "x01" true))
-            (Sdd.Obdd.conjoin m (Sdd.negate m x) (Sdd.condition m bf "x01" false))
+          Sdd.disjoin m
+            (Sdd.conjoin m x (Sdd.condition m bf "x01" true))
+            (Sdd.conjoin m (Sdd.negate m x) (Sdd.condition m bf "x01" false))
         in
         Sdd.equal bf decomposed);
   ]

@@ -101,12 +101,17 @@ let compile_suite =
     qtest "sdd_of_boolfun computes F (canonicity vs apply route)"
       QCheck2.Gen.(int_range 0 60)
       (fun seed ->
+        (* On the right-linear vtree the apply route is the ITE
+           recursion, compared with the decision-built canonical nodes. *)
         let f = Boolfun.random ~seed (vars 5) in
-        let vt = Vtree.random ~seed:(seed * 13 + 5) (vars 5) in
-        let m = Sdd.manager vt in
-        let a = Compile.sdd_of_boolfun m f in
-        Sdd.equal a (Sdd.of_boolfun_naive m f)
-        && Boolfun.equal f (Sdd.to_boolfun m a));
+        List.for_all
+          (fun vt ->
+            let m = Sdd.manager vt in
+            let a = Compile.sdd_of_boolfun m f in
+            Sdd.equal a (Sdd.of_boolfun_naive m f)
+            && Boolfun.equal f (Sdd.to_boolfun m a))
+          [ Vtree.random ~seed:(seed * 13 + 5) (vars 5);
+            Vtree.right_linear (vars 5) ]);
     qtest "cnnf size within Theorem 3 accounting" QCheck2.Gen.(int_range 0 30)
       (fun seed ->
         let f = Boolfun.random ~seed (vars 4) in

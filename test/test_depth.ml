@@ -282,7 +282,7 @@ let bdd_deep =
         let db = Pdb.complete_rst n in
         let q = Ucq.of_string "R(x), S(x,y)" in
         let m = Sdd.Obdd.manager (Lineage.variables db) in
-        let node = Sdd.Obdd.compile_circuit m (Lineage.circuit q db) in
+        let node = Sdd.compile_circuit m (Lineage.circuit q db) in
         Boolfun.equal (Sdd.to_boolfun m node) (Lineage.brute_force q db));
   ]
 

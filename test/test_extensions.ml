@@ -140,7 +140,7 @@ let pathwidth_suite =
             let c = Generators.chain_implications n in
             let order = Lemma1.obdd_order_of_circuit c in
             let m = Sdd.Obdd.manager order in
-            let node = Sdd.Obdd.compile_circuit m c in
+            let node = Sdd.compile_circuit m c in
             checkb (Printf.sprintf "n=%d" n) true (Sdd.Obdd.width m node <= 4))
           [ 4; 8; 12; 16 ]);
     case "band obdd width bounded under the path layout" (fun () ->
@@ -149,7 +149,7 @@ let pathwidth_suite =
             let c = Generators.band_cnf ~width:3 n in
             let order = Lemma1.obdd_order_of_circuit c in
             let m = Sdd.Obdd.manager order in
-            let node = Sdd.Obdd.compile_circuit m c in
+            let node = Sdd.compile_circuit m c in
             checkb (Printf.sprintf "n=%d" n) true (Sdd.Obdd.width m node <= 8))
           [ 5; 8; 11 ]);
   ]

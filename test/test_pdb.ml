@@ -157,7 +157,7 @@ let safety_suite =
                 Option.get (Qsafety.hierarchical_variable_order (List.hd q_rs) db)
               in
               let m = Sdd.Obdd.manager order in
-              Sdd.Obdd.width m (Sdd.Obdd.compile_circuit m (Lineage.circuit q_rs db)))
+              Sdd.Obdd.width m (Sdd.compile_circuit m (Lineage.circuit q_rs db)))
             [ 1; 2; 3; 4 ]
         in
         checkb "bounded by 3" true (List.for_all (fun w -> w <= 3) widths));
@@ -167,7 +167,7 @@ let safety_suite =
           let db = Pdb.complete_rst n in
           let order = Lineage.variables db in
           let m = Sdd.Obdd.manager order in
-          Sdd.Obdd.width m (Sdd.Obdd.compile_circuit m (Lineage.circuit q_rst db))
+          Sdd.Obdd.width m (Sdd.compile_circuit m (Lineage.circuit q_rst db))
         in
         checkb "grows" true (width 4 > width 2));
   ]

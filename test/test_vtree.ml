@@ -2,6 +2,13 @@ open Test_util
 
 let vars4 = [ "a"; "b"; "c"; "d" ]
 
+(* Right-linearity by walking the spine, against the flag [of_shape]
+   records. *)
+let rec reference_right_linear t v =
+  Vtree.is_leaf t v
+  || Vtree.is_leaf t (Vtree.left t v)
+     && reference_right_linear t (Vtree.right t v)
+
 let vtree_suite =
   [
     case "right linear structure" (fun () ->
@@ -73,6 +80,19 @@ let vtree_suite =
           (fun v ->
             List.length (Vtree.vars_below t v) = Vtree.num_vars_below t v)
           (Vtree.nodes t));
+    qtest "stored right-linearity matches the spine walk"
+      QCheck2.Gen.(pair (int_range 1 6) (int_range 0 200))
+      (fun (n, seed) ->
+        (* Random vtrees, the right-linear one, and every local move
+           from either: rotations build and break right-linear spines. *)
+        let vars = small_vars n in
+        let t = Vtree.random ~seed vars and rl = Vtree.right_linear vars in
+        Vtree.is_right_linear rl
+        && List.for_all
+             (fun u ->
+               Vtree.is_right_linear u
+               = reference_right_linear u (Vtree.root u))
+             ((t :: Vtree.local_moves t) @ (rl :: Vtree.local_moves rl)));
   ]
 
 let suites = [ ("vtree", vtree_suite) ]
