@@ -358,15 +358,15 @@ let compile_cmd =
           | Error msg -> Printf.printf "validate: FAILED (%s)\n" msg
       end;
       (* The OBDD comparison is unbudgeted — skip it on budgeted runs
-         (it could blow up past the limits the user just set). *)
+         (it could blow up past the limits the user just set).  It
+         reports through [`Obdd], as the backend line does. *)
       if Budget.is_unlimited budget then begin
+        let (module O : Backend.S) = Backend.impl `Obdd in
         let order = Circuit.variables c in
-        let om = Sdd.Obdd.manager order in
-        let onode =
-          Obs.span "cli.obdd" (fun () -> Sdd.compile_circuit om c)
-        in
-        Printf.printf "OBDD    : size %d, width %d (order: %s)\n"
-          (Sdd.Obdd.size om onode) (Sdd.Obdd.width om onode)
+        let om = O.create_manager (Vtree.right_linear order) in
+        let onode = Obs.span "cli.obdd" (fun () -> O.compile_circuit om c) in
+        Printf.printf "OBDD    : size %d, width %d, nodes %d (order: %s)\n"
+          (O.size om onode) (O.width om onode) (O.node_count om onode)
           (String.concat "<" order)
       end;
       report_degraded degraded

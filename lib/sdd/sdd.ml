@@ -26,32 +26,6 @@
 
 type t = int
 
-(* The unique table is keyed by [|v; p0; s0; p1; s1; ...|].  Polymorphic
-   hashing only samples a bounded prefix of a structured key, so wide
-   decision nodes collide pathologically; hash the whole key FNV-1a
-   style instead, and compare with a monomorphic int-array loop. *)
-module Dec_key = struct
-  type t = int array
-
-  let equal (a : int array) (b : int array) =
-    let n = Array.length a in
-    n = Array.length b
-    &&
-    let rec go i = i >= n || (a.(i) = b.(i) && go (i + 1)) in
-    go 0
-
-  let hash (a : int array) =
-    let h = ref 0x811c9dc5 in
-    for i = 0 to Array.length a - 1 do
-      let x = a.(i) in
-      h := (!h lxor (x land 0xffff)) * 0x01000193 land 0x3fffffff;
-      h := (!h lxor ((x lsr 16) land 0xffff)) * 0x01000193 land 0x3fffffff
-    done;
-    !h
-end
-
-module Dec_tbl = Hashtbl.Make (Dec_key)
-
 (* Apply/negate/condition caches use a single unboxed int key (node ids
    and vtree nodes packed into one word), so a lookup allocates nothing
    and hashing is one multiply instead of a polymorphic traversal. *)
@@ -82,6 +56,14 @@ type store = {
   elems : int array;  (* prime/sub pairs of all decisions, back to back *)
 }
 
+(* The unique table: open addressing (linear probing) over node ids, -1
+   free, at most half full.  A decision's key [(v, p0, s0, p1, s1, ...)]
+   is never copied out of the arena: hashing and equality read it from
+   the node's columns and its element pairs. *)
+type unique = { mutable slots : int array; mutable entries : int }
+
+let unique_initial_slots = 256
+
 type manager = {
   mutable vt : Vtree.t;
   store : store Atomic.t;
@@ -94,7 +76,7 @@ type manager = {
          equality is no longer function equality — but determinism,
          decomposability and structuredness still hold, which is all the
          counting walks need. *)
-  unique : int Dec_tbl.t;
+  unique : unique;
   mutable lit_tbl : int array;  (* 2*leaf + polarity -> node id, -1 free *)
   and_cache : int Int_tbl.t;
   or_cache : int Int_tbl.t;
@@ -164,7 +146,7 @@ let create_manager ~canonical ?(budget = Budget.unlimited)
     ?(compact_every = max_int) vt =
   if compact_every < 1 then
     invalid_arg "Sdd.manager: compact_every must be positive";
-  let unique = Dec_tbl.create 128 in
+  let unique = { slots = Array.make unique_initial_slots (-1); entries = 0 } in
   let and_cache = Int_tbl.create 128 in
   let or_cache = Int_tbl.create 128 in
   let neg_cache = Int_tbl.create 32 in
@@ -190,7 +172,7 @@ let create_manager ~canonical ?(budget = Budget.unlimited)
       compact_every;
       last_compact_count = 2;
       cs_unique =
-        Obs.Cache.create ~size:(fun () -> Dec_tbl.length unique) "sdd.unique";
+        Obs.Cache.create ~size:(fun () -> unique.entries) "sdd.unique";
       cs_and =
         Obs.Cache.create ~size:(fun () -> Int_tbl.length and_cache) "sdd.and_cache";
       cs_or =
@@ -239,21 +221,13 @@ let stats m =
   List.map Obs.Cache.snapshot
     [ m.cs_unique; m.cs_and; m.cs_or; m.cs_neg; m.cs_cond ]
 
-(* Unique-table and apply-cache occupancy telemetry: bucket-length
-   distribution from [Hashtbl.statistics], entry watermarks and load
-   factor.  Called after whole-circuit compiles and dynamic edits, not
-   per operation, so the bucket walks stay off the hot path. *)
+(* Unique-table and apply-cache occupancy telemetry: entry watermarks
+   and the unique table's load factor.  Called after whole-circuit
+   compiles and dynamic edits, not per operation. *)
 let probe_occupancy m =
-  let st = Dec_tbl.stats m.unique in
-  Array.iteri
-    (fun len count ->
-      if count > 0 then Obs.hist_record ~n:count "sdd.unique.bucket_len" len)
-    st.Hashtbl.bucket_histogram;
-  Obs.gauge_max "sdd.unique.entries_peak" st.Hashtbl.num_bindings;
-  Obs.gauge_max "sdd.unique.max_bucket" st.Hashtbl.max_bucket_length;
-  if st.Hashtbl.num_buckets > 0 then
-    Obs.hist_record "sdd.unique.load_pct"
-      (100 * st.Hashtbl.num_bindings / st.Hashtbl.num_buckets);
+  let u = m.unique in
+  Obs.gauge_max "sdd.unique.entries_peak" u.entries;
+  Obs.hist_record "sdd.unique.load_pct" (100 * u.entries / Array.length u.slots);
   Obs.gauge_max "sdd.apply_cache.entries_peak"
     (Int_tbl.length m.and_cache + Int_tbl.length m.or_cache)
 
@@ -268,8 +242,7 @@ type census = {
   tombstones : int;
   elements : int;
   unique_entries : int;
-  unique_buckets : int;
-  unique_max_bucket : int;
+  unique_slots : int;
   apply_entries : int;
   neg_entries : int;
   cond_entries : int;
@@ -285,9 +258,9 @@ type census = {
    time only, never on a hot path.  The estimate counts the arena
    arrays themselves (per-node storage is flat: ~25/8 words of header
    across the four column arrays plus the element pairs), the literal
-   table, and per live decision its unique-table key array and an
-   amortized bucket cell.  [garbage_words] is the slice of that total
-   stranded by tombstones — reclaimable by the next compaction. *)
+   table and the unique table's slots.  [garbage_words] is the slice of
+   that total stranded by tombstones — reclaimable by the next
+   compaction. *)
 let census m =
   let st = Atomic.get m.store in
   let count = Stdlib.min (Atomic.get m.count) (Bytes.length st.kind) in
@@ -297,37 +270,32 @@ let census m =
   and elements = ref 0 in
   let cap = Bytes.length st.kind in
   let words =
-    ref (((cap + 7) / 8) + (3 * cap) + Array.length st.elems
-        + Array.length m.lit_tbl)
+    ((cap + 7) / 8) + (3 * cap) + Array.length st.elems
+    + Array.length m.lit_tbl + Array.length m.unique.slots
   in
   for id = 2 to count - 1 do
     let k = Bytes.unsafe_get st.kind id in
     if k = k_dec then begin
-      let e = st.aux.(id) in
       Stdlib.incr decisions;
-      elements := !elements + e;
-      (* unique-table key array (1 + 2e ints + header) and bucket cell *)
-      words := !words + (2 * e) + 5
+      elements := !elements + st.aux.(id)
     end
     else if k = k_lit then Stdlib.incr literals
     else Stdlib.incr tombstones
   done;
-  let us = Dec_tbl.stats m.unique in
   {
     allocated = count;
     decisions = !decisions;
     literals = !literals;
     tombstones = !tombstones;
     elements = !elements;
-    unique_entries = us.Hashtbl.num_bindings;
-    unique_buckets = us.Hashtbl.num_buckets;
-    unique_max_bucket = us.Hashtbl.max_bucket_length;
+    unique_entries = m.unique.entries;
+    unique_slots = Array.length m.unique.slots;
     apply_entries = Int_tbl.length m.and_cache + Int_tbl.length m.or_cache;
     neg_entries = Int_tbl.length m.neg_cache;
     cond_entries = Int_tbl.length m.cond_cache;
     data_capacity = cap;
-    approx_heap_words = !words;
-    bytes_per_node = 8 * !words / Stdlib.max 1 count;
+    approx_heap_words = words;
+    bytes_per_node = 8 * words / Stdlib.max 1 count;
     garbage_words = (3 * !tombstones) + (2 * m.dead_elems);
     generation = m.generation;
     compactions = m.compactions_done;
@@ -342,8 +310,7 @@ let census_to_json c =
       ("tombstones", Obs.Json.Int c.tombstones);
       ("elements", Obs.Json.Int c.elements);
       ("unique_entries", Obs.Json.Int c.unique_entries);
-      ("unique_buckets", Obs.Json.Int c.unique_buckets);
-      ("unique_max_bucket", Obs.Json.Int c.unique_max_bucket);
+      ("unique_slots", Obs.Json.Int c.unique_slots);
       ("apply_entries", Obs.Json.Int c.apply_entries);
       ("neg_entries", Obs.Json.Int c.neg_entries);
       ("cond_entries", Obs.Json.Int c.cond_entries);
@@ -363,7 +330,7 @@ let census_all () = List.map census (live_managers ())
 let occupancy_gauges m =
   if !Obs.enabled_ref then begin
     Obs.gauge_set "sdd.nodes_allocated" (Atomic.get m.count);
-    Obs.gauge_set "sdd.unique.entries" (Dec_tbl.length m.unique);
+    Obs.gauge_set "sdd.unique.entries" m.unique.entries;
     Obs.gauge_set "sdd.apply_cache.entries"
       (Int_tbl.length m.and_cache + Int_tbl.length m.or_cache)
   end;
@@ -371,7 +338,7 @@ let occupancy_gauges m =
     ~args:
       [
         ("allocated", Obs.Json.Int (Atomic.get m.count));
-        ("unique_entries", Obs.Json.Int (Dec_tbl.length m.unique));
+        ("unique_entries", Obs.Json.Int m.unique.entries);
       ]
 
 let false_ _ = 0
@@ -452,18 +419,25 @@ let alloc_lit m leaf polarity =
   after_alloc m (id + 1);
   id
 
-(* Decision allocation from a prime-sorted element list. *)
-let alloc_dec m v sorted k =
-  budget_gate m;
-  let id = Atomic.get m.count in
-  let st = ensure_node_capacity m (Atomic.get m.store) id in
-  let st = ensure_elems_capacity m st (m.elems_len + (2 * k)) in
+(* Writes the [k] elements of [elems] just past the used end of the
+   element buffer, where [alloc_dec] commits them and the unique table
+   can compare them in place; returns the store holding them. *)
+let stage m elems k =
   let base = m.elems_len in
+  let st = ensure_elems_capacity m (Atomic.get m.store) (base + (2 * k)) in
   List.iteri
     (fun i (p, s) ->
       st.elems.(base + (2 * i)) <- p;
       st.elems.(base + (2 * i) + 1) <- s)
-    sorted;
+    elems;
+  st
+
+(* Commits a decision whose [k] elements [stage] has just written. *)
+let alloc_dec m v k =
+  budget_gate m;
+  let id = Atomic.get m.count in
+  let st = ensure_node_capacity m (Atomic.get m.store) id in
+  let base = m.elems_len in
   Bytes.unsafe_set st.kind id k_dec;
   st.vnode.(id) <- v;
   st.aux.(id) <- k;
@@ -521,29 +495,66 @@ let[@inline] cache_find (tbl : int Int_tbl.t) key =
 (* Node construction: compression, trimming, unique table              *)
 (* ------------------------------------------------------------------ *)
 
-(* Unique-table key [|v; p0; s0; p1; s1; ...|] of a decision at vtree
-   node [v] with the [k] prime-sorted elements [sorted]. *)
-let dec_key v sorted k =
-  let key = Array.make (1 + (2 * k)) v in
-  List.iteri
-    (fun i (p, s) ->
-      key.((2 * i) + 1) <- p;
-      key.((2 * i) + 2) <- s)
-    sorted;
-  key
+(* Polymorphic hashing only samples a bounded prefix of a structured
+   key, so wide decision nodes would collide pathologically; hash the
+   whole key [(v, p0, s0, ...)] FNV-1a style instead. *)
+let[@inline] fnv h x =
+  let h = (h lxor (x land 0xffff)) * 0x01000193 land 0x3fffffff in
+  (h lxor ((x lsr 16) land 0xffff)) * 0x01000193 land 0x3fffffff
+
+let rec same_elems elems a b i n =
+  i >= n || (elems.(a + i) = elems.(b + i) && same_elems elems a b (i + 1) n)
+
+let rec probe slots mask st v base k i =
+  let id = slots.(i) in
+  if
+    id < 0
+    || st.vnode.(id) = v
+       && st.aux.(id) = k
+       && same_elems st.elems st.off.(id) base 0 (2 * k)
+  then i
+  else probe slots mask st v base k ((i + 1) land mask)
+
+(* The slot holding the decision keyed by [v] and the [k] pairs at
+   [base] in [st.elems], else the free slot where it belongs (the table
+   is at most half full, so the probe ends). *)
+let unique_slot slots st v base k =
+  let h = ref (fnv 0x811c9dc5 v) and mask = Array.length slots - 1 in
+  for i = base to base + (2 * k) - 1 do h := fnv !h st.elems.(i) done;
+  probe slots mask st v base k (!h land mask)
+
+let slot_of slots st id =
+  unique_slot slots st st.vnode.(id) st.off.(id) st.aux.(id)
+
+(* Claims the free slot [i] for decision [id].  Past half load the table
+   doubles, rehashed from the arena columns (no key is stored). *)
+let unique_add u st i id =
+  u.slots.(i) <- id;
+  u.entries <- u.entries + 1;
+  if 2 * u.entries > Array.length u.slots then begin
+    let slots = Array.make (2 * Array.length u.slots) (-1) in
+    Array.iter
+      (fun id -> if id >= 0 then slots.(slot_of slots st id) <- id)
+      u.slots;
+    u.slots <- slots
+  end
+
+let unique_reset u =
+  u.slots <- Array.make unique_initial_slots (-1);
+  u.entries <- 0
 
 (* Find-or-claim of a canonical decision. *)
 let unique_find_or_add m v sorted k =
-  let key = dec_key v sorted k in
-  match Dec_tbl.find m.unique key with
-  | id ->
-    cache_hit m.cs_unique;
-    id
-  | exception Not_found ->
+  let st = stage m sorted k in
+  let i = unique_slot m.unique.slots st v m.elems_len k in
+  let id = m.unique.slots.(i) in
+  if id >= 0 then (cache_hit m.cs_unique; id)
+  else begin
     cache_miss m.cs_unique;
-    let id = alloc_dec m v sorted k in
-    Dec_tbl.add m.unique key id;
+    let id = alloc_dec m v k in
+    unique_add m.unique (Atomic.get m.store) i id;
     id
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Right-linear vtrees (OBDDs)                                         *)
@@ -574,9 +585,10 @@ let cofactors st a la lvl =
   else if Bytes.unsafe_get st.kind a = k_lit then
     if st.aux.(a) = 1 then (1, 0) else (0, 1)
   else begin
-    match elements_list st a with
-    | [ (p1, s1); (_, s2) ] -> if st.aux.(p1) = 1 then (s1, s2) else (s2, s1)
-    | _ -> assert false (* canonical right-linear: exactly 2 elements *)
+    assert (st.aux.(a) = 2) (* canonical right-linear: exactly 2 elements *);
+    let base = st.off.(a) in
+    let s1 = st.elems.(base + 1) and s2 = st.elems.(base + 3) in
+    if st.aux.(st.elems.(base)) = 1 then (s1, s2) else (s2, s1)
   end
 
 (* Canonical node for ITE(x_lvl, hi, lo): trims mirror [mk_decision]
@@ -624,24 +636,23 @@ let rec negate m a =
 (* Compression: drop ⊥ primes, then merge the elements sharing a sub
    by disjoining their primes; subs keep their first-occurrence order. *)
 and compress m elems =
-  let by_sub = Hashtbl.create 8 in
-  let subs_in_order = ref [] in
-  List.iter
-    (fun (p, s) ->
-      if p <> 0 then begin
-        match Hashtbl.find_opt by_sub s with
-        | Some ps -> ps := p :: !ps
-        | None ->
-          Hashtbl.add by_sub s (ref [ p ]);
-          subs_in_order := s :: !subs_in_order
-      end)
-    elems;
+  (* (sub, its primes newest first), newest sub first. *)
+  let groups =
+    List.fold_left
+      (fun groups (p, s) ->
+        if p = 0 then groups
+        else
+          match List.assq s groups with
+          | ps -> ps := p :: !ps; groups
+          | exception Not_found -> (s, ref [ p ]) :: groups)
+      [] elems
+  in
   List.rev_map
-    (fun s ->
-      match !(Hashtbl.find by_sub s) with
+    (fun (s, ps) ->
+      match !ps with
       | [ p ] -> (p, s)
       | ps -> (List.fold_left (fun acc p -> disjoin m acc p) 0 ps, s))
-    !subs_in_order
+    groups
 
 (* Builds the node for a decision at vtree node [v] from an element list
    whose primes are pairwise disjoint and jointly exhaustive (some primes
@@ -672,7 +683,7 @@ and mk_decision m v elems =
       unique_find_or_add m v
         (List.sort (fun (p1, _) (p2, _) -> Int.compare p1 p2) compressed)
         k
-    else alloc_dec m v compressed k
+    else (ignore (stage m compressed k); alloc_dec m v k)
 
 (* ------------------------------------------------------------------ *)
 (* Apply                                                               *)
@@ -825,26 +836,18 @@ let condition m a x value =
 (* Generational compaction                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Unique-table key of decision [id], straight from the arena: the
-   element buffer already holds [p0; s0; p1; s1; ...] prime-sorted, so
-   the key is one blit. *)
-let dec_key_of_store st id =
-  let k = st.aux.(id) and base = st.off.(id) in
-  let key = Array.make (1 + (2 * k)) st.vnode.(id) in
-  Array.blit st.elems base key 1 (2 * k);
-  key
-
 let rebuild_unique m =
   (* A non-canonical manager never consults the unique table, and its
      element lists are not prime-sorted, so there is no table to rebuild
      after compaction. *)
   if m.canonical then begin
-    Dec_tbl.reset m.unique;
+    let u = m.unique in
+    unique_reset u;
     let st = Atomic.get m.store in
     let n = Atomic.get m.count in
     for id = 2 to n - 1 do
       if Bytes.unsafe_get st.kind id = k_dec then
-        Dec_tbl.add m.unique (dec_key_of_store st id) id
+        unique_add u st (slot_of u.slots st id) id
     done
   end
 
@@ -1204,7 +1207,7 @@ let dynamic_edit m move root =
   in
   on_trip (fun () -> Option.iter rollback snapshot) @@ fun () ->
   reset_caches m;
-  Dec_tbl.reset m.unique;
+  unique_reset m.unique;
   Array.fill m.lit_tbl 0 (Array.length m.lit_tbl) (-1);
   m.vt <- new_vt;
   seed_neg m;
@@ -1249,28 +1252,24 @@ let dynamic_edit m move root =
               0 pairs
         end
         else begin
-          let u' = map.(u) in
-          let k = List.length pairs in
-          let elems' =
-            List.sort
-              (fun (p1, _) (p2, _) -> Int.compare p1 p2)
-              (List.map (fun (p, s) -> (fwd.(p), fwd.(s))) pairs)
-          in
-          let key = dec_key u' elems' k in
-          match Dec_tbl.find m.unique key with
-          | n -> fwd.(id) <- n
-          | exception Not_found ->
-            (* Claim in place: rewrite the cells (the rebuilds above may
-               have grown the store, so refetch the snapshot). *)
-            let st = Atomic.get m.store in
-            st.vnode.(id) <- u';
-            let base = st.off.(id) in
-            List.iteri
-              (fun i (p, s) ->
-                st.elems.(base + (2 * i)) <- p;
-                st.elems.(base + (2 * i) + 1) <- s)
-              elems';
-            Dec_tbl.add m.unique key id
+          (* Rewrite the cells in place (the rebuilds above may have
+             grown the store, so refetch the snapshot), then claim them;
+             if an equal node exists, [id] forwards to it and is
+             tombstoned below. *)
+          let st = Atomic.get m.store in
+          st.vnode.(id) <- map.(u);
+          let base = st.off.(id) in
+          List.iteri
+            (fun i (p, s) ->
+              st.elems.(base + (2 * i)) <- p;
+              st.elems.(base + (2 * i) + 1) <- s)
+            (List.sort
+               (fun (p1, _) (p2, _) -> Int.compare p1 p2)
+               (List.map (fun (p, s) -> (fwd.(p), fwd.(s))) pairs));
+          let tbl = m.unique in
+          let i = slot_of tbl.slots st id in
+          if tbl.slots.(i) >= 0 then fwd.(id) <- tbl.slots.(i)
+          else unique_add tbl st i id
         end
       end
     end

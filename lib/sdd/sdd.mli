@@ -116,17 +116,18 @@ type census = {
   literals : int;
   tombstones : int;  (** Slots killed by dynamic edits, awaiting reuse. *)
   elements : int;  (** Total prime/sub pairs across decisions. *)
-  unique_entries : int;
-  unique_buckets : int;
-  unique_max_bucket : int;
+  unique_entries : int;  (** Decisions interned in the unique table. *)
+  unique_slots : int;
+      (** Unique-table capacity: open addressing over node ids, kept at
+          least twice [unique_entries]. *)
   apply_entries : int;  (** AND + OR cache entries. *)
   neg_entries : int;
   cond_entries : int;
   data_capacity : int;  (** Node-store (arena) capacity in slots. *)
   approx_heap_words : int;
       (** Estimated words held by the arena columns, the element
-          buffer, the literal table, unique-table keys and bucket
-          cells. *)
+          buffer, the literal table and the unique table's slots (the
+          table stores node ids only; its keys are the arena cells). *)
   bytes_per_node : int;  (** [8 * approx_heap_words / allocated]. *)
   garbage_words : int;
       (** Words stranded by tombstones (dead slots and their element

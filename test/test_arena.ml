@@ -164,6 +164,96 @@ let compaction_suite =
           (Boolfun.equal f0 (Sdd.to_boolfun m node)));
   ]
 
+(* Rebuilding every decision reachable from [root] with [Sdd.decision]
+   must find it in the unique table: the same id back, nothing
+   allocated. *)
+let check_interned label m root =
+  let seen = Hashtbl.create 64 in
+  let before = Sdd.num_nodes_allocated m in
+  let rec go a =
+    if not (Hashtbl.mem seen a) then begin
+      Hashtbl.add seen a ();
+      match Sdd.view m a with
+      | Sdd.Decision (v, elems) ->
+        List.iter (fun (p, s) -> go p; go s) elems;
+        if not (Sdd.equal a (Sdd.decision m v elems)) then
+          Alcotest.failf "%s: a decision rebuilt to another id" label
+      | _ -> ()
+    end
+  in
+  go root;
+  checkb (label ^ ": decisions reached") true
+    (Sdd.node_count m root > 0);
+  checki (label ^ ": nothing allocated") before (Sdd.num_nodes_allocated m)
+
+let unique_suite =
+  [
+    case "every decision is interned across growth, compact, swap, rollback"
+      (fun () ->
+        let c = Generators.band_cnf ~width:3 24 in
+        let m = Sdd.manager (Vtree.balanced (Circuit.variables c)) in
+        let slots0 = (Sdd.census m).Sdd.unique_slots in
+        let root = Sdd.compile_circuit m c in
+        checkb "table grew" true ((Sdd.census m).Sdd.unique_slots > slots0);
+        check_interned "grown" m root;
+        let root = Sdd.compact m root in
+        check_interned "compacted" m root;
+        let root = Sdd.swap m (Vtree.root (Sdd.vtree m)) root in
+        check_interned "swapped" m root;
+        (* An edit tripped by a node cap at the current count rolls
+           back; the restored table must still hold every decision. *)
+        let tripped =
+          List.exists
+            (fun (mv, _) ->
+              let count = Sdd.num_nodes_allocated m in
+              Sdd.set_budget m (Budget.create ~max_nodes:count ());
+              match Sdd.apply_move m mv root with
+              | _ -> Alcotest.fail "an edit fit under a cap of zero new nodes"
+              | exception Budget.Exhausted _ ->
+                Sdd.set_budget m Budget.unlimited;
+                checki "count restored" count (Sdd.num_nodes_allocated m);
+                true)
+            (Vtree.local_moves_with (Sdd.vtree m))
+        in
+        checkb "an edit tripped" true tripped;
+        check_interned "rolled back" m root);
+    case "64-element decisions differing in the last pair are distinct"
+      (fun () ->
+        let xs = List.init 6 (Printf.sprintf "x%d")
+        and ys = List.init 6 (Printf.sprintf "y%d") in
+        let shape vars = Vtree.to_shape (Vtree.balanced vars) in
+        let vt = Vtree.of_shape (Vtree.N (shape xs, shape ys)) in
+        let m = Sdd.manager vt in
+        let minterm vars i =
+          Sdd.conjoin_list m
+            (List.mapi (fun j v -> Sdd.literal m v ((i lsr j) land 1 = 1)) vars)
+        in
+        let decision last =
+          Sdd.decision m (Vtree.root vt)
+            (List.init 64 (fun i ->
+                 (minterm xs i, if i = 63 then last else minterm ys i)))
+        in
+        (* The last sub: ⊥, the last minterm, or that minterm or'ed
+           with one of the others — 65 keys differing in one cell. *)
+        let lasts =
+          Sdd.false_ m
+          :: List.init 64 (fun j ->
+                 if j = 63 then minterm ys 63
+                 else Sdd.disjoin m (minterm ys 63) (minterm ys j))
+        in
+        let ds = List.map decision lasts in
+        List.iter
+          (fun d ->
+            match Sdd.view m d with
+            | Sdd.Decision (_, elems) -> checki "64 elements" 64 (List.length elems)
+            | _ -> Alcotest.fail "not a decision")
+          ds;
+        checki "distinct ids" 65
+          (List.length (List.sort_uniq compare ds));
+        checkb "each interned" true
+          (List.for_all2 (fun d last -> Sdd.equal d (decision last)) ds lasts));
+  ]
+
 let parallel_suite =
   [
     case "CTWSDD_DOMAINS is validated strictly" (fun () ->
@@ -191,5 +281,6 @@ let parallel_suite =
 let suites =
   [
     ("arena compaction", compaction_suite);
+    ("unique table", unique_suite);
     ("parallel apply", parallel_suite);
   ]

@@ -298,7 +298,13 @@ let postmortem_suite =
         checkb "live nodes typed" true
           (c.Sdd.allocated
           = 2 + c.Sdd.decisions + c.Sdd.literals + c.Sdd.tombstones);
-        checkb "bytes per node positive" true (c.Sdd.bytes_per_node > 0));
+        checkb "bytes per node positive" true (c.Sdd.bytes_per_node > 0);
+        (* A canonical manager interns each decision exactly once, in a
+           table kept at most half full. *)
+        checki "unique entries = decisions" c.Sdd.decisions
+          c.Sdd.unique_entries;
+        checkb "unique slots >= 2 * entries" true
+          (c.Sdd.unique_slots >= 2 * c.Sdd.unique_entries));
     case "write is atomic and the file parses" (fun () ->
         with_dump_path (fun path ->
             checkb "written" true (Run_record.dump ~reason:"disk" () = Ok ());
