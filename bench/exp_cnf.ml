@@ -140,23 +140,29 @@ let run () =
         in
         (* Input order can be exponentially worse (on grids it knits the
            rows together clause by clause), so the ablation runs under a
-           2 s wall budget: a trip IS the measurement. *)
+           node cap: a trip IS the measurement, at the same point on
+           any host.  Compaction every 10k allocations makes the cap
+           bound live nodes rather than every apply intermediate: the
+           rows that finish need at most 16.2k (chain-1000), and both
+           grids pass 20k within a few seconds. *)
+        let cap = 20_000 in
         let rc, msc =
           time (fun () ->
               Obs.span "e19.schedule_clauses" @@ fun () ->
               Pipeline.compile_cnf
-                ~budget:(Budget.create ~timeout:2.0 ())
-                ~schedule:`Clauses d)
+                ~budget:(Budget.create ~max_nodes:cap ())
+                ~compact_every:10_000 ~schedule:`Clauses d)
         in
+        let tripped = ("-", Printf.sprintf "cap (>%dk nodes)" (cap / 1000)) in
         let size_c, ms_c =
           match rc with
-          | Ok r when r.Pipeline.cnf_degraded = None ->
-            assert (Bigint.equal rb.Pipeline.count r.Pipeline.count);
-            (Table.fi (total_size r), Printf.sprintf "%.1f" msc)
           | Ok r ->
             assert (Bigint.equal rb.Pipeline.count r.Pipeline.count);
-            (Table.fi (total_size r), Printf.sprintf "%.1f (degraded)" msc)
-          | Error _ -> ("-", "budget (>2000)")
+            (* A degraded result came from a fallback vtree, not from
+               input order under the bag vtree. *)
+            if r.Pipeline.cnf_degraded <> None then tripped
+            else (Table.fi (total_size r), Printf.sprintf "%.1f" msc)
+          | Error _ -> tripped
         in
         [
           name;

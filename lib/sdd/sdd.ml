@@ -784,8 +784,19 @@ and apply m op_and a b =
 and conjoin m a b = apply m true a b
 and disjoin m a b = apply m false a b
 
-let conjoin_list m l = List.fold_left (conjoin m) 1 l
-let disjoin_list m l = List.fold_left (disjoin m) 0 l
+(* Pairwise, level by level; an odd trailing operand waits a level. *)
+let rec fold_pairs op unit = function
+  | [] -> unit
+  | [ a ] -> a
+  | l ->
+    let rec pairs = function
+      | a :: b :: rest -> let ab = op a b in ab :: pairs rest (* left first *)
+      | rest -> rest
+    in
+    fold_pairs op unit (pairs l)
+
+let conjoin_list m l = fold_pairs (conjoin m) 1 l
+let disjoin_list m l = fold_pairs (disjoin m) 0 l
 
 (* ------------------------------------------------------------------ *)
 (* Conditioning                                                        *)
@@ -1702,8 +1713,8 @@ let compile_circuit m c =
       | Circuit.Var v -> literal m v true
       | Circuit.Const b -> if b then 1 else 0
       | Circuit.Not j -> negate m res.(j)
-      | Circuit.And js -> List.fold_left (fun acc j -> conjoin m acc res.(j)) 1 js
-      | Circuit.Or js -> List.fold_left (fun acc j -> disjoin m acc res.(j)) 0 js);
+      | Circuit.And js -> conjoin_list m (List.map (Array.get res) js)
+      | Circuit.Or js -> disjoin_list m (List.map (Array.get res) js));
     (* Per-gate compaction checkpoint (opt-in via [compact_every]): the
        live roots are exactly the gate results computed so far. *)
     if compact_due m then begin

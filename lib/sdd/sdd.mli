@@ -163,6 +163,10 @@ val conjoin : manager -> t -> t -> t
 
 val disjoin : manager -> t -> t -> t
 val conjoin_list : manager -> t list -> t
+(** Pairwise, level by level, not a left fold: [[a; b; c; d; e]] is
+    [((a ∧ b) ∧ (c ∧ d)) ∧ e], and [[]] is [1].  {!disjoin_list} folds
+    the same way ([[]] is [0]). *)
+
 val disjoin_list : manager -> t list -> t
 
 val condition : manager -> t -> string -> bool -> t
@@ -296,10 +300,10 @@ val any_model : manager -> t -> (string * bool) list option
 (** {1 Compilation and export} *)
 
 val compile_circuit : manager -> Circuit.t -> t
-(** Bottom-up apply compilation, gate by gate, with a budget check up
-    front and a compaction checkpoint after every gate; circuit
-    variables must appear in the vtree.  The one compile loop for every
-    manager: on an OBDD manager its apply is the ITE recursion. *)
+(** Bottom-up apply compilation, gate by gate (a wide gate pairwise, as
+    {!conjoin_list}), with a budget check up front and a compaction
+    checkpoint after every gate; circuit variables must be in the vtree.
+    The one compile loop for every manager (ITE apply on an OBDD one). *)
 
 (** {1 OBDD backend}
 

@@ -172,6 +172,46 @@ let error_suite =
            ladder. *)
         check_err "node limit" Ctwsdd_error.Node_limit
           (Ctwsdd.compile ~budget:(Budget.create ~max_nodes:2 ()) c));
+    case "a node cap inside one wide gate's fold is a clean error" (fun () ->
+        (* The lineage is one wide Or of And terms.  A cap above what the
+           terms need and below the whole compile's allocations trips
+           inside the Or gate's pairwise fold. *)
+        let c =
+          Lineage.circuit (Ucq.of_string "R(x), S(x,y)") (Pdb.complete_rst 5)
+        in
+        let out = Circuit.output c in
+        checki "output gate is last" (Circuit.size c - 1) out;
+        checkb "wide Or" true
+          (match Circuit.gate c out with
+           | Circuit.Or js -> List.length js >= 25
+           | _ -> false);
+        let vt = fst (Pipeline.treedec_vtree c) in
+        let allocated c =
+          let m = Sdd.manager vt in
+          ignore (Sdd.compile_circuit m c);
+          Sdd.num_nodes_allocated m
+        in
+        let terms = allocated (Circuit.of_gates (Array.sub c.Circuit.gates 0 out) 0) in
+        let peak = allocated c in
+        let cap = (terms + peak) / 2 in
+        checkb "cap lands inside the fold" true (terms < cap && cap < peak);
+        let budget () = Budget.create ~max_nodes:cap () in
+        (match Pipeline.compile ~budget:(budget ()) ~vtree_strategy:(`Pinned vt) c with
+         | Error e -> Alcotest.check error "node limit" Ctwsdd_error.Node_limit e
+         | Ok _ -> Alcotest.fail "expected the cap to trip");
+        (* The tripped manager, its cap lifted, compiles the same count
+           as a fresh one. *)
+        let fresh = Sdd.manager vt in
+        let want = Sdd.model_count fresh (Sdd.compile_circuit fresh c) in
+        let m = Sdd.manager ~budget:(budget ()) vt in
+        (match Sdd.compile_circuit m c with
+         | exception Budget.Exhausted r ->
+           Alcotest.check reason "trip" Budget.Node_limit r
+         | _ -> Alcotest.fail "expected the cap to trip");
+        Sdd.set_budget m Budget.unlimited;
+        let root = Sdd.compile_circuit m c in
+        checkb "valid" true (Sdd.validate m root = Ok ());
+        check bigint "same count" want (Sdd.model_count m root));
     case "prob is result-typed and budget-aware" (fun () ->
         let q = Ucq.of_string "R(x), S(x,y)" in
         let db = Pdb.complete_rst 2 in

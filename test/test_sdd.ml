@@ -14,6 +14,57 @@ let validate_ok m node =
   | Ok () -> true
   | Error msg -> Alcotest.failf "invalid SDD: %s" msg
 
+(* Gates of a circuit whose output is one [width]-ary And ([conj]) or
+   Or, and the operands as (first gate, last gate) pairs.  An operand
+   is a constant (absorbing with probability 1/(4·width), so a wide
+   gate is seldom constant) or the dual gate over 4-7 literals and
+   two-literal subformulas on 10 variables. *)
+let wide_gate ~seed ~conj width =
+  let st = Random.State.make [| seed; width; Bool.to_int conj |] in
+  let gates = ref [] and n = ref 0 and starts = ref [] in
+  let push g =
+    gates := g :: !gates;
+    incr n;
+    !n - 1
+  in
+  let lit () =
+    let v = push (Circuit.Var (Families.x (1 + Random.State.int st 10))) in
+    if Random.State.bool st then push (Circuit.Not v) else v
+  in
+  let sub () =
+    match Random.State.int st 3 with
+    | 0 -> push (Circuit.And [ lit (); lit () ])
+    | 1 -> push (Circuit.Or [ lit (); lit () ])
+    | _ -> lit ()
+  in
+  let operand () =
+    starts := !n :: !starts;
+    match Random.State.int st (4 * width) with
+    | 0 -> push (Circuit.Const (not conj))
+    | 1 | 2 -> push (Circuit.Const conj)
+    | _ ->
+      let ops = List.init (4 + Random.State.int st 4) (fun _ -> sub ()) in
+      push (if conj then Circuit.Or ops else Circuit.And ops)
+  in
+  let ops = List.init width (fun _ -> operand ()) in
+  (* A circuit has no empty gate: width 0 exists only as a list. *)
+  if ops <> [] then ignore (push (if conj then Circuit.And ops else Circuit.Or ops));
+  (Array.of_list (List.rev !gates), List.combine (List.rev !starts) ops)
+
+(* The operand whose gates start at [start] and end at [j], as a
+   circuit of its own. *)
+let segment gates (start, j) =
+  let shift = List.map (fun i -> i - start) in
+  Circuit.of_gates
+    (Array.map
+       (function
+         | Circuit.Not i -> Circuit.Not (i - start)
+         | Circuit.And is -> Circuit.And (shift is)
+         | Circuit.Or is -> Circuit.Or (shift is)
+         | g -> g)
+       (Array.sub gates start (j - start + 1)))
+    (j - start)
+
 let sdd_suite =
   [
     case "constants and literals" (fun () ->
@@ -141,6 +192,46 @@ let sdd_suite =
             (Boolfun.all_assignments (vars 4))
         in
         abs_float (Sdd.probability m node w -. brute) < 1e-9);
+    qtest "wide gates fold pairwise to the left fold's node"
+      QCheck2.Gen.(int_range 0 1000) ~count:12
+      (fun seed ->
+        let vs = vars 10 in
+        (* Counts are cross-checked on a d-DNNF manager off the random
+           vtree only: without hash-consing, wide gates there take
+           seconds each whatever the fold order. *)
+        List.for_all
+          (fun (vt, dnnf) ->
+            let m = Sdd.manager vt in
+            List.for_all
+              (fun (width, conj) ->
+                let gates, ops = wide_gate ~seed ~conj width in
+                let nodes =
+                  List.map (fun o -> Sdd.compile_circuit m (segment gates o)) ops
+                in
+                let op, unit, list_op =
+                  if conj then (Sdd.conjoin, Sdd.true_ m, Sdd.conjoin_list)
+                  else (Sdd.disjoin, Sdd.false_ m, Sdd.disjoin_list)
+                in
+                let folded = List.fold_left (op m) unit nodes in
+                let whole m =
+                  Sdd.compile_circuit m
+                    (Circuit.of_gates gates (Array.length gates - 1))
+                in
+                Sdd.equal (list_op m nodes) folded
+                && (width = 0
+                   || Sdd.equal (whole m) folded
+                      && ((not dnnf)
+                         || Bigint.equal (Sdd.model_count m folded)
+                              (let d = Sdd.dnnf_manager vt in
+                               Sdd.model_count d (whole d)))))
+              (List.concat_map
+                 (fun w -> [ (w, true); (w, false) ])
+                 [ 0; 1; 2; 3; 64; 65 ]))
+          [
+            (Vtree.balanced vs, true);
+            (Vtree.random ~seed vs, false);
+            (Vtree.right_linear vs, true);
+          ]);
     qtest "conjoin size never exceeds product bound" QCheck2.Gen.(int_range 0 20)
       (fun seed ->
         let m = Sdd.manager (Vtree.balanced (vars 4)) in

@@ -123,7 +123,7 @@ let circuit_suite =
 (* Small tuple-independent databases over {1, 2, 3} with the [mixed]
    probabilities.  At most 8 facts: [Prob.brute] is exponential, and
    so is compiling the union query on the [`Dnnf] backend over a
-   left-linear vtree (about 20 s at 10 facts). *)
+   left-linear vtree (12-14 s at 10 facts). *)
 let random_db seed =
   let st = Random.State.make [| seed |] in
   let dom = [ "1"; "2"; "3" ] in
