@@ -31,7 +31,7 @@ let experiments =
     ([ "E19" ], "SAT-scale CNF compilation", Exp_cnf.run);
     ([ "E20" ], "arena store: scale, compaction, apply", Exp_arena.run);
     ([ "E21" ], "attribution profiler and parallelism observability", Exp_attr.run);
-    ([ "E22" ], "backend panorama: SDD vs OBDD vs d-DNNF", Exp_e22.run);
+    ([ "E22" ], "backend panorama: SDD vs OBDD", Exp_e22.run);
   ]
 
 let metrics_file ids = "BENCH_" ^ String.concat "_" ids ^ ".json"

@@ -72,25 +72,15 @@ let vtree_conv =
       ("lemma1", `Lemma1); ("treedec", `Treedec); ("search", `Search) ]
 
 (* Junk values become Cmdliner's usage error (exit 124) with the same
-   sdd|obdd|dnnf|auto inventory as [Backend.of_string]. *)
-let backend_conv =
-  Arg.enum
-    [ ("sdd", `Sdd); ("obdd", `Obdd); ("dnnf", `Dnnf); ("auto", `Auto) ]
+   sdd|obdd|auto inventory as [Backend.of_string]. *)
+let backend_conv = Arg.enum [ ("sdd", `Sdd); ("obdd", `Obdd); ("auto", `Auto) ]
 
 let backend_arg =
   Arg.(value & opt backend_conv `Sdd & info [ "backend" ] ~docv:"KIND"
          ~doc:"Compilation target: $(b,sdd) (canonical SDD, the default), \
                $(b,obdd) (canonical SDD on a right-linear vtree, where \
-               apply is the OBDD ITE recursion), $(b,dnnf) (counting-only \
-               non-canonical d-DNNF — no unique table, no prime sort; \
-               elements sharing a sub are still merged) or $(b,auto) \
-               (pick per workload; the choice and its reason are \
-               reported).")
-
-let backend_label = function
-  | `Sdd -> "sdd"
-  | `Obdd -> "obdd"
-  | `Dnnf -> "dnnf"
+               apply is the OBDD ITE recursion) or $(b,auto) (pick per \
+               workload; the choice and its reason are reported).")
 
 let minimize_flag =
   Arg.(value & flag & info [ "minimize" ]
@@ -334,7 +324,7 @@ let compile_cmd =
     | Ok { Pipeline.manager = m; root = node; backend = chosen; degraded; _ } ->
       let (module B : Backend.S) = Backend.impl chosen in
       if backend <> `Sdd || chosen <> `Sdd then
-        Printf.printf "backend : %s%s\n" (backend_label chosen)
+        Printf.printf "backend : %s%s\n" (Backend.resolved_name chosen)
           (if backend = `Auto then
              match Backend.last_selection () with
              | Some (_, _, reason) -> Printf.sprintf " (%s)" reason
@@ -342,20 +332,15 @@ let compile_cmd =
            else "");
       Printf.printf "vtree   : %s\n" (Vtree.to_string (Sdd.vtree m));
       Printf.printf "%-8s: size %d, width %d, nodes %d\n"
-        (String.uppercase_ascii (backend_label chosen))
+        (String.uppercase_ascii (Backend.resolved_name chosen))
         (B.size m node) (B.width m node) (B.node_count m node);
       if count then
         Printf.printf "models  : %s\n"
           (Bigint.to_string (Sdd.model_count m node));
       if validate then begin
-        if chosen = `Dnnf then
-          print_endline
-            "validate: skipped (the dnnf backend is intentionally \
-             non-canonical)"
-        else
-          match Obs.span "cli.validate" (fun () -> Sdd.validate m node) with
-          | Ok () -> print_endline "validate: ok (canonical SDD conditions hold)"
-          | Error msg -> Printf.printf "validate: FAILED (%s)\n" msg
+        match Obs.span "cli.validate" (fun () -> Sdd.validate m node) with
+        | Ok () -> print_endline "validate: ok (canonical SDD conditions hold)"
+        | Error msg -> Printf.printf "validate: FAILED (%s)\n" msg
       end;
       (* The OBDD comparison is unbudgeted — skip it on budgeted runs
          (it could blow up past the limits the user just set).  It
@@ -490,7 +475,7 @@ let query_cmd =
         (Ratio.to_string a.Prob.probability)
         (Ratio.to_float a.Prob.probability);
       Printf.printf "  via %-4s: size %d%s\n"
-        (String.uppercase_ascii (backend_label a.Prob.backend))
+        (String.uppercase_ascii (Backend.resolved_name a.Prob.backend))
         a.Prob.size
         (if backend = `Auto then
            match Backend.last_selection () with
@@ -590,9 +575,9 @@ let cnf_cmd =
     | Error e -> report_error e
     | Ok r ->
       if minimize then Backend.require_minimizable r.Pipeline.cnf_backend;
-      if r.Pipeline.cnf_backend <> `Sdd then
+      if backend <> `Sdd || r.Pipeline.cnf_backend <> `Sdd then
         Printf.printf "backend: %s (%s)\n"
-          (backend_label r.Pipeline.cnf_backend)
+          (Backend.resolved_name r.Pipeline.cnf_backend)
           r.Pipeline.cnf_backend_reason;
       if preprocess then
         Printf.printf "preprocess: %d forced, %d free variables\n"

@@ -3,7 +3,7 @@
 
    A tuple-independent database of movie facts; a safe (hierarchical)
    query and an unsafe (inversion) query; the probability of each is
-   computed by brute force and through compiled OBDD/SDD/d-SDNNF forms.
+   computed by brute force and through compiled OBDD/SDD forms.
 
    Run with:  dune exec examples/probabilistic_queries.exe *)
 
@@ -39,15 +39,12 @@ let report name q =
   let exact = Prob.brute q db in
   let p_obdd, obdd_size = Prob.via_obdd_exn q db in
   let p_sdd, sdd_size = Prob.via_exn q db in
-  let p_dnnf, dnnf_size = Prob.via_exn ~backend:`Dnnf q db in
   Printf.printf "P = %s = %.6f\n" (Ratio.to_string exact) (Ratio.to_float exact);
   Printf.printf "  brute force        : %s\n" (Ratio.to_string exact);
   Printf.printf "  via OBDD  (size %3d): %s\n" obdd_size (Ratio.to_string p_obdd);
   Printf.printf "  via SDD   (size %3d): %s\n" sdd_size (Ratio.to_string p_sdd);
-  Printf.printf "  via dSDNNF(size %3d): %s\n" dnnf_size (Ratio.to_string p_dnnf);
   assert (Ratio.equal exact p_obdd);
   assert (Ratio.equal exact p_sdd);
-  assert (Ratio.equal exact p_dnnf);
   (match q with
    | [ cq ] ->
      (match Lifted.plan_cq cq db with

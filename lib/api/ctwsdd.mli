@@ -46,9 +46,8 @@ val compile :
     in-manager minimization, optional generational arena compaction
     ([compact_every]).  [backend] picks the compilation target
     ({!Backend}): [`Sdd] (default, canonical SDD), [`Obdd]
-    (right-linear specialization), [`Dnnf] (counting-only,
-    non-canonical) or [`Auto] (per-workload; the choice lands in
-    {!Pipeline.result.backend}). *)
+    (right-linear specialization) or [`Auto] (per-workload; the choice
+    lands in {!Pipeline.result.backend}). *)
 
 val compile_cnf :
   ?budget:Budget.t ->
@@ -94,12 +93,12 @@ val model_count :
   ?backend:Backend.tag ->
   Circuit.t ->
   (Bigint.t, Error.t) result
-(** Exact model count of a circuit over its own variables.  [backend]
-    defaults to [`Auto], which resolves with the counting-only hint —
-    the non-canonical d-DNNF fast path (no unique-table find-or-claim,
-    no prime sort).  Constant circuits count without
-    building a manager.  A degraded (anytime) compile still yields the
-    exact count — only its representation is larger. *)
+(** Exact model count of a circuit over its own variables: the
+    {!compile} result, counted.  [backend] defaults to [`Auto], resolved
+    as {!compile} resolves it ({!Backend.last_selection} reports the
+    choice).  Constant circuits count without building a manager.  A
+    degraded (anytime) compile still yields the exact count — only its
+    representation is larger. *)
 
 val minimize :
   ?budget:Budget.t ->

@@ -1,17 +1,15 @@
 (* Backend-agnostic compilation interface: one first-class-module
-   signature over the three compilation targets of the paper's panorama
-   (canonical SDD, OBDD as its right-linear ITE specialization, and the
-   counting-only non-canonical d-DNNF arena), plus the per-workload
-   [`Auto] resolution with its audit trail (metrics event and the run
-   record's [backend] section). *)
+   signature over the two compilation targets of the paper's panorama
+   (canonical SDD, and OBDD as its right-linear ITE specialization),
+   plus the per-workload [`Auto] resolution with its audit trail
+   (metrics event and the run record's [backend] section). *)
 
-type tag = [ `Sdd | `Obdd | `Dnnf | `Auto ]
-type resolved = [ `Sdd | `Obdd | `Dnnf ]
+type tag = [ `Sdd | `Obdd | `Auto ]
+type resolved = [ `Sdd | `Obdd ]
 
 let name = function
   | `Sdd -> "sdd"
   | `Obdd -> "obdd"
-  | `Dnnf -> "dnnf"
   | `Auto -> "auto"
 
 let resolved_name (b : resolved) = name (b :> tag)
@@ -19,13 +17,11 @@ let resolved_name (b : resolved) = name (b :> tag)
 let of_string = function
   | "sdd" -> Ok `Sdd
   | "obdd" -> Ok `Obdd
-  | "dnnf" -> Ok `Dnnf
   | "auto" -> Ok `Auto
   | s ->
     Error
       (Ctwsdd_error.Invalid_input
-         (Printf.sprintf "unknown backend %S (expected sdd, obdd, dnnf or auto)"
-            s))
+         (Printf.sprintf "unknown backend %S (expected sdd, obdd or auto)" s))
 
 let of_string_exn s =
   match of_string s with Ok t -> t | Error e -> Ctwsdd_error.throw e
@@ -101,22 +97,9 @@ module Obdd_backend = struct
   let width = Sdd.Obdd.width
 end
 
-module Dnnf_backend = struct
-  include Shared
-
-  let backend : resolved = `Dnnf
-  let name = "dnnf"
-
-  let create_manager ?budget ?compact_every vt =
-    Sdd.dnnf_manager ?budget ?compact_every vt
-
-  let width = Sdd.width
-end
-
 let impl : resolved -> (module S) = function
   | `Sdd -> (module Sdd_backend)
   | `Obdd -> (module Obdd_backend)
-  | `Dnnf -> (module Dnnf_backend)
 
 (* ------------------------------------------------------------------ *)
 (* Selection                                                           *)
@@ -192,26 +175,21 @@ let path_layout_width c =
   let width_of order = Treedec.width (Treedec.path_decomposition_of_order g order) in
   min (width_of vs) (width_of preorder)
 
-let resolve_circuit ?budget ?(counting_only = false) (requested : tag) c =
+let resolve_circuit ?budget (requested : tag) c =
   let chosen, reason =
     match requested with
     | #resolved as b -> (b, "requested")
     | `Auto ->
-      if counting_only then
-        (`Dnnf, "counting-only workload: skip canonicity, count the d-DNNF")
-      else begin
-        let w, _ = Circuit.treewidth_upper ?budget c in
-        let pw = path_layout_width c in
-        if pw <= w + 2 then
-          ( `Obdd,
-            Printf.sprintf
-              "path layout of width %d (treewidth bound %d): OBDD order" pw w
-          )
-        else
-          ( `Sdd,
-            Printf.sprintf
-              "treewidth-bounded (width %d, path layout %d): SDD vtree" w pw )
-      end
+      let w, _ = Circuit.treewidth_upper ?budget c in
+      let pw = path_layout_width c in
+      if pw <= w + 2 then
+        ( `Obdd,
+          Printf.sprintf
+            "path layout of width %d (treewidth bound %d): OBDD order" pw w )
+      else
+        ( `Sdd,
+          Printf.sprintf
+            "treewidth-bounded (width %d, path layout %d): SDD vtree" w pw )
   in
   note_selection ~requested ~chosen ~reason;
   (chosen, reason)
@@ -220,7 +198,7 @@ let resolve_cnf (requested : tag) =
   let chosen, reason =
     match requested with
     | #resolved as b -> (b, "requested")
-    | `Auto -> (`Dnnf, "counting-only CNF workload: count the d-DNNF")
+    | `Auto -> (`Sdd, "CNF workload: SDD on the decomposition vtree")
   in
   note_selection ~requested ~chosen ~reason;
   (chosen, reason)

@@ -25,26 +25,24 @@ let treedec_vtree ?budget c =
   (Lemma1.vtree_of_decomposition c td, w)
 
 (* Backend-parametric single-vtree compile: the backend decides the
-   manager flavour ([`Obdd] right-linearizes the proposed vtree over
-   its leaf order, [`Dnnf] drops canonicity) and the apply used. *)
+   manager's vtree ([`Obdd] right-linearizes the proposed vtree over
+   its leaf order), and so the apply used. *)
 let compile_with_vtree (module B : Backend.S) ?budget ?compact_every vt c =
   let m = B.create_manager ?budget ?compact_every vt in
   (m, B.compile_circuit m c)
 
 (* The vtree the [`Treedec] rung proposes, per backend.  The canonical
-   SDD wants the Lemma 1 shape; the linear backends want a {e linear}
-   layout with decomposition locality instead — the nice-decomposition
-   walk scrambles the leaf order (odd leaves down one flank, even up
-   the other), which is exactly what an OBDD order must not do (it
-   turns a bandwidth-3 CNF into exponentially many distinct
-   subfunctions), and what the non-canonical d-DNNF apply cannot
-   absorb either (no unique table to re-share the divergence).
-   [Lemma1.obdd_order_of_circuit] is the pathwidth layout order both
-   need. *)
+   SDD wants the Lemma 1 shape; the OBDD wants a {e linear} layout
+   with decomposition locality instead — the nice-decomposition walk
+   scrambles the leaf order (odd leaves down one flank, even up the
+   other), which is exactly what an OBDD order must not do (it turns a
+   bandwidth-3 CNF into exponentially many distinct subfunctions).
+   [Lemma1.obdd_order_of_circuit] is the pathwidth layout order it
+   needs. *)
 let treedec_rung_vtree (module B : Backend.S) ~budget c =
   match B.backend with
   | `Sdd -> fst (treedec_vtree ~budget c)
-  | `Obdd | `Dnnf -> Vtree.right_linear (Lemma1.obdd_order_of_circuit c)
+  | `Obdd -> Vtree.right_linear (Lemma1.obdd_order_of_circuit c)
 
 (* One rung of the degradation ladder: compile [c] with the given
    strategy under [budget], raising [Budget.Exhausted] on a trip. *)

@@ -40,8 +40,8 @@ type result = {
           installed — the compile's budget does not outlive the
           compile; reinstall one with [Sdd.set_budget] if needed. *)
   root : Sdd.t;
-      (** The compiled circuit: a canonical SDD under the [`Sdd] and
-          [`Obdd] backends, a counting-only d-DNNF under [`Dnnf]. *)
+      (** The compiled circuit: a canonical SDD (on a right-linear
+          vtree, i.e. an OBDD, under [`Obdd]). *)
   strategy : vtree_strategy;
       (** The rung that actually produced the SDD — the requested
           strategy, or a lower one after degradation. *)
@@ -84,12 +84,11 @@ val compile :
     [backend = `Sdd], [minimize = false].  [backend] selects the
     compilation target (see {!Backend}): [`Sdd] (canonical SDD, the
     historical behaviour), [`Obdd] (right-linear specialization — the
-    ladder's vtrees contribute their variable order), [`Dnnf]
-    (counting-only, no canonicity) or [`Auto] (resolved per workload;
-    the choice and reason land in {!result.backend} /
-    {!result.backend_reason}).  [minimize] requires the [`Sdd] backend
-    ([Error (Invalid_input _)] otherwise — dynamic vtree edits assume
-    canonicity and general vtree shapes).  When [minimize] is set, the
+    ladder's vtrees contribute their variable order) or [`Auto]
+    (resolved per workload; the choice and reason land in
+    {!result.backend} / {!result.backend_reason}).  [minimize] requires
+    the [`Sdd] backend ([Error (Invalid_input _)] otherwise — dynamic
+    vtree edits would leave the OBDD's right-linear shape).  When [minimize] is set, the
     result is
     post-processed with {!Vtree_search.minimize_manager} ([max_steps]
     forwarded, default 50), mutating the returned manager's vtree in
@@ -149,7 +148,7 @@ type cnf_result = {
   cnf_schedule : cnf_schedule;
   cnf_backend : Backend.resolved;
       (** Backend that compiled every component ([`Auto] resolves to
-          [`Dnnf]: the CNF pipeline is counting-only by construction). *)
+          [`Sdd]). *)
   cnf_backend_reason : string;
   cnf_degraded : Budget.reason option;  (** First degraded component. *)
 }
@@ -169,10 +168,10 @@ val compile_cnf :
     level — pure-literal elimination is {e not} applied),
     [schedule = `Bags], [backend = `Sdd], [domains = min components
     (Obs.Worker.default_domains ())].  [backend] selects the
-    per-component compilation target; counting is all this pipeline
-    does, so [`Auto] resolves to the [`Dnnf] fast path.  Note
-    {!conjoin_components} re-canonicalizes on import, so it remains
-    sound for every backend.  The budget's node allowance is
+    per-component compilation target; [`Auto] resolves to [`Sdd], on
+    the decomposition vtree the clause schedule follows.
+    {!conjoin_components} re-canonicalizes on import, so it is sound
+    for either backend.  The budget's node allowance is
     split equally across components ({!Budget.split_nodes}); shared
     resources (clock, cancellation, memory) are polled by all.
 

@@ -58,8 +58,7 @@ val via :
     OBDD on the hierarchical variable order
     ({!Qsafety.hierarchical_variable_order}), the rest as [`Sdd] does;
     the choice is recorded ({!Backend.last_selection}) and reported in
-    {!answer.backend}.  [`Dnnf] is the counting-only non-canonical
-    arena ({!Sdd.dnnf_manager}).  An explicit [vtree] is compiled as
+    {!answer.backend}.  An explicit [vtree] is compiled as
     {!Pipeline.compile}'s [`Pinned] strategy, a ladder of one rung: a
     budget trip is then an [Error].  [minimize] runs the in-manager
     dynamic vtree search after compilation — anytime under a budget —

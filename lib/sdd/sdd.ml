@@ -70,12 +70,6 @@ type manager = {
   count : int Atomic.t;  (* node slots handed out *)
   mutable elems_len : int;  (* words used in [store.elems] *)
   mutable budget : Budget.t;
-  canonical : bool;
-      (* [false] only for counting-only (d-DNNF) managers: decisions are
-         allocated without the unique-table find-or-claim, so handle
-         equality is no longer function equality — but determinism,
-         decomposability and structuredness still hold, which is all the
-         counting walks need. *)
   unique : unique;
   mutable lit_tbl : int array;  (* 2*leaf + polarity -> node id, -1 free *)
   and_cache : int Int_tbl.t;
@@ -142,8 +136,7 @@ let initial_store () =
   aux.(1) <- 1;
   { kind; vnode; aux; off; elems = Array.make 1024 0 }
 
-let create_manager ~canonical ?(budget = Budget.unlimited)
-    ?(compact_every = max_int) vt =
+let manager ?(budget = Budget.unlimited) ?(compact_every = max_int) vt =
   if compact_every < 1 then
     invalid_arg "Sdd.manager: compact_every must be positive";
   let unique = { slots = Array.make unique_initial_slots (-1); entries = 0 } in
@@ -158,7 +151,6 @@ let create_manager ~canonical ?(budget = Budget.unlimited)
       count = Atomic.make 2;
       elems_len = 0;
       budget;
-      canonical;
       unique;
       lit_tbl = Array.make (2 * Vtree.num_nodes vt) (-1);
       and_cache;
@@ -190,13 +182,6 @@ let create_manager ~canonical ?(budget = Budget.unlimited)
   register_manager m;
   m
 
-let manager ?budget ?compact_every vt =
-  create_manager ~canonical:true ?budget ?compact_every vt
-
-let dnnf_manager ?budget ?compact_every vt =
-  create_manager ~canonical:false ?budget ?compact_every vt
-
-let canonical m = m.canonical
 let vtree m = m.vt
 let num_nodes_allocated m = Atomic.get m.count
 let budget m = m.budget
@@ -656,34 +641,21 @@ and compress m elems =
 
 (* Builds the node for a decision at vtree node [v] from an element list
    whose primes are pairwise disjoint and jointly exhaustive (some primes
-   may be ⊥): compressed, trimmed and, in a canonical manager, sorted by
-   prime and interned in the unique table.
-
-   A counting-only (non-canonical) manager skips the find-or-claim and
-   the sort.  It keeps compression by sub {e id}: merging (p₁,s) (p₂,s)
-   into (p₁∨p₂,s) is semantics-preserving whatever the ids mean, and
-   without it conjunction chains double their fanout per clause
-   (exponential blowup on E19-style chains).  The result stays
-   deterministic, decomposable and structured — the invariants
-   [model_count] / [probability*] rely on — at the cost of canonicity:
-   equal {e functions} may get distinct ids.  Its trims are all id-safe:
-   the singleton trim holds because the primes' disjunction is ⊤ by
-   exhaustiveness even when its id is not 1. *)
+   may be ⊥): compressed, trimmed, sorted by prime and interned in the
+   unique table. *)
 and mk_decision m v elems =
   match compress m elems with
   | [] -> 0
   | [ (p, s) ] ->
-    assert ((not m.canonical) || p = 1);
+    assert (p = 1);
     s
   | [ (p, 1); (_, 0) ] | [ (_, 0); (p, 1) ] -> p
   | compressed ->
     let k = List.length compressed in
     if !Obs.enabled_ref then Obs.hist_record "sdd.decision_fanout" k;
-    if m.canonical then
-      unique_find_or_add m v
-        (List.sort (fun (p1, _) (p2, _) -> Int.compare p1 p2) compressed)
-        k
-    else (ignore (stage m compressed k); alloc_dec m v k)
+    unique_find_or_add m v
+      (List.sort (fun (p1, _) (p2, _) -> Int.compare p1 p2) compressed)
+      k
 
 (* ------------------------------------------------------------------ *)
 (* Apply                                                               *)
@@ -705,10 +677,10 @@ and elements_at m v a =
   end
 
 (* The one apply.  The trivial cases and the caches are shared; a miss
-   is computed by the ITE recursion when the manager is an OBDD (a
-   canonical manager over a right-linear vtree — the flag lives in the
-   immutable vtree, so an edit or its rollback, which swap [m.vt], can
-   never leave it stale) and by the element product otherwise. *)
+   is computed by the ITE recursion when the manager is an OBDD (its
+   vtree is right-linear — the flag lives in the immutable vtree, so an
+   edit or its rollback, which swap [m.vt], can never leave it stale)
+   and by the element product otherwise. *)
 and apply m op_and a b =
   let cache = if op_and then m.and_cache else m.or_cache in
   let neutral = if op_and then 1 else 0 in
@@ -730,7 +702,7 @@ and apply m op_and a b =
       cache_miss cstat;
       if !Obs.enabled_ref then Attribution.charge_apply_miss ();
       let r =
-        if m.canonical && Vtree.is_right_linear m.vt then begin
+        if Vtree.is_right_linear m.vt then begin
           let st = Atomic.get m.store in
           let la = level_of st a and lb = level_of st b in
           let lvl = Stdlib.min la lb in
@@ -848,19 +820,14 @@ let condition m a x value =
 (* ------------------------------------------------------------------ *)
 
 let rebuild_unique m =
-  (* A non-canonical manager never consults the unique table, and its
-     element lists are not prime-sorted, so there is no table to rebuild
-     after compaction. *)
-  if m.canonical then begin
-    let u = m.unique in
-    unique_reset u;
-    let st = Atomic.get m.store in
-    let n = Atomic.get m.count in
-    for id = 2 to n - 1 do
-      if Bytes.unsafe_get st.kind id = k_dec then
-        unique_add u st (slot_of u.slots st id) id
-    done
-  end
+  let u = m.unique in
+  unique_reset u;
+  let st = Atomic.get m.store in
+  let n = Atomic.get m.count in
+  for id = 2 to n - 1 do
+    if Bytes.unsafe_get st.kind id = k_dec then
+      unique_add u st (slot_of u.slots st id) id
+  done
 
 let reset_caches m =
   Int_tbl.reset m.and_cache;
@@ -1119,11 +1086,6 @@ let maybe_compact m root = if compact_due m then compact m root else root
 let subtree_span vt u = (2 * Vtree.num_vars_below vt u) - 1
 
 let dynamic_edit m move root =
-  (* The edit rewrites nodes by unique-table keys; a counting-only
-     manager has none (and no canonicity to restore), so the move is
-     meaningless there. *)
-  if not m.canonical then
-    invalid_arg "Sdd.apply_move: dynamic edits require a canonical manager";
   Obs.span "sdd.edit" @@ fun () ->
   (* The edit is transactional under a budget.  A rotation can rebuild
      affected decisions through [disjoin]/[conjoin], and on adversarial
@@ -1729,19 +1691,17 @@ let compile_circuit m c =
 (* OBDD specialization                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* An OBDD manager is an ordinary canonical manager over a right-linear
-   vtree: [apply] already runs the ITE recursion there, so what this
+(* An OBDD manager is an ordinary manager over a right-linear vtree: [apply] already runs the ITE recursion there, so what this
    module adds is the OBDD view of the nodes — per-level census, width
    and size — and sifting by vtree edits. *)
 module Obdd = struct
   let manager ?budget ?compact_every order =
-    create_manager ~canonical:true ?budget ?compact_every
-      (Vtree.right_linear order)
+    manager ?budget ?compact_every (Vtree.right_linear order)
 
   let order m = Vtree.leaf_order m.vt
 
   let check m name =
-    if not (m.canonical && Vtree.is_right_linear m.vt) then
+    if not (Vtree.is_right_linear m.vt) then
       invalid_arg
         (name ^ ": needs a canonical manager over a right-linear vtree")
 

@@ -39,23 +39,6 @@ val manager : ?budget:Budget.t -> ?compact_every:int -> Vtree.t -> manager
     pipeline's clause loop) run {!compact} on their live roots.
     @raise Invalid_argument if [compact_every < 1]. *)
 
-val dnnf_manager : ?budget:Budget.t -> ?compact_every:int -> Vtree.t -> manager
-(** A {e counting-only} manager: decisions are allocated without the
-    unique-table find-or-claim and without sorting the elements by
-    prime, so node construction skips the canonicity machinery.  It
-    still compresses (elements sharing a sub {e id} are merged, which
-    keeps conjunction chains from doubling their fanout per clause).  The
-    resulting DAGs are still deterministic, decomposable and structured
-    by the vtree — a structured d-DNNF — so {!model_count},
-    {!probability}, {!probability_ratio}, {!size}, {!eval} and
-    {!to_nnf_circuit} stay exact; but {e handle equality is no longer
-    function equality}, {!validate} may report missing compression, and
-    dynamic vtree edits raise [Invalid_argument].  Use it when only the
-    count or probability of the compiled function is needed. *)
-
-val canonical : manager -> bool
-(** [false] exactly for {!dnnf_manager}-created managers. *)
-
 val vtree : manager -> Vtree.t
 val num_nodes_allocated : manager -> int
 
@@ -156,8 +139,8 @@ val literal : manager -> string -> bool -> t
 
 val negate : manager -> t -> t
 val conjoin : manager -> t -> t -> t
-(** The one apply.  On a canonical manager over a right-linear vtree (an
-    OBDD, see {!Obdd}) it is the Shannon/ITE recursion; otherwise the
+(** The one apply.  On a manager over a right-linear vtree (an OBDD,
+    see {!Obdd}) it is the Shannon/ITE recursion; otherwise the
     element product at the operands' lowest common vtree ancestor.  The
     trivial cases and the apply caches are shared by both. *)
 
@@ -332,8 +315,8 @@ module Obdd : sig
       is a one-decision OBDD and counts; primes are encoding and do
       not.  This is the Sieling–Wegener count that
       [Boolfun.obdd_profile] computes from the truth table.
-      @raise Invalid_argument if the manager is counting-only or its
-      vtree is not right-linear (as do {!width}, {!size} and {!sift}). *)
+      @raise Invalid_argument if the manager's vtree is not
+      right-linear (as do {!width}, {!size} and {!sift}). *)
 
   val width : manager -> t -> int
   (** Max of {!level_profile}: the OBDD width of Jha–Suciu/Razgon that

@@ -1,13 +1,12 @@
-(* The backend-agnostic compilation interface: SDD / OBDD / d-DNNF
-   targets agree on every count and probability, the OBDD
-   specialization matches a truth-table oracle level for level, the
-   non-canonical d-DNNF manager keeps its invariants, and [`Auto]
-   resolution is deterministic and audited. *)
+(* The backend-agnostic compilation interface: SDD / OBDD targets agree
+   on every count and probability, the OBDD specialization matches a
+   truth-table oracle level for level, and [`Auto] resolution is
+   deterministic and audited. *)
 
 open Test_util
 
 let tags : (string * Backend.tag) list =
-  [ ("sdd", `Sdd); ("obdd", `Obdd); ("dnnf", `Dnnf); ("auto", `Auto) ]
+  [ ("sdd", `Sdd); ("obdd", `Obdd); ("auto", `Auto) ]
 
 let count_with_backend ?budget ?domains backend c =
   let m, node = Pipeline.compile_exn ?budget ?domains ~backend c in
@@ -163,26 +162,7 @@ let obdd_suite =
                 (String.length msg >= 8 && String.sub msg 0 8 = "minimize")
             | Ok _ -> Alcotest.fail "minimize accepted off sdd"
             | Error e -> Alcotest.fail (Ctwsdd_error.to_string e))
-          [ `Obdd; `Dnnf ]);
-  ]
-
-let dnnf_suite =
-  [
-    case "dnnf managers are marked non-canonical" (fun () ->
-        let vt = Vtree.balanced (small_vars 4) in
-        checkb "dnnf" false (Sdd.canonical (Sdd.dnnf_manager vt));
-        checkb "sdd" true (Sdd.canonical (Sdd.manager vt)));
-    case "dynamic edits require a canonical manager" (fun () ->
-        let c = Generators.chain_implications 6 in
-        let m = Sdd.dnnf_manager (Vtree.balanced (Circuit.variables c)) in
-        let root = Sdd.compile_circuit m c in
-        match Vtree.local_moves_with (Sdd.vtree m) with
-        | [] -> Alcotest.fail "no local moves on a 6-leaf vtree"
-        | (mv, _) :: _ ->
-          Alcotest.check_raises "apply_move"
-            (Invalid_argument
-               "Sdd.apply_move: dynamic edits require a canonical manager")
-            (fun () -> ignore (Sdd.apply_move m mv root)));
+          [ `Obdd ]);
   ]
 
 let auto_suite =
@@ -194,7 +174,7 @@ let auto_suite =
             let chosen, reason = Backend.resolve_circuit b c in
             checks (name ^ " reason") "requested" reason;
             checkb (name ^ " chosen") true ((chosen :> Backend.tag) = b))
-          [ ("sdd", `Sdd); ("obdd", `Obdd); ("dnnf", `Dnnf) ]);
+          [ ("sdd", `Sdd); ("obdd", `Obdd) ]);
     case "auto picks obdd on path-shaped circuits, deterministically"
       (fun () ->
         let c = Generators.chain_implications 20 in
@@ -215,19 +195,22 @@ let auto_suite =
                 true
                 (r.Pipeline.backend = chosen))
           [ 1; 4 ]);
-    case "auto with counting_only picks dnnf" (fun () ->
-        let c = Generators.band_cnf ~width:3 10 in
-        let chosen, _ =
-          Backend.resolve_circuit ~counting_only:true `Auto c
-        in
-        checkb "counting -> dnnf" true (chosen = `Dnnf));
-    case "auto on the cnf pipeline is counting-only" (fun () ->
+    case "resolve_cnf: auto is sdd" (fun () ->
+        let chosen, reason = Backend.resolve_cnf `Auto in
+        checkb "cnf -> sdd" true (chosen = `Sdd);
+        checkb "reason" true (reason <> "requested" && reason <> "");
+        match Backend.last_selection () with
+        | Some (requested, chosen, _) ->
+          checks "requested" "auto" requested;
+          checks "chosen" "sdd" chosen
+        | None -> Alcotest.fail "no selection recorded");
+    case "auto on the cnf pipeline picks sdd" (fun () ->
         let d =
           { Dimacs.num_vars = 5; clauses = [ [ 1; 2 ]; [ -2; 3 ]; [ 4; -5 ] ] }
         in
         match Pipeline.compile_cnf ~backend:`Auto d with
         | Error e -> Alcotest.fail (Ctwsdd_error.to_string e)
-        | Ok r -> checkb "dnnf" true (r.Pipeline.cnf_backend = `Dnnf));
+        | Ok r -> checkb "sdd" true (r.Pipeline.cnf_backend = `Sdd));
     case "selection is recorded for the explain surface" (fun () ->
         let c = Generators.chain_implications 10 in
         ignore (Pipeline.compile_exn ~backend:`Auto c);
@@ -241,14 +224,20 @@ let auto_suite =
         (match Backend.of_string "bdds" with
          | Error (Ctwsdd_error.Invalid_input msg) ->
            checks "message"
-             "unknown backend \"bdds\" (expected sdd, obdd, dnnf or auto)" msg
+             "unknown backend \"bdds\" (expected sdd, obdd or auto)" msg
          | _ -> Alcotest.fail "junk accepted");
+        (* The removed d-DNNF backend is junk like any other name. *)
+        (match Backend.of_string "dnnf" with
+         | Error (Ctwsdd_error.Invalid_input msg) ->
+           checks "dnnf message"
+             "unknown backend \"dnnf\" (expected sdd, obdd or auto)" msg
+         | _ -> Alcotest.fail "dnnf accepted");
         List.iter
           (fun s ->
             match Backend.of_string s with
             | Ok b -> checks s s (Backend.name b)
             | Error _ -> Alcotest.fail ("rejected " ^ s))
-          [ "sdd"; "obdd"; "dnnf"; "auto" ]);
+          [ "sdd"; "obdd"; "auto" ]);
   ]
 
 let query_suite =
@@ -283,13 +272,22 @@ let query_suite =
         match Prob.via ~backend:`Auto q_rst db with
         | Ok a -> checkb "non-hierarchical -> sdd" true (a.Prob.backend = `Sdd)
         | Error e -> Alcotest.fail (Ctwsdd_error.to_string e));
-    case "model_count facade counts through the dnnf fast path" (fun () ->
+    case "model_count facade counts what compile chose" (fun () ->
         let c = Generators.chain_implications 12 in
+        let sdd = count_with_backend `Sdd c in
+        check bigint "sdd count" (Bigint.of_int 13) sdd;
+        let expected =
+          match Pipeline.compile ~backend:`Auto c with
+          | Ok r -> Backend.resolved_name r.Pipeline.backend
+          | Error e -> Alcotest.fail (Ctwsdd_error.to_string e)
+        in
         (match Ctwsdd.model_count c with
-         | Ok n -> check bigint "count" (Bigint.of_int 13) n
+         | Ok n -> check bigint "count" sdd n
          | Error e -> Alcotest.fail (Ctwsdd_error.to_string e));
         (match Backend.last_selection () with
-         | Some (_, chosen, _) -> checks "chosen" "dnnf" chosen
+         | Some (requested, chosen, _) ->
+           checks "requested" "auto" requested;
+           checks "chosen" expected chosen
          | None -> Alcotest.fail "no selection");
         check bigint "constant true" Bigint.one
           (Ctwsdd.model_count_exn (Circuit.of_string "(or true false)"));
@@ -301,7 +299,6 @@ let suites =
   [
     ("backend agreement", agreement_suite);
     ("backend obdd", obdd_suite);
-    ("backend dnnf", dnnf_suite);
     ("backend auto", auto_suite);
     ("backend query", query_suite);
   ]

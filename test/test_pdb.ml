@@ -189,7 +189,7 @@ let prob_suite =
             let expected = Prob.brute q tiny_db in
             let via_o, _ = Prob.via_obdd_exn q tiny_db in
             let via_s, _ = Prob.via_exn q tiny_db in
-            let via_d, _ = Prob.via_exn ~backend:`Dnnf q tiny_db in
+            let via_a, _ = Prob.via_exn ~backend:`Auto q tiny_db in
             let via_m, _ =
               Prob.via_exn
                 ~vtree:(Vtree.right_linear (Lineage.variables tiny_db))
@@ -197,7 +197,7 @@ let prob_suite =
             in
             check ratio "obdd" expected via_o;
             check ratio "sdd" expected via_s;
-            check ratio "dnnf" expected via_d;
+            check ratio "auto" expected via_a;
             check ratio "sdd on a pinned vtree, minimized" expected via_m)
           [ q_rs; q_rst; Ucq.of_string "R(x) | T(x)"; Ucq.of_string "S(x,y), x != y" ]);
     qtest "routes agree on complete_rst 2" QCheck2.Gen.(int_range 0 5) (fun _ ->
@@ -221,7 +221,7 @@ let prob_suite =
             expect "via_obdd" (Prob.via_obdd q db);
             List.iter
               (fun (name, backend) -> expect name (Prob.via ~backend q db))
-              [ ("sdd", `Sdd); ("obdd", `Obdd); ("dnnf", `Dnnf); ("auto", `Auto) ])
+              [ ("sdd", `Sdd); ("obdd", `Obdd); ("auto", `Auto) ])
           [ q_rs; q_rst ]);
     case "the obdd cross-check keeps the run's backend selection" (fun () ->
         ignore (Prob.via ~backend:`Auto q_rs tiny_db);

@@ -107,8 +107,8 @@ let query_suite =
         checkb "nontrivial SDD" true (size > 0);
         let p_min, _ = Prob.via_exn ~minimize:true q_rs db in
         check ratio "sdd minimized" expected p_min;
-        let p_dnnf, _ = Prob.via_exn ~backend:`Dnnf q_rs db in
-        check ratio "dnnf" expected p_dnnf);
+        let p_auto, _ = Prob.via_exn ~backend:`Auto q_rs db in
+        check ratio "auto" expected p_auto);
     case "pipeline default agrees with brute force on shrinks" (fun () ->
         List.iter
           (fun n ->

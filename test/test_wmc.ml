@@ -10,7 +10,7 @@
 open Test_util
 
 let backends : (string * Backend.tag) list =
-  [ ("sdd", `Sdd); ("obdd", `Obdd); ("dnnf", `Dnnf) ]
+  [ ("sdd", `Sdd); ("obdd", `Obdd) ]
 
 let mixed =
   [|
@@ -121,9 +121,8 @@ let circuit_suite =
   ]
 
 (* Small tuple-independent databases over {1, 2, 3} with the [mixed]
-   probabilities.  At most 8 facts: [Prob.brute] is exponential, and
-   so is compiling the union query on the [`Dnnf] backend over a
-   left-linear vtree (12-14 s at 10 facts). *)
+   probabilities.  At most 12 facts: [Prob.brute] sums over all 2^k
+   subdatabases. *)
 let random_db seed =
   let st = Random.State.make [| seed |] in
   let dom = [ "1"; "2"; "3" ] in
@@ -135,7 +134,7 @@ let random_db seed =
     @ List.map (fun a -> Pdb.tuple "T" [ a ]) dom
   in
   let picked =
-    List.filteri (fun i _ -> i < 8)
+    List.filteri (fun i _ -> i < 12)
       (List.filter (fun _ -> Random.State.int st 3 > 0) candidates)
   in
   Pdb.make
