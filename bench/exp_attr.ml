@@ -134,7 +134,11 @@ let run () =
   let _ = compile ~schedule:`Bags (band ~width:3 300) in
   let top =
     let sorted =
-      List.sort (fun a b -> compare b.Attribution.nodes a.Attribution.nodes)
+      List.sort
+        (fun a b ->
+          compare
+            (b.Attribution.nodes, a.Attribution.label)
+            (a.Attribution.nodes, b.Attribution.label))
         (bag_rows ())
     in
     List.filteri (fun i _ -> i < 8) sorted

@@ -541,10 +541,11 @@ let schedule_arg =
   Arg.(value
        & opt (enum [ ("bags", `Bags); ("clauses", `Clauses) ]) `Bags
        & info [ "schedule" ] ~docv:"ORDER"
-           ~doc:"Clause conjunction order within a component: $(b,bags) \
-                 (bag-by-bag bottom-up along the tree decomposition, the \
-                 default) or $(b,clauses) (input order; the \
-                 $(b,--stats) report then has no bag cost centers).")
+           ~doc:"How a component's clauses are conjoined: $(b,bags) \
+                 (the default: one SDD per bag of the tree decomposition, \
+                 joined bottom-up) or $(b,clauses) (one running \
+                 conjunction in input order; the $(b,--stats) report then \
+                 has no bag cost centers).")
 
 let components_arg =
   Arg.(value & opt (some pos_int) None & info [ "components" ] ~docv:"N"

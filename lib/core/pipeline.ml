@@ -299,6 +299,7 @@ let var_treedec ?budget g =
 type rooted_treedec = {
   td : Treedec.t;
   children : int list array;
+  post_order : int array;  (** the bags, children before parents. *)
   post_index : int array;  (** [post_index.(b)]: position of bag [b]. *)
   bags_of_var : int list array;  (** ascending bag ids per 0-based var. *)
   intro : int list array;  (** 0-based vars introduced at each bag. *)
@@ -316,25 +317,23 @@ let root_treedec n_vars (td : Treedec.t) =
   let children = Array.make nb [] in
   let order = Array.make nb 0 in
   let visited = Array.make nb false in
-  (* Iterative DFS from bag 0; [order] records pre-order, post-order is
-     derived by a second pass over the explicit stack discipline. *)
+  (* Iterative DFS from bag 0: a bag is pushed back as [processed]
+     under its children, so it pops again after all of them. *)
   let post = Array.make nb 0 in
   let post_n = ref 0 in
   let stack = ref [ (0, false) ] in
   visited.(0) <- true;
-  let pre_n = ref 0 in
   while !stack <> [] do
     match !stack with
     | [] -> ()
     | (b, processed) :: rest ->
       stack := rest;
       if processed then begin
+        order.(!post_n) <- b;
         post.(b) <- !post_n;
         incr post_n
       end
       else begin
-        order.(!pre_n) <- b;
-        incr pre_n;
         stack := (b, true) :: !stack;
         List.iter
           (fun c ->
@@ -360,7 +359,7 @@ let root_treedec n_vars (td : Treedec.t) =
         (fun v -> if not (List.mem v pbag) then intro.(b) <- v :: intro.(b))
         bag)
     td.Treedec.bags;
-  { td; children; post_index = post; bags_of_var; intro }
+  { td; children; post_order = order; post_index = post; bags_of_var; intro }
 
 (* Lemma-1-style vtree straight from a variable-level decomposition:
    attach each variable's leaf at the bag introducing it (its topmost
@@ -394,93 +393,106 @@ let vtree_of_rooted rt (names : string array) =
   | Some s -> Vtree.of_shape s
   | None -> invalid_arg "Pipeline.vtree_of_rooted: decomposition has no variables"
 
-(* Treewidth-driven clause schedule: every clause is a clique of the
-   primal graph, hence contained in some bag; ordering clauses by the
-   post-order position of a hosting bag conjoins bag-by-bag bottom-up,
-   keeping intermediate SDDs local to vtree subtrees. *)
-let bag_schedule rt clauses =
-  let host clause =
-    match clause with
-    | [] -> (max_int, -1)
-    | l :: _ ->
+(* Tree fold: a clause is hosted by the lowest post-order bag holding
+   all its variables (every clause is a clique of the primal graph, so
+   some bag does).  Each bag, in post-order, conjoins the clauses it
+   hosts, then joins that with its children's results, so a bag's SDD
+   covers its own subtree only and never meets a finished sibling —
+   the bottom-up construction behind the Lemma 1 vtree.  [clause_sdd]
+   builds one clause; [comp] labels the attribution centers. *)
+let bag_fold m rt ~comp clause_sdd clauses =
+  let bags = rt.td.Treedec.bags in
+  let hosted = Array.make (Array.length bags) [] in
+  List.iter
+    (fun clause ->
       let vars = List.sort_uniq compare (List.map (fun l -> abs l - 1) clause) in
-      let subset bag = List.for_all (fun v -> List.mem v bag) vars in
-      let candidates = rt.bags_of_var.(abs l - 1) in
-      List.fold_left
-        (fun ((best, _) as acc) b ->
-          if rt.post_index.(b) < best && subset rt.td.Treedec.bags.(b) then
-            (rt.post_index.(b), b)
-          else acc)
-        (max_int, -1) candidates
-  in
-  (* The sort key is [(post, clause)] — identical to the pre-annotation
-     schedule, so tie-breaking (and therefore node counts) is unchanged;
-     the hosting bag rides along only to label attribution centers. *)
-  List.map (fun c -> let p, b = host c in ((p, c), b)) clauses
-  |> List.stable_sort (fun (k1, _) (k2, _) -> compare k1 k2)
-  |> List.map (fun ((p, c), b) ->
-         let w = if b >= 0 then List.length rt.td.Treedec.bags.(b) else 0 in
-         (p, w, c))
+      let candidates = match vars with v :: _ -> rt.bags_of_var.(v) | [] -> [] in
+      let host =
+        List.fold_left
+          (fun best b ->
+            if (best < 0 || rt.post_index.(b) < rt.post_index.(best))
+               && List.for_all (fun v -> List.mem v bags.(b)) vars
+            then b
+            else best)
+          (-1) candidates
+      in
+      assert (host >= 0);
+      hosted.(host) <- clause :: hosted.(host))
+    (List.rev clauses);
+  (* Finished bag results no parent has used yet, latest first: in
+     post-order a bag's children are the top of this stack, and the
+     stack is every live root at a compaction checkpoint. *)
+  let pending = ref [] in
+  Array.iteri
+    (fun p b ->
+      let rec pop k kids rest =
+        match rest with
+        | r :: rest when k > 0 -> pop (k - 1) (r :: kids) rest
+        | _ -> assert (k = 0); (kids, rest)
+      in
+      let kids, rest = pop (List.length rt.children.(b)) [] !pending in
+      let join () =
+        let local = Sdd.conjoin_list m (List.map clause_sdd hosted.(b)) in
+        Sdd.conjoin m local (Sdd.conjoin_list m kids)
+      in
+      let r =
+        if not (Attribution.enabled ()) then join ()
+        else
+          Attribution.with_center (Attribution.bag ~component:comp p) @@ fun () ->
+          Attribution.set_width (List.length bags.(b));
+          join ()
+      in
+      pending := r :: rest;
+      if Sdd.compact_due m then
+        pending := Array.to_list (Sdd.compact_roots m (Array.of_list !pending)))
+    rt.post_order;
+  match !pending with [ root ] -> root | _ -> assert false
 
-(* One rung of the per-component ladder: build the vtree, conjoin the
-   clauses in the scheduled order.  Raises [Budget.Exhausted] on a trip
-   (the manager is dropped whole, so a mid-component trip never leaks a
-   half-built state). *)
+(* One rung of the per-component ladder: build the vtree, then fold the
+   clauses along the decomposition ([`Bags]) or into one running
+   conjunction in input order (the other rungs).  Raises
+   [Budget.Exhausted] on a trip (the manager is dropped whole, so a
+   mid-component trip never leaks a half-built state). *)
 let compile_component_rung (module B : Backend.S) ~budget ~comp ?compact_every
     (names : string array) (d : Dimacs.t) rung =
-  let unscheduled clauses = List.map (fun c -> (-1, 0, c)) clauses in
-  let vt, sched =
+  let rooted () =
+    root_treedec d.Dimacs.num_vars (var_treedec ~budget (cnf_primal_graph d))
+  in
+  let vt, tree =
     match rung with
-    | `Bags ->
-      let g = cnf_primal_graph d in
-      let rt = root_treedec d.Dimacs.num_vars (var_treedec ~budget g) in
-      (vtree_of_rooted rt names, bag_schedule rt d.Dimacs.clauses)
-    | `Clauses ->
-      let g = cnf_primal_graph d in
-      let rt = root_treedec d.Dimacs.num_vars (var_treedec ~budget g) in
-      (vtree_of_rooted rt names, unscheduled d.Dimacs.clauses)
-    | `Balanced ->
-      (Vtree.balanced (Array.to_list names), unscheduled d.Dimacs.clauses)
-    | `Right ->
-      (Vtree.right_linear (Array.to_list names), unscheduled d.Dimacs.clauses)
+    | `Bags -> let rt = rooted () in (vtree_of_rooted rt names, Some rt)
+    | `Clauses -> (vtree_of_rooted (rooted ()) names, None)
+    | `Balanced -> (Vtree.balanced (Array.to_list names), None)
+    | `Right -> (Vtree.right_linear (Array.to_list names), None)
   in
   let m = B.create_manager ~budget ?compact_every vt in
-  let conjoin_clause acc clause =
+  let build clause =
     Budget.poll budget;
-    let cl =
-      List.fold_left
-        (fun acc l ->
-          Sdd.disjoin m acc (Sdd.literal m names.(abs l - 1) (l > 0)))
-        (Sdd.false_ m) clause
-    in
-    (* Compaction checkpoint (opt-in): the running conjunction is the
-       only live root between clauses, so dead apply intermediates
-       from earlier clauses can be reclaimed here. *)
-    Sdd.maybe_compact m (Sdd.conjoin m acc cl)
-  in
-  let idx = ref (-1) in
-  let root =
     List.fold_left
-      (fun acc (bag, width, clause) ->
-        incr idx;
-        if not (Attribution.enabled ()) then conjoin_clause acc clause
-        else begin
-          (* Bag center outside, clause center inside: charges reach
-             both, so per-bag node totals partition the clause loop's
-             allocations (the explain report's width-vs-size view) and
-             hot clauses stay individually visible. *)
-          let step () =
-            Attribution.with_center (Attribution.clause ~component:comp !idx)
-              (fun () -> conjoin_clause acc clause)
-          in
-          if bag >= 0 then
-            Attribution.with_center (Attribution.bag ~component:comp bag)
-              (fun () ->
-                Attribution.set_width width;
-                step ())
-          else step ()
-        end)
-      (Sdd.true_ m) sched
+      (fun acc l -> Sdd.disjoin m acc (Sdd.literal m names.(abs l - 1) (l > 0)))
+      (Sdd.false_ m) clause
+  in
+  (* Clause [j] of the build order, under its own attribution center
+     (labels are formatted only when attribution is on). *)
+  let idx = ref (-1) in
+  let in_clause f =
+    if not (Attribution.enabled ()) then f ()
+    else begin
+      incr idx;
+      Attribution.with_center (Attribution.clause ~component:comp !idx) f
+    end
+  in
+  let root =
+    match tree with
+    | Some rt ->
+      bag_fold m rt ~comp (fun c -> in_clause (fun () -> build c)) d.Dimacs.clauses
+    | None ->
+      (* Compaction checkpoint (opt-in): the running conjunction is the
+         only live root between clauses. *)
+      List.fold_left
+        (fun acc c ->
+          in_clause (fun () -> Sdd.maybe_compact m (Sdd.conjoin m acc (build c))))
+        (Sdd.true_ m) d.Dimacs.clauses
   in
   (m, root)
 

@@ -112,15 +112,18 @@ val compile :
     ({!Cnf_preprocess.run}), connected-component decomposition of the
     primal graph ({!Cnf_preprocess.split}) with components compiled {e in
     parallel} on OCaml domains — each under an equal share of the node
-    budget — and, within a component, treewidth-driven clause
-    scheduling: clauses are conjoined bag-by-bag bottom-up along a tree
+    budget — and, within a component, a fold along a tree
     decomposition of the component's primal graph, under the Lemma 1
-    vtree of that decomposition, so intermediate SDDs stay local to
-    vtree subtrees. *)
+    vtree of that decomposition: each bag, bottom-up, conjoins the
+    clauses it hosts and joins them with its children's results, so
+    every intermediate SDD covers one bag's subtree only. *)
 
 type cnf_schedule =
-  [ `Bags  (** Conjoin clauses by post-order of a hosting bag. *)
-  | `Clauses  (** Conjoin clauses in input order. *) ]
+  [ `Bags
+    (** Fold along the decomposition: one SDD per bag, joined
+        bottom-up. *)
+  | `Clauses
+    (** One running conjunction in input order, on the same vtree. *) ]
 
 type cnf_component = {
   k_manager : Sdd.manager;  (** Unlimited budget installed on return. *)

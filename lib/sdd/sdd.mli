@@ -73,6 +73,10 @@ val maybe_compact : manager -> t -> t
 (** {!compact} if the [compact_every] threshold is due, else the
     identity.  The checkpoint used by the compile loops. *)
 
+val compact_due : manager -> bool
+(** Whether the [compact_every] threshold is due: the test behind
+    {!maybe_compact}, for checkpoints with several live roots. *)
+
 val set_compact_every : manager -> int -> unit
 (** Re-arm (or disarm with [max_int]) the compaction threshold.
     @raise Invalid_argument if the argument is [< 1]. *)

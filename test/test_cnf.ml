@@ -242,8 +242,11 @@ let split_tests =
 (* compile_cnf                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let compile_ok ?budget ?preprocess ?schedule ?domains d =
-  match Pipeline.compile_cnf ?budget ?preprocess ?schedule ?domains d with
+let compile_ok ?budget ?preprocess ?schedule ?domains ?compact_every d =
+  match
+    Pipeline.compile_cnf ?budget ?preprocess ?schedule ?domains ?compact_every
+      d
+  with
   | Ok r -> r
   | Error e -> Alcotest.failf "compile_cnf: %s" (Ctwsdd_error.to_string e)
 
@@ -337,6 +340,103 @@ let compile_tests =
         | Error e ->
           checkb "cancelled" true
             (Ctwsdd_error.reason e = Some Budget.Cancelled));
+  ]
+
+(* A seeded random CNF whose primal graph stays inside a partial
+   [k]-tree on [n] variables: per edge, a 2-clause, a 3-clause closing
+   a triangle, or nothing, with random signs.  Its treewidth is at most
+   [k], so the decomposition has bags up to [k + 1] wide. *)
+let ktree_cnf ~seed ~n ~k =
+  let st = Random.State.make [| seed |] in
+  let g = Ugraph.random_partial_ktree ~seed n k 0.6 in
+  let lit v = if Random.State.bool st then v + 1 else -(v + 1) in
+  let clauses =
+    List.filter_map
+      (fun (u, v) ->
+        match Random.State.int st 4 with
+        | 0 -> Some [ lit u; lit v ]
+        | 1 ->
+          Option.map
+            (fun w -> [ lit u; lit v; lit w ])
+            (List.find_opt
+               (fun w -> w <> u && Ugraph.has_edge g u w)
+               (Ugraph.neighbors g v))
+        | _ -> None)
+      (Ugraph.edges g)
+  in
+  cnf ~vars:n clauses
+
+(* The tree fold ([`Bags]) against the running conjunction
+   ([`Clauses]) on the same decomposition vtree, with compaction off
+   and armed: every manager is canonical, so the four runs agree on the
+   count and on each component's size. *)
+let fold_tests =
+  [
+    case "tree fold agrees with the running conjunction, with compaction"
+      (fun () ->
+        for k = 1 to 6 do
+          for i = 0 to 1 do
+            let n = 30 + (18 * (k - 1) * i) in
+            let d = ktree_cnf ~seed:((100 * k) + i) ~n ~k in
+            let run schedule compact_every =
+              let r = compile_ok ~schedule ~compact_every ~domains:1 d in
+              let over f =
+                List.map (fun c -> f c.Pipeline.k_manager) r.Pipeline.components
+              in
+              ( r.Pipeline.count,
+                List.map (fun c -> c.Pipeline.k_size) r.Pipeline.components,
+                over Sdd.compactions,
+                over (fun m -> (Sdd.census m).Sdd.allocated) )
+            in
+            let what = Printf.sprintf "k=%d n=%d" k n in
+            let count, sizes, _, allocated = run `Bags max_int in
+            List.iter
+              (fun (schedule, every) ->
+                let c, s, _, _ = run schedule every in
+                check bigint (what ^ " count") count c;
+                Alcotest.(check (list int)) (what ^ " sizes") sizes s)
+              [ (`Bags, 16); (`Clauses, max_int); (`Clauses, 16) ];
+            (* A component that allocates 32 nodes passes the threshold
+               of 16 at some bag checkpoint. *)
+            let _, _, compactions, _ = run `Bags 16 in
+            List.iter2
+              (fun a c ->
+                if a >= 32 then
+                  checkb (what ^ " armed fold compacts") true (c > 0))
+              allocated compactions
+          done
+        done);
+    case "a node cap inside the fold degrades to balanced, count exact"
+      (fun () ->
+        (* Edges of a random partial 6-tree on 14 variables as signed
+           2-clauses: the fold allocates 287 nodes, the balanced vtree's
+           running conjunction 259, so a cap of 272 trips the [`Bags]
+           rung only. *)
+        let d =
+          cnf ~vars:14
+            [
+              [ -1; 2 ]; [ 2; -13 ]; [ -2; -12 ]; [ -2; 11 ]; [ 2; -10 ];
+              [ -2; 9 ]; [ -2; -8 ]; [ 2; -7 ]; [ -2; -4 ]; [ -2; -3 ];
+              [ -3; 5 ]; [ -4; 14 ]; [ -4; 13 ]; [ -4; 8 ]; [ -4; -6 ];
+              [ -4; 5 ]; [ 5; 13 ]; [ -5; 10 ]; [ -5; 9 ]; [ 6; 10 ];
+              [ -6; -8 ]; [ -6; 7 ]; [ -7; 14 ]; [ -7; 13 ]; [ 7; 10 ];
+              [ 8; 14 ]; [ 8; -12 ]; [ -8; 9 ];
+            ]
+        in
+        let r =
+          compile_ok ~preprocess:false ~domains:1
+            ~budget:(Budget.create ~max_nodes:272 ())
+            d
+        in
+        check bigint "count" (Bigint.of_int (brute_count d)) r.Pipeline.count;
+        match r.Pipeline.components with
+        | [ c ] ->
+          checkb "degraded on the node cap" true
+            (c.Pipeline.k_degraded = Some Budget.Node_limit);
+          let vt = Sdd.vtree c.Pipeline.k_manager in
+          checkb "landed on the balanced vtree" true
+            (Vtree.equal vt (Vtree.balanced (Vtree.leaf_order vt)))
+        | _ -> Alcotest.fail "expected one component");
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -461,6 +561,7 @@ let suites =
     ("cnf-union-find", union_find_tests);
     ("cnf-split", split_tests);
     ("cnf-compile", compile_tests);
+    ("cnf-fold", fold_tests);
     ("cnf-conjoin", conjoin_tests);
     ("cnf-parse", parse_tests);
   ]

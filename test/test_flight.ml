@@ -440,6 +440,51 @@ let record_suite =
                 checkb (Printf.sprintf "coverage %.3f" c) true
                   (Float.abs (c -. 1.) <= 0.05)
               | _ -> Alcotest.fail "coverage not a float"));
+    case "bag coverage of a 4x15 grid is within 5% of 1" (fun () ->
+        (* A grid's decomposition branches, so bags really join their
+           children's results; each bag's center wraps that join and
+           its own clauses, so the bags still partition the compile. *)
+        with_obs (fun () ->
+            let rows = 4 and cols = 15 in
+            let v i j = (i * cols) + j + 1 in
+            let clauses =
+              List.concat
+                (List.init rows (fun i ->
+                     List.concat
+                       (List.init cols (fun j ->
+                            (if j + 1 < cols then [ [ -v i j; v i (j + 1) ] ]
+                             else [])
+                            @
+                            if i + 1 < rows then [ [ -v i j; v (i + 1) j ] ]
+                            else []))))
+            in
+            let d = { Dimacs.num_vars = rows * cols; clauses } in
+            match Pipeline.compile_cnf ~domains:1 d with
+            | Error _ -> Alcotest.fail "compile failed"
+            | Ok r ->
+              checki "one component" 1 (List.length r.Pipeline.components);
+              let censuses =
+                List.map
+                  (fun (c : Pipeline.cnf_component) ->
+                    Sdd.census c.Pipeline.k_manager)
+                  r.Pipeline.components
+              in
+              let of_kind k =
+                List.filter
+                  (fun (row : Attribution.row) -> row.Attribution.kind = k)
+                  (Attribution.rows ())
+              in
+              checki "a clause center per clause" (List.length clauses)
+                (List.length (of_kind "clause"));
+              let bags =
+                member_exn "bags"
+                  (member_exn "explain" (Run_record.json ~censuses ()))
+              in
+              match member_exn "coverage" bags with
+              | Obs.Json.Float c ->
+                checkb (Printf.sprintf "coverage %.3f" c) true
+                  (Float.abs (c -. 1.) <= 0.05)
+              | _ -> Alcotest.fail "coverage not a float"));
     case "counters, gauges, histograms and run_id are in the record"
       (fun () ->
         with_obs (fun () ->
