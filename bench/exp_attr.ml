@@ -62,8 +62,8 @@ let time f =
   let r = f () in
   (r, 1000.0 *. (Unix.gettimeofday () -. t0))
 
-let compile ?schedule ?domains d =
-  match Pipeline.compile_cnf ?schedule ?domains d with
+let compile ?domains d =
+  match Pipeline.compile_cnf ?domains d with
   | Ok r -> r
   | Error e -> failwith ("E21: compile_cnf failed: " ^ Ctwsdd_error.to_string e)
 
@@ -96,7 +96,7 @@ let run () =
         let r, ms =
           time (fun () ->
               Obs.span ("e21.attr." ^ label) @@ fun () ->
-              compile ~schedule:`Bags d)
+              compile d)
         in
         let bags = bag_rows () in
         let bag_nodes =
@@ -120,7 +120,7 @@ let run () =
       families
   in
   Table.print
-    ~title:"per-bag node attribution vs manager census (schedule = bags)"
+    ~title:"per-bag node attribution vs manager census"
     ~header:
       [ "family"; "vars"; "clauses"; "bags"; "bag nodes"; "census";
         "coverage"; "ms" ]
@@ -131,7 +131,7 @@ let run () =
   (* 2. Anatomy: top bags by node growth on the band family — width vs
      log2(nodes), the paper's bound per bag. *)
   Attribution.fresh ();
-  let _ = compile ~schedule:`Bags (band ~width:3 300) in
+  let _ = compile (band ~width:3 300) in
   let top =
     let sorted =
       List.sort

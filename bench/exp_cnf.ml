@@ -5,7 +5,8 @@
 
      - connected-component decomposition + parallel compilation
        (K disjoint copies of a band CNF, 1 domain vs 4 domains);
-     - treewidth-driven clause scheduling (bags vs input order) on
+     - the fold along the tree decomposition (one SDD per bag) against
+       the same vtree compiled from the CNF circuit in input order, on
        single-component families of 100-1000 variables — chains, grids
        and bounded-width bands;
      - count-preserving preprocessing (a unit-headed chain collapses
@@ -65,8 +66,8 @@ let time f =
   let r = f () in
   (r, 1000.0 *. (Unix.gettimeofday () -. t0))
 
-let compile ?preprocess ?schedule ?domains d =
-  match Pipeline.compile_cnf ?preprocess ?schedule ?domains d with
+let compile ?preprocess ?domains d =
+  match Pipeline.compile_cnf ?preprocess ?domains d with
   | Ok r -> r
   | Error e -> failwith ("E19: compile_cnf failed: " ^ Ctwsdd_error.to_string e)
 
@@ -114,9 +115,11 @@ let run () =
       [ "K"; "vars"; "components"; "d1 ms"; "d4 ms"; "speedup"; "count digits" ]
     rows;
 
-  (* 2. Treewidth-driven clause scheduling on single-component families.
-     Bag order keeps intermediate conjunctions local to vtree subtrees;
-     input order is the ablation. *)
+  (* 2. The fold along the decomposition on single-component families.
+     It keeps intermediate conjunctions local to vtree subtrees; the
+     ablation compiles the CNF as a circuit in input order
+     ([Pipeline.compile], clauses conjoined pairwise) on the fold's own
+     vtree. *)
   let families =
     [
       ("chain-200", chain 200);
@@ -135,34 +138,39 @@ let run () =
       (fun (name, d) ->
         let rb, msb =
           time (fun () ->
-              Obs.span "e19.schedule_bags" @@ fun () ->
-              compile ~schedule:`Bags d)
+              Obs.span "e19.schedule_bags" @@ fun () -> compile d)
+        in
+        let vt =
+          match rb.Pipeline.components with
+          | [ c ] -> Sdd.vtree c.Pipeline.k_manager
+          | _ -> assert false
         in
         (* Input order can be exponentially worse (on grids it knits the
-           rows together clause by clause), so the ablation runs under a
-           node cap: a trip IS the measurement, at the same point on
-           any host.  Compaction every 10k allocations makes the cap
-           bound live nodes rather than every apply intermediate: the
-           rows that finish need at most 16.2k (chain-1000), and both
-           grids pass 20k within a few seconds. *)
+           rows together), so the ablation runs under a node cap: a trip
+           IS the measurement, at the same point on any host.
+           Compaction every 10k allocations makes the cap bound live
+           nodes rather than every apply intermediate: the rows that
+           finish need a cap of at most 13.1k (chain-1000), and both
+           grids pass 20k. *)
         let cap = 20_000 in
         let rc, msc =
           time (fun () ->
               Obs.span "e19.schedule_clauses" @@ fun () ->
-              Pipeline.compile_cnf
+              Pipeline.compile
                 ~budget:(Budget.create ~max_nodes:cap ())
-                ~compact_every:10_000 ~schedule:`Clauses d)
+                ~compact_every:10_000 ~vtree_strategy:(`Pinned vt)
+                (Dimacs.to_circuit d))
         in
-        let tripped = ("-", Printf.sprintf "cap (>%dk nodes)" (cap / 1000)) in
         let size_c, ms_c =
           match rc with
           | Ok r ->
-            assert (Bigint.equal rb.Pipeline.count r.Pipeline.count);
-            (* A degraded result came from a fallback vtree, not from
-               input order under the bag vtree. *)
-            if r.Pipeline.cnf_degraded <> None then tripped
-            else (Table.fi (total_size r), Printf.sprintf "%.1f" msc)
-          | Error _ -> tripped
+            let m = r.Pipeline.manager and root = r.Pipeline.root in
+            assert (
+              Bigint.equal rb.Pipeline.count
+                (Bigint.mul (Sdd.model_count m root)
+                   (Bigint.pow2 rb.Pipeline.free_vars)));
+            (Table.fi (Sdd.size m root), Printf.sprintf "%.1f" msc)
+          | Error _ -> ("-", Printf.sprintf "cap (>%dk nodes)" (cap / 1000))
         in
         [
           name;
@@ -177,7 +185,7 @@ let run () =
       families
   in
   Table.print
-    ~title:"clause scheduling: bags (tree-decomposition order) vs input order"
+    ~title:"decomposition fold (bags) vs input order on the same vtree"
     ~header:
       [ "family"; "n"; "clauses"; "size(bags)"; "ms(bags)"; "size(input)";
         "ms(input)"; "count digits" ]

@@ -122,7 +122,6 @@ let () =
               str_arg args "vars";
               str_arg args "clauses";
               str_arg args "size";
-              str_arg args "schedule";
               degraded;
             ]
         | _ -> None)
@@ -145,6 +144,6 @@ let () =
         ~title:(Printf.sprintf "cnf pipeline trajectory: %s" path)
         ~header:
           [ "ms"; "run"; "event"; "component"; "vars"; "clauses"; "size";
-            "schedule"; "degraded" ]
+            "degraded" ]
         cnf_rows
   end

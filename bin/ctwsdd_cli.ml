@@ -537,16 +537,6 @@ let no_preprocess_flag =
                duplicate-clause removal).  Preprocessing is \
                count-preserving, so this only affects performance.")
 
-let schedule_arg =
-  Arg.(value
-       & opt (enum [ ("bags", `Bags); ("clauses", `Clauses) ]) `Bags
-       & info [ "schedule" ] ~docv:"ORDER"
-           ~doc:"How a component's clauses are conjoined: $(b,bags) \
-                 (the default: one SDD per bag of the tree decomposition, \
-                 joined bottom-up) or $(b,clauses) (one running \
-                 conjunction in input order; the $(b,--stats) report then \
-                 has no bag cost centers).")
-
 let components_arg =
   Arg.(value & opt (some pos_int) None & info [ "components" ] ~docv:"N"
          ~doc:"Compile up to $(docv) connected components in parallel \
@@ -555,12 +545,13 @@ let components_arg =
                CTWSDD_DOMAINS overrides the recommendation.")
 
 (* One path: preprocessing, connected components compiled in parallel,
-   treewidth-driven clause scheduling.  [--minimize] then runs the
+   each folded along its tree decomposition (Lemma 1 vtree, stepping
+   down to the right-linear vtree on a trip).  [--minimize] then runs the
    in-manager vtree search on every component under the run's budget —
    the pass [Pipeline.compile] makes after a circuit compile. *)
 let cnf_cmd =
-  let run path backend minimize no_preprocess schedule domains compact_every
-      timeout max_nodes o =
+  let run path backend minimize no_preprocess domains compact_every timeout
+      max_nodes o =
     run_with_obs o @@ fun () ->
     let budget = budget_of timeout max_nodes in
     let d = Obs.span "cli.parse" (fun () -> Dimacs.parse_file path) in
@@ -570,8 +561,7 @@ let cnf_cmd =
       (Dimacs.free_var_count d);
     let preprocess = not no_preprocess in
     match
-      Ctwsdd.compile_cnf ~budget ~preprocess ~schedule ~backend ?domains
-        ?compact_every d
+      Ctwsdd.compile_cnf ~budget ~preprocess ~backend ?domains ?compact_every d
     with
     | Error e -> report_error e
     | Ok r ->
@@ -628,7 +618,7 @@ let cnf_cmd =
     (Cmd.info "cnf" ~exits:exit_code_docs
        ~doc:"Exact model counting for a DIMACS CNF file")
     Term.(ret (const run $ dimacs_file $ backend_arg $ minimize_flag
-               $ no_preprocess_flag $ schedule_arg $ components_arg
+               $ no_preprocess_flag $ components_arg
                $ compact_every_arg $ timeout_arg $ max_nodes_arg $ obs_term))
 
 (* ------------------------------------------------------------------ *)

@@ -52,7 +52,6 @@ val compile :
 val compile_cnf :
   ?budget:Budget.t ->
   ?preprocess:bool ->
-  ?schedule:Pipeline.cnf_schedule ->
   ?backend:Backend.tag ->
   ?domains:int ->
   ?compact_every:int ->
@@ -61,10 +60,12 @@ val compile_cnf :
 (** SAT-scale DIMACS compilation — {!Pipeline.compile_cnf}:
     count-preserving preprocessing, connected components of the primal
     graph compiled in parallel (each under a split budget share), and
-    treewidth-driven clause scheduling within each component.  The
-    result carries the exact model count over the original variables
-    and the per-component SDDs ({!Pipeline.conjoin_components} combines
-    them into one manager when a single SDD is needed). *)
+    within each component a fold along its tree decomposition (one SDD
+    per bag, joined bottom-up) on the Lemma 1 vtree, stepping down to
+    the right-linear vtree on a budget trip.  The result carries the
+    exact model count over the original variables and the
+    per-component SDDs ({!Pipeline.conjoin_components} combines them
+    into one manager when a single SDD is needed). *)
 
 val conjoin_components : Pipeline.cnf_result -> (Sdd.manager * Sdd.t) option
 (** See {!Pipeline.conjoin_components}. *)

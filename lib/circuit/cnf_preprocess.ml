@@ -125,7 +125,7 @@ let run ?(level = `Count) (d : Dimacs.t) =
     in
     let residual = propagate clauses in
     (* Renumber the surviving variables onto 1..m, preserving relative
-       order so components and clause schedules stay deterministic. *)
+       order so components and their clause folds stay deterministic. *)
     let used = Array.make n false in
     List.iter (List.iter (fun l -> used.(abs l - 1) <- true)) residual;
     let new_of_old = Array.make n 0 in

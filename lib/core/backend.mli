@@ -92,7 +92,7 @@ val resolve_circuit :
 
 val resolve_cnf : tag -> resolved * string
 (** Same for the CNF counting pipeline: [`Auto] resolves to [`Sdd],
-    whose decomposition vtree is what the clause schedule follows. *)
+    whose decomposition vtree is what the clause fold follows. *)
 
 val note_selection : requested:tag -> chosen:resolved -> reason:string -> unit
 (** Record a selection made by a caller that resolved the backend

@@ -134,6 +134,37 @@ let compile_rung (module B : Backend.S) ~budget ?compact_every ?domains vars c
        Sdd.set_budget bm budget;
        (bm, bn))
 
+(* Graceful degradation: try each rung of [ladder] in turn under its
+   attribution center, stepping down on a budget trip (counted as
+   [pipeline.degrade], with an [event] naming both rungs).  Returns the
+   first rung's result that fits, the rung and the last trip; only when
+   the last rung also trips does the trip escape. *)
+let descend ~event attempt ladder =
+  let rec go last = function
+    | [] ->
+      (* Unreachable with [last = None]: every ladder is non-empty. *)
+      raise (Budget.Exhausted (Option.get last))
+    | rung :: rest ->
+      (match
+         Attribution.with_center (Attribution.rung (strategy_name rung))
+           (fun () -> attempt rung)
+       with
+       | v -> (v, rung, last)
+       | exception Budget.Exhausted r ->
+         if rest <> [] then begin
+           Obs.incr "pipeline.degrade";
+           if !Obs.enabled_ref then
+             Obs.event event
+               [
+                 ("from", Obs.Json.String (strategy_name rung));
+                 ("to", Obs.Json.String (strategy_name (List.hd rest)));
+                 ("reason", Obs.Json.String (Budget.reason_to_string r));
+               ]
+         end;
+         go (Some r) rest)
+  in
+  go None ladder
+
 (* Per-request sub-IDs: each compile runs as "<run>/c<seq>", so events
    and flight-recorder entries from concurrent or repeated compiles in
    one process remain distinguishable while keeping the process run ID
@@ -167,12 +198,10 @@ let compile ?(budget = Budget.unlimited) ?(vtree_strategy = `Treedec)
         ("vars", Obs.Json.Int (List.length vars));
         ("gates", Obs.Json.Int (Circuit.size c));
       ];
-  (* Graceful degradation: when a rung trips its budget, fall through to
-     the cheaper strategies instead of dying — `Search → `Treedec →
-     `Balanced → `Right.  Only when the last rung also trips does the
-     trip escape (and become an [Error]).  A successful compile after a
-     step-down is reported with [degraded] set to the last trip.  A
-     pinned vtree is the caller's decision: its ladder is that one rung. *)
+  (* `Search → `Treedec → `Balanced → `Right: a successful compile
+     after a step-down is reported with [degraded] set to the last trip.
+     A pinned vtree is the caller's decision: its ladder is that one
+     rung. *)
   let ladder =
     match vtree_strategy with
     | `Search -> [ `Search; `Treedec; `Balanced; `Right ]
@@ -180,32 +209,11 @@ let compile ?(budget = Budget.unlimited) ?(vtree_strategy = `Treedec)
     | `Balanced -> [ `Balanced; `Right ]
     | (`Right | `Pinned _) as s -> [ s ]
   in
-  let rec descend last = function
-    | [] ->
-      (* Unreachable with [last = None]: the ladder is non-empty. *)
-      raise (Budget.Exhausted (Option.get last))
-    | rung :: rest ->
-      (match
-         Attribution.with_center (Attribution.rung (strategy_name rung))
-           (fun () ->
-             compile_rung (module B) ~budget ?compact_every ?domains vars c
-               rung)
-       with
-       | m, n -> (m, n, rung, last)
-       | exception Budget.Exhausted r ->
-         if rest <> [] then begin
-           Obs.incr "pipeline.degrade";
-           if !Obs.enabled_ref then
-             Obs.event "pipeline.degrade"
-               [
-                 ("from", Obs.Json.String (strategy_name rung));
-                 ("to", Obs.Json.String (strategy_name (List.hd rest)));
-                 ("reason", Obs.Json.String (Budget.reason_to_string r));
-               ]
-         end;
-         descend (Some r) rest)
+  let (m, node), strategy, ladder_trip =
+    descend ~event:"pipeline.degrade"
+      (compile_rung (module B) ~budget ?compact_every ?domains vars c)
+      ladder
   in
-  let m, node, strategy, ladder_trip = descend None ladder in
   let root, minimize_steps, minimize_trip =
     if minimize then begin
       let a = Vtree_search.minimize_manager ~budget ?max_steps m node in
@@ -233,12 +241,8 @@ let compile ?(budget = Budget.unlimited) ?(vtree_strategy = `Treedec)
 
 (* ------------------------------------------------------------------ *)
 (* SAT-scale CNF compilation: preprocessing, component decomposition,  *)
-(* treewidth-driven clause scheduling                                  *)
+(* a fold along each component's tree decomposition                    *)
 (* ------------------------------------------------------------------ *)
-
-type cnf_schedule = [ `Bags | `Clauses ]
-
-let schedule_name = function `Bags -> "bags" | `Clauses -> "clauses"
 
 type cnf_component = {
   k_manager : Sdd.manager;
@@ -256,7 +260,6 @@ type cnf_result = {
   free_vars : int;
   forced_vars : int;
   preprocessed : bool;
-  cnf_schedule : cnf_schedule;
   cnf_backend : Backend.resolved;
   cnf_backend_reason : string;
   cnf_degraded : Budget.reason option;
@@ -448,99 +451,54 @@ let bag_fold m rt ~comp clause_sdd clauses =
     rt.post_order;
   match !pending with [ root ] -> root | _ -> assert false
 
-(* One rung of the per-component ladder: build the vtree, then fold the
-   clauses along the decomposition ([`Bags]) or into one running
-   conjunction in input order (the other rungs).  Raises
-   [Budget.Exhausted] on a trip (the manager is dropped whole, so a
-   mid-component trip never leaks a half-built state). *)
-let compile_component_rung (module B : Backend.S) ~budget ~comp ?compact_every
-    (names : string array) (d : Dimacs.t) rung =
-  let rooted () =
-    root_treedec d.Dimacs.num_vars (var_treedec ~budget (cnf_primal_graph d))
+(* Compile one component under its budget share: the fold along the
+   component's decomposition, on the Lemma 1 vtree of that
+   decomposition ([`Treedec]) and, after a trip, on the right-linear
+   vtree ([`Right]).  The decomposition is computed once for both
+   rungs.  A tripped rung's manager is dropped whole, so a
+   mid-component trip never leaks a half-built state. *)
+let compile_component (module B : Backend.S) ~budget ~comp ?compact_every
+    (names : string array) (d : Dimacs.t) =
+  let rooted =
+    lazy
+      (root_treedec d.Dimacs.num_vars
+         (var_treedec ~budget (cnf_primal_graph d)))
   in
-  let vt, tree =
-    match rung with
-    | `Bags -> let rt = rooted () in (vtree_of_rooted rt names, Some rt)
-    | `Clauses -> (vtree_of_rooted (rooted ()) names, None)
-    | `Balanced -> (Vtree.balanced (Array.to_list names), None)
-    | `Right -> (Vtree.right_linear (Array.to_list names), None)
-  in
-  let m = B.create_manager ~budget ?compact_every vt in
-  let build clause =
-    Budget.poll budget;
-    List.fold_left
-      (fun acc l -> Sdd.disjoin m acc (Sdd.literal m names.(abs l - 1) (l > 0)))
-      (Sdd.false_ m) clause
-  in
-  (* Clause [j] of the build order, under its own attribution center
-     (labels are formatted only when attribution is on). *)
-  let idx = ref (-1) in
-  let in_clause f =
-    if not (Attribution.enabled ()) then f ()
-    else begin
-      incr idx;
-      Attribution.with_center (Attribution.clause ~component:comp !idx) f
-    end
-  in
-  let root =
-    match tree with
-    | Some rt ->
-      bag_fold m rt ~comp (fun c -> in_clause (fun () -> build c)) d.Dimacs.clauses
-    | None ->
-      (* Compaction checkpoint (opt-in): the running conjunction is the
-         only live root between clauses. *)
+  let attempt rung =
+    let rt = Lazy.force rooted in
+    let vt =
+      match rung with
+      | `Treedec -> vtree_of_rooted rt names
+      | `Right -> Vtree.right_linear (Array.to_list names)
+    in
+    let m = B.create_manager ~budget ?compact_every vt in
+    let build clause =
+      Budget.poll budget;
       List.fold_left
-        (fun acc c ->
-          in_clause (fun () -> Sdd.maybe_compact m (Sdd.conjoin m acc (build c))))
-        (Sdd.true_ m) d.Dimacs.clauses
+        (fun acc l ->
+          Sdd.disjoin m acc (Sdd.literal m names.(abs l - 1) (l > 0)))
+        (Sdd.false_ m) clause
+    in
+    (* Clause [j] of the build order, under its own attribution center
+       (labels are formatted only when attribution is on). *)
+    let idx = ref (-1) in
+    let clause_sdd clause =
+      if not (Attribution.enabled ()) then build clause
+      else begin
+        incr idx;
+        Attribution.with_center (Attribution.clause ~component:comp !idx)
+          (fun () -> build clause)
+      end
+    in
+    (m, bag_fold m rt ~comp clause_sdd d.Dimacs.clauses)
   in
-  (m, root)
-
-let cnf_rung_name = function
-  | `Bags -> "bags"
-  | `Clauses -> "clauses"
-  | `Balanced -> "balanced"
-  | `Right -> "right"
-
-(* Compile one component under its budget share, degrading through
-   cheaper vtrees/schedules on budget trips (mirror of the circuit
-   ladder): treedec+schedule → balanced → right-linear. *)
-let compile_component (module B : Backend.S) ~budget ~schedule ~comp
-    ?compact_every (names : string array) (d : Dimacs.t) =
-  let ladder =
-    match schedule with
-    | `Bags -> [ `Bags; `Balanced; `Right ]
-    | `Clauses -> [ `Clauses; `Balanced; `Right ]
+  let (m, root), _, degraded =
+    descend ~event:"pipeline.component_degrade" attempt [ `Treedec; `Right ]
   in
-  let rec descend last = function
-    | [] -> raise (Budget.Exhausted (Option.get last))
-    | rung :: rest ->
-      (match
-         Attribution.with_center (Attribution.rung (cnf_rung_name rung))
-           (fun () ->
-             compile_component_rung (module B) ~budget ~comp ?compact_every
-               names d rung)
-       with
-       | m, root -> (m, root, last)
-       | exception Budget.Exhausted r ->
-         if rest = [] then raise (Budget.Exhausted r)
-         else begin
-           Obs.incr "pipeline.degrade";
-           if !Obs.enabled_ref then
-             Obs.event "pipeline.component_degrade"
-               [
-                 ("from", Obs.Json.String (cnf_rung_name rung));
-                 ("to", Obs.Json.String (cnf_rung_name (List.hd rest)));
-                 ("reason", Obs.Json.String (Budget.reason_to_string r));
-               ];
-           descend (Some r) rest
-         end)
-  in
-  descend None ladder
+  (m, root, degraded)
 
 let compile_cnf ?(budget = Budget.unlimited) ?(preprocess = true)
-    ?(schedule = `Bags) ?(backend = `Sdd) ?domains ?compact_every
-    (d : Dimacs.t) =
+    ?(backend = `Sdd) ?domains ?compact_every (d : Dimacs.t) =
   Ctwsdd_error.guard @@ fun () ->
   let rid =
     Printf.sprintf "%s/c%d" (Obs.run_id ())
@@ -558,7 +516,6 @@ let compile_cnf ?(budget = Budget.unlimited) ?(preprocess = true)
         ("vars", Obs.Json.Int d.Dimacs.num_vars);
         ("clauses", Obs.Json.Int (List.length d.Dimacs.clauses));
         ("preprocess", Obs.Json.Bool preprocess);
-        ("schedule", Obs.Json.String (schedule_name schedule));
         ("backend", Obs.Json.String B.name);
       ];
   let unsat =
@@ -568,7 +525,6 @@ let compile_cnf ?(budget = Budget.unlimited) ?(preprocess = true)
       free_vars = 0;
       forced_vars = 0;
       preprocessed = preprocess;
-      cnf_schedule = schedule;
       cnf_backend = chosen;
       cnf_backend_reason = backend_reason;
       cnf_degraded = None;
@@ -608,8 +564,8 @@ let compile_cnf ?(budget = Budget.unlimited) ?(preprocess = true)
               Obs.hist_record "cnf.component_size" cnf.Dimacs.num_vars;
             match
               Attribution.with_center (Attribution.component i) (fun () ->
-                  compile_component (module B) ~budget:per_budget ~schedule
-                    ~comp:i ?compact_every names cnf)
+                  compile_component (module B) ~budget:per_budget ~comp:i
+                    ?compact_every names cnf)
             with
             | m, root, degraded ->
               let size = Sdd.size m root in
@@ -667,7 +623,6 @@ let compile_cnf ?(budget = Budget.unlimited) ?(preprocess = true)
         free_vars = free;
         forced_vars;
         preprocessed = preprocess;
-        cnf_schedule = schedule;
         cnf_backend = chosen;
         cnf_backend_reason = backend_reason;
         cnf_degraded =

@@ -112,18 +112,14 @@ val compile :
     ({!Cnf_preprocess.run}), connected-component decomposition of the
     primal graph ({!Cnf_preprocess.split}) with components compiled {e in
     parallel} on OCaml domains — each under an equal share of the node
-    budget — and, within a component, a fold along a tree
-    decomposition of the component's primal graph, under the Lemma 1
-    vtree of that decomposition: each bag, bottom-up, conjoins the
-    clauses it hosts and joins them with its children's results, so
-    every intermediate SDD covers one bag's subtree only. *)
-
-type cnf_schedule =
-  [ `Bags
-    (** Fold along the decomposition: one SDD per bag, joined
-        bottom-up. *)
-  | `Clauses
-    (** One running conjunction in input order, on the same vtree. *) ]
+    budget — and, within a component, one build: a fold along a tree
+    decomposition of the component's primal graph.  Each bag, bottom-up,
+    conjoins the clauses it hosts and joins them with its children's
+    results, so every intermediate SDD covers one bag's subtree only.
+    The fold runs on the Lemma 1 vtree of that decomposition; when it
+    trips the budget, the component steps down to the same fold on the
+    right-linear vtree (a [pipeline.component_degrade] event), reusing
+    the decomposition. *)
 
 type cnf_component = {
   k_manager : Sdd.manager;  (** Unlimited budget installed on return. *)
@@ -134,7 +130,7 @@ type cnf_component = {
   k_size : int;
   k_degraded : Budget.reason option;
       (** Set when this component stepped down its ladder
-          (treedec+schedule → balanced → right-linear). *)
+          (the Lemma 1 vtree → the right-linear vtree). *)
 }
 
 type cnf_result = {
@@ -148,7 +144,6 @@ type cnf_result = {
   free_vars : int;
   forced_vars : int;  (** Variables fixed by unit propagation. *)
   preprocessed : bool;
-  cnf_schedule : cnf_schedule;
   cnf_backend : Backend.resolved;
       (** Backend that compiled every component ([`Auto] resolves to
           [`Sdd]). *)
@@ -159,7 +154,6 @@ type cnf_result = {
 val compile_cnf :
   ?budget:Budget.t ->
   ?preprocess:bool ->
-  ?schedule:cnf_schedule ->
   ?backend:Backend.tag ->
   ?domains:int ->
   ?compact_every:int ->
@@ -169,10 +163,10 @@ val compile_cnf :
     multiplies the exact model counts.  Defaults:
     [budget = Budget.unlimited], [preprocess = true] (count-preserving
     level — pure-literal elimination is {e not} applied),
-    [schedule = `Bags], [backend = `Sdd], [domains = min components
+    [backend = `Sdd], [domains = min components
     (Obs.Worker.default_domains ())].  [backend] selects the
     per-component compilation target; [`Auto] resolves to [`Sdd], on
-    the decomposition vtree the clause schedule follows.
+    the decomposition vtree the fold follows.
     {!conjoin_components} re-canonicalizes on import, so it is sound
     for either backend.  The budget's node allowance is
     split equally across components ({!Budget.split_nodes}); shared
@@ -186,8 +180,8 @@ val compile_cnf :
     [Error _] only when some component tripped the budget even on its
     last ladder rung; absorbed trips are reported via
     {!cnf_result.cnf_degraded}.  [compact_every] arms generational
-    compaction in every per-component manager; the clause loop then
-    reclaims dead apply intermediates between clauses. *)
+    compaction in every per-component manager; the fold then reclaims
+    dead apply intermediates between bags. *)
 
 val conjoin_components : cnf_result -> (Sdd.manager * Sdd.t) option
 (** One manager holding the conjunction of all component SDDs, built by

@@ -271,7 +271,7 @@ let pp ppf r =
            compare (int [ "nodes" ] b) (int [ "nodes" ] a))
   in
   section "top bags by node growth (width vs log2 nodes)"
-    ~empty:"no bag centers: not a bag-scheduled CNF compile"
+    ~empty:"no bag centers: not a CNF compile"
     ~header:(fun () ->
       fprintf ppf "  %-12s %6s %10s %12s %10s@." "bag" "width" "nodes"
         "log2(nodes)" "time_ms")

@@ -64,14 +64,15 @@ val bag : component:int -> int -> center
     labelled ["k<k>/b<b>"]. *)
 
 val clause : component:int -> int -> center
-(** Clause [i] (schedule order) of CNF component [k]. *)
+(** Clause [i] (build order: the bags' post-order) of CNF component
+    [k]. *)
 
 val component : int -> center
 (** Connected CNF component [k]. *)
 
 val rung : string -> center
-(** A degradation-ladder rung (["search"], ["treedec"], ["bags"], ...)
-    or a named phase (["minimize"]). *)
+(** A degradation-ladder rung (["search"], ["treedec"], ["right"],
+    ...) or a named phase (["minimize"]). *)
 
 val pipeline : string -> center
 (** A top-level compile window (["compile"], ["compile_cnf"]).  The

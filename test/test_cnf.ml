@@ -242,31 +242,28 @@ let split_tests =
 (* compile_cnf                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let compile_ok ?budget ?preprocess ?schedule ?domains ?compact_every d =
-  match
-    Pipeline.compile_cnf ?budget ?preprocess ?schedule ?domains ?compact_every
-      d
-  with
+let compile_ok ?budget ?preprocess ?domains ?compact_every d =
+  match Pipeline.compile_cnf ?budget ?preprocess ?domains ?compact_every d with
   | Ok r -> r
   | Error e -> Alcotest.failf "compile_cnf: %s" (Ctwsdd_error.to_string e)
 
 let compile_tests =
   [
-    qtest ~count:150 "compile_cnf matches brute force (bags, preprocess)"
+    qtest ~count:150 "compile_cnf matches brute force (preprocess)"
       (cnf_gen ~max_vars:8 ~max_clauses:10)
       (fun d ->
         let r = compile_ok d in
         Bigint.equal r.Pipeline.count (Bigint.of_int (brute_count d)));
-    qtest ~count:100 "compile_cnf matches brute force (clauses, raw)"
+    qtest ~count:100 "compile_cnf matches brute force (raw)"
       (cnf_gen ~max_vars:8 ~max_clauses:10)
       (fun d ->
-        let r = compile_ok ~preprocess:false ~schedule:`Clauses d in
+        let r = compile_ok ~preprocess:false d in
         Bigint.equal r.Pipeline.count (Bigint.of_int (brute_count d)));
     qtest ~count:60 "schedule and domain count do not change the count"
       (cnf_gen ~max_vars:8 ~max_clauses:10)
       (fun d ->
-        let a = compile_ok ~schedule:`Bags ~domains:1 d in
-        let b = compile_ok ~schedule:`Clauses ~domains:4 d in
+        let a = compile_ok ~domains:1 d in
+        let b = compile_ok ~domains:4 d in
         Bigint.equal a.Pipeline.count b.Pipeline.count);
     case "multi-chain count is the product of chain counts" (fun () ->
         (* Three disjoint 5-var implication chains: 6 models each. *)
@@ -366,66 +363,62 @@ let ktree_cnf ~seed ~n ~k =
   in
   cnf ~vars:n clauses
 
-(* The tree fold ([`Bags]) against the running conjunction
-   ([`Clauses]) on the same decomposition vtree, with compaction off
-   and armed: every manager is canonical, so the four runs agree on the
-   count and on each component's size. *)
+(* The tree fold, with compaction off and armed, against the circuit
+   route ([Pipeline.compile] of the CNF circuit, clauses conjoined
+   pairwise) pinned to the fold's composed vtree: every manager is
+   canonical, so all runs agree on the count and on the sizes. *)
 let fold_tests =
   [
-    case "tree fold agrees with the running conjunction, with compaction"
+    case "tree fold agrees with the circuit route, with compaction"
       (fun () ->
         for k = 1 to 6 do
           for i = 0 to 1 do
             let n = 30 + (18 * (k - 1) * i) in
             let d = ktree_cnf ~seed:((100 * k) + i) ~n ~k in
-            let run schedule compact_every =
-              let r = compile_ok ~schedule ~compact_every ~domains:1 d in
-              let over f =
-                List.map (fun c -> f c.Pipeline.k_manager) r.Pipeline.components
-              in
-              ( r.Pipeline.count,
-                List.map (fun c -> c.Pipeline.k_size) r.Pipeline.components,
-                over Sdd.compactions,
-                over (fun m -> (Sdd.census m).Sdd.allocated) )
-            in
             let what = Printf.sprintf "k=%d n=%d" k n in
-            let count, sizes, _, allocated = run `Bags max_int in
-            List.iter
-              (fun (schedule, every) ->
-                let c, s, _, _ = run schedule every in
-                check bigint (what ^ " count") count c;
-                Alcotest.(check (list int)) (what ^ " sizes") sizes s)
-              [ (`Bags, 16); (`Clauses, max_int); (`Clauses, 16) ];
+            let r = compile_ok ~domains:1 d in
+            let armed = compile_ok ~compact_every:16 ~domains:1 d in
+            let sizes r =
+              List.map (fun c -> c.Pipeline.k_size) r.Pipeline.components
+            in
+            check bigint (what ^ " armed count") r.Pipeline.count
+              armed.Pipeline.count;
+            Alcotest.(check (list int)) (what ^ " armed sizes") (sizes r)
+              (sizes armed);
+            (match Pipeline.conjoin_components r with
+             | None -> Alcotest.fail (what ^ ": no components")
+             | Some (m, root) ->
+               let c =
+                 match
+                   Pipeline.compile ~vtree_strategy:(`Pinned (Sdd.vtree m))
+                     (Dimacs.to_circuit d)
+                 with
+                 | Ok c -> c
+                 | Error e -> Alcotest.fail (Ctwsdd_error.to_string e)
+               in
+               let cm = c.Pipeline.manager and croot = c.Pipeline.root in
+               checki (what ^ " size") (Sdd.size m root) (Sdd.size cm croot);
+               check bigint (what ^ " count") (Sdd.model_count m root)
+                 (Sdd.model_count cm croot));
             (* A component that allocates 32 nodes passes the threshold
                of 16 at some bag checkpoint. *)
-            let _, _, compactions, _ = run `Bags 16 in
             List.iter2
-              (fun a c ->
-                if a >= 32 then
-                  checkb (what ^ " armed fold compacts") true (c > 0))
-              allocated compactions
+              (fun c a ->
+                if (Sdd.census c.Pipeline.k_manager).Sdd.allocated >= 32 then
+                  checkb (what ^ " armed fold compacts") true
+                    (Sdd.compactions a.Pipeline.k_manager > 0))
+              r.Pipeline.components armed.Pipeline.components
           done
         done);
-    case "a node cap inside the fold degrades to balanced, count exact"
+    case "a node cap inside the fold degrades to right-linear, count exact"
       (fun () ->
-        (* Edges of a random partial 6-tree on 14 variables as signed
-           2-clauses: the fold allocates 287 nodes, the balanced vtree's
-           running conjunction 259, so a cap of 272 trips the [`Bags]
-           rung only. *)
-        let d =
-          cnf ~vars:14
-            [
-              [ -1; 2 ]; [ 2; -13 ]; [ -2; -12 ]; [ -2; 11 ]; [ 2; -10 ];
-              [ -2; 9 ]; [ -2; -8 ]; [ 2; -7 ]; [ -2; -4 ]; [ -2; -3 ];
-              [ -3; 5 ]; [ -4; 14 ]; [ -4; 13 ]; [ -4; 8 ]; [ -4; -6 ];
-              [ -4; 5 ]; [ 5; 13 ]; [ -5; 10 ]; [ -5; 9 ]; [ 6; 10 ];
-              [ -6; -8 ]; [ -6; 7 ]; [ -7; 14 ]; [ -7; 13 ]; [ 7; 10 ];
-              [ 8; 14 ]; [ 8; -12 ]; [ -8; 9 ];
-            ]
-        in
+        (* The Lemma 1 fold of this 6-tree CNF allocates 199 nodes, the
+           same fold on the right-linear vtree 140, so a cap of 170 trips
+           the [`Treedec] rung only. *)
+        let d = ktree_cnf ~seed:485 ~n:15 ~k:6 in
         let r =
           compile_ok ~preprocess:false ~domains:1
-            ~budget:(Budget.create ~max_nodes:272 ())
+            ~budget:(Budget.create ~max_nodes:170 ())
             d
         in
         check bigint "count" (Bigint.of_int (brute_count d)) r.Pipeline.count;
@@ -433,9 +426,8 @@ let fold_tests =
         | [ c ] ->
           checkb "degraded on the node cap" true
             (c.Pipeline.k_degraded = Some Budget.Node_limit);
-          let vt = Sdd.vtree c.Pipeline.k_manager in
-          checkb "landed on the balanced vtree" true
-            (Vtree.equal vt (Vtree.balanced (Vtree.leaf_order vt)))
+          checkb "landed on the right-linear vtree" true
+            (Vtree.is_right_linear (Sdd.vtree c.Pipeline.k_manager))
         | _ -> Alcotest.fail "expected one component");
   ]
 
