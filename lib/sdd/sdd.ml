@@ -8,6 +8,15 @@
    with no per-node heap object, no tuple boxing and no GC scanning of
    the payload (every array is immediate ints).
 
+   An apply miss allocates nothing on the OCaml heap beyond its cache
+   entry and the arena cells it claims.  Its element views, the
+   prime/sub product, the compression groups and the sort by prime live
+   on one growable [int] scratch stack per manager ([reserve]): each
+   recursive call claims a frame on top and pops it on return, and a
+   decision is copied into the element buffer only to be interned.  A
+   budget trip unwinds with frames still claimed; the public entry
+   points pop back to where they found the stack.
+
    A manager is used from one domain at a time.  The store and the node
    count are still published through [Atomic.t]s because the census of a
    dump ([census_all], run from a signal handler or a budget trip) can
@@ -76,6 +85,9 @@ type manager = {
   or_cache : int Int_tbl.t;
   neg_cache : int Int_tbl.t;
   cond_cache : int Int_tbl.t;
+  (* The apply miss path's scratch stack (see above) and its top. *)
+  mutable scratch : int array;
+  mutable sp : int;
   (* Generational compaction state. *)
   mutable dead_nodes : int;  (* tombstones since the last compaction *)
   mutable dead_elems : int;  (* element pairs those tombstones strand *)
@@ -157,6 +169,8 @@ let manager ?(budget = Budget.unlimited) ?(compact_every = max_int) vt =
       or_cache;
       neg_cache;
       cond_cache;
+      scratch = Array.make 64 0;
+      sp = 0;
       dead_nodes = 0;
       dead_elems = 0;
       generation = 0;
@@ -232,6 +246,7 @@ type census = {
   neg_entries : int;
   cond_entries : int;
   data_capacity : int;
+  scratch_words : int;
   approx_heap_words : int;
   bytes_per_node : int;
   garbage_words : int;
@@ -243,9 +258,9 @@ type census = {
    time only, never on a hot path.  The estimate counts the arena
    arrays themselves (per-node storage is flat: ~25/8 words of header
    across the four column arrays plus the element pairs), the literal
-   table and the unique table's slots.  [garbage_words] is the slice of
-   that total stranded by tombstones — reclaimable by the next
-   compaction. *)
+   table, the unique table's slots and the scratch stack.
+   [garbage_words] is the slice of that total stranded by tombstones —
+   reclaimable by the next compaction. *)
 let census m =
   let st = Atomic.get m.store in
   let count = Stdlib.min (Atomic.get m.count) (Bytes.length st.kind) in
@@ -257,6 +272,7 @@ let census m =
   let words =
     ((cap + 7) / 8) + (3 * cap) + Array.length st.elems
     + Array.length m.lit_tbl + Array.length m.unique.slots
+    + Array.length m.scratch
   in
   for id = 2 to count - 1 do
     let k = Bytes.unsafe_get st.kind id in
@@ -279,6 +295,7 @@ let census m =
     neg_entries = Int_tbl.length m.neg_cache;
     cond_entries = Int_tbl.length m.cond_cache;
     data_capacity = cap;
+    scratch_words = Array.length m.scratch;
     approx_heap_words = words;
     bytes_per_node = 8 * words / Stdlib.max 1 count;
     garbage_words = (3 * !tombstones) + (2 * m.dead_elems);
@@ -300,6 +317,7 @@ let census_to_json c =
       ("neg_entries", Obs.Json.Int c.neg_entries);
       ("cond_entries", Obs.Json.Int c.cond_entries);
       ("data_capacity", Obs.Json.Int c.data_capacity);
+      ("scratch_words", Obs.Json.Int c.scratch_words);
       ("approx_heap_words", Obs.Json.Int c.approx_heap_words);
       ("bytes_per_node", Obs.Json.Int c.bytes_per_node);
       ("garbage_words", Obs.Json.Int c.garbage_words);
@@ -404,20 +422,8 @@ let alloc_lit m leaf polarity =
   after_alloc m (id + 1);
   id
 
-(* Writes the [k] elements of [elems] just past the used end of the
-   element buffer, where [alloc_dec] commits them and the unique table
-   can compare them in place; returns the store holding them. *)
-let stage m elems k =
-  let base = m.elems_len in
-  let st = ensure_elems_capacity m (Atomic.get m.store) (base + (2 * k)) in
-  List.iteri
-    (fun i (p, s) ->
-      st.elems.(base + (2 * i)) <- p;
-      st.elems.(base + (2 * i) + 1) <- s)
-    elems;
-  st
-
-(* Commits a decision whose [k] elements [stage] has just written. *)
+(* Commits a decision whose [k] elements are written just past the used
+   end of the element buffer (see [intern]). *)
 let alloc_dec m v k =
   budget_gate m;
   let id = Atomic.get m.count in
@@ -528,10 +534,11 @@ let unique_reset u =
   u.slots <- Array.make unique_initial_slots (-1);
   u.entries <- 0
 
-(* Find-or-claim of a canonical decision. *)
-let unique_find_or_add m v sorted k =
-  let st = stage m sorted k in
-  let i = unique_slot m.unique.slots st v m.elems_len k in
+(* Find-or-claim of the decision at [v] whose [k] pairs are written just
+   past the used end of the element buffer: the unique table compares
+   them in place, and a miss commits them as a new node. *)
+let intern m v k =
+  let i = unique_slot m.unique.slots (Atomic.get m.store) v m.elems_len k in
   let id = m.unique.slots.(i) in
   if id >= 0 then (cache_hit m.cs_unique; id)
   else begin
@@ -542,6 +549,66 @@ let unique_find_or_add m v sorted k =
   end
 
 (* ------------------------------------------------------------------ *)
+(* Scratch stack                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Claims [n] words on top of the scratch stack and returns their base;
+   the claimer pops back to that base when done.  Growth replaces
+   [m.scratch], so no caller holds the array across a call that can
+   reserve: every write after a recursive call re-reads the field. *)
+let reserve m n =
+  let base = m.sp in
+  let need = base + n in
+  if need > Array.length m.scratch then begin
+    let cap = ref (2 * Array.length m.scratch) in
+    while need > !cap do cap := 2 * !cap done;
+    let s = Array.make !cap 0 in
+    Array.blit m.scratch 0 s 0 base;
+    m.scratch <- s
+  end;
+  m.sp <- need;
+  base
+
+(* Pushes the element pairs of decision [a] (of store [st]) onto the
+   scratch stack of [m] and returns their base. *)
+let push_elems m st a =
+  let n = 2 * st.aux.(a) in
+  let base = reserve m n in
+  Array.blit st.elems st.off.(a) m.scratch base n;
+  base
+
+let swap_pairs s a b =
+  let p = s.(a) and q = s.(a + 1) in
+  s.(a) <- s.(b);
+  s.(a + 1) <- s.(b + 1);
+  s.(b) <- p;
+  s.(b + 1) <- q
+
+(* Sifts pair [i] down the max-heap of the first [n] pairs at [off]. *)
+let rec sift_down s off i n =
+  let l = (2 * i) + 1 in
+  if l < n then begin
+    let c =
+      if l + 1 < n && s.(off + (2 * l) + 2) > s.(off + (2 * l)) then l + 1 else l
+    in
+    if s.(off + (2 * c)) > s.(off + (2 * i)) then begin
+      swap_pairs s (off + (2 * i)) (off + (2 * c));
+      sift_down s off c n
+    end
+  end
+
+(* [sort_pairs s off k] heapsorts the [k] (prime, sub) pairs at
+   [s.(off)] by prime, in place.  Most fan-outs are small, but E8's
+   lower-bound families reach 65,536 elements, so the sort must not be
+   quadratic.  Primes are distinct, so stability does not matter. *)
+let sort_pairs s off k =
+  for i = (k / 2) - 1 downto 0 do sift_down s off i k done;
+  for n = k - 1 downto 1 do
+    swap_pairs s off (off + (2 * n));
+    sift_down s off 0 n
+  done
+
+(* ------------------------------------------------------------------ *)
 (* Right-linear vtrees (OBDDs)                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -549,9 +616,9 @@ let unique_find_or_add m v sorted k =
    (Section 2.2 of the paper).  There every decision has exactly two
    elements whose primes are the two literals of one variable, so apply
    reduces to the classic Shannon/ITE recursion — cofactor both operands
-   on the topmost variable, recurse twice, rebuild — with no
-   [elements_at] views, no prime cross products and no prime conjoins.
-   The helpers below are that recursion's view of the arena.
+   on the topmost variable, recurse twice, rebuild — with no element
+   views, no prime cross products and no prime conjoins.  The helpers
+   below are that recursion's view of the arena.
 
    Pre-order ids of a right-linear vtree: the spine internals are the
    even ids 0, 2, ..., the leaf deciding level k is 2k+1, and the last
@@ -563,23 +630,24 @@ let[@inline] level_of st a =
   else if u land 1 = 1 then (u - 1) / 2
   else u / 2
 
-(* (hi, lo) cofactors of [a] on the variable of [lvl]; [la] is [a]'s
-   own level ([> lvl] means [a] does not mention the variable). *)
-let cofactors st a la lvl =
-  if la > lvl then (a, a)
+(* The [hi] (else lo) cofactor of [a] on the variable of [lvl]; [la] is
+   [a]'s own level ([> lvl] means [a] does not mention the variable). *)
+let cofactor st a la lvl hi =
+  if la > lvl then a
   else if Bytes.unsafe_get st.kind a = k_lit then
-    if st.aux.(a) = 1 then (1, 0) else (0, 1)
+    if (st.aux.(a) = 1) = hi then 1 else 0
   else begin
     assert (st.aux.(a) = 2) (* canonical right-linear: exactly 2 elements *);
     let base = st.off.(a) in
-    let s1 = st.elems.(base + 1) and s2 = st.elems.(base + 3) in
-    if st.aux.(st.elems.(base)) = 1 then (s1, s2) else (s2, s1)
+    (* The positive literal's element holds the hi sub. *)
+    if (st.aux.(st.elems.(base)) = 1) = hi then st.elems.(base + 1)
+    else st.elems.(base + 3)
   end
 
-(* Canonical node for ITE(x_lvl, hi, lo): trims mirror [mk_decision]
-   ([hi = lo] merge, literal shortcuts), and the interned element list /
-   unique key match its layout exactly, so the nodes are the ones the
-   element product would build. *)
+(* Canonical node for ITE(x_lvl, hi, lo): trims mirror [mk_decision_at]
+   ([hi = lo] merge, literal shortcuts), and the two pairs written to the
+   element buffer match its sorted layout exactly, so the nodes are the
+   ones the element product would build. *)
 let mk_node m lvl hi lo =
   if hi = lo then hi
   else begin
@@ -588,15 +656,24 @@ let mk_node m lvl hi lo =
     else if hi = 0 && lo = 1 then literal_at m leaf 0
     else begin
       let pos = literal_at m leaf 1 and neg = literal_at m leaf 0 in
-      let v = 2 * lvl in
-      let sorted =
-        if pos < neg then [ (pos, hi); (neg, lo) ] else [ (neg, lo); (pos, hi) ]
-      in
-      unique_find_or_add m v sorted 2
+      let st = ensure_elems_capacity m (Atomic.get m.store) (m.elems_len + 4) in
+      let e = m.elems_len in
+      st.elems.(e) <- Stdlib.min pos neg;
+      st.elems.(e + 1) <- (if pos < neg then hi else lo);
+      st.elems.(e + 2) <- Stdlib.max pos neg;
+      st.elems.(e + 3) <- (if pos < neg then lo else hi);
+      intern m (2 * lvl) 2
     end
   end
 
-let rec negate m a =
+(* ------------------------------------------------------------------ *)
+(* Apply, negation, decisions                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* The recursion below builds no list, tuple or closure on a miss: it
+   works on the scratch stack, and only the public entry points after
+   it restore the stack pointer on an exception. *)
+let rec negate_rec m a =
   let c = cache_find m.neg_cache a in
   if c >= 0 then begin
     cache_hit m.cs_neg;
@@ -609,70 +686,122 @@ let rec negate m a =
     let r =
       if k = k_const then 1 - st.aux.(a)
       else if k = k_lit then literal_at m st.vnode.(a) (1 - st.aux.(a))
-      else
-        mk_decision m st.vnode.(a)
-          (List.map (fun (p, s) -> (p, negate m s)) (elements_list st a))
+      else begin
+        (* The subs negated in element order; the primes stay. *)
+        let v = st.vnode.(a) and n = st.aux.(a) in
+        let base = push_elems m st a in
+        for i = 0 to n - 1 do
+          let s = negate_rec m m.scratch.(base + (2 * i) + 1) in
+          m.scratch.(base + (2 * i) + 1) <- s
+        done;
+        let r = mk_decision_at m v base n in
+        m.sp <- base;
+        r
+      end
     in
     Int_tbl.replace m.neg_cache a r;
     Int_tbl.replace m.neg_cache r a;
     r
   end
 
-(* Compression: drop ⊥ primes, then merge the elements sharing a sub
-   by disjoining their primes; subs keep their first-occurrence order. *)
-and compress m elems =
-  (* (sub, its primes newest first), newest sub first. *)
-  let groups =
-    List.fold_left
-      (fun groups (p, s) ->
-        if p = 0 then groups
-        else
-          match List.assq s groups with
-          | ps -> ps := p :: !ps; groups
-          | exception Not_found -> (s, ref [ p ]) :: groups)
-      [] elems
+(* Builds the node for a decision at vtree node [v] from the [n]
+   elements at [base] on the scratch stack, whose primes are pairwise
+   disjoint and jointly exhaustive (some primes may be ⊥): compressed,
+   trimmed, sorted by prime and interned in the unique table.
+
+   Compression drops ⊥ primes and merges the elements sharing a sub by
+   disjoining their primes.  Which disjoins run, in which order, decides
+   the ids of the nodes they allocate, so the order is fixed: the groups
+   are made in order of their sub's first element, and disjoined last
+   group first, each as [((⊥ ∨ p_last) ∨ ...) ∨ p_first] over its
+   elements from last to first (a group of one is its prime). *)
+and mk_decision_at m v base n =
+  (* A group is a (prime, sub) pair at [g0], its prime ⊥ until the fold
+     below when it has several, and its newest element at [h0]; each
+     element's sub slot is overwritten by the index of the previous
+     element of its group (-1 for the first). *)
+  let g0 = reserve m (3 * n) in
+  let h0 = g0 + (2 * n) in
+  let g = ref 0 in
+  let s = m.scratch in
+  for i = 0 to n - 1 do
+    let p = s.(base + (2 * i)) in
+    if p <> 0 then begin
+      let sub = s.(base + (2 * i) + 1) in
+      let j = ref (!g - 1) in
+      while !j >= 0 && s.(g0 + (2 * !j) + 1) <> sub do decr j done;
+      if !j < 0 then begin
+        j := !g;
+        s.(g0 + (2 * !j)) <- p;
+        s.(g0 + (2 * !j) + 1) <- sub;
+        s.(base + (2 * i) + 1) <- -1;
+        incr g
+      end
+      else begin
+        s.(g0 + (2 * !j)) <- 0;
+        s.(base + (2 * i) + 1) <- s.(h0 + !j)
+      end;
+      s.(h0 + !j) <- i
+    end
+  done;
+  let g = !g in
+  for j = g - 1 downto 0 do
+    if m.scratch.(g0 + (2 * j)) = 0 then begin
+      let acc = ref 0 and i = ref m.scratch.(h0 + j) in
+      while !i >= 0 do
+        acc := disjoin_rec m !acc m.scratch.(base + (2 * !i));
+        i := m.scratch.(base + (2 * !i) + 1)
+      done;
+      m.scratch.(g0 + (2 * j)) <- !acc
+    end
+  done;
+  let s = m.scratch in
+  let r =
+    if g = 0 then 0
+    else if g = 1 then begin
+      assert (s.(g0) = 1);
+      s.(g0 + 1)
+    end
+    else if g = 2 && s.(g0 + 1) = 1 && s.(g0 + 3) = 0 then s.(g0)
+    else if g = 2 && s.(g0 + 1) = 0 && s.(g0 + 3) = 1 then s.(g0 + 2)
+    else begin
+      if !Obs.enabled_ref then Obs.hist_record "sdd.decision_fanout" g;
+      sort_pairs s g0 g;
+      let st = ensure_elems_capacity m (Atomic.get m.store) (m.elems_len + (2 * g)) in
+      Array.blit s g0 st.elems m.elems_len (2 * g);
+      intern m v g
+    end
   in
-  List.rev_map
-    (fun (s, ps) ->
-      match !ps with
-      | [ p ] -> (p, s)
-      | ps -> (List.fold_left (fun acc p -> disjoin m acc p) 0 ps, s))
-    groups
+  m.sp <- g0;
+  r
 
-(* Builds the node for a decision at vtree node [v] from an element list
-   whose primes are pairwise disjoint and jointly exhaustive (some primes
-   may be ⊥): compressed, trimmed, sorted by prime and interned in the
-   unique table. *)
-and mk_decision m v elems =
-  match compress m elems with
-  | [] -> 0
-  | [ (p, s) ] ->
-    assert (p = 1);
-    s
-  | [ (p, 1); (_, 0) ] | [ (_, 0); (p, 1) ] -> p
-  | compressed ->
-    let k = List.length compressed in
-    if !Obs.enabled_ref then Obs.hist_record "sdd.decision_fanout" k;
-    unique_find_or_add m v
-      (List.sort (fun (p1, _) (p2, _) -> Int.compare p1 p2) compressed)
-      k
-
-(* ------------------------------------------------------------------ *)
-(* Apply                                                               *)
-(* ------------------------------------------------------------------ *)
-
-(* Elements of [a] viewed as a decision at vtree node [v] (an ancestor of
-   a's vtree node, or the node itself). *)
-and elements_at m v a =
+(* Pushes the elements of [a] viewed as a decision at vtree node [v] (an
+   ancestor of a's vtree node, or the node itself) and returns their
+   count. *)
+and push_view m v a =
   let st = Atomic.get m.store in
-  if Bytes.unsafe_get st.kind a = k_dec && st.vnode.(a) = v then
-    elements_list st a
+  if Bytes.unsafe_get st.kind a = k_dec && st.vnode.(a) = v then begin
+    ignore (push_elems m st a);
+    st.aux.(a)
+  end
   else begin
     let u = st.vnode.(a) in
-    if Vtree.in_left_subtree m.vt v u then [ (a, 1); (negate m a, 0) ]
+    if Vtree.in_left_subtree m.vt v u then begin
+      let na = negate_rec m a in
+      let base = reserve m 4 in
+      let s = m.scratch in
+      s.(base) <- a;
+      s.(base + 1) <- 1;
+      s.(base + 2) <- na;
+      s.(base + 3) <- 0;
+      2
+    end
     else begin
       assert (Vtree.in_right_subtree m.vt v u);
-      [ (1, a) ]
+      let base = reserve m 2 in
+      m.scratch.(base) <- 1;
+      m.scratch.(base + 1) <- a;
+      1
     end
   end
 
@@ -681,7 +810,7 @@ and elements_at m v a =
    vtree is right-linear — the flag lives in the immutable vtree, so an
    edit or its rollback, which swap [m.vt], can never leave it stale)
    and by the element product otherwise. *)
-and apply m op_and a b =
+and apply_rec m op_and a b =
   let cache = if op_and then m.and_cache else m.or_cache in
   let neutral = if op_and then 1 else 0 in
   let absorbing = if op_and then 0 else 1 in
@@ -701,51 +830,27 @@ and apply m op_and a b =
     else begin
       cache_miss cstat;
       if !Obs.enabled_ref then Attribution.charge_apply_miss ();
+      let st = Atomic.get m.store in
       let r =
         if Vtree.is_right_linear m.vt then begin
-          let st = Atomic.get m.store in
           let la = level_of st a and lb = level_of st b in
           let lvl = Stdlib.min la lb in
-          let ah, al = cofactors st a la lvl in
-          let bh, bl = cofactors st b lb lvl in
-          let hi = apply m op_and ah bh in
-          let lo = apply m op_and al bl in
+          let ah = cofactor st a la lvl true and al = cofactor st a la lvl false in
+          let bh = cofactor st b lb lvl true and bl = cofactor st b lb lvl false in
+          let hi = apply_rec m op_and ah bh in
+          let lo = apply_rec m op_and al bl in
           mk_node m lvl hi lo
         end
         else begin
-          let va = Option.get (vtree_node m a) in
-          let vb = Option.get (vtree_node m b) in
+          let va = st.vnode.(a) and vb = st.vnode.(b) in
           if va = vb && Vtree.is_leaf m.vt va then begin
             (* Two distinct literals on the same variable. *)
             if op_and then 0 else 1
           end
-          else begin
-            let v = Vtree.lca m.vt va vb in
-            let v =
-              (* If one argument sits at [v] it must be a decision there;
-                 if both are below on the same side, lca can be a strict
-                 descendant of where we must decide — but lca of two
-                 distinct nodes is internal unless equal. *)
-              if Vtree.is_leaf m.vt v then Option.get (Vtree.parent m.vt v) else v
-            in
-            let ea = elements_at m v a in
-            let eb = elements_at m v b in
-            let out = ref [] in
-            List.iter
-              (fun (p1, s1) ->
-                List.iter
-                  (fun (p2, s2) ->
-                    let p = conjoin m p1 p2 in
-                    if p <> 0 then begin
-                      let s = apply m op_and s1 s2 in
-                      out := (p, s) :: !out
-                    end)
-                  eb)
-              ea;
-            if !Obs.enabled_ref then
-              Obs.hist_record "sdd.apply_elements" (List.length !out);
-            mk_decision m v !out
-          end
+          else
+            (* Distinct nodes that are not both one leaf have an internal
+               lca, and one sitting there is a decision there. *)
+            product m op_and (Vtree.lca m.vt va vb) a b
         end
       in
       Int_tbl.replace cache key r;
@@ -753,8 +858,50 @@ and apply m op_and a b =
     end
   end
 
-and conjoin m a b = apply m true a b
-and disjoin m a b = apply m false a b
+(* The element product at [v]: both views, then each non-⊥ prime
+   conjunction with the apply of its subs, taken in (i, j) order and
+   stacked top down, so the decision reads them newest first. *)
+and product m op_and v a b =
+  let base = m.sp in
+  let ka = push_view m v a in
+  let kb = push_view m v b in
+  let top = reserve m (2 * ka * kb) + (2 * ka * kb) in
+  let out = ref top in
+  for i = 0 to ka - 1 do
+    for j = 0 to kb - 1 do
+      let ea = base + (2 * i) and eb = base + (2 * (ka + j)) in
+      let p = conjoin_rec m m.scratch.(ea) m.scratch.(eb) in
+      if p <> 0 then begin
+        let s = apply_rec m op_and m.scratch.(ea + 1) m.scratch.(eb + 1) in
+        out := !out - 2;
+        m.scratch.(!out) <- p;
+        m.scratch.(!out + 1) <- s
+      end
+    done
+  done;
+  let n = (top - !out) / 2 in
+  if !Obs.enabled_ref then Obs.hist_record "sdd.apply_elements" n;
+  let r = mk_decision_at m v !out n in
+  m.sp <- base;
+  r
+
+and conjoin_rec m a b = apply_rec m true a b
+and disjoin_rec m a b = apply_rec m false a b
+
+(* Public entry points.  A budget trip mid-recursion leaves frames
+   claimed on the scratch stack; popping back here, not per recursion
+   level, keeps it from creeping across trips. *)
+let conjoin m a b =
+  let sp = m.sp in
+  match conjoin_rec m a b with r -> r | exception e -> m.sp <- sp; raise e
+
+let disjoin m a b =
+  let sp = m.sp in
+  match disjoin_rec m a b with r -> r | exception e -> m.sp <- sp; raise e
+
+let negate m a =
+  let sp = m.sp in
+  match negate_rec m a with r -> r | exception e -> m.sp <- sp; raise e
 
 (* Pairwise, level by level; an odd trailing operand waits a level. *)
 let rec fold_pairs op unit = function
@@ -801,20 +948,27 @@ let condition m a x value =
           end
           else begin
             cache_miss m.cs_cond;
-            let in_left = Vtree.is_ancestor m.vt (Vtree.left m.vt v) lx in
-            let elems' =
-              List.map
-                (fun (p, s) -> if in_left then (go p, s) else (p, go s))
-                (elements_list st a)
+            (* Condition the primes or the subs, whichever side holds
+               [x], in element order. *)
+            let side =
+              if Vtree.is_ancestor m.vt (Vtree.left m.vt v) lx then 0 else 1
             in
-            let r = mk_decision m v elems' in
+            let n = st.aux.(a) in
+            let base = push_elems m st a in
+            for i = 0 to n - 1 do
+              let x = go m.scratch.(base + (2 * i) + side) in
+              m.scratch.(base + (2 * i) + side) <- x
+            done;
+            let r = mk_decision_at m v base n in
+            m.sp <- base;
             Int_tbl.replace m.cond_cache key r;
             r
           end
         end
       end
     in
-    go a
+    let sp = m.sp in
+    (match go a with r -> r | exception e -> m.sp <- sp; raise e)
 (* ------------------------------------------------------------------ *)
 (* Generational compaction                                             *)
 (* ------------------------------------------------------------------ *)
@@ -1298,14 +1452,24 @@ let rotate_right m v root = dynamic_edit m (Vtree.Rotate_right v) root
 
 let decision m v elems =
   if Vtree.is_leaf m.vt v then invalid_arg "Sdd.decision: leaf vtree node";
-  mk_decision m v elems
+  let sp = m.sp in
+  let n = List.length elems in
+  let base = reserve m (2 * n) in
+  List.iteri
+    (fun i (p, s) ->
+      m.scratch.(base + (2 * i)) <- p;
+      m.scratch.(base + (2 * i) + 1) <- s)
+    elems;
+  match mk_decision_at m v base n with
+  | r -> m.sp <- sp; r
+  | exception e -> m.sp <- sp; raise e
 
 (* Cross-manager transfer: rebuild [root]'s function inside [dst],
    mapping vtree nodes through [map].  As long as the mapped fragment of
    [dst]'s vtree has the same shape and variables as [src]'s (the
    contract [Vtree.of_forest] offsets satisfy), every source decision is
    a valid partition at the mapped node, so the rebuild goes through
-   [mk_decision] — re-canonicalized in [dst]'s unique table — in one
+   [mk_decision_at] — re-canonicalized in [dst]'s unique table — in one
    memoized O(size) pass.  This is how per-component SDDs compiled in
    independent managers are conjoined under a composed vtree.  No
    compaction fires inside the import: the memo maps source ids to
@@ -1325,20 +1489,23 @@ let import ~dst ~map src root =
             (Vtree.leaf_of_var dst.vt (Vtree.var_of_leaf src.vt st.vnode.(a)))
             st.aux.(a)
         else begin
-          let elems' =
-            List.map
-              (fun (p, s) ->
-                let p' = go p in
-                (p', go s))
-              (elements_list st a)
-          in
-          mk_decision dst (map st.vnode.(a)) elems'
+          (* Each element's prime, then its sub, on [dst]'s stack. *)
+          let v = map st.vnode.(a) and n = st.aux.(a) in
+          let base = push_elems dst st a in
+          for i = base to base + (2 * n) - 1 do
+            let b = go dst.scratch.(i) in
+            dst.scratch.(i) <- b
+          done;
+          let r = mk_decision_at dst v base n in
+          dst.sp <- base;
+          r
         end
       in
       Int_tbl.add memo a b;
       b
   in
-  go root
+  let sp = dst.sp in
+  match go root with r -> r | exception e -> dst.sp <- sp; raise e
 
 type view =
   | False
@@ -1729,8 +1896,8 @@ module Obdd = struct
           let lvl = level_of st x in
           counts.(lvl) <- counts.(lvl) + 1;
           if Bytes.unsafe_get st.kind x = k_dec then begin
-            let hi, lo = cofactors st x lvl lvl in
-            stack := hi :: lo :: !stack
+            stack :=
+              cofactor st x lvl lvl true :: cofactor st x lvl lvl false :: !stack
           end
         end
     done;

@@ -111,10 +111,16 @@ type census = {
   neg_entries : int;
   cond_entries : int;
   data_capacity : int;  (** Node-store (arena) capacity in slots. *)
+  scratch_words : int;
+      (** Capacity of the scratch stack the apply miss path builds its
+          element views, products and compression groups on.  It grows
+          to the deepest recursion seen and never shrinks; a budget trip
+          leaves it as it was. *)
   approx_heap_words : int;
       (** Estimated words held by the arena columns, the element
-          buffer, the literal table and the unique table's slots (the
-          table stores node ids only; its keys are the arena cells). *)
+          buffer, the literal table, the unique table's slots (the
+          table stores node ids only; its keys are the arena cells) and
+          the scratch stack. *)
   bytes_per_node : int;  (** [8 * approx_heap_words / allocated]. *)
   garbage_words : int;
       (** Words stranded by tombstones (dead slots and their element
@@ -146,7 +152,11 @@ val conjoin : manager -> t -> t -> t
 (** The one apply.  On a manager over a right-linear vtree (an OBDD,
     see {!Obdd}) it is the Shannon/ITE recursion; otherwise the
     element product at the operands' lowest common vtree ancestor.  The
-    trivial cases and the apply caches are shared by both. *)
+    trivial cases and the apply caches are shared by both.  A miss
+    builds its element views, product and compressed decision on the
+    manager's scratch stack (see {!census}'s [scratch_words]), so it
+    allocates no lists; a [Budget.Exhausted] raised mid-apply leaves
+    the stack as the call found it. *)
 
 val disjoin : manager -> t -> t -> t
 val conjoin_list : manager -> t list -> t
@@ -202,7 +212,11 @@ val decision : manager -> Vtree.node -> (t * t) list -> t
     already be pairwise disjoint and jointly exhaustive, with every prime
     below [v]'s left subtree and every sub below its right subtree —
     {e this is not checked}.  Compression and trimming are applied, so
-    the result is canonical.  Used by compilers that produce valid
+    the result is canonical: ⊥ primes are dropped, the primes sharing a
+    sub are disjoined into one, and [[]], a single group [[(p, s); ...]]
+    (all one sub [s]) and [[(p, ⊤); (¬p, ⊥)]] come back as [⊥], [s] and
+    [p].  The elements are copied to the manager's scratch stack and
+    built as {!conjoin}'s decisions are.  Used by compilers that produce valid
     partitions directly (e.g. the factorized sentential decisions of the
     paper), avoiding quadratic apply costs. *)
 

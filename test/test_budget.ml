@@ -212,6 +212,51 @@ let error_suite =
         let root = Sdd.compile_circuit m c in
         checkb "valid" true (Sdd.validate m root = Ok ());
         check bigint "same count" want (Sdd.model_count m root));
+    case "repeated trips leave the scratch stack where they found it"
+      (fun () ->
+        (* A trip unwinds the apply recursion with frames still claimed
+           on the manager's scratch stack; the public entry point pops
+           them.  200 trips at one node past the count — inside the wide
+           Or's fold and its terms, then inside a swap's rebuild that
+           rolls back — must not grow the stack past one clean compile's. *)
+        let c =
+          Lineage.circuit (Ucq.of_string "R(x), S(x,y)") (Pdb.complete_rst 5)
+        in
+        let vt = fst (Pipeline.treedec_vtree c) in
+        let scratch m = (Sdd.census m).Sdd.scratch_words in
+        let clean = Sdd.manager vt in
+        let want = Sdd.model_count clean (Sdd.compile_circuit clean c) in
+        let words = scratch clean in
+        let trip m f =
+          Sdd.set_budget m
+            (Budget.create ~max_nodes:(Sdd.num_nodes_allocated m) ());
+          let r =
+            match f () with
+            | _ -> Alcotest.fail "expected the cap to trip"
+            | exception Budget.Exhausted r -> r
+          in
+          Sdd.set_budget m Budget.unlimited;
+          Alcotest.check reason "trip" Budget.Node_limit r
+        in
+        let m = Sdd.manager vt in
+        for _ = 1 to 200 do
+          trip m (fun () -> Sdd.compile_circuit m c)
+        done;
+        (* A tripped compile stops short of the clean one's deepest
+           frame, so only the finished recompile must reach it. *)
+        checkb "stack after apply trips" true (scratch m <= words);
+        let root = Sdd.compile_circuit m c in
+        check bigint "same count" want (Sdd.model_count m root);
+        checki "stack after the recompile" words (scratch m);
+        let v = Vtree.root (Sdd.vtree m) in
+        for _ = 1 to 200 do
+          trip m (fun () -> Sdd.swap m v root)
+        done;
+        checki "stack after edit trips" words (scratch m);
+        let swapped = Sdd.swap m v root in
+        checkb "valid" true (Sdd.validate m swapped = Ok ());
+        check bigint "same count after the swap" want
+          (Sdd.model_count m swapped));
     case "prob is result-typed and budget-aware" (fun () ->
         let q = Ucq.of_string "R(x), S(x,y)" in
         let db = Pdb.complete_rst 2 in

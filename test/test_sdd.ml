@@ -236,6 +236,99 @@ let sdd_suite =
                   && Bigint.equal (Sdd.model_count m folded) (Bigint.of_int count))
               cases)
           [ Vtree.balanced vs; Vtree.random ~seed vs; Vtree.right_linear vs ]);
+    qtest "decision compresses to the node of its disjunction" ~count:200
+      QCheck2.Gen.(
+        let* k = int_range 1 4 in
+        let* pool = list_repeat 3 (int_range 0 6) in
+        let* subs = list_repeat (1 lsl k) (int_range 0 2) in
+        let* pad = int_range 0 (64 - (1 lsl k)) in
+        let* pad_subs = list_repeat pad (int_range 0 2) in
+        let* order = shuffle_l (List.init ((1 lsl k) + pad) Fun.id) in
+        return (k, pool, subs, pad_subs, order))
+      (fun (k, pool, subs, pad_subs, order) ->
+        (* Primes: the 2^k minterms of the root's left variables, with ⊥
+           primes mixed in; subs: three functions of the right ones, so
+           a sub usually heads a group of several primes. *)
+        let xs = List.init k (fun i -> Printf.sprintf "x%d" i)
+        and ys = [ "y0"; "y1"; "y2" ] in
+        let vt =
+          Vtree.of_shape
+            (Vtree.N
+               ( Vtree.to_shape (Vtree.balanced xs),
+                 Vtree.to_shape (Vtree.balanced ys) ))
+        in
+        let m = Sdd.manager vt in
+        let lit = Sdd.literal m in
+        let minterm bits =
+          Sdd.conjoin_list m
+            (List.mapi (fun i x -> lit x ((bits lsr i) land 1 = 1)) xs)
+        in
+        let candidates =
+          [|
+            Sdd.false_ m;
+            Sdd.true_ m;
+            lit "y0" true;
+            lit "y0" false;
+            Sdd.conjoin m (lit "y0" true) (lit "y1" true);
+            Sdd.disjoin m (lit "y1" true) (lit "y2" false);
+            Sdd.conjoin m (lit "y0" false) (lit "y2" true);
+          |]
+        in
+        let sub i = candidates.(List.nth pool i) in
+        let elems =
+          Array.of_list
+            (List.mapi (fun bits i -> (minterm bits, sub i)) subs
+            @ List.map (fun i -> (Sdd.false_ m, sub i)) pad_subs)
+        in
+        let elems = List.map (Array.get elems) order in
+        let d = Sdd.decision m (Vtree.root vt) elems in
+        let want =
+          Sdd.disjoin_list m (List.map (fun (p, s) -> Sdd.conjoin m p s) elems)
+        in
+        Sdd.equal d want && validate_ok m d);
+    case "a 64-element decision is stored sorted by prime" (fun () ->
+        (* Pairs the 64 minterms of x0..x5 with the 64 minterms of
+           y0..y5 in a scrambled order: no two elements share a sub, so
+           the node keeps all 64, past the small-fan-out sort. *)
+        let xs = List.init 6 (Printf.sprintf "x%d")
+        and ys = List.init 6 (Printf.sprintf "y%d") in
+        let vt =
+          Vtree.of_shape
+            (Vtree.N
+               ( Vtree.to_shape (Vtree.balanced xs),
+                 Vtree.to_shape (Vtree.balanced ys) ))
+        in
+        let m = Sdd.manager vt in
+        let minterm vs bits =
+          Sdd.conjoin_list m
+            (List.mapi (fun i v -> Sdd.literal m v ((bits lsr i) land 1 = 1)) vs)
+        in
+        let px = Array.init 64 (minterm xs) in
+        let elems = List.init 64 (fun i -> (px.((i * 37) land 63), minterm ys i)) in
+        let d = Sdd.decision m (Vtree.root vt) elems in
+        checkb "same node as the disjunction" true
+          (Sdd.equal d
+             (Sdd.disjoin_list m
+                (List.map (fun (p, s) -> Sdd.conjoin m p s) elems)));
+        checkb "valid" true (validate_ok m d);
+        match Sdd.view m d with
+        | Sdd.Decision (_, es) ->
+          checki "64 elements" 64 (List.length es);
+          let primes = List.map fst es in
+          checkb "ascending primes" true (List.sort compare primes = primes)
+        | _ -> Alcotest.fail "expected a decision");
+    case "decision trims empty, single-group and literal decisions" (fun () ->
+        let vt = Vtree.balanced [ "x"; "y" ] in
+        let m = Sdd.manager vt and v = Vtree.root vt in
+        let x = Sdd.literal m "x" true and nx = Sdd.literal m "x" false in
+        let y = Sdd.literal m "y" true in
+        let t = Sdd.true_ m and f = Sdd.false_ m in
+        let node = Alcotest.testable (Sdd.pp m) Sdd.equal in
+        check node "no elements" f (Sdd.decision m v []);
+        check node "one group" y (Sdd.decision m v [ (x, y); (f, t); (nx, y) ]);
+        check node "(p,⊤)/(¬p,⊥)" x (Sdd.decision m v [ (x, t); (nx, f) ]);
+        check node "(¬p,⊥)/(p,⊤)" x (Sdd.decision m v [ (nx, f); (f, y); (x, t) ]);
+        checki "nothing interned" 0 (Sdd.census m).Sdd.decisions);
     qtest "conjoin size never exceeds product bound" QCheck2.Gen.(int_range 0 20)
       (fun seed ->
         let m = Sdd.manager (Vtree.balanced (vars 4)) in
