@@ -77,7 +77,7 @@ let run () =
         assert (Bigint.equal (Sdd.model_count m root) (chain_count n seg));
         let root = Sdd.compact m root in
         let c = Sdd.census m in
-        let live = c.Sdd.allocated - c.Sdd.tombstones in
+        let live = c.Sdd.allocated in
         Obs.gauge_set
           ("e20.scale." ^ label ^ ".bytes_per_node")
           c.Sdd.bytes_per_node;

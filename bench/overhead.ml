@@ -149,7 +149,7 @@ let workload () =
   let g = Boolfun.random ~seed:5 (vars 8) in
   ignore
     (Sys.opaque_identity (Vtree_search.best_known_exn ~max_steps:4 ~domains:1 g));
-  (* Dynamic edits: exercises the tombstone counters, occupancy probes
+  (* Dynamic edits: exercises the relocation pass, occupancy probes
      and trajectory events of the in-manager search. *)
   let h = Boolfun.random ~seed:7 (vars 8) in
   let m = Sdd.manager (Vtree.balanced (vars 8)) in

@@ -105,7 +105,7 @@ let pos_int =
 let compact_every_arg =
   Arg.(value & opt (some pos_int) None & info [ "compact-every" ] ~docv:"N"
          ~doc:"Arm generational arena compaction: once $(docv) nodes have \
-               been allocated (or tombstoned) since the last collection, \
+               been allocated since the last collection, \
                relocate the live SDD into a fresh arena and reclaim the \
                dead apply intermediates.  Off by default — allocation is \
                append-only and peak heap grows with total allocations.")

@@ -25,13 +25,16 @@
    node it covers, because node cells are written once, before [count]
    moves past them.
 
-   Tombstones left by dynamic vtree edits are reclaimed by a periodic
-   compaction pass ([compact] / [maybe_compact]): mark from the caller's
-   roots, relocate live nodes into exact-fit arrays with a monotone
-   remap, rebuild the unique table and rewrite the packed-int caches
-   through the remap.  Each compaction bumps the manager's generation
-   counter; the census reports garbage words and generations so the
-   telemetry surface shows reclamation at work. *)
+   Vtree edits and compaction share one relocation pass ([rebuild]):
+   it copies the nodes reachable from the caller's roots (and every
+   literal) into a fresh arena in ascending id order, re-deriving by
+   apply the decisions a vtree edit invalidates, and forwards the caches
+   through the old-to-new id map.  The old arena, unique table, literal
+   table and caches are set aside until the pass commits, so a budget
+   trip (or any exception) mid-pass is undone by putting them back.
+   Every allocation appends after the nodes it names, so a decision's
+   elements always have smaller ids than the decision itself and
+   ascending id order is a dependency order. *)
 
 type t = int
 
@@ -52,7 +55,7 @@ module Int_tbl = Hashtbl.Make (Int_key)
 (* ------------------------------------------------------------------ *)
 
 (* Node kinds, one byte each in [store.kind]. *)
-let k_tomb = '\000' (* slot killed by an edit, awaiting compaction *)
+let k_free = '\000' (* slot past the node count *)
 let k_const = '\001' (* aux = 0 (⊥) or 1 (⊤); ids 0 and 1 only *)
 let k_lit = '\002' (* vnode = vtree leaf, aux = polarity (0/1) *)
 let k_dec = '\003' (* vnode = vtree node, aux = element count, off set *)
@@ -73,25 +76,27 @@ type unique = { mutable slots : int array; mutable entries : int }
 
 let unique_initial_slots = 256
 
+(* The arena fields are mutable so that a relocation can swap in a fresh
+   arena and, on a trip, swap the old one back. *)
 type manager = {
   mutable vt : Vtree.t;
   store : store Atomic.t;
   count : int Atomic.t;  (* node slots handed out *)
   mutable elems_len : int;  (* words used in [store.elems] *)
   mutable budget : Budget.t;
-  unique : unique;
+  (* Added to [count] wherever the node cap and the allocation telemetry
+     read it: 0, except inside a relocation (see [claim_dec]). *)
+  mutable gate_offset : int;
+  mutable unique : unique;
   mutable lit_tbl : int array;  (* 2*leaf + polarity -> node id, -1 free *)
-  and_cache : int Int_tbl.t;
-  or_cache : int Int_tbl.t;
-  neg_cache : int Int_tbl.t;
-  cond_cache : int Int_tbl.t;
+  mutable and_cache : int Int_tbl.t;
+  mutable or_cache : int Int_tbl.t;
+  mutable neg_cache : int Int_tbl.t;
+  mutable cond_cache : int Int_tbl.t;
   (* The apply miss path's scratch stack (see above) and its top. *)
   mutable scratch : int array;
   mutable sp : int;
   (* Generational compaction state. *)
-  mutable dead_nodes : int;  (* tombstones since the last compaction *)
-  mutable dead_elems : int;  (* element pairs those tombstones strand *)
-  mutable generation : int;
   mutable compactions_done : int;
   mutable compact_every : int;  (* max_int = never *)
   mutable last_compact_count : int;
@@ -137,62 +142,104 @@ let live_managers () =
    2^31 in any workload that fits in memory. *)
 let[@inline] pair_key a b = (a lsl 31) lor b
 
-let initial_store () =
-  let cap = 1024 in
-  let kind = Bytes.make cap k_tomb in
-  let vnode = Array.make cap (-1) in
-  let aux = Array.make cap 0 in
-  let off = Array.make cap (-1) in
+let new_store ~nodes ~elems =
+  let kind = Bytes.make nodes k_free in
+  let vnode = Array.make nodes (-1) in
+  let aux = Array.make nodes 0 in
+  let off = Array.make nodes (-1) in
   Bytes.unsafe_set kind 0 k_const;
   Bytes.unsafe_set kind 1 k_const;
   aux.(1) <- 1;
-  { kind; vnode; aux; off; elems = Array.make 1024 0 }
+  { kind; vnode; aux; off; elems = Array.make elems 0 }
+
+(* A manager's node state: the part a relocation replaces, and sets
+   aside until it commits. *)
+type arena = {
+  a_vt : Vtree.t;
+  a_store : store;
+  a_count : int;
+  a_elems_len : int;
+  a_unique : unique;
+  a_lit : int array;
+  a_and : int Int_tbl.t;
+  a_or : int Int_tbl.t;
+  a_neg : int Int_tbl.t;
+  a_cond : int Int_tbl.t;
+}
+
+(* An empty arena over [vt], sized for [nodes] nodes and [pairs]
+   element pairs besides the constants. *)
+let fresh vt ~nodes ~pairs =
+  {
+    a_vt = vt;
+    a_store =
+      new_store ~nodes:(Stdlib.max 1024 (nodes + 2))
+        ~elems:(Stdlib.max 1024 (2 * pairs));
+    a_count = 2;
+    a_elems_len = 0;
+    a_unique = { slots = Array.make unique_initial_slots (-1); entries = 0 };
+    a_lit = Array.make (2 * Vtree.num_nodes vt) (-1);
+    a_and = Int_tbl.create 128;
+    a_or = Int_tbl.create 128;
+    a_neg =
+      (let t = Int_tbl.create 32 in
+       Int_tbl.replace t 0 1;
+       Int_tbl.replace t 1 0;
+       t);
+    a_cond = Int_tbl.create 32;
+  }
 
 let manager ?(budget = Budget.unlimited) ?(compact_every = max_int) vt =
   if compact_every < 1 then
     invalid_arg "Sdd.manager: compact_every must be positive";
-  let unique = { slots = Array.make unique_initial_slots (-1); entries = 0 } in
-  let and_cache = Int_tbl.create 128 in
-  let or_cache = Int_tbl.create 128 in
-  let neg_cache = Int_tbl.create 32 in
-  let cond_cache = Int_tbl.create 32 in
+  (* The cache statistics read their table sizes through a weak pointer:
+     a relocation replaces the tables, and the statistics must not keep
+     a dead manager alive. *)
+  let self = Weak.create 1 in
+  let size (f : manager -> int) () =
+    match Weak.get self 0 with Some m -> f m | None -> 0
+  in
+  let a = fresh vt ~nodes:0 ~pairs:0 in
   let m =
     {
       vt;
-      store = Atomic.make (initial_store ());
-      count = Atomic.make 2;
-      elems_len = 0;
+      store = Atomic.make a.a_store;
+      count = Atomic.make a.a_count;
+      elems_len = a.a_elems_len;
       budget;
-      unique;
-      lit_tbl = Array.make (2 * Vtree.num_nodes vt) (-1);
-      and_cache;
-      or_cache;
-      neg_cache;
-      cond_cache;
+      gate_offset = 0;
+      unique = a.a_unique;
+      lit_tbl = a.a_lit;
+      and_cache = a.a_and;
+      or_cache = a.a_or;
+      neg_cache = a.a_neg;
+      cond_cache = a.a_cond;
       scratch = Array.make 64 0;
       sp = 0;
-      dead_nodes = 0;
-      dead_elems = 0;
-      generation = 0;
       compactions_done = 0;
       compact_every;
       last_compact_count = 2;
       cs_unique =
-        Obs.Cache.create ~size:(fun () -> unique.entries) "sdd.unique";
+        Obs.Cache.create ~size:(size (fun m -> m.unique.entries)) "sdd.unique";
       cs_and =
-        Obs.Cache.create ~size:(fun () -> Int_tbl.length and_cache) "sdd.and_cache";
+        Obs.Cache.create
+          ~size:(size (fun m -> Int_tbl.length m.and_cache))
+          "sdd.and_cache";
       cs_or =
-        Obs.Cache.create ~size:(fun () -> Int_tbl.length or_cache) "sdd.or_cache";
+        Obs.Cache.create
+          ~size:(size (fun m -> Int_tbl.length m.or_cache))
+          "sdd.or_cache";
       cs_neg =
-        Obs.Cache.create ~size:(fun () -> Int_tbl.length neg_cache) "sdd.neg_cache";
+        Obs.Cache.create
+          ~size:(size (fun m -> Int_tbl.length m.neg_cache))
+          "sdd.neg_cache";
       cs_cond =
         Obs.Cache.create
-          ~size:(fun () -> Int_tbl.length cond_cache)
+          ~size:(size (fun m -> Int_tbl.length m.cond_cache))
           "sdd.cond_cache";
     }
   in
-  Int_tbl.replace m.neg_cache 0 1;
-  Int_tbl.replace m.neg_cache 1 0;
+  Weak.set self 0 (Some m);
   register_manager m;
   m
 
@@ -205,7 +252,9 @@ let set_compact_every m n =
   if n < 1 then invalid_arg "Sdd.set_compact_every: must be positive";
   m.compact_every <- n
 
-let generation m = m.generation
+(* Only compaction renumbers under a new generation, so the two counts
+   are one. *)
+let generation m = m.compactions_done
 let compactions m = m.compactions_done
 
 (* Direct field bumps: local enough for ocamlopt to inline, so the hot
@@ -238,7 +287,6 @@ type census = {
   allocated : int;
   decisions : int;
   literals : int;
-  tombstones : int;
   elements : int;
   unique_entries : int;
   unique_slots : int;
@@ -249,7 +297,6 @@ type census = {
   scratch_words : int;
   approx_heap_words : int;
   bytes_per_node : int;
-  garbage_words : int;
   generation : int;
   compactions : int;
 }
@@ -258,16 +305,11 @@ type census = {
    time only, never on a hot path.  The estimate counts the arena
    arrays themselves (per-node storage is flat: ~25/8 words of header
    across the four column arrays plus the element pairs), the literal
-   table, the unique table's slots and the scratch stack.
-   [garbage_words] is the slice of that total stranded by tombstones —
-   reclaimable by the next compaction. *)
+   table, the unique table's slots and the scratch stack. *)
 let census m =
   let st = Atomic.get m.store in
   let count = Stdlib.min (Atomic.get m.count) (Bytes.length st.kind) in
-  let decisions = ref 0
-  and literals = ref 0
-  and tombstones = ref 0
-  and elements = ref 0 in
+  let decisions = ref 0 and literals = ref 0 and elements = ref 0 in
   let cap = Bytes.length st.kind in
   let words =
     ((cap + 7) / 8) + (3 * cap) + Array.length st.elems
@@ -281,13 +323,11 @@ let census m =
       elements := !elements + st.aux.(id)
     end
     else if k = k_lit then Stdlib.incr literals
-    else Stdlib.incr tombstones
   done;
   {
     allocated = count;
     decisions = !decisions;
     literals = !literals;
-    tombstones = !tombstones;
     elements = !elements;
     unique_entries = m.unique.entries;
     unique_slots = Array.length m.unique.slots;
@@ -298,8 +338,7 @@ let census m =
     scratch_words = Array.length m.scratch;
     approx_heap_words = words;
     bytes_per_node = 8 * words / Stdlib.max 1 count;
-    garbage_words = (3 * !tombstones) + (2 * m.dead_elems);
-    generation = m.generation;
+    generation = m.compactions_done;
     compactions = m.compactions_done;
   }
 
@@ -309,7 +348,6 @@ let census_to_json c =
       ("allocated", Obs.Json.Int c.allocated);
       ("decisions", Obs.Json.Int c.decisions);
       ("literals", Obs.Json.Int c.literals);
-      ("tombstones", Obs.Json.Int c.tombstones);
       ("elements", Obs.Json.Int c.elements);
       ("unique_entries", Obs.Json.Int c.unique_entries);
       ("unique_slots", Obs.Json.Int c.unique_slots);
@@ -320,7 +358,6 @@ let census_to_json c =
       ("scratch_words", Obs.Json.Int c.scratch_words);
       ("approx_heap_words", Obs.Json.Int c.approx_heap_words);
       ("bytes_per_node", Obs.Json.Int c.bytes_per_node);
-      ("garbage_words", Obs.Json.Int c.garbage_words);
       ("generation", Obs.Json.Int c.generation);
       ("compactions", Obs.Json.Int c.compactions);
     ]
@@ -356,7 +393,7 @@ let true_ _ = 1
    clock/cancellation/heap ride the amortized poll. *)
 let[@inline] budget_gate m =
   if m.budget.Budget.active then begin
-    Budget.check_nodes m.budget (Atomic.get m.count);
+    Budget.check_nodes m.budget (Atomic.get m.count + m.gate_offset);
     Budget.poll m.budget
   end
 
@@ -369,7 +406,7 @@ let ensure_node_capacity m st id =
   else begin
     let cap = Bytes.length st.kind in
     let cap' = 2 * cap in
-    let kind = Bytes.make cap' k_tomb in
+    let kind = Bytes.make cap' k_free in
     Bytes.blit st.kind 0 kind 0 cap;
     let vnode = Array.make cap' (-1) in
     Array.blit st.vnode 0 vnode 0 cap;
@@ -396,7 +433,8 @@ let ensure_elems_capacity m st needed =
     st'
   end
 
-(* Allocation telemetry, shared by the allocators below. *)
+(* Allocation telemetry, shared by the allocators below; [count] is the
+   node count as the budget gate reads it. *)
 let[@inline] after_alloc m count =
   if !Obs.enabled_ref then begin
     Obs.incr "sdd.alloc";
@@ -408,10 +446,9 @@ let[@inline] after_alloc m count =
      taxing the per-alloc path beyond a mask-and-branch. *)
   if count land 4095 = 0 then occupancy_gauges m
 
-(* Node allocation.  Cells are fully written before [count] moves past
+(* Node writers.  Cells are fully written before [count] moves past
    them. *)
-let alloc_lit m leaf polarity =
-  budget_gate m;
+let[@inline] put_lit m leaf polarity =
   let id = Atomic.get m.count in
   let st = ensure_node_capacity m (Atomic.get m.store) id in
   Bytes.unsafe_set st.kind id k_lit;
@@ -419,13 +456,11 @@ let alloc_lit m leaf polarity =
   st.aux.(id) <- polarity;
   st.off.(id) <- -1;
   Atomic.set m.count (id + 1);
-  after_alloc m (id + 1);
   id
 
 (* Commits a decision whose [k] elements are written just past the used
    end of the element buffer (see [intern]). *)
-let alloc_dec m v k =
-  budget_gate m;
+let[@inline] put_dec m v k =
   let id = Atomic.get m.count in
   let st = ensure_node_capacity m (Atomic.get m.store) id in
   let base = m.elems_len in
@@ -435,7 +470,18 @@ let alloc_dec m v k =
   st.off.(id) <- base;
   m.elems_len <- base + (2 * k);
   Atomic.set m.count (id + 1);
-  after_alloc m (id + 1);
+  id
+
+let alloc_lit m leaf polarity =
+  budget_gate m;
+  let id = put_lit m leaf polarity in
+  after_alloc m (id + 1 + m.gate_offset);
+  id
+
+let alloc_dec m v k =
+  budget_gate m;
+  let id = put_dec m v k in
+  after_alloc m (id + 1 + m.gate_offset);
   if !Obs.enabled_ref then Attribution.charge_elements k;
   id
 
@@ -529,10 +575,6 @@ let unique_add u st i id =
       u.slots;
     u.slots <- slots
   end
-
-let unique_reset u =
-  u.slots <- Array.make unique_initial_slots (-1);
-  u.entries <- 0
 
 (* Find-or-claim of the decision at [v] whose [k] pairs are written just
    past the used end of the element buffer: the unique table compares
@@ -970,203 +1012,228 @@ let condition m a x value =
     let sp = m.sp in
     (match go a with r -> r | exception e -> m.sp <- sp; raise e)
 (* ------------------------------------------------------------------ *)
-(* Generational compaction                                             *)
+(* Relocation: compaction, vtree edits, import                         *)
 (* ------------------------------------------------------------------ *)
 
-let rebuild_unique m =
-  let u = m.unique in
-  unique_reset u;
-  let st = Atomic.get m.store in
-  let n = Atomic.get m.count in
-  for id = 2 to n - 1 do
-    if Bytes.unsafe_get st.kind id = k_dec then
-      unique_add u st (slot_of u.slots st id) id
-  done
+(* Relocated copies are found or claimed as [literal_at] and [intern]
+   find or build nodes, but outside the budget gate and the allocation
+   telemetry: a copy is not new work.  Each claimed slot comes off
+   [gate_offset], so during a relocation the node cap reads the arena
+   the pass started from plus the nodes apply builds. *)
+let claim_lit m leaf polarity =
+  let slot = (2 * leaf) + polarity in
+  let id = m.lit_tbl.(slot) in
+  if id >= 0 then id
+  else begin
+    let id = put_lit m leaf polarity in
+    m.lit_tbl.(slot) <- id;
+    m.gate_offset <- m.gate_offset - 1;
+    id
+  end
 
-let reset_caches m =
-  Int_tbl.reset m.and_cache;
-  Int_tbl.reset m.or_cache;
-  Int_tbl.reset m.neg_cache;
-  Int_tbl.reset m.cond_cache
+let claim_dec m v k =
+  let i = unique_slot m.unique.slots (Atomic.get m.store) v m.elems_len k in
+  let id = m.unique.slots.(i) in
+  if id >= 0 then id
+  else begin
+    let id = put_dec m v k in
+    unique_add m.unique (Atomic.get m.store) i id;
+    m.gate_offset <- m.gate_offset - 1;
+    id
+  end
 
-let seed_neg m =
-  Int_tbl.replace m.neg_cache 0 1;
-  Int_tbl.replace m.neg_cache 1 0
-
-(* The entries of the and, or, neg and cond caches, in that order. *)
-let save_caches m =
-  let entries tbl = Int_tbl.fold (fun k r acc -> (k, r) :: acc) tbl [] in
-  (entries m.and_cache, entries m.or_cache, entries m.neg_cache,
-   entries m.cond_cache)
-
-let mask31 = (1 lsl 31) - 1
-
-(* Re-inserts saved cache entries after the node ids moved: [node] maps
-   an old id to its new one, or to -1 when the node was dropped (the
-   entries touching it go), and [leaf] maps the vtree leaf of a cond
-   key.  Apply keys are re-ordered min/max under the new ids; the neg
-   cache holds both directions of each pair, so each entry is mapped as
-   it stands.  The vtree keeps its node count across a move, so the
-   cond key packing is unchanged. *)
-let reinsert_caches m ~node ~leaf (s_and, s_or, s_neg, s_cond) =
-  let nn = Vtree.num_nodes m.vt in
-  let reinsert_apply tbl =
-    List.iter (fun (k, r) ->
-        let a = node (k lsr 31) and b = node (k land mask31) and r = node r in
-        if a >= 0 && b >= 0 && r >= 0 then
-          Int_tbl.replace tbl (pair_key (Stdlib.min a b) (Stdlib.max a b)) r)
-  in
-  reinsert_apply m.and_cache s_and;
-  reinsert_apply m.or_cache s_or;
-  List.iter
-    (fun (a, b) ->
-      let a = node a and b = node b in
-      if a >= 0 && b >= 0 then Int_tbl.replace m.neg_cache a b)
-    s_neg;
-  List.iter
-    (fun (k, r) ->
-      let value = k land 1 and k2 = k lsr 1 in
-      let a = node (k2 / nn) and r = node r in
-      if a >= 0 && r >= 0 then
-        Int_tbl.replace m.cond_cache
-          ((((a * nn) + leaf (k2 mod nn)) lsl 1) lor value)
-          r)
-    s_cond
-
-(* Compaction: mark live nodes from [roots], relocate them into
-   exact-fit arrays with a monotone remap (ascending old id → ascending
-   new id, so prime-sorted element order and unique keys stay
-   canonical), rebuild the unique table and literal table, and rewrite
-   the packed-int caches through the remap.  Supersedes the reachability
-   GC that dynamic edits perform on their own roots: it reclaims
-   tombstones and dead intermediates across the whole manager, and
-   resets the per-node heap overhead to the live set.
-
-   All raising (the budget poll during marking) happens before any
-   mutation, so a mid-compaction trip leaves the manager untouched —
-   [dynamic_edit] relies on this to keep its transaction rollback
-   simple.  Returns the remapped roots, positionally. *)
-let compact_roots m (roots : int array) : int array =
-  Budget.check m.budget;
-  let t0 = Unix.gettimeofday () in
-  let st = Atomic.get m.store in
-  let n = Atomic.get m.count in
-  let old_node_cap = Bytes.length st.kind in
-  let old_elems_cap = Array.length st.elems in
-  (* -- Mark (iterative: E20-scale chains overflow the OCaml stack). -- *)
+(* Marks the nodes of [st] below [n] reachable from [roots] — and every
+   literal when [all_literals] — in one descending sweep, which sees
+   each decision before its elements.  Returns the marks and the number
+   of marked nodes and element pairs. *)
+let mark st n roots ~all_literals =
   let live = Bytes.make n '\000' in
-  Bytes.unsafe_set live 0 '\001';
-  Bytes.unsafe_set live 1 '\001';
-  let n_live = ref 2 and live_pairs = ref 0 in
-  (* Literals always survive: lit_tbl must stay total over created
-     literals, and there are at most two per variable. *)
-  for id = 2 to n - 1 do
-    if Bytes.unsafe_get st.kind id = k_lit then begin
-      Bytes.unsafe_set live id '\001';
-      incr n_live
-    end
-  done;
-  let stack = ref (Array.make 1024 0) in
-  let sp = ref 0 in
-  let push x =
-    if !sp >= Array.length !stack then begin
-      let s' = Array.make (2 * Array.length !stack) 0 in
-      Array.blit !stack 0 s' 0 !sp;
-      stack := s'
-    end;
-    !stack.(!sp) <- x;
-    incr sp
-  in
-  Array.iter
-    (fun r -> if r >= 2 && Bytes.unsafe_get live r = '\000' then push r)
-    roots;
-  while !sp > 0 do
-    decr sp;
-    let id = !stack.(!sp) in
-    if Bytes.unsafe_get live id = '\000' then begin
-      Budget.poll m.budget;
-      Bytes.unsafe_set live id '\001';
-      if Bytes.unsafe_get st.kind id = k_dec then begin
-        incr n_live;
+  Array.iter (fun r -> if r >= 2 then Bytes.unsafe_set live r '\001') roots;
+  let nodes = ref 0 and pairs = ref 0 in
+  for id = n - 1 downto 2 do
+    let kind = Bytes.unsafe_get st.kind id in
+    if all_literals && kind = k_lit then Bytes.unsafe_set live id '\001';
+    if Bytes.unsafe_get live id <> '\000' then begin
+      incr nodes;
+      if kind = k_dec then begin
         let k = st.aux.(id) and base = st.off.(id) in
-        live_pairs := !live_pairs + k;
-        for i = 0 to (2 * k) - 1 do
-          let x = st.elems.(base + i) in
-          if x >= 2 && Bytes.unsafe_get live x = '\000' then push x
+        pairs := !pairs + k;
+        for i = base to base + (2 * k) - 1 do
+          Bytes.unsafe_set live st.elems.(i) '\001'
         done
       end
     end
   done;
-  (* -- Remap: monotone in old id, so relative order is preserved. -- *)
-  let remap = Array.make (Stdlib.max n 2) (-1) in
-  remap.(0) <- 0;
-  remap.(1) <- 1;
-  let next = ref 2 in
+  (live, !nodes, !pairs)
+
+(* The one relocation loop.  Copies the marked nodes of [st] (below
+   [n]) into [dst] in ascending id order, a dependency order, and
+   returns [fwd]: the [dst] id of each copied node, -1 for the rest.
+   [vnode] maps a vtree node of [st] to its place in [dst]'s vtree, or
+   to -1 where a vtree edit changed how functions decompose: a decision
+   there is re-derived as [∨ᵢ fwd(pᵢ) ∧ fwd(sᵢ)] by apply, which
+   renormalizes it to the new vtree.  Every other decision keeps its
+   partition: its elements are forwarded, re-sorted by prime if the
+   forwarding reordered them, and found or claimed through [dec];
+   literals go through [lit]. *)
+let relocate ~dst ~lit ~dec st n live vnode =
+  let fwd = Array.make n (-1) in
+  fwd.(0) <- 0;
+  fwd.(1) <- 1;
+  let rederived = ref 0 in
   for id = 2 to n - 1 do
-    if Bytes.unsafe_get live id = '\001' then begin
-      remap.(id) <- !next;
-      incr next
+    if Bytes.unsafe_get live id <> '\000' then begin
+      if dst.budget.Budget.active then Budget.poll dst.budget;
+      let v = vnode st.vnode.(id) in
+      fwd.(id) <-
+        (if Bytes.unsafe_get st.kind id = k_lit then lit v st.aux.(id)
+         else begin
+           let k = st.aux.(id) and base = st.off.(id) in
+           if v < 0 then begin
+             incr rederived;
+             let acc = ref 0 in
+             for i = 0 to k - 1 do
+               let p = fwd.(st.elems.(base + (2 * i)))
+               and s = fwd.(st.elems.(base + (2 * i) + 1)) in
+               acc := disjoin_rec dst !acc (conjoin_rec dst p s)
+             done;
+             !acc
+           end
+           else begin
+             let e = dst.elems_len in
+             let d =
+               ensure_elems_capacity dst (Atomic.get dst.store) (e + (2 * k))
+             in
+             let sorted = ref true in
+             for i = 0 to k - 1 do
+               let p = fwd.(st.elems.(base + (2 * i))) in
+               if i > 0 && p < d.elems.(e + (2 * i) - 2) then sorted := false;
+               d.elems.(e + (2 * i)) <- p;
+               d.elems.(e + (2 * i) + 1) <- fwd.(st.elems.(base + (2 * i) + 1))
+             done;
+             if not !sorted then sort_pairs d.elems e k;
+             dec v k
+           end
+         end)
     end
   done;
-  (* -- Relocate into exact-fit arrays. -- *)
-  let node_cap = Stdlib.max 1024 !next in
-  let elems_cap = Stdlib.max 1024 (2 * !live_pairs) in
-  let kind = Bytes.make node_cap k_tomb in
-  let vnode = Array.make node_cap (-1) in
-  let aux = Array.make node_cap 0 in
-  let off = Array.make node_cap (-1) in
-  let elems = Array.make elems_cap 0 in
-  Bytes.unsafe_set kind 0 k_const;
-  Bytes.unsafe_set kind 1 k_const;
-  aux.(1) <- 1;
-  let epos = ref 0 in
-  for id = 2 to n - 1 do
-    if Bytes.unsafe_get live id = '\001' then begin
-      let nid = remap.(id) in
-      let kch = Bytes.unsafe_get st.kind id in
-      Bytes.unsafe_set kind nid kch;
-      vnode.(nid) <- st.vnode.(id);
-      aux.(nid) <- st.aux.(id);
-      if kch = k_dec then begin
-        let k = st.aux.(id) and base = st.off.(id) in
-        off.(nid) <- !epos;
-        for i = 0 to (2 * k) - 1 do
-          elems.(!epos + i) <- remap.(st.elems.(base + i))
-        done;
-        epos := !epos + (2 * k)
-      end
-    end
-  done;
-  (* Save cache entries before the store flips (decode needs nothing,
-     but keep mutation strictly after all reads of the old state). *)
-  let saved = save_caches m in
-  Atomic.set m.store { kind; vnode; aux; off; elems };
-  Atomic.set m.count !next;
-  m.elems_len <- !epos;
-  (* Literal table: same vtree, new ids. *)
-  Array.fill m.lit_tbl 0 (Array.length m.lit_tbl) (-1);
-  for nid = 2 to !next - 1 do
-    if Bytes.unsafe_get kind nid = k_lit then
-      m.lit_tbl.((2 * vnode.(nid)) + aux.(nid)) <- nid
-  done;
-  rebuild_unique m;
-  (* Caches: reinsert through the remap, dropping entries that touch a
-     collected node.  The remap is monotone, so commuted apply keys
-     stay min/max-ordered and stored element sort orders were already
-     preserved above. *)
-  reset_caches m;
-  reinsert_caches m ~node:(Array.get remap) ~leaf:Fun.id saved;
+  if !rederived > 0 && !Obs.enabled_ref then
+    Obs.incr ~by:!rederived "sdd.edit.rebuilt_decisions";
+  fwd
+
+let current m =
+  {
+    a_vt = m.vt;
+    a_store = Atomic.get m.store;
+    a_count = Atomic.get m.count;
+    a_elems_len = m.elems_len;
+    a_unique = m.unique;
+    a_lit = m.lit_tbl;
+    a_and = m.and_cache;
+    a_or = m.or_cache;
+    a_neg = m.neg_cache;
+    a_cond = m.cond_cache;
+  }
+
+let install m a =
+  m.vt <- a.a_vt;
+  Atomic.set m.store a.a_store;
+  Atomic.set m.count a.a_count;
+  m.elems_len <- a.a_elems_len;
+  m.unique <- a.a_unique;
+  m.lit_tbl <- a.a_lit;
+  m.and_cache <- a.a_and;
+  m.or_cache <- a.a_or;
+  m.neg_cache <- a.a_neg;
+  m.cond_cache <- a.a_cond;
+  m.gate_offset <- 0
+
+let mask31 = (1 lsl 31) - 1
+
+(* Forwards the cache entries of the set-aside arena [a] into [m]'s
+   tables through [fwd]; an entry naming a node that was not relocated
+   goes.  Apply keys are re-ordered min/max under the new ids; the neg
+   cache holds both directions of each pair, so each entry is mapped as
+   it stands.  A vtree edit keeps the vtree's node count, so the cond
+   key packing is unchanged; [leaf] maps its vtree leaf. *)
+let forward_caches m a fwd leaf =
+  let nn = Vtree.num_nodes m.vt in
+  let forward_apply src dst =
+    Int_tbl.iter
+      (fun k r ->
+        let x = fwd.(k lsr 31) and y = fwd.(k land mask31) and r = fwd.(r) in
+        if x >= 0 && y >= 0 && r >= 0 then
+          Int_tbl.replace dst (pair_key (Stdlib.min x y) (Stdlib.max x y)) r)
+      src
+  in
+  forward_apply a.a_and m.and_cache;
+  forward_apply a.a_or m.or_cache;
+  Int_tbl.iter
+    (fun x y ->
+      let x = fwd.(x) and y = fwd.(y) in
+      if x >= 0 && y >= 0 then Int_tbl.replace m.neg_cache x y)
+    a.a_neg;
+  Int_tbl.iter
+    (fun k r ->
+      let value = k land 1 and k2 = k lsr 1 in
+      let x = fwd.(k2 / nn) and r = fwd.(r) in
+      if x >= 0 && r >= 0 then
+        Int_tbl.replace m.cond_cache
+          ((((x * nn) + leaf (k2 mod nn)) lsl 1) lor value)
+          r)
+    a.a_cond
+
+(* Rebuilds the nodes reachable from [roots], and every literal, into a
+   fresh arena over [vt] (see [relocate] for [vnode]) and returns the
+   forwarding map.  Until the pass commits, the old arena is only set
+   aside: any exception — a budget trip in the full check up front, the
+   re-derivations or the amortized poll — reinstalls it, so the caller
+   sees the manager either rebuilt or exactly as before.  Meanwhile the
+   node cap reads the old arena's count plus the nodes apply builds;
+   after the commit, the new arena's. *)
+let rebuild m vt vnode roots =
+  let old = current m in
+  let live, nodes, pairs =
+    mark old.a_store old.a_count roots ~all_literals:true
+  in
+  let sp = m.sp in
+  match
+    install m (fresh vt ~nodes ~pairs);
+    m.gate_offset <- old.a_count - 2;
+    Budget.check m.budget;
+    let fwd =
+      relocate ~dst:m ~lit:(claim_lit m) ~dec:(claim_dec m) old.a_store
+        old.a_count live vnode
+    in
+    forward_caches m old fwd vnode;
+    fwd
+  with
+  | fwd ->
+    m.gate_offset <- 0;
+    m.last_compact_count <- Atomic.get m.count;
+    fwd
+  | exception e ->
+    m.sp <- sp;
+    install m old;
+    raise e
+
+(* Compaction: the relocation with the vtree unchanged.  Ascending ids
+   map to ascending ids, so every decision's elements stay sorted by
+   prime and the unique table is filled in the order a fresh compile
+   would fill it.  Returns the relocated roots, positionally. *)
+let compact_roots m (roots : int array) : int array =
+  let t0 = Unix.gettimeofday () in
+  let words st =
+    let cap = Bytes.length st.kind in
+    (3 * cap) + (cap / 8) + Array.length st.elems
+  in
+  let words_before = words (Atomic.get m.store) in
+  let fwd = rebuild m m.vt Fun.id roots in
   (* Bookkeeping + telemetry: every compaction records one event with
      relocation and pause figures. *)
-  let relocated = !next - 2 in
-  let words_before = (3 * old_node_cap) + (old_node_cap / 8) + old_elems_cap in
-  let words_after = (3 * node_cap) + (node_cap / 8) + elems_cap in
-  let reclaimed = Stdlib.max 0 (words_before - words_after) in
-  m.dead_nodes <- 0;
-  m.dead_elems <- 0;
-  m.generation <- m.generation + 1;
+  let relocated = Atomic.get m.count - 2 in
+  let reclaimed = Stdlib.max 0 (words_before - words (Atomic.get m.store)) in
   m.compactions_done <- m.compactions_done + 1;
-  m.last_compact_count <- !next;
   let pause_us = int_of_float ((Unix.gettimeofday () -. t0) *. 1e6) in
   if !Obs.enabled_ref then begin
     Obs.incr "sdd.compaction";
@@ -1177,18 +1244,17 @@ let compact_roots m (roots : int array) : int array =
       ("relocated", Obs.Json.Int relocated);
       ("reclaimed_words", Obs.Json.Int reclaimed);
       ("pause_us", Obs.Json.Int pause_us);
-      ("generation", Obs.Json.Int m.generation);
+      ("generation", Obs.Json.Int m.compactions_done);
     ];
-  Array.map (fun r -> if r < 2 then r else remap.(r)) roots
+  Array.map (Array.get fwd) roots
 
 let compact m root = (compact_roots m [| root |]).(0)
 
 (* Due when the manager has allocated [compact_every] nodes since the
-   last pass or edits have stranded that many tombstones. *)
+   last relocation. *)
 let compact_due m =
   m.compact_every <> max_int
-  && (Atomic.get m.count - m.last_compact_count >= m.compact_every
-     || m.dead_nodes >= m.compact_every)
+  && Atomic.get m.count - m.last_compact_count >= m.compact_every
 
 let maybe_compact m root = if compact_due m then compact m root else root
 (* ------------------------------------------------------------------ *)
@@ -1204,248 +1270,83 @@ let maybe_compact m root = if compact_due m then compact m root else root
    shifts the id blocks of the three grandchild subtrees by constant
    offsets and leaves everything outside the edited subtree in place.
 
-   The rewrite walks the nodes reachable from the caller's root in
-   dependency order (elements before the decision referencing them —
-   ascending ids are NOT that order once the manager has been edited
-   before, because a decision can keep a small id through a unique-table
-   claim while an earlier edit rebuilt its elements to freshly allocated
-   larger ids), maintaining a forwarding array [fwd] with the invariant
-   that [fwd.(a)] is the new canonical id of the function of old node
-   [a]:
-
-   - literals keep their ids (the leaf id is remapped);
-   - an unaffected decision keeps its id unless an equal node was
-     already created by an earlier rebuild, in which case it forwards to
-     it — the unique table is re-keyed either way;
-   - an affected decision is recomputed as [∨ᵢ fwd(pᵢ) ∧ fwd(sᵢ)] with
-     the ordinary apply, which renormalizes it to the new vtree.
-
-   The walk doubles as a garbage collection: nodes not reachable from
-   the root (dead compile intermediates, leftovers of earlier edits) are
-   tombstoned instead of rewritten, so a long chain of edits — the
-   in-manager vtree search applies and reverts hundreds — costs
-   O(reachable) per edit rather than O(allocated); tombstones accumulate
-   in the dead counters until [compact] relocates the live set.  This is
-   exactly the documented handle contract: an edit invalidates every
-   outstanding handle except the forwarded root it returns.
-
-   The apply/negate/condition caches are snapshotted, cleared for the
-   duration of the rebuild (their entries reference old ids), and then
-   reinserted with keys and values passed through [fwd] — a cached
-   result is the canonical node of a function, and [fwd] maps old
-   canonical ids to new canonical ids of the same functions, so entries
-   whose nodes survive the collection are corrected, and only entries
-   referencing dropped nodes are discarded. *)
+   So an edit is the relocation pass with the move's id-shift map, the
+   affected vtree nodes mapped to -1: the root's nodes are copied, or
+   re-derived by apply, into a fresh arena over the new vtree, and a
+   copy that meets an equal node apply built earlier in the pass takes
+   that node.  The caches are forwarded through the relocation, so only
+   entries naming nodes that did not survive are dropped. *)
 
 let subtree_span vt u = (2 * Vtree.num_vars_below vt u) - 1
 
-let dynamic_edit m move root =
+let apply_move m move root =
   Obs.span "sdd.edit" @@ fun () ->
-  (* The edit is transactional under a budget.  A rotation can rebuild
-     affected decisions through [disjoin]/[conjoin], and on adversarial
-     inputs (inversion lineage) that rebuild blows up — so it must stay
-     pollable, yet a trip mid-rebuild would leave the tables
-     half-migrated.  Resolution: snapshot the pre-edit state (arena
-     cells up to [count], element buffer up to [elems_len], lit_tbl,
-     and the caches already saved below for forwarding), run the
-     rebuild with the budget live, and on [Budget.Exhausted] roll the
-     manager back to the snapshot before re-raising.  Callers always
-     observe either the completed edit or the untouched pre-edit
-     manager.  Unbudgeted edits skip the snapshot entirely. *)
-  Budget.check m.budget;
   let old_vt = m.vt in
   (* Validates the move (raises Invalid_argument before any mutation). *)
   let new_vt = Vtree.apply_move old_vt move in
-  let nn = Vtree.num_nodes old_vt in
-  let map = Array.init nn Fun.id in
-  let affected = Array.make nn false in
+  let map = Array.init (Vtree.num_nodes old_vt) Fun.id in
   let shift u by =
-    let lo = u and len = subtree_span old_vt u in
-    for i = lo to lo + len - 1 do
+    for i = u to u + subtree_span old_vt u - 1 do
       map.(i) <- i + by
     done
   in
   (match move with
   | Vtree.Swap v ->
-    affected.(v) <- true;
     let a = Vtree.left old_vt v and b = Vtree.right old_vt v in
-    let sa = subtree_span old_vt a and sb = subtree_span old_vt b in
-    shift a sb;
-    shift b (-sa)
+    shift a (subtree_span old_vt b);
+    shift b (-subtree_span old_vt a);
+    map.(v) <- -1
   | Vtree.Rotate_right v ->
     (* ((a b) c) -> (a (b c)): only the a-block moves (one slot left,
        into the place of the dissolved child); b and c keep their ids. *)
     let w = Vtree.left old_vt v in
-    affected.(v) <- true;
-    affected.(w) <- true;
-    map.(w) <- -1;
-    shift (Vtree.left old_vt w) (-1)
+    shift (Vtree.left old_vt w) (-1);
+    map.(v) <- -1;
+    map.(w) <- -1
   | Vtree.Rotate_left v ->
     (* (a (b c)) -> ((a b) c): the a-block moves one slot right, under
        the fresh internal node; b and c keep their ids. *)
     let w = Vtree.right old_vt v in
-    affected.(v) <- true;
-    affected.(w) <- true;
-    map.(w) <- -1;
-    shift (Vtree.left old_vt v) 1);
-  let old_count = Atomic.get m.count in
-  let old_elems_len = m.elems_len in
-  let saved = save_caches m in
-  (* Rollback snapshot, taken only when the budget can trip: the arena
-     prefix (the rebuild rewrites literal leaves and unaffected
-     decisions in place) and lit_tbl.  The caches are already saved
-     above, and the unique table is reconstructible from the restored
-     cells — tombstoning keeps it in bijection with live decisions. *)
-  let snapshot =
-    if m.budget.Budget.active then begin
-      let st = Atomic.get m.store in
-      Some
-        ( Bytes.sub st.kind 0 old_count,
-          Array.sub st.vnode 0 old_count,
-          Array.sub st.aux 0 old_count,
-          Array.sub st.off 0 old_count,
-          Array.sub st.elems 0 old_elems_len,
-          Array.copy m.lit_tbl,
-          m.dead_nodes,
-          m.dead_elems )
-    end
-    else None
-  in
-  let rollback (s_kind, s_vnode, s_aux, s_off, s_elems, s_lit, s_dn, s_de) =
-    m.vt <- old_vt;
-    let st = Atomic.get m.store in
-    Bytes.blit s_kind 0 st.kind 0 old_count;
-    Array.blit s_vnode 0 st.vnode 0 old_count;
-    Array.blit s_aux 0 st.aux 0 old_count;
-    Array.blit s_off 0 st.off 0 old_count;
-    Array.blit s_elems 0 st.elems 0 old_elems_len;
-    Atomic.set m.count old_count;
-    m.elems_len <- old_elems_len;
-    m.dead_nodes <- s_dn;
-    m.dead_elems <- s_de;
-    Array.blit s_lit 0 m.lit_tbl 0 (Array.length s_lit);
-    reset_caches m;
-    reinsert_caches m ~node:Fun.id ~leaf:Fun.id saved;
-    rebuild_unique m;
-    if !Obs.enabled_ref then Obs.incr "sdd.edit.rolled_back"
-  in
-  let on_trip handler f =
-    try f () with Budget.Exhausted _ as e -> handler (); raise e
-  in
-  on_trip (fun () -> Option.iter rollback snapshot) @@ fun () ->
-  reset_caches m;
-  unique_reset m.unique;
-  Array.fill m.lit_tbl 0 (Array.length m.lit_tbl) (-1);
-  m.vt <- new_vt;
-  seed_neg m;
-  let fwd = Array.init old_count Fun.id in
-  let live = Array.make old_count false in
-  live.(0) <- true;
-  live.(1) <- true;
-  (* Literals first: they depend on nothing, and refilling lit_tbl up
-     front keeps [literal] (hence [negate]) from allocating duplicate
-     literal nodes during the decision rebuilds below.  All literals are
-     kept live regardless of reachability — there are at most two per
-     variable and lit_tbl must stay consistent. *)
-  let st0 = Atomic.get m.store in
-  for id = 2 to old_count - 1 do
-    if Bytes.unsafe_get st0.kind id = k_lit then begin
-      let leaf' = map.(st0.vnode.(id)) in
-      st0.vnode.(id) <- leaf';
-      m.lit_tbl.((2 * leaf') + st0.aux.(id)) <- id;
-      live.(id) <- true
-    end
-  done;
-  (* Decisions reachable from the root, in dependency order (elements
-     recursively before the decision referencing them). *)
-  let rebuilt = ref 0 in
-  let rec process id =
-    if id >= 2 && id < old_count && not live.(id) then begin
-      live.(id) <- true;
-      let st = Atomic.get m.store in
-      if Bytes.unsafe_get st.kind id = k_dec then begin
-        let u = st.vnode.(id) in
-        let pairs = elements_list st id in
-        List.iter
-          (fun (p, s) ->
-            process p;
-            process s)
-          pairs;
-        if affected.(u) then begin
-          incr rebuilt;
-          fwd.(id) <-
-            List.fold_left
-              (fun acc (p, s) -> disjoin m acc (conjoin m fwd.(p) fwd.(s)))
-              0 pairs
-        end
-        else begin
-          (* Rewrite the cells in place (the rebuilds above may have
-             grown the store, so refetch the snapshot), then claim them;
-             if an equal node exists, [id] forwards to it and is
-             tombstoned below. *)
-          let st = Atomic.get m.store in
-          st.vnode.(id) <- map.(u);
-          let base = st.off.(id) in
-          List.iteri
-            (fun i (p, s) ->
-              st.elems.(base + (2 * i)) <- p;
-              st.elems.(base + (2 * i) + 1) <- s)
-            (List.sort
-               (fun (p1, _) (p2, _) -> Int.compare p1 p2)
-               (List.map (fun (p, s) -> (fwd.(p), fwd.(s))) pairs));
-          let tbl = m.unique in
-          let i = slot_of tbl.slots st id in
-          if tbl.slots.(i) >= 0 then fwd.(id) <- tbl.slots.(i)
-          else unique_add tbl st i id
-        end
-      end
-    end
-  in
-  process root;
-  (* Tombstone every node that forwarded away or fell unreachable: its
-     data still describes the old vtree, and a later edit must not
-     mistake it for a live decision (it could steal a unique-table claim
-     from the live node of the same function).  Dead ids are never
-     referenced again — every surviving handle and cache entry goes
-     through [fwd], and entries touching dead nodes are dropped. *)
-  let tombstoned = ref 0 in
-  let stf = Atomic.get m.store in
-  for id = 2 to old_count - 1 do
-    if (not live.(id)) || fwd.(id) <> id then begin
-      let kch = Bytes.unsafe_get stf.kind id in
-      if kch <> k_tomb then begin
-        if kch = k_dec then m.dead_elems <- m.dead_elems + stf.aux.(id);
-        Bytes.unsafe_set stf.kind id k_tomb;
-        m.dead_nodes <- m.dead_nodes + 1;
-        incr tombstoned
-      end
-    end
-  done;
-  (* Reinsert the cache entries whose nodes survived, under forwarded
-     keys; entries referencing collected nodes are dropped. *)
-  reinsert_caches m
-    ~node:(fun a -> if live.(a) then fwd.(a) else -1)
-    ~leaf:(Array.get map) saved;
-  if !Obs.enabled_ref then begin
-    Obs.incr
-      (match move with
-      | Vtree.Swap _ -> "sdd.edit.swap"
-      | Vtree.Rotate_left _ -> "sdd.edit.rotate_left"
-      | Vtree.Rotate_right _ -> "sdd.edit.rotate_right");
-    Obs.incr ~by:!rebuilt "sdd.edit.rebuilt_decisions";
-    Obs.incr ~by:!tombstoned "sdd.edit.tombstoned";
-    Obs.hist_record "sdd.edit.tombstoned_per_edit" !tombstoned;
-    probe_occupancy m
-  end;
-  (* Opt-in generational compaction rides the same transaction: a
-     budget trip inside [compact] (which only raises before mutating)
-     rolls the whole edit back. *)
-  maybe_compact m fwd.(root)
+    shift (Vtree.left old_vt v) 1;
+    map.(v) <- -1;
+    map.(w) <- -1);
+  match rebuild m new_vt (Array.get map) [| root |] with
+  | fwd ->
+    if !Obs.enabled_ref then begin
+      Obs.incr
+        (match move with
+        | Vtree.Swap _ -> "sdd.edit.swap"
+        | Vtree.Rotate_left _ -> "sdd.edit.rotate_left"
+        | Vtree.Rotate_right _ -> "sdd.edit.rotate_right");
+      probe_occupancy m
+    end;
+    fwd.(root)
+  | exception e ->
+    if !Obs.enabled_ref then Obs.incr "sdd.edit.rolled_back";
+    raise e
 
-let apply_move = dynamic_edit
-let swap m v root = dynamic_edit m (Vtree.Swap v) root
-let rotate_left m v root = dynamic_edit m (Vtree.Rotate_left v) root
-let rotate_right m v root = dynamic_edit m (Vtree.Rotate_right v) root
+let swap m v root = apply_move m (Vtree.Swap v) root
+let rotate_left m v root = apply_move m (Vtree.Rotate_left v) root
+let rotate_right m v root = apply_move m (Vtree.Rotate_right v) root
+
+(* Cross-manager transfer: the relocation loop writing into [dst], with
+   vtree nodes mapped through [map] and literals by variable.  As long
+   as the mapped fragment of [dst]'s vtree has the same shape and
+   variables as [src]'s (the contract [Vtree.of_forest] offsets
+   satisfy), every source decision is a valid partition at the mapped
+   node, so its forwarded elements are interned as they stand.  Copies
+   into [dst] are new nodes there: they go through its budget gate.
+   This is how per-component SDDs compiled in independent managers are
+   conjoined under a composed vtree. *)
+let import ~dst ~map src root =
+  let st = Atomic.get src.store and n = Atomic.get src.count in
+  let live, _, _ = mark st n [| root |] ~all_literals:false in
+  let vnode u =
+    if Vtree.is_leaf src.vt u then
+      Vtree.leaf_of_var dst.vt (Vtree.var_of_leaf src.vt u)
+    else map u
+  in
+  (relocate ~dst ~lit:(literal_at dst) ~dec:(intern dst) st n live vnode).(root)
 (* ------------------------------------------------------------------ *)
 (* Structure and views                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -1464,49 +1365,6 @@ let decision m v elems =
   | r -> m.sp <- sp; r
   | exception e -> m.sp <- sp; raise e
 
-(* Cross-manager transfer: rebuild [root]'s function inside [dst],
-   mapping vtree nodes through [map].  As long as the mapped fragment of
-   [dst]'s vtree has the same shape and variables as [src]'s (the
-   contract [Vtree.of_forest] offsets satisfy), every source decision is
-   a valid partition at the mapped node, so the rebuild goes through
-   [mk_decision_at] — re-canonicalized in [dst]'s unique table — in one
-   memoized O(size) pass.  This is how per-component SDDs compiled in
-   independent managers are conjoined under a composed vtree.  No
-   compaction fires inside the import: the memo maps source ids to
-   [dst] ids and a relocation would dangle its values. *)
-let import ~dst ~map src root =
-  let memo = Int_tbl.create 256 in
-  let rec go a =
-    match Int_tbl.find_opt memo a with
-    | Some b -> b
-    | None ->
-      let st = Atomic.get src.store in
-      let k = Bytes.unsafe_get st.kind a in
-      let b =
-        if k = k_const then st.aux.(a)
-        else if k = k_lit then
-          literal_at dst
-            (Vtree.leaf_of_var dst.vt (Vtree.var_of_leaf src.vt st.vnode.(a)))
-            st.aux.(a)
-        else begin
-          (* Each element's prime, then its sub, on [dst]'s stack. *)
-          let v = map st.vnode.(a) and n = st.aux.(a) in
-          let base = push_elems dst st a in
-          for i = base to base + (2 * n) - 1 do
-            let b = go dst.scratch.(i) in
-            dst.scratch.(i) <- b
-          done;
-          let r = mk_decision_at dst v base n in
-          dst.sp <- base;
-          r
-        end
-      in
-      Int_tbl.add memo a b;
-      b
-  in
-  let sp = dst.sp in
-  match go root with r -> r | exception e -> dst.sp <- sp; raise e
-
 type view =
   | False
   | True
@@ -1522,11 +1380,11 @@ let view m a =
   else Decision (st.vnode.(a), elements_list st a)
 
 (* The non-constant nodes reachable from [root], each after every node
-   its elements name.  Ascending ids are not that order once the
-   manager has been edited (see [dynamic_edit]), and E20-scale chains
-   overflow the OCaml stack, so this is an iterative depth-first
-   search: an expanded node stays on the stack as its complement and is
-   emitted once everything pushed above it is done. *)
+   its elements name.  Ascending ids are such an order, but sweeping
+   them costs O(allocated), and E20-scale chains overflow the OCaml
+   stack, so this is an iterative depth-first search, O(reachable): an
+   expanded node stays on the stack as its complement and is emitted
+   once everything pushed above it is done. *)
 let post_order m st root =
   let seen = Bytes.make (Atomic.get m.count) '\000' in
   let push buf len x =

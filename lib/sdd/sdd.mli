@@ -23,24 +23,39 @@ type t
 
 val manager : ?budget:Budget.t -> ?compact_every:int -> Vtree.t -> manager
 (** [budget] (default {!Budget.unlimited}) is polled at every node
-    allocation: the live-node cap is checked exactly, the clock /
-    cancellation token / heap watermark at the budget's amortized
-    interval.  On a trip the kernel raises [Budget.Exhausted] at a
-    checkpoint where the manager is still consistent — in particular
-    {!apply_move} is transactional: it checks before mutating, polls
-    throughout the rebuild, and rolls the manager back to its pre-edit
-    state if the budget trips mid-edit, so a budgeted manager never
-    observes a half-applied edit.
+    allocation: the node cap is checked exactly against
+    {!num_nodes_allocated}, the clock / cancellation token / heap
+    watermark at the budget's amortized interval.  On a trip the kernel
+    raises [Budget.Exhausted] at a checkpoint where the manager is still
+    consistent.  {!apply_move} and {!compact_roots} are transactional:
+    they rebuild the live SDD into a fresh arena and only set the old
+    one aside, so a trip — or any other exception — mid-pass puts the
+    old arena back: the vtree, {!num_nodes_allocated}, {!generation},
+    every node id and every cache answer are as before the call.
+
+    Node-cap semantics of that pass: during a vtree edit the cap counts
+    the arena the edit started from plus the nodes apply builds to
+    re-derive the affected decisions.  Copied nodes are not gated by the cap and are not
+    counted in the [sdd.alloc] counter, attribution or the occupancy
+    pulse.  Once the pass commits, {!num_nodes_allocated} is the new
+    arena's size, so a capped climb of edits trips on the growth of the
+    live SDD only.
 
     [compact_every] (default [max_int], i.e. never) arms generational
     compaction: when that many nodes have been allocated since the last
-    pass, or dynamic edits have stranded that many tombstones, the
-    checkpoints inside {!apply_move} and {!compile_circuit} (and the
-    pipeline's clause loop) run {!compact} on their live roots.
+    compaction or edit, the checkpoints inside {!compile_circuit} (and
+    the pipeline's clause loop) run {!compact_roots} on their live
+    roots.
     @raise Invalid_argument if [compact_every < 1]. *)
 
 val vtree : manager -> Vtree.t
+
 val num_nodes_allocated : manager -> int
+(** Node slots in the arena, the two constants included.  Compile
+    intermediates that became unreachable stay counted until the next
+    compaction or vtree edit.  After a compaction it counts the live
+    SDD and the literals; after an edit, those plus what the edit's
+    re-derivations built. *)
 
 val budget : manager -> Budget.t
 val set_budget : manager -> Budget.t -> unit
@@ -49,21 +64,24 @@ val set_budget : manager -> Budget.t -> unit
 
 (** {1 Generational compaction}
 
-    Dynamic edits tombstone dead slots rather than reclaiming them; the
-    arena store accumulates that garbage until a compaction pass
-    relocates the live set into exact-fit arrays.  Compaction
-    {e invalidates every outstanding handle} except the roots it is
-    given (same contract as a dynamic edit): pass in each handle you
-    intend to keep and continue with the returned equivalents.  Each
-    pass bumps {!generation}, records one [sdd.compaction] {!Obs.event}
-    (nodes relocated, words reclaimed, pause µs) whatever the collection
-    switch, and resets the census garbage counters. *)
+    The arena is append-only: apply's intermediates stay allocated after
+    they become unreachable.  Compaction rebuilds the nodes reachable
+    from the given roots, and every literal, into a fresh exact-fit
+    arena.  It is the relocation pass a vtree edit runs, with the vtree
+    unchanged: ids keep their relative order, so elements stay sorted
+    by prime without a re-sort.
+    Compaction {e invalidates every outstanding handle} except the roots
+    it is given (same contract as a dynamic edit): pass in each handle
+    you intend to keep and continue with the returned equivalents.  Each
+    pass bumps {!generation} and records one [sdd.compaction]
+    {!Obs.event} (nodes relocated, words reclaimed, pause µs) whatever
+    the collection switch. *)
 
 val compact : manager -> t -> t
 (** [compact m root] reclaims everything not reachable from [root]
     (literals and constants always survive) and returns the relocated
-    root.  Raises [Budget.Exhausted] only before mutating anything, so
-    a budget trip leaves the manager untouched. *)
+    root.  A budget trip, or any exception, mid-pass leaves the manager
+    as it was. *)
 
 val compact_roots : manager -> t array -> t array
 (** Multi-root {!compact}: the whole array is kept live and returned
@@ -75,7 +93,8 @@ val maybe_compact : manager -> t -> t
 
 val compact_due : manager -> bool
 (** Whether the [compact_every] threshold is due: the test behind
-    {!maybe_compact}, for checkpoints with several live roots. *)
+    {!maybe_compact}, for checkpoints with several live roots.  A
+    vtree edit restarts the count, since it leaves a compact arena. *)
 
 val set_compact_every : manager -> int -> unit
 (** Re-arm (or disarm with [max_int]) the compaction threshold.
@@ -101,7 +120,8 @@ type census = {
   allocated : int;  (** Node-store slots handed out (including consts). *)
   decisions : int;
   literals : int;
-  tombstones : int;  (** Slots killed by dynamic edits, awaiting reuse. *)
+      (** Every slot below [allocated] is a constant, a decision or a
+          literal: [allocated = 2 + decisions + literals]. *)
   elements : int;  (** Total prime/sub pairs across decisions. *)
   unique_entries : int;  (** Decisions interned in the unique table. *)
   unique_slots : int;
@@ -122,9 +142,6 @@ type census = {
           table stores node ids only; its keys are the arena cells) and
           the scratch stack. *)
   bytes_per_node : int;  (** [8 * approx_heap_words / allocated]. *)
-  garbage_words : int;
-      (** Words stranded by tombstones (dead slots and their element
-          pairs) — what the next compaction would reclaim. *)
   generation : int;  (** Compaction generation of the node ids. *)
   compactions : int;  (** Total compaction passes run. *)
 }
@@ -172,29 +189,32 @@ val condition : manager -> t -> string -> bool -> t
 
     In-manager vtree minimization (Choi & Darwiche style): a local move
     — child swap or rotation at an internal vtree node — is applied to
-    the manager {e in place}.  Only the decisions normalized to the
-    edited vtree node (and, for rotations, to the rotated child) are
-    rebuilt semantically; every other node is re-keyed with its vtree id
-    renumbered, and the apply/negate/condition caches are remapped
-    through the node forwarding rather than dropped, so the invalidation
-    is scoped to the touched vtree fragment.  Canonicity is preserved:
-    after the edit, handle equality is again function equality for the
-    new vtree.
+    the live manager.  The edit is the compaction pass with the move's
+    vtree-id map: the nodes reachable from the caller's root, and every
+    literal, are rebuilt into a fresh arena over the new vtree.  Only
+    the decisions normalized to the edited vtree node (and, for
+    rotations, to the rotated child) are re-derived by apply; every
+    other node is copied with its vtree id renumbered, and the
+    apply/negate/condition caches are forwarded through the relocation
+    rather than dropped, so the invalidation is scoped to the touched
+    vtree fragment.  Canonicity is preserved: after the edit, handle
+    equality is again function equality for the new vtree.
 
     The edit changes [vtree m] and {e invalidates outstanding node
     handles}: each function takes the handle the caller cares about and
     returns its forwarded equivalent.  Nodes not reachable from that
-    root (dead compile intermediates, leftovers of earlier edits) are
-    garbage-collected during the rewrite, so a long chain of edits —
-    the in-manager search applies and reverts hundreds — costs
-    O(reachable) per edit rather than O(allocated).  Reverting with
-    [Vtree.inverse_move] restores the vtree (and, by canonicity, the
-    represented functions and their sizes), not necessarily the literal
-    node ids. *)
+    root are dropped, so the arena an edit leaves holds the live SDD,
+    the literals and the nodes the re-derivations built, and a long
+    chain of edits — the in-manager search applies and reverts
+    hundreds — costs O(live SDD) per edit.  Reverting with [Vtree.inverse_move]
+    restores the vtree (and, by canonicity, the represented functions
+    and their sizes), not the node ids. *)
 
 val apply_move : manager -> Vtree.move -> t -> t
 (** [apply_move m mv root] applies the move to the manager's vtree and
-    returns the node now representing [root]'s function.
+    returns the node now representing [root]'s function.  On a budget
+    trip (see {!manager} for what the node cap counts) or any other
+    exception the manager is left exactly as before the call.
     @raise Invalid_argument if the move does not apply at its node. *)
 
 val swap : manager -> Vtree.node -> t -> t
@@ -226,8 +246,11 @@ val import : dst:manager -> map:(Vtree.node -> Vtree.node) -> manager -> t -> t
     mapped fragment of [dst]'s vtree to have the same shape and
     variables as [src]'s vtree ({e unchecked}) — exactly what the
     offsets of {!Vtree.of_forest} provide — so independently compiled
-    SDDs can be conjoined under one composed manager.  Memoized,
-    O(size of [root]); the result is canonical in [dst]. *)
+    SDDs can be conjoined under one composed manager.  It is the loop
+    that relocates nodes in {!compact} and {!apply_move}, writing into
+    [dst]: one pass over [src]'s arena, each node reachable from
+    [root] interned once; the result is canonical in [dst].  The copies
+    are new nodes of [dst] and pass its budget gate. *)
 
 val equal : t -> t -> bool
 (** Function equality, constant time (canonicity). *)

@@ -2,10 +2,10 @@
    parsing of the CTWSDD_DOMAINS environment knob.
 
    Invariants under test: compaction preserves the represented function,
-   canonicity and the model count while driving tombstones and garbage
-   words to zero; dynamic edits followed by compaction and import
-   round-trip the function; a budget trip during compaction rolls back
-   before any mutation. *)
+   canonicity and the model count and leaves only live slots; dynamic
+   edits leave no dead slots, and edits followed by compaction and
+   import round-trip the function; a budget trip during an edit or a
+   compaction puts the manager back as it was. *)
 
 open Test_util
 
@@ -49,8 +49,8 @@ let compaction_suite =
             checkb "valid" true (validate_ok m node);
             checki "generation bumped" (gen0 + 1) (Sdd.generation m);
             let cs = Sdd.census m in
-            checki "no tombstones" 0 cs.Sdd.tombstones;
-            checki "no garbage words" 0 cs.Sdd.garbage_words)
+            checki "only live slots"
+              (2 + cs.Sdd.decisions + cs.Sdd.literals) cs.Sdd.allocated)
           (fixtures ()));
     case "compact_roots relocates positionally" (fun () ->
         let c = Generators.band_cnf ~width:3 8 in
@@ -71,7 +71,7 @@ let compaction_suite =
             let m = Sdd.manager (mk_vt (Circuit.variables c)) in
             let node = Sdd.compile_circuit m c in
             let f0 = Sdd.to_boolfun m node in
-            (* Dynamic edits leave tombstones behind... *)
+            (* A dynamic edit leaves no dead slots... *)
             let node = ref node in
             List.iter
               (fun (mv, _) -> node := Sdd.apply_move m mv !node)
@@ -79,12 +79,10 @@ let compaction_suite =
                | [] -> []
                | mv :: _ -> [ mv ]);
             let cs = Sdd.census m in
-            checkb "edits left garbage" true
-              (cs.Sdd.tombstones > 0 && cs.Sdd.garbage_words > 0);
-            (* ...compaction reclaims them... *)
+            checki "an edit leaves no dead slots"
+              (2 + cs.Sdd.decisions + cs.Sdd.literals) cs.Sdd.allocated;
+            (* ...compaction keeps the function... *)
             node := Sdd.compact m !node;
-            let cs = Sdd.census m in
-            checki "tombstones reclaimed" 0 cs.Sdd.tombstones;
             checkb "still valid" true (validate_ok m !node);
             checkb "function preserved" true
               (Boolfun.equal f0 (Sdd.to_boolfun m !node));
@@ -163,6 +161,147 @@ let compaction_suite =
         checkb "retry succeeds" true
           (Boolfun.equal f0 (Sdd.to_boolfun m node)));
   ]
+
+(* Every decision reachable from [roots] names only smaller ids: the
+   arena is append-only, so ascending ids are a dependency order. *)
+let check_elements_below m roots =
+  let seen = Hashtbl.create 64 in
+  let rec go a =
+    if not (Hashtbl.mem seen a) then begin
+      Hashtbl.add seen a ();
+      match Sdd.view m a with
+      | Sdd.Decision (_, elems) ->
+        List.iter
+          (fun (p, s) ->
+            if compare p a >= 0 || compare s a >= 0 then
+              Alcotest.fail "an element id is not below its decision's";
+            go p;
+            go s)
+          elems
+      | _ -> ()
+    end
+  in
+  Array.iter go roots
+
+(* Random circuits (at most 10 variables) on balanced, right-linear and
+   random vtrees, driven through random edits (each maybe undone by its
+   inverse), compactions over 1-3 roots and budgeted attempts of either
+   under a random node cap or a cancelled token.  A committed step keeps
+   every held root's function, validity and model count, and leaves
+   only live slots, each decision after its elements; a tripped one
+   leaves the vtree, the node count, the generation, the held roots and
+   the cached negations as they were. *)
+let relocation_property =
+  qtest ~count:100 "edits, compactions and trips keep the arena sound"
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed; 4242 |] in
+      let pick n = Random.State.int rng n in
+      let c =
+        Generators.random_formula ~seed ~vars:(3 + pick 8) ~depth:(3 + pick 3)
+      in
+      let vars = Circuit.variables c in
+      let vt =
+        match pick 3 with
+        | 0 -> Vtree.balanced vars
+        | 1 -> Vtree.right_linear vars
+        | _ -> Vtree.random ~seed vars
+      in
+      let m = Sdd.manager vt in
+      let roots = ref [| Sdd.compile_circuit m c |] in
+      let funs = ref [||] and counts = ref [||] in
+      let hold rs =
+        roots := rs;
+        funs := Array.map (Sdd.to_boolfun m) rs;
+        counts := Array.map (Sdd.model_count m) rs
+      in
+      hold !roots;
+      let check_roots () =
+        Array.iteri
+          (fun i r ->
+            checkb "valid" true (validate_ok m r);
+            checkb "function" true (Boolfun.equal !funs.(i) (Sdd.to_boolfun m r));
+            checkb "model count" true
+              (Bigint.equal !counts.(i) (Sdd.model_count m r)))
+          !roots
+      in
+      let check_committed () =
+        check_roots ();
+        let cs = Sdd.census m in
+        checki "no dead slots" (2 + cs.Sdd.decisions + cs.Sdd.literals)
+          cs.Sdd.allocated;
+        check_elements_below m !roots
+      in
+      (* An edit keeps only the root it is given; a compaction takes
+         1-3 roots derived from it, chosen before the step so that a
+         budgeted attempt runs the pass alone. *)
+      let random_move () =
+        match Vtree.local_moves_with (Sdd.vtree m) with
+        | [] -> None
+        | moves -> Some (fst (List.nth moves (pick (List.length moves))))
+      in
+      let edit mv =
+        roots := [| Sdd.apply_move m mv !roots.(0) |];
+        funs := [| !funs.(0) |];
+        counts := [| !counts.(0) |]
+      in
+      let prepare_compaction () =
+        let r = !roots.(0) in
+        let lit = Sdd.literal m (List.hd vars) true in
+        hold
+          (Array.sub [| r; Sdd.negate m r; Sdd.conjoin m r lit |] 0
+             (1 + pick 3))
+      in
+      let compaction () = roots := Sdd.compact_roots m !roots in
+      for _ = 1 to 8 do
+        match pick 3 with
+        | 0 ->
+          Option.iter
+            (fun mv ->
+              edit mv;
+              if pick 2 = 0 then edit (Vtree.inverse_move mv))
+            (random_move ());
+          check_committed ()
+        | 1 ->
+          prepare_compaction ();
+          compaction ();
+          check_committed ()
+        | _ ->
+          let step, is_edit =
+            match (pick 2, random_move ()) with
+            | 0, Some mv -> ((fun () -> edit mv), true)
+            | _ -> prepare_compaction (); (compaction, false)
+          in
+          let cap = pick 2 = 0 in
+          let negs = Array.map (Sdd.negate m) !roots in
+          let fp = Vtree.fingerprint (Sdd.vtree m)
+          and n = Sdd.num_nodes_allocated m
+          and gen = Sdd.generation m in
+          let b =
+            if cap then Budget.create ~max_nodes:(n + pick 4) ()
+            else begin
+              let b = Budget.create () in
+              Budget.cancel_now b;
+              b
+            end
+          in
+          Sdd.set_budget m b;
+          (match step () with
+           | () ->
+             Sdd.set_budget m Budget.unlimited;
+             check_committed ()
+           | exception Budget.Exhausted _ ->
+             Sdd.set_budget m Budget.unlimited;
+             checkb "a node cap trips only an edit" true ((not cap) || is_edit);
+             checki "vtree" fp (Vtree.fingerprint (Sdd.vtree m));
+             checki "node count" n (Sdd.num_nodes_allocated m);
+             checki "generation" gen (Sdd.generation m);
+             checkb "cached negations" true
+               (Array.for_all2 (fun r nr -> Sdd.negate m r = nr) !roots negs);
+             checki "answered from the cache" n (Sdd.num_nodes_allocated m);
+             check_roots ())
+      done;
+      true)
 
 (* Rebuilding every decision reachable from [root] with [Sdd.decision]
    must find it in the unique table: the same id back, nothing
@@ -280,7 +419,7 @@ let parallel_suite =
 
 let suites =
   [
-    ("arena compaction", compaction_suite);
+    ("arena compaction", compaction_suite @ [ relocation_property ]);
     ("unique table", unique_suite);
     ("parallel apply", parallel_suite);
   ]

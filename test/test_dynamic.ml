@@ -179,6 +179,22 @@ let large_suite =
         checki "size reported correctly" size' (Sdd.size m node');
         check bigint "model count stable" count0 (Sdd.model_count m node');
         checkb "valid after minimize" true (validate_ok m node'));
+    case "a climb leaves an arena the size of the live SDD" (fun () ->
+        (* Every edit rebuilds the live SDD into a fresh arena, so after
+           the climb's hundreds of applied and reverted edits the arena
+           holds the live SDD, the literals and the last edit's
+           re-derivations (190 slots here), not every edit's
+           leftovers. *)
+        let c = Generators.band_cnf ~width:3 24 in
+        let m = Sdd.manager (Vtree.balanced (Circuit.variables c)) in
+        let root, size =
+          Vtree_search.minimize_manager_exn ~max_steps:5 m
+            (Sdd.compile_circuit m c)
+        in
+        checki "size" 210 size;
+        checkb "arena within twice the live SDD and literals" true
+          (Sdd.num_nodes_allocated m
+          <= 2 * (2 + Sdd.node_count m root + (2 * 24))))
   ]
 
 (* In-manager search must retrace the recompile-based search exactly:

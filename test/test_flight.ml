@@ -288,7 +288,7 @@ let postmortem_suite =
                 (fun c ->
                   List.for_all
                     (fun k -> Obs.Json.member k c <> None)
-                    [ "allocated"; "garbage_words"; "generation";
+                    [ "allocated"; "generation";
                       "compactions"; "bytes_per_node" ])
                 ms)
          | _ -> Alcotest.fail "managers not a non-empty list");
@@ -297,7 +297,7 @@ let postmortem_suite =
         checki "allocated" (Sdd.num_nodes_allocated m) c.Sdd.allocated;
         checkb "live nodes typed" true
           (c.Sdd.allocated
-          = 2 + c.Sdd.decisions + c.Sdd.literals + c.Sdd.tombstones);
+          = 2 + c.Sdd.decisions + c.Sdd.literals);
         checkb "bytes per node positive" true (c.Sdd.bytes_per_node > 0);
         (* A canonical manager interns each decision exactly once, in a
            table kept at most half full. *)
