@@ -77,7 +77,12 @@ let is_deterministic c =
 let structuring_node_of vt left_vars right_vars =
   let fits v =
     let below node set =
-      SSet.for_all (fun x -> List.mem x (Vtree.vars_below vt node)) set
+      SSet.for_all
+        (fun x ->
+          match Vtree.leaf_of_var vt x with
+          | leaf -> Vtree.is_ancestor vt node leaf
+          | exception Not_found -> false)
+        set
     in
     (not (Vtree.is_leaf vt v))
     && ((below (Vtree.left vt v) left_vars && below (Vtree.right vt v) right_vars)

@@ -4,7 +4,7 @@ type t = { facts : tuple list; prob : tuple -> Ratio.t }
 
 let tuple rel args = { rel; args }
 
-let var_name t = Printf.sprintf "%s(%s)" t.rel (String.concat "," t.args)
+let var_name t = String.concat "" [ t.rel; "("; String.concat "," t.args; ")" ]
 
 let tuple_of_var s =
   match String.index_opt s '(' with
@@ -41,7 +41,15 @@ let make entries =
 
 let uniform p facts = make (List.map (fun t -> (t, p)) facts)
 
-let facts_of_rel db rel = List.filter (fun t -> t.rel = rel) db.facts
+let index key items =
+  let table = Hashtbl.create 8 in
+  List.iter
+    (fun x ->
+      let k = key x in
+      Hashtbl.replace table k
+        (x :: Option.value ~default:[] (Hashtbl.find_opt table k)))
+    (List.rev items);
+  fun k -> Option.value ~default:[] (Hashtbl.find_opt table k)
 
 let active_domain db =
   List.sort_uniq compare (List.concat_map (fun t -> t.args) db.facts)

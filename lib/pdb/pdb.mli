@@ -25,7 +25,11 @@ val make : (tuple * Ratio.t) list -> t
 
 val uniform : Ratio.t -> tuple list -> t
 
-val facts_of_rel : t -> string -> tuple list
+val index : ('a -> string) -> 'a list -> string -> 'a list
+(** [index key items] groups the items by [key] in one pass (say, facts
+    by relation); the returned lookup gives a key's items in list order
+    ([[]] for a key without any). *)
+
 val active_domain : t -> string list
 
 val subdatabases : t -> tuple list list

@@ -33,5 +33,12 @@ val substitute : string -> string -> Ucq.atom -> Ucq.atom
 val hierarchical_variable_order : Ucq.cq -> Pdb.t -> string list option
 (** For a hierarchical self-join-free conjunct: a lineage-variable order
     grouping facts by the root variable's values, under which the OBDD of
-    the lineage has constant width.  [None] for non-hierarchical
-    conjuncts. *)
+    the lineage has constant width, followed by the facts outside it,
+    sorted.  [None] for non-hierarchical conjuncts.
+
+    Cost: linear in the facts times the query depth (plus sorting the
+    constants met at each level).  Each atom starts from the facts of
+    its relation and arity that match its constants, each fact named
+    once; each level splits every atom's facts in one pass by the
+    constant at the root variable and recurses only on constants that
+    occur there. *)

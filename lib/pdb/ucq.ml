@@ -147,49 +147,69 @@ let of_string s =
 (* Semantics                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* All homomorphisms from the cq into the fact set. *)
+(* All homomorphisms from the cq into the fact set, atom by atom.  Each
+   atom reads its facts from a per-call index: by the value at its first
+   argument that is a constant or a variable an earlier atom binds, or,
+   without one, all facts of its relation and arity.  Either way they
+   come in fact order, so the matchings do too. *)
 let matchings cq facts =
-  let resolve env = function
-    | Const c -> Some c
-    | Var v -> List.assoc_opt v env
+  let facts_of = Pdb.index (fun (f : Pdb.tuple) -> f.Pdb.rel) facts in
+  let value env = function
+    | Const c -> c
+    | Var v ->
+      (match List.assoc_opt v env with
+       | Some c -> c
+       | None -> invalid_arg "Ucq: inequality over unbound variable")
+  in
+  let rec lookups bound = function
+    | [] -> []
+    | atom :: rest ->
+      let arity = List.length atom.args in
+      let facts =
+        List.filter
+          (fun (f : Pdb.tuple) -> List.length f.Pdb.args = arity)
+          (facts_of atom.rel)
+      in
+      let rec keyed i = function
+        | [] -> fun _ -> facts
+        | t :: _ when List.for_all (fun v -> List.mem v bound) (term_vars t) ->
+          let index =
+            Pdb.index (fun (f : Pdb.tuple) -> List.nth f.Pdb.args i) facts
+          in
+          fun env -> index (value env t)
+        | _ :: ts -> keyed (i + 1) ts
+      in
+      (atom, keyed 0 atom.args)
+      :: lookups (List.concat_map term_vars atom.args @ bound) rest
   in
   let rec go env = function
     | [] ->
       (* Check inequalities (all variables are bound by atoms; unbound
          inequality variables make the query ill-formed). *)
-      let value t =
-        match resolve env t with
-        | Some c -> c
-        | None -> invalid_arg "Ucq: inequality over unbound variable"
-      in
-      if List.for_all (fun (a, b) -> value a <> value b) cq.neqs then [ env ]
+      if List.for_all (fun (a, b) -> value env a <> value env b) cq.neqs then
+        [ env ]
       else []
-    | atom :: rest ->
+    | (atom, facts_for) :: rest ->
       List.concat_map
         (fun (fact : Pdb.tuple) ->
-          if fact.Pdb.rel <> atom.rel
-             || List.length fact.Pdb.args <> List.length atom.args
-          then []
-          else begin
-            (* unify argument lists *)
-            let rec unify env ts cs =
-              match (ts, cs) with
-              | [], [] -> Some env
-              | t :: ts, c :: cs ->
-                (match t with
-                 | Const k -> if k = c then unify env ts cs else None
-                 | Var v ->
-                   (match List.assoc_opt v env with
-                    | Some k -> if k = c then unify env ts cs else None
-                    | None -> unify ((v, c) :: env) ts cs))
-              | _ -> None
-            in
-            match unify env atom.args fact.Pdb.args with
-            | Some env' -> go env' rest
-            | None -> []
-          end)
-        facts
+          (* unify argument lists *)
+          let rec unify env ts cs =
+            match (ts, cs) with
+            | [], [] -> Some env
+            | t :: ts, c :: cs ->
+              (match t with
+               | Const k -> if k = c then unify env ts cs else None
+               | Var v ->
+                 (match List.assoc_opt v env with
+                  | Some k -> if k = c then unify env ts cs else None
+                  | None -> unify ((v, c) :: env) ts cs))
+            | _ -> None
+          in
+          match unify env atom.args fact.Pdb.args with
+          | Some env' -> go env' rest
+          | None -> [])
+        (facts_for env)
   in
-  go [] cq.atoms
+  go [] (lookups [] cq.atoms)
 
 let holds q facts = List.exists (fun cq -> matchings cq facts <> []) q

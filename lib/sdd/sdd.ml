@@ -252,9 +252,6 @@ let set_compact_every m n =
   if n < 1 then invalid_arg "Sdd.set_compact_every: must be positive";
   m.compact_every <- n
 
-(* Only compaction renumbers under a new generation, so the two counts
-   are one. *)
-let generation m = m.compactions_done
 let compactions m = m.compactions_done
 
 (* Direct field bumps: local enough for ocamlopt to inline, so the hot
@@ -297,7 +294,6 @@ type census = {
   scratch_words : int;
   approx_heap_words : int;
   bytes_per_node : int;
-  generation : int;
   compactions : int;
 }
 
@@ -338,7 +334,6 @@ let census m =
     scratch_words = Array.length m.scratch;
     approx_heap_words = words;
     bytes_per_node = 8 * words / Stdlib.max 1 count;
-    generation = m.compactions_done;
     compactions = m.compactions_done;
   }
 
@@ -358,7 +353,6 @@ let census_to_json c =
       ("scratch_words", Obs.Json.Int c.scratch_words);
       ("approx_heap_words", Obs.Json.Int c.approx_heap_words);
       ("bytes_per_node", Obs.Json.Int c.bytes_per_node);
-      ("generation", Obs.Json.Int c.generation);
       ("compactions", Obs.Json.Int c.compactions);
     ]
 
@@ -1244,7 +1238,7 @@ let compact_roots m (roots : int array) : int array =
       ("relocated", Obs.Json.Int relocated);
       ("reclaimed_words", Obs.Json.Int reclaimed);
       ("pause_us", Obs.Json.Int pause_us);
-      ("generation", Obs.Json.Int m.compactions_done);
+      ("compactions", Obs.Json.Int m.compactions_done);
     ];
   Array.map (Array.get fwd) roots
 

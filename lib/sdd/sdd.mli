@@ -30,7 +30,7 @@ val manager : ?budget:Budget.t -> ?compact_every:int -> Vtree.t -> manager
     consistent.  {!apply_move} and {!compact_roots} are transactional:
     they rebuild the live SDD into a fresh arena and only set the old
     one aside, so a trip — or any other exception — mid-pass puts the
-    old arena back: the vtree, {!num_nodes_allocated}, {!generation},
+    old arena back: the vtree, {!num_nodes_allocated}, {!compactions},
     every node id and every cache answer are as before the call.
 
     Node-cap semantics of that pass: during a vtree edit the cap counts
@@ -73,7 +73,7 @@ val set_budget : manager -> Budget.t -> unit
     Compaction {e invalidates every outstanding handle} except the roots
     it is given (same contract as a dynamic edit): pass in each handle
     you intend to keep and continue with the returned equivalents.  Each
-    pass bumps {!generation} and records one [sdd.compaction]
+    pass bumps {!compactions} and records one [sdd.compaction]
     {!Obs.event} (nodes relocated, words reclaimed, pause µs) whatever
     the collection switch. *)
 
@@ -100,12 +100,10 @@ val set_compact_every : manager -> int -> unit
 (** Re-arm (or disarm with [max_int]) the compaction threshold.
     @raise Invalid_argument if the argument is [< 1]. *)
 
-val generation : manager -> int
-(** Number of compactions survived by the current node ids — handles
-    from an older generation are invalid. *)
-
 val compactions : manager -> int
-(** Total compaction passes run by this manager. *)
+(** Total compaction passes run by this manager: the generation of the
+    current node ids, since only a compaction renumbers under a new
+    generation — handles from an older one are invalid. *)
 
 val stats : manager -> Obs.Cache.snapshot list
 (** Hit/miss/size statistics of the manager's five hash tables, in the
@@ -142,8 +140,8 @@ type census = {
           table stores node ids only; its keys are the arena cells) and
           the scratch stack. *)
   bytes_per_node : int;  (** [8 * approx_heap_words / allocated]. *)
-  generation : int;  (** Compaction generation of the node ids. *)
-  compactions : int;  (** Total compaction passes run. *)
+  compactions : int;
+      (** Total compaction passes run: the generation of the node ids. *)
 }
 
 val census : manager -> census

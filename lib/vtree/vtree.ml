@@ -8,7 +8,7 @@ type t = {
   parent : int array;        (* -1 for the root *)
   depth : int array;
   var : string array;        (* "" for internal nodes *)
-  vars_below : string list array;  (* sorted *)
+  leaves : string array;     (* leaf variables, in-order *)
   lo : int array;            (* leftmost leaf position in the subtree *)
   hi : int array;            (* rightmost leaf position in the subtree *)
   root : int;
@@ -16,14 +16,7 @@ type t = {
   right_linear : bool;  (* every left child is a leaf *)
 }
 
-let rec shape_leaves = function
-  | L v -> [ v ]
-  | N (a, b) -> shape_leaves a @ shape_leaves b
-
 let of_shape shape =
-  let leaves = shape_leaves shape in
-  if List.length (List.sort_uniq compare leaves) <> List.length leaves then
-    invalid_arg "Vtree.of_shape: duplicate variables";
   let count = ref 0 in
   let rec count_nodes = function
     | L _ -> incr count
@@ -39,21 +32,23 @@ let of_shape shape =
   let parent = Array.make n (-1) in
   let depth = Array.make n 0 in
   let var = Array.make n "" in
-  let vars_below = Array.make n [] in
   let lo = Array.make n 0 in
   let hi = Array.make n 0 in
-  let leaf_tbl = Hashtbl.create 16 in
+  let leaves = Array.make ((n + 1) / 2) "" in
+  let leaf_tbl = Hashtbl.create ((n + 1) / 2) in
   let next_id = ref 0 in
   let next_leaf_pos = ref 0 in
   (* Assign ids in pre-order so children have larger ids than parents;
      record in-order leaf intervals. *)
   let rec build d = function
     | L v ->
+      if Hashtbl.mem leaf_tbl v then
+        invalid_arg "Vtree.of_shape: duplicate variables";
       let id = !next_id in
       incr next_id;
       depth.(id) <- d;
       var.(id) <- v;
-      vars_below.(id) <- [ v ];
+      leaves.(!next_leaf_pos) <- v;
       lo.(id) <- !next_leaf_pos;
       hi.(id) <- !next_leaf_pos;
       incr next_leaf_pos;
@@ -69,7 +64,6 @@ let of_shape shape =
       right.(id) <- rb;
       parent.(la) <- id;
       parent.(rb) <- id;
-      vars_below.(id) <- List.merge compare vars_below.(la) vars_below.(rb);
       lo.(id) <- lo.(la);
       hi.(id) <- hi.(rb);
       id
@@ -81,15 +75,20 @@ let of_shape shape =
     | N (N _, _) -> false
   in
   {
-    left; right; parent; depth; var; vars_below; lo; hi; root;
+    left; right; parent; depth; var; leaves; lo; hi; root;
     leaf_of_var = leaf_tbl;
     right_linear = right_linear shape;
   }
 
 let check_nonempty_unique fn vars =
   if vars = [] then invalid_arg ("Vtree." ^ fn ^ ": empty variable list");
-  if List.length (List.sort_uniq compare vars) <> List.length vars then
-    invalid_arg ("Vtree." ^ fn ^ ": duplicate variables")
+  let seen = Hashtbl.create (List.length vars) in
+  List.iter
+    (fun v ->
+      if Hashtbl.mem seen v then
+        invalid_arg ("Vtree." ^ fn ^ ": duplicate variables");
+      Hashtbl.add seen v ())
+    vars
 
 let right_linear vars =
   check_nonempty_unique "right_linear" vars;
@@ -203,8 +202,15 @@ let right t v =
 let parent t v = if t.parent.(v) < 0 then None else Some t.parent.(v)
 let depth t v = t.depth.(v)
 let leaf_of_var t v = Hashtbl.find t.leaf_of_var v
-let variables t = t.vars_below.(t.root)
-let vars_below t v = t.vars_below.(v)
+
+(* [Y_v] is the in-order leaf slice [lo..hi], sorted on demand: storing
+   it per node would cost O(n * depth) cells. *)
+let vars_below t v =
+  let ys = Array.sub t.leaves t.lo.(v) (t.hi.(v) - t.lo.(v) + 1) in
+  Array.sort compare ys;
+  Array.to_list ys
+
+let variables t = vars_below t t.root
 let num_vars_below t v = t.hi.(v) - t.lo.(v) + 1
 
 let is_ancestor t u v = t.lo.(u) <= t.lo.(v) && t.hi.(v) <= t.hi.(u)
@@ -222,17 +228,7 @@ let in_right_subtree t v u = not (is_leaf t v) && is_ancestor t t.right.(v) u
 
 let is_right_linear t = t.right_linear
 
-let leaf_order t =
-  let acc = ref [] in
-  let rec go v =
-    if is_leaf t v then acc := t.var.(v) :: !acc
-    else begin
-      go t.left.(v);
-      go t.right.(v)
-    end
-  in
-  go t.root;
-  List.rev !acc
+let leaf_order t = Array.to_list t.leaves
 
 let rec shape_of t v =
   if is_leaf t v then L t.var.(v)

@@ -2,9 +2,10 @@
 
     A vtree for a variable set [Y] is a rooted ordered binary tree whose
     leaves correspond bijectively to [Y].  Nodes are identified by
-    integers; the structure precomputes parents, depths, and the variable
-    sets [Y_v] below each node, plus in-order leaf intervals for O(1)
-    ancestry tests — the operations the SDD apply algorithm needs. *)
+    integers; the structure precomputes parents, depths, the in-order
+    leaf variables and each node's leaf interval in them, for O(1)
+    ancestry tests — the operations the SDD apply algorithm needs.  The
+    variable sets [Y_v] are read off the leaf intervals on demand. *)
 
 type t
 type node = int
@@ -66,10 +67,13 @@ val leaf_of_var : t -> string -> node
 (** @raise Not_found if the variable is not in the tree. *)
 
 val variables : t -> string list
-(** Sorted. *)
+(** Sorted; built per call like {!vars_below} at the root. *)
 
 val vars_below : t -> node -> string list
-(** [Y_v]: sorted variables at the leaves of the subtree rooted at [v]. *)
+(** [Y_v]: sorted variables at the leaves of the subtree rooted at [v].
+    Built per call from the node's leaf interval, O(|Y_v| log |Y_v|);
+    use {!num_vars_below}, {!is_ancestor} or {!leaf_of_var} when the
+    list itself is not needed. *)
 
 val num_vars_below : t -> node -> int
 

@@ -288,8 +288,7 @@ let postmortem_suite =
                 (fun c ->
                   List.for_all
                     (fun k -> Obs.Json.member k c <> None)
-                    [ "allocated"; "generation";
-                      "compactions"; "bytes_per_node" ])
+                    [ "allocated"; "compactions"; "bytes_per_node" ])
                 ms)
          | _ -> Alcotest.fail "managers not a non-empty list");
         (* The direct census agrees with the manager. *)

@@ -258,6 +258,327 @@ let jha_suciu_suite =
         checki "2n + k n^2" (4 + 8) (Boolfun.num_vars f));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* References for the differential tests below                         *)
+(* ------------------------------------------------------------------ *)
+
+(* [Qsafety.hierarchical_variable_order] before it indexed the facts:
+   the recursion runs over the whole active domain and every ground atom
+   rescans every fact.  Kept as the reference for the order test. *)
+let reference_atom_vars (a : Ucq.atom) =
+  List.concat_map (function Ucq.Var v -> [ v ] | Ucq.Const _ -> []) a.Ucq.args
+
+let reference_components atoms =
+  let n = List.length atoms in
+  let arr = Array.of_list atoms in
+  let parent = Array.init n Fun.id in
+  let rec find i = if parent.(i) = i then i else begin
+      parent.(i) <- find parent.(i);
+      parent.(i)
+    end
+  in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      let vi = reference_atom_vars arr.(i) and vj = reference_atom_vars arr.(j) in
+      if List.exists (fun v -> List.mem v vj) vi then begin
+        let ri = find i and rj = find j in
+        if ri <> rj then parent.(ri) <- rj
+      end
+    done
+  done;
+  let groups = Hashtbl.create 8 in
+  Array.iteri
+    (fun i a ->
+      let r = find i in
+      match Hashtbl.find_opt groups r with
+      | Some l -> l := a :: !l
+      | None -> Hashtbl.add groups r (ref [ a ]))
+    arr;
+  Hashtbl.fold (fun _ l acc -> List.rev !l :: acc) groups []
+
+let reference_substitute x c (a : Ucq.atom) =
+  {
+    a with
+    Ucq.args =
+      List.map
+        (function Ucq.Var v when v = x -> Ucq.Const c | t -> t)
+        a.Ucq.args;
+  }
+
+let reference_matching_facts (a : Ucq.atom) facts =
+  List.filter
+    (fun (f : Pdb.tuple) ->
+      f.Pdb.rel = a.Ucq.rel
+      && List.length f.Pdb.args = List.length a.Ucq.args
+      && List.for_all2
+           (fun t c -> match t with Ucq.Const k -> k = c | Ucq.Var _ -> true)
+           a.Ucq.args f.Pdb.args)
+    facts
+
+let reference_order cq db =
+  if (not (Qsafety.hierarchical_cq cq)) || Ucq.has_self_join cq then None
+  else begin
+    let domain = Pdb.active_domain db in
+    let rec order atoms =
+      List.concat_map
+        (fun comp ->
+          let vars =
+            List.sort_uniq compare (List.concat_map reference_atom_vars comp)
+          in
+          if vars = [] then
+            List.concat_map
+              (fun a ->
+                List.map Pdb.var_name (reference_matching_facts a db.Pdb.facts))
+              comp
+          else begin
+            let root =
+              List.find
+                (fun x ->
+                  List.for_all
+                    (fun a -> List.mem x (reference_atom_vars a))
+                    comp)
+                vars
+            in
+            List.concat_map
+              (fun c ->
+                order
+                  (reference_components
+                     (List.map (reference_substitute root c) comp)))
+              domain
+          end)
+        atoms
+    in
+    let main = order (reference_components cq.Ucq.atoms) in
+    let rest =
+      List.filter
+        (fun v -> not (List.mem v main))
+        (List.map Pdb.var_name db.Pdb.facts)
+    in
+    Some (main @ List.sort compare rest)
+  end
+
+(* [Ucq.matchings] before it indexed the facts by relation: every atom
+   scans every fact. *)
+let reference_matchings (cq : Ucq.cq) facts =
+  let resolve env = function
+    | Ucq.Const c -> Some c
+    | Ucq.Var v -> List.assoc_opt v env
+  in
+  let rec go env = function
+    | [] ->
+      let value t =
+        match resolve env t with
+        | Some c -> c
+        | None -> invalid_arg "Ucq: inequality over unbound variable"
+      in
+      if List.for_all (fun (a, b) -> value a <> value b) cq.Ucq.neqs then
+        [ env ]
+      else []
+    | (atom : Ucq.atom) :: rest ->
+      List.concat_map
+        (fun (fact : Pdb.tuple) ->
+          if fact.Pdb.rel <> atom.Ucq.rel
+             || List.length fact.Pdb.args <> List.length atom.Ucq.args
+          then []
+          else begin
+            let rec unify env ts cs =
+              match (ts, cs) with
+              | [], [] -> Some env
+              | t :: ts, c :: cs ->
+                (match t with
+                 | Ucq.Const k -> if k = c then unify env ts cs else None
+                 | Ucq.Var v ->
+                   (match List.assoc_opt v env with
+                    | Some k -> if k = c then unify env ts cs else None
+                    | None -> unify ((v, c) :: env) ts cs))
+              | _ -> None
+            in
+            match unify env atom.Ucq.args fact.Pdb.args with
+            | Some env' -> go env' rest
+            | None -> []
+          end)
+        facts
+  in
+  go [] cq.Ucq.atoms
+
+(* [Lineage.circuit] on the reference matchings. *)
+let reference_lineage q db =
+  let b = Circuit.Builder.create () in
+  let ground env (a : Ucq.atom) =
+    Pdb.var_name
+      (Pdb.tuple a.Ucq.rel
+         (List.map
+            (function
+              | Ucq.Const c -> c | Ucq.Var v -> List.assoc v env)
+            a.Ucq.args))
+  in
+  let disjuncts =
+    List.concat_map
+      (fun (cq : Ucq.cq) ->
+        List.map
+          (fun env ->
+            Circuit.Builder.and_ b
+              (List.map (Circuit.Builder.var b)
+                 (List.sort_uniq compare (List.map (ground env) cq.Ucq.atoms))))
+          (reference_matchings cq db.Pdb.facts))
+      q
+  in
+  Circuit.Builder.build b (Circuit.Builder.or_ b disjuncts)
+
+(* A random hierarchical self-join-free conjunct: a forest of at most
+   three levels of variables, each atom's variables a root-to-node path
+   (every leaf carries an atom), shuffled, with a constant or a repeated
+   variable mixed in now and then, plus an occasional ground atom.
+   Relations are named [prefix ^ i]. *)
+let random_hierarchical_cq st ~prefix =
+  let pick n = Random.State.int st n in
+  let shuffle l =
+    List.map snd
+      (List.sort compare (List.map (fun x -> (Random.State.bits st, x)) l))
+  in
+  let const () = string_of_int (1 + pick 3) in
+  let nvars = ref 0 and atoms = ref [] in
+  let add args =
+    let rel = prefix ^ string_of_int (List.length !atoms) in
+    atoms := { Ucq.rel; args = shuffle args } :: !atoms
+  in
+  let rec grow path depth =
+    let x = Printf.sprintf "x%d" !nvars in
+    incr nvars;
+    let path = x :: path in
+    let children = if depth < 3 then pick 3 else 0 in
+    for _ = 1 to children do
+      grow path (depth + 1)
+    done;
+    if children = 0 || pick 2 = 0 then begin
+      let args = List.map (fun v -> Ucq.Var v) path in
+      let args =
+        if pick 4 = 0 then Ucq.Var (List.nth path (pick (List.length path))) :: args
+        else args
+      in
+      add (if pick 3 = 0 then Ucq.Const (const ()) :: args else args)
+    end
+  in
+  for _ = 0 to pick 2 do
+    grow [] 1
+  done;
+  if pick 4 = 0 then add (List.init (pick 3) (fun _ -> Ucq.Const (const ())));
+  { Ucq.atoms = shuffle !atoms; neqs = [] }
+
+(* A random database for the relations of [q] over the constants 1..4,
+   in shuffled fact order: ground copies of the atoms under random
+   assignments (so joins succeed), random tuples, facts of the wrong
+   arity, a relation the query does not use, and now and then one
+   relation left empty. *)
+let random_db st q =
+  let pick n = Random.State.int st n in
+  let value () = string_of_int (1 + pick 4) in
+  let atoms = List.concat_map (fun cq -> cq.Ucq.atoms) q in
+  let empty =
+    if atoms <> [] && pick 3 = 0 then
+      [ (List.nth atoms (pick (List.length atoms))).Ucq.rel ]
+    else []
+  in
+  let facts = ref [ Pdb.tuple "U" [ value () ]; Pdb.tuple "U" [] ] in
+  let add rel args =
+    if not (List.mem rel empty) then facts := Pdb.tuple rel args :: !facts
+  in
+  for _ = 1 to 1 + pick 8 do
+    let env = Hashtbl.create 8 in
+    List.iter
+      (fun (a : Ucq.atom) ->
+        if pick 4 > 0 then
+          add a.Ucq.rel
+            (List.map
+               (function
+                 | Ucq.Const c -> c
+                 | Ucq.Var v ->
+                   (match Hashtbl.find_opt env v with
+                    | Some c -> c
+                    | None ->
+                      let c = value () in
+                      Hashtbl.add env v c;
+                      c))
+               a.Ucq.args))
+      atoms
+  done;
+  List.iter
+    (fun (a : Ucq.atom) ->
+      let arity = List.length a.Ucq.args in
+      for _ = 1 to pick 5 do
+        add a.Ucq.rel (List.init arity (fun _ -> value ()))
+      done;
+      if pick 3 = 0 then add a.Ucq.rel (List.init (arity + 1) (fun _ -> value ())))
+    atoms;
+  let facts = List.sort_uniq compare !facts in
+  Pdb.uniform (Ratio.of_ints 1 2)
+    (List.map snd
+       (List.sort compare (List.map (fun f -> (Random.State.bits st, f)) facts)))
+
+let differential_suite =
+  [
+    qtest ~count:300 "hierarchical order matches the full-domain reference"
+      QCheck2.Gen.int
+      (fun seed ->
+        let st = Random.State.make [| seed |] in
+        let cq = random_hierarchical_cq st ~prefix:"R" in
+        let db = random_db st [ cq ] in
+        let got = Qsafety.hierarchical_variable_order cq db in
+        got <> None && got = reference_order cq db);
+    case "hierarchical order on fixed shapes matches the reference" (fun () ->
+        List.iter
+          (fun (q, db) ->
+            let cq = List.hd (Ucq.of_string q) in
+            checkb q true
+              (Qsafety.hierarchical_variable_order cq db = reference_order cq db))
+          [
+            ("R(x), S(x,y)", tiny_db);
+            ("R(x), S(x,y), T(y)", tiny_db);
+            ("S(x,x)", tiny_db);
+            ("S(#2,y), R(y)", tiny_db);
+            ("E()", Pdb.uniform (Ratio.of_ints 1 2) [ Pdb.tuple "E" []; Pdb.tuple "R" [ "1" ] ]);
+            ("R(x), S(x,y)", Pdb.chain_database ~k:2 3);
+            ("R(x)", Pdb.uniform (Ratio.of_ints 1 2) []);
+          ]);
+    qtest ~count:200 "lineage circuit matches the scan-everything matchings"
+      QCheck2.Gen.int
+      (fun seed ->
+        let st = Random.State.make [| seed |] in
+        let q =
+          List.init
+            (1 + Random.State.int st 2)
+            (fun i ->
+              let cq =
+                random_hierarchical_cq st ~prefix:(Printf.sprintf "R%d_" i)
+              in
+              (* A self-join or an inequality now and then: grounding
+                 handles any conjunct. *)
+              let cq =
+                match cq.Ucq.atoms with
+                | a :: _ when Random.State.int st 3 = 0 ->
+                  let fresh =
+                    List.map
+                      (function
+                        | Ucq.Var v -> Ucq.Var (v ^ "'") | t -> t)
+                      a.Ucq.args
+                  in
+                  { cq with Ucq.atoms = cq.Ucq.atoms @ [ { a with Ucq.args = fresh } ] }
+                | a :: _ when Random.State.int st 3 = 0 ->
+                  (match List.filter_map (function Ucq.Var v -> Some v | _ -> None) a.Ucq.args with
+                   | v :: _ -> { cq with Ucq.neqs = [ (Ucq.Var v, Ucq.Const "1") ] }
+                   | [] -> cq)
+                | _ -> cq
+              in
+              cq)
+        in
+        let db = random_db st q in
+        List.for_all
+          (fun cq ->
+            Ucq.matchings cq db.Pdb.facts = reference_matchings cq db.Pdb.facts)
+          q
+        && Lineage.circuit q db = reference_lineage q db);
+  ]
+
 let suites =
   [
     ("jha_suciu", jha_suciu_suite);
@@ -266,4 +587,5 @@ let suites =
     ("lineage", lineage_suite);
     ("qsafety", safety_suite);
     ("prob", prob_suite);
+    ("pdb_differential", differential_suite);
   ]

@@ -73,13 +73,46 @@ let vtree_suite =
         Vtree.num_nodes t = 11
         && Vtree.variables t = small_vars 6
         && List.length (Vtree.nodes t) = 11);
-    qtest "leaf intervals consistent with vars_below" QCheck2.Gen.(int_range 0 40)
-      (fun seed ->
-        let t = Vtree.random ~seed (small_vars 5) in
-        List.for_all
-          (fun v ->
-            List.length (Vtree.vars_below t v) = Vtree.num_vars_below t v)
-          (Vtree.nodes t));
+    qtest ~count:40 "leaf intervals consistent with vars_below"
+      QCheck2.Gen.(triple (int_range 0 2) (int_range 1 2000) (int_range 0 1000))
+      (fun (kind, n, seed) ->
+        (* [Y_v] is the sorted in-order leaf slice of [v]'s subtree, on
+           spines of either side and on random shapes; about a hundred
+           nodes per tree, spread over its ids, keep 2,000 leaves quick. *)
+        let vars = List.init n (Printf.sprintf "v%d") in
+        let t =
+          match kind with
+          | 0 -> Vtree.right_linear vars
+          | 1 -> Vtree.left_linear vars
+          | _ -> Vtree.random ~seed vars
+        in
+        let order = Array.of_list (Vtree.leaf_order t) in
+        let rec walk v acc =
+          if Vtree.is_leaf t v then Vtree.var_of_leaf t v :: acc
+          else walk (Vtree.left t v) (walk (Vtree.right t v) acc)
+        in
+        let slice_at v =
+          let below = walk v [] in
+          let k = List.length below in
+          let rec start i =
+            if order.(i) = List.hd below then i else start (i + 1)
+          in
+          let i = start 0 in
+          (below, i + k <= Array.length order
+                  && Array.to_list (Array.sub order i k) = below)
+        in
+        let stride = max 1 (Vtree.num_nodes t / 100) in
+        Vtree.variables t = List.sort compare vars
+        && List.sort compare (Array.to_list order) = List.sort compare vars
+        && List.for_all
+             (fun v ->
+               v mod stride <> 0
+               ||
+               let below, contiguous = slice_at v in
+               contiguous
+               && Vtree.vars_below t v = List.sort compare below
+               && Vtree.num_vars_below t v = List.length below)
+             (Vtree.nodes t));
     qtest "stored right-linearity matches the spine walk"
       QCheck2.Gen.(pair (int_range 1 6) (int_range 0 200))
       (fun (n, seed) ->
