@@ -41,7 +41,7 @@ let witness_non_hierarchical cq =
   find (var_atom_sets cq)
 
 (* ------------------------------------------------------------------ *)
-(* Hierarchical variable order for lineages                            *)
+(* Elimination plans                                                   *)
 (* ------------------------------------------------------------------ *)
 
 let atom_vars (a : Ucq.atom) =
@@ -49,7 +49,8 @@ let atom_vars (a : Ucq.atom) =
 
 (* Connected components under shared variables, [vars_of] giving each
    item's variables; each group keeps its items in input order.  The
-   order's [plan] groups numbered atoms with it. *)
+   elimination [plan] groups a conjunct's atoms and inequalities with
+   it. *)
 let components_by vars_of items =
   let arr = Array.of_list items in
   let n = Array.length arr in
@@ -89,53 +90,113 @@ let substitute x c (a : Ucq.atom) =
         a.Ucq.args;
   }
 
-(* A fact that still matches its atom's constants, with its lineage
-   variable. *)
 type candidate = { args : string array; name : string }
 
-(* The order's recursion follows the query alone: which atoms form a
-   component, its root variable, where the root occurs in each atom, and
-   the components once the root is fixed to a constant — the same for
-   every constant, since a constant joins nothing.  Atoms are numbered
-   by their position in the conjunct. *)
-type plan =
-  | Ground of int list
-  | Root of (int * int list) list * plan list
+let named facts =
+  List.map
+    (fun (f : Pdb.tuple) ->
+      (f.Pdb.rel, { args = Array.of_list f.Pdb.args; name = Pdb.var_name f }))
+    facts
 
-let rec plan items =
-  let item_vars (_, a) = atom_vars a in
+let candidates named =
+  let facts_of = Pdb.index fst named in
+  fun (a : Ucq.atom) ->
+    let arity = List.length a.Ucq.args in
+    let rec fits args i = function
+      | [] -> true
+      | Ucq.Const k :: ts -> String.equal args.(i) k && fits args (i + 1) ts
+      | Ucq.Var _ :: ts -> fits args (i + 1) ts
+    in
+    List.filter_map
+      (fun (_, c) ->
+        if Array.length c.args = arity && fits c.args 0 a.Ucq.args then Some c
+        else None)
+      (facts_of a.Ucq.rel)
+
+type plan =
+  | Ground of { atoms : int list; neqs : (Ucq.term * Ucq.term) list }
+  | Root of {
+      var : string;
+      atoms : int list;
+      keyed : (int * int list) list;
+      subs : plan list;
+    }
+
+type item = Atom of int * Ucq.atom | Neq of Ucq.term * Ucq.term
+
+(* The recursion follows the query alone: which items form a component
+   once the variables in [fixed] are, the variable it eliminates, where
+   that variable occurs in each atom, and the components below — the
+   same for every constant, since a constant joins nothing.  Atoms are
+   numbered by their position in the conjunct. *)
+let rec plan_items fixed items =
+  let free = List.filter (fun v -> not (List.mem v fixed)) in
+  let item_vars = function
+    | Atom (_, a) -> free (atom_vars a)
+    | Neq (s, t) ->
+      free (List.concat_map (function Ucq.Var v -> [ v ] | Ucq.Const _ -> []) [ s; t ])
+  in
   List.map
     (fun comp ->
-      let vars = List.sort_uniq compare (List.concat_map item_vars comp) in
-      if vars = [] then Ground (List.map fst comp)
-      else begin
-        (* Connected hierarchical conjuncts have a root variable
-           occurring in every atom. *)
-        let root =
-          List.find
-            (fun x -> List.for_all (fun a -> List.mem x (item_vars a)) comp)
-            vars
+      let atoms =
+        List.filter_map (function Atom (i, _) -> Some i | Neq _ -> None) comp
+      in
+      match List.sort_uniq compare (List.concat_map item_vars comp) with
+      | [] ->
+        Ground
+          {
+            atoms;
+            neqs =
+              List.filter_map
+                (function Neq (s, t) -> Some (s, t) | Atom _ -> None)
+                comp;
+          }
+      | vars ->
+        let holds x = function
+          | Atom (_, (a : Ucq.atom)) -> List.mem (Ucq.Var x) a.Ucq.args
+          | Neq _ -> false
         in
+        (* The variable in the most atoms, the first in sorted order on
+           a tie.  A connected hierarchical conjunct has a root variable
+           occurring in every atom, so that is the root. *)
+        let root, n =
+          List.fold_left
+            (fun (r, n) x ->
+              let k = List.length (List.filter (holds x) comp) in
+              if k > n then (x, k) else (r, n))
+            ("", 0) vars
+        in
+        if n = 0 then
+          invalid_arg "Qsafety.plan: inequality over a variable no atom binds";
         let positions (a : Ucq.atom) =
           List.concat
             (List.mapi
                (fun i t -> if t = Ucq.Var root then [ i ] else [])
                a.Ucq.args)
         in
-        (* Any constant stands for the root's value here: only the
-           variables left shape the sub-plan. *)
         Root
-          ( List.map (fun (i, a) -> (i, positions a)) comp,
-            plan (List.map (fun (i, a) -> (i, substitute root root a)) comp) )
-      end)
+          {
+            var = root;
+            atoms;
+            keyed =
+              List.filter_map
+                (function
+                  | Atom (i, a) as it when holds root it -> Some (i, positions a)
+                  | _ -> None)
+                comp;
+            subs = plan_items (root :: fixed) comp;
+          })
     (components_by item_vars items)
+
+let plan (cq : Ucq.cq) =
+  plan_items []
+    (List.mapi (fun i a -> Atom (i, a)) cq.Ucq.atoms
+    @ List.map (fun (s, t) -> Neq (s, t)) cq.Ucq.neqs)
 
 let rec agree args k = function
   | [] -> true
   | i :: pos -> String.equal args.(i) k && agree args k pos
 
-(* Candidates keyed by the constant at [pos] (every position must carry
-   the same one), each bucket in fact order. *)
 let split_at pos cands =
   let first = List.hd pos in
   let buckets = Hashtbl.create 16 in
@@ -148,6 +209,10 @@ let split_at pos cands =
     (List.rev cands);
   buckets
 
+(* ------------------------------------------------------------------ *)
+(* Hierarchical variable order for lineages                            *)
+(* ------------------------------------------------------------------ *)
+
 let rec push_names acc = function
   | [] -> acc
   | c :: cands -> push_names (c.name :: acc) cands
@@ -155,15 +220,16 @@ let rec push_names acc = function
 (* Prepends the order's names to [acc], last first.  [cands.(i)] holds
    the facts atom [i] may still match under the constants fixed so far;
    a [Root] overwrites its atoms' entries for each constant in turn, and
-   no other plan reads them.  Only constants some candidate carries at
-   the root add names, so the walk skips the rest of the domain. *)
+   no other plan reads them (every atom of a hierarchical component
+   holds its root).  Only constants some candidate carries at the root
+   add names, so the walk skips the rest of the domain. *)
 let rec emit cands acc = function
   | [] -> acc
-  | Ground atoms :: plans ->
+  | Ground { atoms; _ } :: plans ->
     let acc = List.fold_left (fun acc i -> push_names acc cands.(i)) acc atoms in
     emit cands acc plans
-  | Root (atoms, subs) :: plans ->
-    let split = List.map (fun (i, pos) -> (i, split_at pos cands.(i))) atoms in
+  | Root { keyed; subs; _ } :: plans ->
+    let split = List.map (fun (i, pos) -> (i, split_at pos cands.(i))) keyed in
     let consts =
       List.sort_uniq compare
         (List.concat_map
@@ -188,32 +254,20 @@ let rec emit cands acc = function
 let hierarchical_variable_order cq db =
   if (not (hierarchical_cq cq)) || Ucq.has_self_join cq then None
   else begin
-    let named = List.map (fun f -> (f, Pdb.var_name f)) db.Pdb.facts in
-    let facts_of = Pdb.index (fun ((f : Pdb.tuple), _) -> f.Pdb.rel) named in
-    let candidates (a : Ucq.atom) =
-      let arity = List.length a.Ucq.args in
-      List.filter_map
-        (fun ((f : Pdb.tuple), name) ->
-          if
-            List.length f.Pdb.args = arity
-            && List.for_all2
-                 (fun t c ->
-                   match t with Ucq.Const k -> k = c | Ucq.Var _ -> true)
-                 a.Ucq.args f.Pdb.args
-          then Some { args = Array.of_list f.Pdb.args; name }
-          else None)
-        (facts_of a.Ucq.rel)
-    in
-    let atoms = List.mapi (fun i a -> (i, a)) cq.Ucq.atoms in
+    let named = named db.Pdb.facts in
+    let candidates = candidates named in
+    (* The order ignores inequalities: they only remove models. *)
     let main =
       List.rev
-        (emit (Array.of_list (List.map candidates cq.Ucq.atoms)) [] (plan atoms))
+        (emit
+           (Array.of_list (List.map candidates cq.Ucq.atoms))
+           [] (plan { cq with Ucq.neqs = [] }))
     in
     let in_main = Hashtbl.create (List.length main) in
     List.iter (fun v -> Hashtbl.replace in_main v ()) main;
     let rest =
       List.filter_map
-        (fun (_, name) -> if Hashtbl.mem in_main name then None else Some name)
+        (fun (_, c) -> if Hashtbl.mem in_main c.name then None else Some c.name)
         named
     in
     Some (main @ List.sort compare rest)

@@ -30,6 +30,50 @@ val components : Ucq.atom list -> Ucq.atom list list
 val substitute : string -> string -> Ucq.atom -> Ucq.atom
 (** [substitute x c atom] replaces the variable by the constant. *)
 
+(** {1 Elimination plans}
+
+    The recursion the lineage builder and the hierarchical order share:
+    split a conjunct into components by shared variables, eliminate one
+    variable per component, and split again.  It depends only on the
+    query, since a constant joins nothing. *)
+
+type candidate = { args : string array; name : string }
+(** A fact an atom may still match, with its lineage variable. *)
+
+val named : Pdb.tuple list -> (string * candidate) list
+(** Each fact with its relation, named once ({!Pdb.var_name}). *)
+
+val candidates : (string * candidate) list -> Ucq.atom -> candidate list
+(** [candidates named] indexes the named facts by relation
+    ({!Pdb.index}); the lookup gives an atom's facts of its relation and
+    arity that match its constants, in fact order. *)
+
+type plan =
+  | Ground of { atoms : int list; neqs : (Ucq.term * Ucq.term) list }
+      (** A component without variables left: its atoms (numbered by
+          their position in the conjunct) and inequalities are ground
+          under the variables fixed above. *)
+  | Root of {
+      var : string;
+      atoms : int list;  (** every atom of the component *)
+      keyed : (int * int list) list;
+          (** the atoms holding [var], with its positions *)
+      subs : plan list;  (** the components once [var] is fixed *)
+    }
+      (** A connected component eliminating [var], the variable in the
+          most atoms (the first in sorted order on a tie): the root, for
+          hierarchical conjuncts. *)
+
+val plan : Ucq.cq -> plan list
+(** The conjunct's components, atoms and inequalities together.
+    @raise Invalid_argument if an inequality mentions a variable bound
+    by no atom. *)
+
+val split_at : int list -> candidate list -> (string, candidate list) Hashtbl.t
+(** [split_at pos cands] groups the candidates by the constant at the
+    positions [pos] (non-empty), dropping those that carry different
+    constants there; each bucket keeps fact order. *)
+
 val hierarchical_variable_order : Ucq.cq -> Pdb.t -> string list option
 (** For a hierarchical self-join-free conjunct: a lineage-variable order
     grouping facts by the root variable's values, under which the OBDD of

@@ -147,11 +147,10 @@ let of_string s =
 (* Semantics                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* All homomorphisms from the cq into the fact set, atom by atom.  Each
-   atom reads its facts from a per-call index: by the value at its first
-   argument that is a constant or a variable an earlier atom binds, or,
-   without one, all facts of its relation and arity.  Either way they
-   come in fact order, so the matchings do too. *)
+(* All homomorphisms from the cq into the fact set, atom by atom, each
+   atom reading the facts of its relation in fact order, so the
+   matchings come in that order too.  Only [holds] reads them, on
+   brute-force sizes. *)
 let matchings cq facts =
   let facts_of = Pdb.index (fun (f : Pdb.tuple) -> f.Pdb.rel) facts in
   let value env = function
@@ -161,27 +160,6 @@ let matchings cq facts =
        | Some c -> c
        | None -> invalid_arg "Ucq: inequality over unbound variable")
   in
-  let rec lookups bound = function
-    | [] -> []
-    | atom :: rest ->
-      let arity = List.length atom.args in
-      let facts =
-        List.filter
-          (fun (f : Pdb.tuple) -> List.length f.Pdb.args = arity)
-          (facts_of atom.rel)
-      in
-      let rec keyed i = function
-        | [] -> fun _ -> facts
-        | t :: _ when List.for_all (fun v -> List.mem v bound) (term_vars t) ->
-          let index =
-            Pdb.index (fun (f : Pdb.tuple) -> List.nth f.Pdb.args i) facts
-          in
-          fun env -> index (value env t)
-        | _ :: ts -> keyed (i + 1) ts
-      in
-      (atom, keyed 0 atom.args)
-      :: lookups (List.concat_map term_vars atom.args @ bound) rest
-  in
   let rec go env = function
     | [] ->
       (* Check inequalities (all variables are bound by atoms; unbound
@@ -189,7 +167,7 @@ let matchings cq facts =
       if List.for_all (fun (a, b) -> value env a <> value env b) cq.neqs then
         [ env ]
       else []
-    | (atom, facts_for) :: rest ->
+    | atom :: rest ->
       List.concat_map
         (fun (fact : Pdb.tuple) ->
           (* unify argument lists *)
@@ -208,8 +186,8 @@ let matchings cq facts =
           match unify env atom.args fact.Pdb.args with
           | Some env' -> go env' rest
           | None -> [])
-        (facts_for env)
+        (facts_of atom.rel)
   in
-  go [] (lookups [] cq.atoms)
+  go [] cq.atoms
 
 let holds q facts = List.exists (fun cq -> matchings cq facts <> []) q

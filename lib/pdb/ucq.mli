@@ -48,6 +48,6 @@ val holds : t -> Pdb.tuple list -> bool
 
 val matchings : cq -> Pdb.tuple list -> (string * string) list list
 (** All satisfying assignments (variable, constant) of the conjunct
-    against the fact set; used to build lineages.
+    against the fact set; [holds] asks whether there is one.
     @raise Invalid_argument if an inequality mentions a variable bound by
     no atom. *)

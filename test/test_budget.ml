@@ -173,11 +173,11 @@ let error_suite =
         check_err "node limit" Ctwsdd_error.Node_limit
           (Ctwsdd.compile ~budget:(Budget.create ~max_nodes:2 ()) c));
     case "a node cap inside one wide gate's fold is a clean error" (fun () ->
-        (* The lineage is one wide Or of And terms.  A cap above what the
-           terms need and below the whole compile's allocations trips
-           inside the Or gate's pairwise fold. *)
+        (* The DNF lineage is one wide Or of And terms.  A cap above
+           what the terms need and below the whole compile's allocations
+           trips inside the Or gate's pairwise fold. *)
         let c =
-          Lineage.circuit (Ucq.of_string "R(x), S(x,y)") (Pdb.complete_rst 5)
+          Dnf_lineage.circuit (Ucq.of_string "R(x), S(x,y)") (Pdb.complete_rst 5)
         in
         let out = Circuit.output c in
         checki "output gate is last" (Circuit.size c - 1) out;
@@ -220,7 +220,7 @@ let error_suite =
            Or's fold and its terms, then inside a swap's rebuild that
            rolls back — must not grow the stack past one clean compile's. *)
         let c =
-          Lineage.circuit (Ucq.of_string "R(x), S(x,y)") (Pdb.complete_rst 5)
+          Dnf_lineage.circuit (Ucq.of_string "R(x), S(x,y)") (Pdb.complete_rst 5)
         in
         let vt = fst (Pipeline.treedec_vtree c) in
         let scratch m = (Sdd.census m).Sdd.scratch_words in

@@ -112,8 +112,37 @@ let lineage_suite =
         check boolfun "lineage" (Boolfun.lift expected (Lineage.variables tiny_db)) f);
     case "lineage is monotone" (fun () ->
         let c = Lineage.circuit q_rst (Pdb.complete_rst 2) in
-        (* DNF of positive literals: NNF without negations. *)
+        (* And/Or over positive literals: NNF without negations. *)
         checkb "nnf" true (Circuit.is_nnf c));
+    case "a fact without its join partner names no input gate" (fun () ->
+        (* R(2) has S(2,1) but no U(2,1), and U(2,2) no S(2,2): the
+           component under x = 2 has no fact for one of its atoms, so it
+           is false before R(2) is named. *)
+        let q = Ucq.of_string "R(x), S(x,y), U(x,y)" in
+        let db =
+          Pdb.uniform (Ratio.of_ints 1 2)
+            (List.map
+               (fun (r, args) -> Pdb.tuple r args)
+               [
+                 ("R", [ "1" ]); ("R", [ "2" ]); ("S", [ "1"; "1" ]);
+                 ("U", [ "1"; "1" ]); ("S", [ "2"; "1" ]); ("U", [ "2"; "2" ]);
+               ])
+        in
+        let c = Lineage.circuit q db in
+        Alcotest.(check (list string))
+          "inputs" [ "R(1)"; "S(1,1)"; "U(1,1)" ] (Circuit.variables c);
+        checkb "no R(2) gate" false
+          (Array.exists (( = ) (Circuit.Var "R(2)")) c.Circuit.gates);
+        checkb "same function as the DNF" true
+          (Circuit.equivalent c (Dnf_lineage.circuit q db)));
+    case "an inequality over a variable no atom binds is rejected" (fun () ->
+        let q = Ucq.of_string "R(x), x != y" in
+        List.iter
+          (fun db ->
+            match Lineage.circuit q db with
+            | exception Invalid_argument _ -> ()
+            | _ -> Alcotest.fail "expected Invalid_argument")
+          [ tiny_db; Pdb.make [] ]);
     qtest "lineage circuit agrees with brute force" QCheck2.Gen.(int_range 1 2)
       (fun n ->
         let db = Pdb.complete_rst n in
@@ -357,74 +386,6 @@ let reference_order cq db =
     Some (main @ List.sort compare rest)
   end
 
-(* [Ucq.matchings] before it indexed the facts by relation: every atom
-   scans every fact. *)
-let reference_matchings (cq : Ucq.cq) facts =
-  let resolve env = function
-    | Ucq.Const c -> Some c
-    | Ucq.Var v -> List.assoc_opt v env
-  in
-  let rec go env = function
-    | [] ->
-      let value t =
-        match resolve env t with
-        | Some c -> c
-        | None -> invalid_arg "Ucq: inequality over unbound variable"
-      in
-      if List.for_all (fun (a, b) -> value a <> value b) cq.Ucq.neqs then
-        [ env ]
-      else []
-    | (atom : Ucq.atom) :: rest ->
-      List.concat_map
-        (fun (fact : Pdb.tuple) ->
-          if fact.Pdb.rel <> atom.Ucq.rel
-             || List.length fact.Pdb.args <> List.length atom.Ucq.args
-          then []
-          else begin
-            let rec unify env ts cs =
-              match (ts, cs) with
-              | [], [] -> Some env
-              | t :: ts, c :: cs ->
-                (match t with
-                 | Ucq.Const k -> if k = c then unify env ts cs else None
-                 | Ucq.Var v ->
-                   (match List.assoc_opt v env with
-                    | Some k -> if k = c then unify env ts cs else None
-                    | None -> unify ((v, c) :: env) ts cs))
-              | _ -> None
-            in
-            match unify env atom.Ucq.args fact.Pdb.args with
-            | Some env' -> go env' rest
-            | None -> []
-          end)
-        facts
-  in
-  go [] cq.Ucq.atoms
-
-(* [Lineage.circuit] on the reference matchings. *)
-let reference_lineage q db =
-  let b = Circuit.Builder.create () in
-  let ground env (a : Ucq.atom) =
-    Pdb.var_name
-      (Pdb.tuple a.Ucq.rel
-         (List.map
-            (function
-              | Ucq.Const c -> c | Ucq.Var v -> List.assoc v env)
-            a.Ucq.args))
-  in
-  let disjuncts =
-    List.concat_map
-      (fun (cq : Ucq.cq) ->
-        List.map
-          (fun env ->
-            Circuit.Builder.and_ b
-              (List.map (Circuit.Builder.var b)
-                 (List.sort_uniq compare (List.map (ground env) cq.Ucq.atoms))))
-          (reference_matchings cq db.Pdb.facts))
-      q
-  in
-  Circuit.Builder.build b (Circuit.Builder.or_ b disjuncts)
-
 (* A random hierarchical self-join-free conjunct: a forest of at most
    three levels of variables, each atom's variables a root-to-node path
    (every leaf carries an atom), shuffled, with a constant or a repeated
@@ -515,8 +476,123 @@ let random_db st q =
     (List.map snd
        (List.sort compare (List.map (fun f -> (Random.State.bits st, f)) facts)))
 
+(* [random_hierarchical_cq] with what breaks the hierarchy or the
+   read-once form mixed in: a self-join, a var≠var or var≠const
+   inequality, and a non-hierarchical chain [A(x), B(x,y), C(y)] hung
+   off one of its variables.  One or two conjuncts, on disjoint
+   relations. *)
+let random_ucq st =
+  let pick n = Random.State.int st n in
+  List.init
+    (1 + pick 2)
+    (fun i ->
+      let prefix = Printf.sprintf "R%d_" i in
+      let cq = random_hierarchical_cq st ~prefix in
+      let vars = Ucq.cq_variables cq in
+      let var () = Ucq.Var (List.nth vars (pick (List.length vars))) in
+      let cq =
+        match cq.Ucq.atoms with
+        | a :: _ when pick 3 = 0 ->
+          let fresh =
+            List.map (function Ucq.Var v -> Ucq.Var (v ^ "'") | t -> t) a.Ucq.args
+          in
+          { cq with Ucq.atoms = cq.Ucq.atoms @ [ { a with Ucq.args = fresh } ] }
+        | _ -> cq
+      in
+      let cq =
+        if vars <> [] && pick 3 = 0 then
+          {
+            cq with
+            Ucq.neqs =
+              [ (var (), if pick 2 = 0 then var () else Ucq.Const (string_of_int (1 + pick 4))) ];
+          }
+        else cq
+      in
+      if vars <> [] && pick 3 = 0 then
+        let x = var () in
+        let y = Ucq.Var (prefix ^ "y") in
+        {
+          cq with
+          Ucq.atoms =
+            cq.Ucq.atoms
+            @ [
+                { Ucq.rel = prefix ^ "A"; args = [ x ] };
+                { Ucq.rel = prefix ^ "B"; args = [ x; y ] };
+                { Ucq.rel = prefix ^ "C"; args = [ y ] };
+              ];
+        }
+      else cq)
+
+(* The database with each fact's probability redrawn as k/8 (now and
+   then 0 or 1), and the numerators by lineage variable for
+   [Bucket_oracle]. *)
+let weighted st db =
+  let ks =
+    List.map
+      (fun f ->
+        let k =
+          match Random.State.int st 10 with 0 -> 0 | 1 -> 8 | _ -> 1 + Random.State.int st 7
+        in
+        (f, k))
+      db.Pdb.facts
+  in
+  let by_name = Hashtbl.create 16 in
+  List.iter (fun (f, k) -> Hashtbl.replace by_name (Pdb.var_name f) k) ks;
+  ( Pdb.make (List.map (fun (f, k) -> (f, Ratio.of_ints k 8)) ks),
+    Hashtbl.find by_name )
+
+(* Both circuits agree on [k] random assignments of [vars]. *)
+let agree_on_samples st vars k c c' =
+  List.for_all
+    (fun _ ->
+      let a =
+        List.fold_left
+          (fun m v -> Boolfun.Smap.add v (Random.State.bool st) m)
+          Boolfun.Smap.empty vars
+      in
+      Circuit.eval c a = Circuit.eval c' a)
+    (List.init k Fun.id)
+
+(* [p · 8^n] in decimal, for comparison with [Bucket_oracle] over [n]
+   variables of weight k/8. *)
+let scaled p n =
+  let r = Ratio.mul p (Ratio.of_bigint (Bigint.pow2 (3 * n))) in
+  if Bigint.equal (Ratio.den r) Bigint.one then Bigint.to_string (Ratio.num r)
+  else "not an integer: " ^ Ratio.to_string r
+
 let differential_suite =
   [
+    case "self-join-free hierarchical conjuncts give read-once lineages"
+      (fun () ->
+        let read_once c =
+          let fanout = Circuit.fanout_counts c in
+          let ok = ref true in
+          Array.iteri
+            (fun i g ->
+              match g with
+              | Circuit.Var _ -> if fanout.(i) > 1 then ok := false
+              | _ -> ())
+            c.Circuit.gates;
+          !ok
+        in
+        List.iter
+          (fun (q, db) ->
+            let c = Lineage.circuit (Ucq.of_string q) db in
+            checkb q true (read_once c && List.length (Circuit.variables c) > 4))
+          [
+            ("R(x), S(x,y)", Pdb.complete_rst 4);
+            ("S1(x,y), S2(x,y), R(x)", Pdb.chain_database ~k:2 3);
+            ("S1(x,y), S2(x,z), R(x)", Pdb.chain_database ~k:2 3);
+            ("S1(x,x), S2(x,y), T(#2)", Pdb.chain_database ~k:2 3);
+          ];
+        (* And on random hierarchical conjuncts with constants and
+           repeated variables. *)
+        for seed = 0 to 99 do
+          let st = Random.State.make [| seed |] in
+          let cq = random_hierarchical_cq st ~prefix:"R" in
+          checkb (Ucq.to_string [ cq ]) true
+            (read_once (Lineage.circuit [ cq ] (random_db st [ cq ])))
+        done);
     qtest ~count:300 "hierarchical order matches the full-domain reference"
       QCheck2.Gen.int
       (fun seed ->
@@ -540,43 +616,95 @@ let differential_suite =
             ("R(x), S(x,y)", Pdb.chain_database ~k:2 3);
             ("R(x)", Pdb.uniform (Ratio.of_ints 1 2) []);
           ]);
-    qtest ~count:200 "lineage circuit matches the scan-everything matchings"
+    qtest ~count:200 "lineage circuit matches the DNF reference as a function"
+      QCheck2.Gen.int
+      (fun seed ->
+        let st = Random.State.make [| seed |] in
+        let q = random_ucq st in
+        let db, weight = weighted st (random_db st q) in
+        let c = Lineage.circuit q db and dnf = Dnf_lineage.circuit q db in
+        let vars = Circuit.variables c in
+        List.for_all
+          (fun cq ->
+            Ucq.matchings cq db.Pdb.facts = Dnf_lineage.matchings cq db.Pdb.facts)
+          q
+        && vars = Circuit.variables dnf
+        && (List.length db.Pdb.facts > 12
+           || Boolfun.equal (Lineage.boolfun q db) (Lineage.brute_force q db))
+        &&
+        if List.length vars <= 16 then Circuit.equivalent c dnf
+        else
+          (* Past truth tables: the probabilities under random weights,
+             when the DNF is narrow enough for the oracle (a DNF's width
+             can reach its variable count), and always random points. *)
+          agree_on_samples st vars 256 c dnf
+          && (Bucket_oracle.width dnf > 12
+             || Bucket_oracle.weighted_count c ~weight
+                = Bucket_oracle.weighted_count dnf ~weight));
+    qtest ~count:100 "bucket elimination agrees with Lifted, the compiler and brute force"
       QCheck2.Gen.int
       (fun seed ->
         let st = Random.State.make [| seed |] in
         let q =
-          List.init
-            (1 + Random.State.int st 2)
-            (fun i ->
-              let cq =
-                random_hierarchical_cq st ~prefix:(Printf.sprintf "R%d_" i)
-              in
-              (* A self-join or an inequality now and then: grounding
-                 handles any conjunct. *)
-              let cq =
-                match cq.Ucq.atoms with
-                | a :: _ when Random.State.int st 3 = 0 ->
-                  let fresh =
-                    List.map
-                      (function
-                        | Ucq.Var v -> Ucq.Var (v ^ "'") | t -> t)
-                      a.Ucq.args
-                  in
-                  { cq with Ucq.atoms = cq.Ucq.atoms @ [ { a with Ucq.args = fresh } ] }
-                | a :: _ when Random.State.int st 3 = 0 ->
-                  (match List.filter_map (function Ucq.Var v -> Some v | _ -> None) a.Ucq.args with
-                   | v :: _ -> { cq with Ucq.neqs = [ (Ucq.Var v, Ucq.Const "1") ] }
-                   | [] -> cq)
-                | _ -> cq
-              in
-              cq)
+          if Random.State.bool st then [ random_hierarchical_cq st ~prefix:"R" ]
+          else random_ucq st
         in
-        let db = random_db st q in
-        List.for_all
-          (fun cq ->
-            Ucq.matchings cq db.Pdb.facts = reference_matchings cq db.Pdb.facts)
-          q
-        && Lineage.circuit q db = reference_lineage q db);
+        let db, weight = weighted st (random_db st q) in
+        let c = Lineage.circuit q db in
+        let n = List.length (Circuit.variables c) in
+        let count = Bucket_oracle.weighted_count c ~weight in
+        (match Lifted.probability q db with
+         | Some p -> count = scaled p n
+         | None -> true)
+        && count = scaled (fst (Prob.via_exn q db)) n
+        && (List.length db.Pdb.facts > 12 || count = scaled (Prob.brute q db) n));
+    case "bucket elimination reaches the benchmark's lineages" (fun () ->
+        (* The query-sdd families at density 0.7 and weights k/8: [rs] at
+           d = 30 (some 650 facts), [su], [rsu] and [rs|tu] at their
+           workload domains.  Far past truth tables; the oracle counts
+           the factored lineage and the DNF alike. *)
+        List.iter
+          (fun (q, d) ->
+            let q = Ucq.of_string q in
+            let st = Random.State.make [| d |] in
+            let facts =
+              List.concat_map
+                (fun (rel, arity) ->
+                  (* In lexicographic order, as the workload lists
+                     them: the DNF's terms for one [x] are then
+                     contiguous, and so its Or chain stays narrow. *)
+                  let rec tuples k =
+                    if k = 0 then [ [] ]
+                    else
+                      List.concat_map
+                        (fun i ->
+                          List.map (fun t -> string_of_int (i + 1) :: t) (tuples (k - 1)))
+                        (List.init d Fun.id)
+                  in
+                  List.filter_map
+                    (fun args ->
+                      if Random.State.float st 1.0 < 0.7 then Some (Pdb.tuple rel args)
+                      else None)
+                    (tuples arity))
+                (Ucq.relations q)
+            in
+            let db, weight = weighted st (Pdb.uniform Ratio.zero facts) in
+            let label = Printf.sprintf "%s d=%d" (Ucq.to_string q) d in
+            let c = Lineage.circuit q db in
+            let n = List.length (Circuit.variables c) in
+            let count = Bucket_oracle.weighted_count c ~weight in
+            checks (label ^ ": DNF") count
+              (Bucket_oracle.weighted_count (Dnf_lineage.circuit q db) ~weight);
+            (match Lifted.probability q db with
+             | Some p -> checks (label ^ ": Lifted") count (scaled p n)
+             | None -> Alcotest.failf "%s: not liftable" label);
+            checks (label ^ ": compiled") count (scaled (fst (Prob.via_exn q db)) n))
+          [
+            ("R(x), S(x,y)", 30);
+            ("R(x), S(x,y), U(x,y)", 8);
+            ("S(x,y), U(x,z)", 7);
+            ("R(x), S(x,y) | T(z), U(z,w)", 5);
+          ]);
   ]
 
 let suites =
