@@ -2,6 +2,41 @@ open Test_util
 
 let circuit_suite =
   [
+    case "bucket elimination counts circuits like their truth tables"
+      (fun () ->
+        (* Negations, constants, repeated input names and wide gates
+           that the oracle splits into chains; every weighted count
+           against a sum over all assignments in native integers (at
+           most 8 variables of weight k/8). *)
+        let of_gates =
+          Circuit.of_gates
+            [| Circuit.Var "a"; Circuit.Var "b"; Circuit.Var "a"; Circuit.Const true;
+               Circuit.And [ 0; 1; 3 ]; Circuit.Not 2; Circuit.Or [ 4; 5; 1 ] |]
+            6
+        in
+        List.iteri
+          (fun seed c ->
+            let vars = Circuit.variables c in
+            let weight v = (Hashtbl.hash (seed, v) mod 9) in
+            let rec sum acc = function
+              | [] -> if Circuit.eval c acc then 1 else 0
+              | v :: vs ->
+                ((8 - weight v) * sum (Boolfun.Smap.add v false acc) vs)
+                + (weight v * sum (Boolfun.Smap.add v true acc) vs)
+            in
+            checks (Circuit.to_string c)
+              (string_of_int (sum Boolfun.Smap.empty vars))
+              (Bucket_oracle.weighted_count c ~weight))
+          (of_gates
+          :: List.map Circuit.of_string
+               [
+                 "(or (and a b c d) (and (not a) e) (or b c d e f))";
+                 "(and (or x true) (not (and y false)) (or (not x) y z))";
+                 "false";
+                 "(not x)";
+               ]
+          @ List.init 40 (fun seed ->
+                Generators.random_formula ~seed ~vars:8 ~depth:6)));
     case "builder basics" (fun () ->
         let b = Circuit.Builder.create () in
         let x = Circuit.Builder.var b "x" in
