@@ -33,18 +33,32 @@ let mag_compare a b =
     go (la - 1)
   end
 
+(* Whether [a + b] carries out of its top digit [l - 1]: scanning down,
+   the first digit sum other than [base_mask] decides (one at
+   [base_mask] passes a carry from below straight through). *)
+let carries_out a b l =
+  let la = Array.length a and lb = Array.length b in
+  let i = ref (l - 1) and s = ref base_mask in
+  while !i >= 0 && !s = base_mask do
+    s := (if !i < la then a.(!i) else 0) + if !i < lb then b.(!i) else 0;
+    decr i
+  done;
+  !s > base_mask
+
+(* Sized up front: the top digit of [a + b] is non-zero, so no trim. *)
 let mag_add a b =
   let la = Array.length a and lb = Array.length b in
   let l = Stdlib.max la lb in
-  let r = Array.make (l + 1) 0 in
+  let top = if carries_out a b l then 1 else 0 in
+  let r = Array.make (l + top) 0 in
   let carry = ref 0 in
   for i = 0 to l - 1 do
     let s = (if i < la then a.(i) else 0) + (if i < lb then b.(i) else 0) + !carry in
     r.(i) <- s land base_mask;
     carry := s lsr base_bits
   done;
-  r.(l) <- !carry;
-  mag_normalize r
+  if top = 1 then r.(l) <- !carry;
+  r
 
 (* Requires a >= b. *)
 let mag_sub a b =
@@ -132,15 +146,18 @@ let mag_shift_left a k =
   else begin
     let dw = k / base_bits and db = k mod base_bits in
     let la = Array.length a in
-    let r = Array.make (la + dw + 1) 0 in
+    (* The top digit spills into one more exactly when its shifted bits
+       reach past [base_bits]; either way the top digit is non-zero. *)
+    let top = if (a.(la - 1) lsl db) lsr base_bits <> 0 then 1 else 0 in
+    let r = Array.make (la + dw + top) 0 in
     let carry = ref 0 in
     for i = 0 to la - 1 do
       let s = (a.(i) lsl db) lor !carry in
       r.(i + dw) <- s land base_mask;
       carry := s lsr base_bits
     done;
-    r.(la + dw) <- !carry;
-    mag_normalize r
+    if top = 1 then r.(la + dw) <- !carry;
+    r
   end
 
 let mag_num_bits a =

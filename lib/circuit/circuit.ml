@@ -332,13 +332,7 @@ let underlying_graph c =
   g
 
 let treewidth_upper ?budget c =
-  let g = underlying_graph c in
-  let w, order = Treewidth.upper_bound ?budget g in
-  let td =
-    if order = [] then Treedec.trivial g
-    else Treedec.refine_connected (Treedec.of_elimination_order g order)
-  in
-  (w, td)
+  Treewidth.(decompose ?budget [ Min_fill; Min_degree ] (underlying_graph c))
 
 let treewidth_exact ?(max_gates = 18) c =
   Treewidth.exact ~max_vertices:max_gates (underlying_graph c)

@@ -290,11 +290,12 @@ let cnf_primal_graph (d : Dimacs.t) =
    so neither dominates at SAT scale; the cut stays because its
    min-degree orders fix the compiled sizes of large components. *)
 let var_treedec ?budget g =
-  if Ugraph.num_vertices g <= 300 then Treewidth.decomposition ?budget g
-  else
-    Obs.span "treewidth.decomposition" @@ fun () ->
-    Treedec.refine_connected
-      (Treedec.of_elimination_order g (Treewidth.min_degree_order ?budget g))
+  Obs.span "treewidth.decomposition" @@ fun () ->
+  let heuristics =
+    if Ugraph.num_vertices g <= 300 then Treewidth.[ Min_fill; Min_degree ]
+    else [ Min_degree ]
+  in
+  snd (Treewidth.decompose ?budget heuristics g)
 
 (* Rooted view of a tree decomposition (rooted at bag 0): children
    lists, a post-order over bags, the bag ids containing each variable,
@@ -320,48 +321,55 @@ let root_treedec n_vars (td : Treedec.t) =
   let children = Array.make nb [] in
   let order = Array.make nb 0 in
   let visited = Array.make nb false in
-  (* Iterative DFS from bag 0: a bag is pushed back as [processed]
-     under its children, so it pops again after all of them. *)
+  (* Iterative DFS from bag 0 on an [int] stack of [2·b + processed]: a
+     bag is pushed back as processed under its children, so it pops
+     again after all of them.  Each bag is pushed at most twice. *)
   let post = Array.make nb 0 in
   let post_n = ref 0 in
-  let stack = ref [ (0, false) ] in
+  let stack = Array.make (2 * nb) 0 and sp = ref 1 in
   visited.(0) <- true;
-  while !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | (b, processed) :: rest ->
-      stack := rest;
-      if processed then begin
-        order.(!post_n) <- b;
-        post.(b) <- !post_n;
-        incr post_n
-      end
-      else begin
-        stack := (b, true) :: !stack;
-        List.iter
-          (fun c ->
-            if not visited.(c) then begin
-              visited.(c) <- true;
-              parent.(c) <- b;
-              children.(b) <- c :: children.(b);
-              stack := (c, false) :: !stack
-            end)
-          adj.(b)
-      end
-  done;
-  let bags_of_var = Array.make n_vars [] in
-  Array.iteri
-    (fun b bag -> List.iter (fun v -> bags_of_var.(v) <- b :: bags_of_var.(v)) bag)
-    td.Treedec.bags;
-  Array.iteri (fun v bs -> bags_of_var.(v) <- List.sort compare bs) bags_of_var;
-  let intro = Array.make nb [] in
-  Array.iteri
-    (fun b bag ->
-      let pbag = if parent.(b) < 0 then [] else td.Treedec.bags.(parent.(b)) in
+  while !sp > 0 do
+    decr sp;
+    let top = stack.(!sp) in
+    let b = top lsr 1 in
+    if top land 1 = 1 then begin
+      order.(!post_n) <- b;
+      post.(b) <- !post_n;
+      incr post_n
+    end
+    else begin
+      stack.(!sp) <- top lor 1;
+      incr sp;
       List.iter
-        (fun v -> if not (List.mem v pbag) then intro.(b) <- v :: intro.(b))
-        bag)
-    td.Treedec.bags;
+        (fun c ->
+          if not visited.(c) then begin
+            visited.(c) <- true;
+            parent.(c) <- b;
+            children.(b) <- c :: children.(b);
+            stack.(!sp) <- 2 * c;
+            incr sp
+          end)
+        adj.(b)
+    end
+  done;
+  (* Bags from the last down, so each variable's list comes out
+     ascending. *)
+  let bags_of_var = Array.make n_vars [] in
+  for b = nb - 1 downto 0 do
+    List.iter (fun v -> bags_of_var.(v) <- b :: bags_of_var.(v)) td.Treedec.bags.(b)
+  done;
+  (* [in_parent.(v) = b]: [v] is in the bag of [b]'s parent. *)
+  let in_parent = Array.make n_vars (-1) in
+  let intro =
+    Array.mapi
+      (fun b bag ->
+        if parent.(b) >= 0 then
+          List.iter (fun v -> in_parent.(v) <- b) td.Treedec.bags.(parent.(b));
+        List.fold_left
+          (fun acc v -> if in_parent.(v) = b then acc else v :: acc)
+          [] bag)
+      td.Treedec.bags
+  in
   { td; children; post_order = order; post_index = post; bags_of_var; intro }
 
 (* Lemma-1-style vtree straight from a variable-level decomposition:

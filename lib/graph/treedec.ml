@@ -1,5 +1,3 @@
-module ISet = Set.Make (Int)
-
 type t = { bags : int list array; tree : (int * int) list }
 
 let width t =
@@ -107,43 +105,12 @@ let trivial g = { bags = [| Ugraph.vertices g |]; tree = [] }
 
 let of_elimination_order g order =
   let n = Ugraph.num_vertices g in
-  if List.length order <> n || List.sort compare order <> Ugraph.vertices g then
+  let order = Array.of_list order and seen = Array.make n false in
+  let fresh v = v >= 0 && v < n && (not seen.(v)) && (seen.(v) <- true; true) in
+  if Array.length order <> n || not (Array.for_all fresh order) then
     invalid_arg "Treedec.of_elimination_order: not a permutation of the vertices";
-  if n = 0 then { bags = [||]; tree = [] }
-  else begin
-    (* Simulate elimination on adjacency sets; record for each eliminated
-       vertex its bag ({v} + remaining neighbors) and connect its bag to the
-       bag of the first-later-eliminated member of that neighborhood. *)
-    let pos = Array.make n 0 in
-    List.iteri (fun i v -> pos.(v) <- i) order;
-    let adj = Array.init n (fun v -> ISet.of_list (Ugraph.neighbors g v)) in
-    let order_arr = Array.of_list order in
-    let bags = Array.make n [] in
-    let tree = ref [] in
-    for i = 0 to n - 1 do
-      let v = order_arr.(i) in
-      let later = ISet.filter (fun u -> pos.(u) > i) adj.(v) in
-      bags.(i) <- v :: ISet.elements later;
-      (* Fill-in: neighbors of v become a clique. *)
-      ISet.iter
-        (fun a ->
-          ISet.iter
-            (fun b -> if a < b then begin
-                adj.(a) <- ISet.add b adj.(a);
-                adj.(b) <- ISet.add a adj.(b)
-              end)
-            later)
-        later;
-      (match ISet.min_elt_opt (ISet.map (fun u -> pos.(u)) later) with
-       | Some j -> tree := (i, j) :: !tree
-       | None ->
-         (* Last vertex of its component: attach to the next bag to keep a
-            single tree (harmless: bag connectivity is preserved since v's
-            occurrences end here). *)
-         if i < n - 1 then tree := (i, i + 1) :: !tree)
-    done;
-    { bags; tree = !tree }
-  end
+  let e = Elimination.run ~bags:true (Elimination.Given order) g in
+  { bags = e.Elimination.bags; tree = e.Elimination.tree }
 
 let path_decomposition_of_order g order =
   let n = Ugraph.num_vertices g in

@@ -6,7 +6,10 @@
     a connected subtree.  Width = max bag size - 1. *)
 
 type t = {
-  bags : int list array;  (** [bags.(i)] is the sorted bag of tree node [i]. *)
+  bags : int list array;
+      (** [bags.(i)] is the bag of tree node [i], without repeats; not
+          always sorted ({!of_elimination_order} lists the eliminated
+          vertex first). *)
   tree : (int * int) list;  (** Edges of the tree over bag indices. *)
 }
 
@@ -28,9 +31,15 @@ val trivial : Ugraph.t -> t
 (** The one-bag decomposition containing all vertices. *)
 
 val of_elimination_order : Ugraph.t -> int list -> t
-(** Tree decomposition obtained by eliminating vertices in the given order
-    (fill-in construction).  The order must be a permutation of the
-    vertices.  Width equals the width of the elimination order. *)
+(** Tree decomposition obtained by eliminating vertices in the given
+    order (fill-in construction), one {!Elimination.run} pass.  Bag [i]
+    is the [i]-th vertex followed by its neighbours still live at its
+    elimination, ascending; it is joined to the bag of the
+    earliest-eliminated of them, or to bag [i + 1] if there is none, so
+    the edges already form one tree.  Width equals the width of the
+    elimination order.
+    @raise Invalid_argument if [order] is not a permutation of the
+    vertices. *)
 
 val path_decomposition_of_order : Ugraph.t -> int list -> t
 (** Path decomposition induced by a vertex layout: bag [i] contains

@@ -1,107 +1,22 @@
-module ISet = Set.Make (Int)
-
 (* ------------------------------------------------------------------ *)
 (* Greedy elimination orders                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Live vertices keyed by [(score, vertex)]: the minimum is the vertex an
-   ascending scan with a strict [<] would pick, the first of the lowest
-   score. *)
-module By_score = Set.Make (struct
-  type t = int * int
+type heuristic = Min_fill | Min_degree
 
-  let compare (s, v) (s', v') =
-    let c = Int.compare s s' in
-    if c <> 0 then c else Int.compare v v'
-end)
-
-type heuristic = Min_degree | Min_fill
-
-let score heuristic adj v =
-  match heuristic with
-  | Min_degree -> ISet.cardinal adj.(v)
-  | Min_fill ->
-    (* Non-adjacent pairs of neighbours: the edges eliminating [v] adds. *)
-    let rec pairs missing = function
-      | [] -> missing
-      | a :: rest ->
-        let adj_a = adj.(a) in
-        pairs
-          (List.fold_left
-             (fun m b -> if ISet.mem b adj_a then m else m + 1)
-             missing rest)
-          rest
-    in
-    pairs 0 (ISet.elements adj.(v))
-
-(* Returns the order with its width: the largest neighbourhood a vertex
-   has when it is eliminated (the bag [v :: nbrs] of
-   [Treedec.of_elimination_order] has that many vertices besides [v]).
-
-   Scores are kept current in a [By_score] set, not recomputed for every
-   live vertex per step.  Eliminating [v] changes the degree only of its
-   neighbours, and the fill only of its neighbours and of the vertices
-   adjacent to both ends of an added edge (all neighbours of an endpoint
-   of a fill edge), so only those are rescored. *)
-let greedy_order ?(budget = Budget.unlimited) heuristic g =
-  let n = Ugraph.num_vertices g in
-  let adj = Array.init n (fun v -> ISet.of_list (Ugraph.neighbors g v)) in
-  let scores = Array.make n 0 in
-  (* On fill-heavy graphs a single score evaluation is O(deg²), so the
-     heuristic as a whole can dominate a budgeted compile; poll per
-     evaluation to keep vtree construction pollable. *)
-  let evaluate v =
-    if budget.Budget.active then Budget.poll budget;
-    score heuristic adj v
+let pass ?budget ~bags heuristic g =
+  let pick =
+    match heuristic with
+    | Min_fill -> Elimination.Min_fill
+    | Min_degree -> Elimination.Min_degree
   in
-  let queue = ref By_score.empty in
-  for v = 0 to n - 1 do
-    scores.(v) <- evaluate v;
-    queue := By_score.add (scores.(v), v) !queue
-  done;
-  (* [stamp.(w) = step]: [w] was rescored after the [step]-th elimination. *)
-  let stamp = Array.make n (-1) in
-  let rescore step w =
-    if stamp.(w) <> step then begin
-      stamp.(w) <- step;
-      let s = evaluate w in
-      if s <> scores.(w) then begin
-        queue := By_score.add (s, w) (By_score.remove (scores.(w), w) !queue);
-        scores.(w) <- s
-      end
-    end
-  in
-  let order = ref [] and width = ref (-1) in
-  for step = 0 to n - 1 do
-    let ((_, v) as top) = By_score.min_elt !queue in
-    queue := By_score.remove top !queue;
-    order := v :: !order;
-    (* Eliminate: clique-ify neighbours, drop v. *)
-    let nbrs = adj.(v) in
-    width := Stdlib.max !width (ISet.cardinal nbrs);
-    (* Fill-edge endpoints, whose neighbours' fill may drop (min-fill). *)
-    let endpoints = ref ISet.empty in
-    ISet.iter
-      (fun a ->
-        ISet.iter
-          (fun b ->
-            if a < b && not (ISet.mem b adj.(a)) then begin
-              adj.(a) <- ISet.add b adj.(a);
-              adj.(b) <- ISet.add a adj.(b);
-              if heuristic = Min_fill then
-                endpoints := ISet.add a (ISet.add b !endpoints)
-            end)
-          nbrs)
-      nbrs;
-    ISet.iter (fun a -> adj.(a) <- ISet.remove v adj.(a)) nbrs;
-    adj.(v) <- ISet.empty;
-    ISet.iter (rescore step) nbrs;
-    ISet.iter (fun a -> ISet.iter (rescore step) adj.(a)) !endpoints
-  done;
-  (!width, List.rev !order)
+  Elimination.run ?budget ~bags pick g
 
-let min_degree_order ?budget g = snd (greedy_order ?budget Min_degree g)
-let min_fill_order ?budget g = snd (greedy_order ?budget Min_fill g)
+let min_degree_order ?budget g =
+  Array.to_list (pass ?budget ~bags:false Min_degree g).Elimination.order
+
+let min_fill_order ?budget g =
+  Array.to_list (pass ?budget ~bags:false Min_fill g).Elimination.order
 
 let width_of_order g order =
   Treedec.width (Treedec.of_elimination_order g order)
@@ -109,16 +24,32 @@ let width_of_order g order =
 let upper_bound ?budget g =
   if Ugraph.num_vertices g = 0 then (-1, [])
   else begin
-    let ((wf, _) as fill) = greedy_order ?budget Min_fill g in
-    let ((wd, _) as degree) = greedy_order ?budget Min_degree g in
-    if wd < wf then degree else fill
+    let fill = pass ?budget ~bags:false Min_fill g in
+    let degree = pass ?budget ~bags:false Min_degree g in
+    let e = if degree.width < fill.width then degree else fill in
+    (e.width, Array.to_list e.order)
+  end
+
+let decompose ?budget heuristics g =
+  if heuristics = [] then invalid_arg "Treewidth.decompose: no heuristic";
+  if Ugraph.num_vertices g = 0 then (-1, Treedec.trivial g)
+  else begin
+    let best =
+      List.fold_left
+        (fun best h ->
+          let e = pass ?budget ~bags:true h g in
+          match best with
+          | Some (b : Elimination.t) when b.width <= e.width -> best
+          | _ -> Some e)
+        None heuristics
+    in
+    let e = Option.get best in
+    (e.width, { Treedec.bags = e.bags; tree = e.tree })
   end
 
 let decomposition ?budget g =
   Obs.span "treewidth.decomposition" @@ fun () ->
-  let _, order = upper_bound ?budget g in
-  if order = [] then Treedec.trivial g
-  else Treedec.refine_connected (Treedec.of_elimination_order g order)
+  snd (decompose ?budget [ Min_fill; Min_degree ] g)
 
 (* ------------------------------------------------------------------ *)
 (* Exact treewidth: DP over subsets of eliminated vertices             *)
@@ -209,25 +140,48 @@ let exact_decomposition ?max_vertices g =
 (* Lower bound: maximum minimum degree (degeneracy)                    *)
 (* ------------------------------------------------------------------ *)
 
+(* Batagelj–Zaversnik: vertices sit in [vert] sorted by current degree,
+   [start.(d)] the first of degree [d]; removing the lowest moves each
+   higher-degree neighbour one bucket down by a swap.  A removed vertex's
+   degree is its core number, and the largest is the degeneracy, which
+   any min-degree removal order reaches. *)
 let lower_bound_mmd g =
   let n = Ugraph.num_vertices g in
-  let adj = Array.init n (fun v -> ISet.of_list (Ugraph.neighbors g v)) in
-  let alive = Array.make n true in
+  let adj = Array.init n (Ugraph.neighbor_array g) in
+  let deg = Array.map Array.length adj in
+  let start = Array.make (Array.fold_left Stdlib.max 0 deg + 2) 0 in
+  Array.iter (fun d -> start.(d + 1) <- start.(d + 1) + 1) deg;
+  for d = 1 to Array.length start - 1 do
+    start.(d) <- start.(d) + start.(d - 1)
+  done;
+  let vert = Array.make n 0 and at = Array.make n 0 in
+  let fill = Array.copy start in
+  for v = 0 to n - 1 do
+    at.(v) <- fill.(deg.(v));
+    vert.(at.(v)) <- v;
+    fill.(deg.(v)) <- fill.(deg.(v)) + 1
+  done;
   let best = ref 0 in
-  for _ = 1 to n do
-    let v = ref (-1) and d = ref max_int in
-    for u = 0 to n - 1 do
-      if alive.(u) && ISet.cardinal adj.(u) < !d then begin
-        v := u;
-        d := ISet.cardinal adj.(u)
-      end
-    done;
-    if !v >= 0 then begin
-      best := Stdlib.max !best !d;
-      alive.(!v) <- false;
-      ISet.iter (fun u -> adj.(u) <- ISet.remove !v adj.(u)) adj.(!v);
-      adj.(!v) <- ISet.empty
-    end
+  for i = 0 to n - 1 do
+    let v = vert.(i) in
+    let dv = deg.(v) in
+    best := Stdlib.max !best dv;
+    Array.iter
+      (fun u ->
+        let du = deg.(u) in
+        if du > dv then begin
+          (* Swap [u] with the first vertex of its bucket, then shrink
+             the bucket past it. *)
+          let first = start.(du) in
+          let w = vert.(first) in
+          vert.(at.(u)) <- w;
+          at.(w) <- at.(u);
+          vert.(first) <- u;
+          at.(u) <- first;
+          start.(du) <- first + 1;
+          deg.(u) <- du - 1
+        end)
+      adj.(v)
   done;
   !best
 

@@ -7,6 +7,10 @@
 
 (** {1 Elimination orders} *)
 
+(** How a greedy pass picks the next vertex to eliminate: fewest fill
+    edges, or fewest live neighbours; ties go to the lowest index. *)
+type heuristic = Min_fill | Min_degree
+
 val min_degree_order : ?budget:Budget.t -> Ugraph.t -> int list
 val min_fill_order : ?budget:Budget.t -> Ugraph.t -> int list
 
@@ -20,21 +24,34 @@ val upper_bound : ?budget:Budget.t -> Ugraph.t -> int * int list
     if strictly narrower), with a witnessing order.  The width is read
     off the elimination pass: it equals [width_of_order g order].
 
-    Cost: each pass scores every vertex once, then keeps the scores in
-    a set ordered by [(score, vertex)] (its minimum is the first vertex
-    of the lowest score, so ties go to the lowest index).  Eliminating
-    [v] rescores only [N(v)] for min-degree, and for min-fill also the
-    neighbours of every endpoint of an added fill edge (a subset of the
-    two-hop neighbourhood).  A min-fill evaluation is O(deg²·log n), so
-    a pass is about n·log n plus Σ over eliminations of the rescored
-    vertices' deg²·log n — near-linear on bounded-degree graphs.
-    [budget] (default {!Budget.unlimited}) is polled once per score
-    evaluation, so a budgeted compilation can stop inside a pass.
+    Cost: each pass is one {!Elimination.run} on flat arrays.  It
+    scores every vertex once and keeps [score·n + v] keys in an [int]
+    heap; eliminating [v] rescores only [N(v)] for min-degree, and for
+    min-fill also the neighbours of every endpoint of an added fill
+    edge (a subset of the two-hop neighbourhood).  A min-degree score
+    is O(1) and a min-fill score of [w] is O(Σ_{a ∈ N(w)} deg a), so a
+    pass is about n·log n plus Σ over eliminations of the rescored
+    vertices' scores — near-linear on bounded-degree graphs.  [budget]
+    (default {!Budget.unlimited}) is polled once per score evaluation,
+    so a budgeted compilation can stop inside a pass.
+    @raise Budget.Exhausted on a trip. *)
+
+val decompose :
+  ?budget:Budget.t -> heuristic list -> Ugraph.t -> int * Treedec.t
+(** [decompose heuristics g] runs one elimination pass per heuristic,
+    each building its tree decomposition as it eliminates, and keeps the
+    narrowest (the earliest on ties), with its width.  The result equals
+    [Treedec.refine_connected (Treedec.of_elimination_order g order)]
+    for that pass's order: its tree already spans the bags.  The empty
+    graph gives [(-1, Treedec.trivial g)].  Polls [budget] like
+    {!upper_bound}.
+    @raise Invalid_argument if [heuristics] is empty.
     @raise Budget.Exhausted on a trip. *)
 
 val decomposition : ?budget:Budget.t -> Ugraph.t -> Treedec.t
-(** Heuristic tree decomposition (best-of heuristics), polling [budget]
-    like {!upper_bound}. *)
+(** [snd (decompose [Min_fill; Min_degree] g)] under a
+    [treewidth.decomposition] span: the decomposition of
+    {!upper_bound}'s order. *)
 
 (** {1 Exact computation} *)
 
@@ -60,7 +77,8 @@ val exact_bb : ?node_budget:int -> ?budget:Budget.t -> Ugraph.t -> int option
 (** {1 Lower bounds} *)
 
 val lower_bound_mmd : Ugraph.t -> int
-(** Maximum-minimum-degree (degeneracy) lower bound. *)
+(** Maximum-minimum-degree (degeneracy) lower bound; [0] on the empty
+    graph.  O(n + m) with a degree-bucket queue. *)
 
 (** {1 Pathwidth} *)
 

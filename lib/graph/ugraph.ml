@@ -79,6 +79,13 @@ let neighbors g v =
   check_vertex "neighbors" g v;
   ISet.elements g.adj.(v)
 
+let neighbor_array g v =
+  check_vertex "neighbor_array" g v;
+  let s = g.adj.(v) in
+  let a = Array.make (ISet.cardinal s) 0 in
+  ignore (ISet.fold (fun w i -> a.(i) <- w; i + 1) s 0);
+  a
+
 let degree g v =
   check_vertex "degree" g v;
   ISet.cardinal g.adj.(v)

@@ -46,6 +46,9 @@ val has_edge : t -> int -> int -> bool
 val neighbors : t -> int -> int list
 (** Sorted list of neighbors. *)
 
+val neighbor_array : t -> int -> int array
+(** The neighbors of {!neighbors} as a fresh array, without the list. *)
+
 val degree : t -> int -> int
 val edges : t -> (int * int) list
 (** Each edge [(u, v)] listed once with [u < v], sorted. *)

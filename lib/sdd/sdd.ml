@@ -706,6 +706,10 @@ let mk_node m lvl hi lo =
 (* Apply, negation, decisions                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* Fan-out up to which [mk_decision_at] finds a sub's group by a scan:
+   below it the scan beats clearing a table. *)
+let group_scan_limit = 32
+
 (* The recursion below builds no list, tuple or closure on a miss: it
    works on the scratch stack, and only the public entry points after
    it restore the stack pointer on an exception. *)
@@ -755,17 +759,40 @@ and mk_decision_at m v base n =
   (* A group is a (prime, sub) pair at [g0], its prime ⊥ until the fold
      below when it has several, and its newest element at [h0]; each
      element's sub slot is overwritten by the index of the previous
-     element of its group (-1 for the first). *)
-  let g0 = reserve m (3 * n) in
+     element of its group (-1 for the first).  A sub's group is found
+     by scanning the groups so far, or, past [group_scan_limit]
+     elements, through an open-addressed table of group indices at
+     [t0] (linear probing, -1 empty), so a wide decision groups in
+     linear time. *)
+  let tsize =
+    if n <= group_scan_limit then 0
+    else begin
+      let t = ref 1 in
+      while !t < 2 * n do t := 2 * !t done;
+      !t
+    end
+  in
+  let g0 = reserve m ((3 * n) + tsize) in
   let h0 = g0 + (2 * n) in
+  let t0 = h0 + n in
   let g = ref 0 in
   let s = m.scratch in
+  if tsize > 0 then Array.fill s t0 tsize (-1);
   for i = 0 to n - 1 do
     let p = s.(base + (2 * i)) in
     if p <> 0 then begin
       let sub = s.(base + (2 * i) + 1) in
       let j = ref (!g - 1) in
-      while !j >= 0 && s.(g0 + (2 * !j) + 1) <> sub do decr j done;
+      if tsize = 0 then
+        while !j >= 0 && s.(g0 + (2 * !j) + 1) <> sub do decr j done
+      else begin
+        let k = ref (Int_key.hash sub land (tsize - 1)) in
+        while s.(t0 + !k) >= 0 && s.(g0 + (2 * s.(t0 + !k)) + 1) <> sub do
+          k := (!k + 1) land (tsize - 1)
+        done;
+        j := s.(t0 + !k);
+        if !j < 0 then s.(t0 + !k) <- !g
+      end;
       if !j < 0 then begin
         j := !g;
         s.(g0 + (2 * !j)) <- p;

@@ -23,6 +23,40 @@ let wide_gen =
       bool
       (list_size (int_range 1 40) (int_range 0 999)))
 
+(* Magnitudes as base-2^15 limbs, lowest first, with runs of 0x7fff
+   (the largest limb) so that sums and shifts carry across many limbs,
+   and zero limbs, at the top too. *)
+let limbs_gen =
+  QCheck2.Gen.(
+    map List.concat
+      (list_size (int_range 1 6)
+         (oneof
+            [
+              map (fun k -> List.init k (fun _ -> 0x7fff)) (int_range 1 8);
+              map (fun d -> [ d ]) (int_range 0 0x7fff);
+              return [ 0 ];
+            ])))
+
+let of_limbs (neg, limbs) =
+  let x =
+    List.fold_right
+      (fun d acc -> Bigint.add (Bigint.mul acc (Bigint.of_int 0x8000)) (Bigint.of_int d))
+      limbs Bigint.zero
+  in
+  if neg then Bigint.neg x else x
+
+(* The bit length of the magnitude, read off the limbs. *)
+let limbs_bits limbs =
+  let rec bits d = if d = 0 then 0 else 1 + bits (d lsr 1) in
+  fst
+    (List.fold_left
+       (fun (len, i) d -> ((if d <> 0 then (15 * i) + bits d else len), i + 1))
+       (0, 0) limbs)
+
+(* A value with a leading zero limb compares unequal to its reparse,
+   since [compare] counts limbs first. *)
+let canonical x = Bigint.equal x (Bigint.of_string (Bigint.to_string x))
+
 let suite =
   [
     case "of_int/to_int roundtrip" (fun () ->
@@ -126,6 +160,19 @@ let suite =
       (fun (a, b) -> Bigint.equal a (Bigint.add (Bigint.sub a b) b));
     qtest "shift_left is mul by 2^k" QCheck2.Gen.(pair big_gen (int_range 0 70))
       (fun (a, k) -> Bigint.equal (Bigint.shift_left a k) (Bigint.mul a (Bigint.pow2 k)));
+    qtest ~count:500 "carry chains: add and shift_left size their results"
+      QCheck2.Gen.(
+        pair
+          (pair (pair bool limbs_gen) (pair bool limbs_gen))
+          (int_range 0 70))
+      (fun ((((_, lx) as x), y), k) ->
+        let x = of_limbs x and y = of_limbs y in
+        let sum = Bigint.add x y and shifted = Bigint.shift_left x k in
+        Bigint.num_bits x = limbs_bits lx
+        && Bigint.num_bits shifted = (if Bigint.is_zero x then 0 else limbs_bits lx + k)
+        && canonical sum && canonical shifted
+        && Bigint.equal shifted (Bigint.mul x (Bigint.pow2 k))
+        && Bigint.equal (Bigint.sub sum y) x);
     qtest "gcd divides both (big)" QCheck2.Gen.(pair big_gen big_gen) (fun (a, b) ->
         let g = Bigint.gcd a b in
         Bigint.is_zero g

@@ -198,6 +198,156 @@ let greedy_matches_reference g =
   && same degree (Treewidth.min_degree_order g)
   && Treewidth.upper_bound g = if wd < wf then degree else fill
 
+(* [Treedec.of_elimination_order] before it ran on [Elimination]: the
+   elimination replayed on [ISet]s, each bag the vertex and its later
+   neighbours, joined to the bag of the first-eliminated of them.  Kept
+   as the reference for the differential test below. *)
+let reference_of_elimination_order g order : Treedec.t =
+  let n = Ugraph.num_vertices g in
+  if n = 0 then { bags = [||]; tree = [] }
+  else begin
+    let pos = Array.make n 0 in
+    List.iteri (fun i v -> pos.(v) <- i) order;
+    let adj = Array.init n (fun v -> ISet.of_list (Ugraph.neighbors g v)) in
+    let order_arr = Array.of_list order in
+    let bags = Array.make n [] in
+    let tree = ref [] in
+    for i = 0 to n - 1 do
+      let v = order_arr.(i) in
+      let later = ISet.filter (fun u -> pos.(u) > i) adj.(v) in
+      bags.(i) <- v :: ISet.elements later;
+      ISet.iter
+        (fun a ->
+          ISet.iter
+            (fun b ->
+              if a < b then begin
+                adj.(a) <- ISet.add b adj.(a);
+                adj.(b) <- ISet.add a adj.(b)
+              end)
+            later)
+        later;
+      match ISet.min_elt_opt (ISet.map (fun u -> pos.(u)) later) with
+      | Some j -> tree := (i, j) :: !tree
+      | None -> if i < n - 1 then tree := (i, i + 1) :: !tree
+    done;
+    { bags; tree = !tree }
+  end
+
+(* [Treewidth.lower_bound_mmd] before its bucket queue: each step scans
+   every live vertex for the first of the lowest degree.  Kept as the
+   reference for the differential test below. *)
+let reference_lower_bound_mmd g =
+  let n = Ugraph.num_vertices g in
+  let adj = Array.init n (fun v -> ISet.of_list (Ugraph.neighbors g v)) in
+  let alive = Array.make n true in
+  let best = ref 0 in
+  for _ = 1 to n do
+    let v = ref (-1) and d = ref max_int in
+    for u = 0 to n - 1 do
+      if alive.(u) && ISet.cardinal adj.(u) < !d then begin
+        v := u;
+        d := ISet.cardinal adj.(u)
+      end
+    done;
+    if !v >= 0 then begin
+      best := Stdlib.max !best !d;
+      alive.(!v) <- false;
+      ISet.iter (fun u -> adj.(u) <- ISet.remove !v adj.(u)) adj.(!v);
+      adj.(!v) <- ISet.empty
+    end
+  done;
+  !best
+
+(* Everything the flat elimination engine computes agrees with the
+   references on [g], compared as values: both greedy orders, their
+   widths and [upper_bound]'s pick; the decompositions of
+   [of_elimination_order] (raw and through [refine_connected]) for
+   those orders and for a shuffled one; [decompose]'s width and
+   decomposition for each heuristic list; and the mmd lower bound. *)
+let engine_matches_reference ?(seed = 0) g =
+  let ((wf, fill) as by_fill) = reference_greedy_order reference_min_fill g
+  and ((wd, degree) as by_degree) = reference_greedy_order reference_min_degree g in
+  let shuffled =
+    let rng = Random.State.make [| seed |] in
+    List.map snd
+      (List.sort compare
+         (List.map (fun v -> (Random.State.bits rng, v)) (Ugraph.vertices g)))
+  in
+  let reference_td order =
+    if order = [] then Treedec.trivial g
+    else Treedec.refine_connected (reference_of_elimination_order g order)
+  in
+  let same_td order =
+    let td = Treedec.of_elimination_order g order in
+    td = reference_of_elimination_order g order
+    && (order = [] || Treedec.refine_connected td = reference_td order)
+  in
+  let decomposes heuristics (w, order) =
+    Treewidth.decompose heuristics g = (w, reference_td order)
+  in
+  let best = if wd < wf then by_degree else by_fill in
+  Treewidth.min_fill_order g = fill
+  && Treewidth.min_degree_order g = degree
+  && Treewidth.width_of_order g fill = wf
+  && Treewidth.width_of_order g degree = wd
+  && Treewidth.upper_bound g = best
+  && List.for_all same_td [ fill; degree; shuffled ]
+  && decomposes Treewidth.[ Min_fill; Min_degree ] best
+  && decomposes [ Min_fill ] by_fill
+  && decomposes [ Min_degree ] by_degree
+  && Treewidth.lower_bound_mmd g = reference_lower_bound_mmd g
+
+(* The primal graph of each CNF family the benchmark's cnf-count
+   workload draws ([chain], [band3], [band5], [grid] with 3–6 rows,
+   [band3x8], [rand3-w6]), on [n] variables. *)
+let workload_cnf_primal ~seed family n =
+  let rng = Random.State.make [| seed |] in
+  let band ~width ~offset n =
+    List.init (n - width + 1) (fun i -> List.init width (fun j -> offset + i + j))
+  in
+  let n, clauses =
+    match family with
+    | 0 -> (n, List.init (n - 1) (fun i -> [ i; i + 1 ]))
+    | 1 -> (n, band ~width:3 ~offset:0 n)
+    | 2 -> (n, band ~width:5 ~offset:0 n)
+    | 3 ->
+      let rows = 3 + (seed mod 4) in
+      let cols = n / rows in
+      let v c r = (c * rows) + r in
+      ( cols * rows,
+        List.concat
+          (List.init cols (fun c ->
+               List.concat
+                 (List.init rows (fun r ->
+                      (if c + 1 < cols then [ [ v c r; v (c + 1) r ] ] else [])
+                      @ if r + 1 < rows then [ [ v c r; v c (r + 1) ] ] else [])))) )
+    | 4 ->
+      let k = n / 8 in
+      (8 * k, List.concat (List.init 8 (fun c -> band ~width:3 ~offset:(c * k) k)))
+    | _ ->
+      ( n,
+        List.init (3 * n / 2) (fun _ ->
+            let start = Random.State.int rng (n - 5) in
+            List.sort_uniq compare
+              (List.init 3 (fun _ -> start + Random.State.int rng 6))) )
+  in
+  let g = Ugraph.create n in
+  List.iter
+    (fun clause ->
+      List.iter (fun a -> List.iter (fun b -> Ugraph.add_edge g a b) clause) clause)
+    clauses;
+  g
+
+(* Two random graphs side by side, plus isolated vertices. *)
+let disconnected_graph ~seed =
+  let a = Ugraph.random_partial_ktree ~seed (2 + (seed mod 20)) (1 + (seed mod 3)) 0.7 in
+  let b = Ugraph.random_gnp ~seed:(seed + 1) (1 + (seed mod 15)) 0.3 in
+  let na = Ugraph.num_vertices a in
+  let isolated = seed mod 4 in
+  Ugraph.of_edges
+    (na + Ugraph.num_vertices b + isolated)
+    (Ugraph.edges a @ List.map (fun (u, v) -> (u + na, v + na)) (Ugraph.edges b))
+
 (* The primal graph of a CNF whose clauses span windows of [k + 1]
    consecutive variables, each edge kept with probability 0.8, under a
    random relabelling so that ties do not fall to the lowest index by
@@ -416,6 +566,42 @@ let treewidth_suite =
           else Ugraph.grid_graph (16 + (seed mod 5)) 20
         in
         Ugraph.num_vertices g > 300 && greedy_matches_reference g);
+    qtest ~count:150 "random graphs: flat elimination matches the set-based code"
+      QCheck2.Gen.(int_range 0 100_000)
+      (fun seed ->
+        let n = 1 + (seed mod 40) in
+        let g =
+          match seed mod 4 with
+          | 0 -> Ugraph.random_partial_ktree ~seed n (1 + (seed mod 5)) 0.6
+          | 1 -> Ugraph.random_gnp ~seed n [| 0.05; 0.15; 0.3; 0.6 |].(seed / 4 mod 4)
+          | 2 -> Ugraph.grid_graph (1 + (seed mod 6)) (1 + (seed / 6 mod 8))
+          | _ -> disconnected_graph ~seed
+        in
+        engine_matches_reference ~seed g);
+    case "0 and 1 vertices: flat elimination matches" (fun () ->
+        checkb "empty" true (engine_matches_reference (Ugraph.create 0));
+        checkb "single" true (engine_matches_reference (Ugraph.create 1));
+        checkb "two isolated" true (engine_matches_reference (Ugraph.create 2)));
+    qtest ~count:12 "benchmark CNF families: flat elimination matches"
+      QCheck2.Gen.(int_range 0 100_000)
+      (fun seed ->
+        let family = seed mod 6 in
+        engine_matches_reference ~seed
+          (workload_cnf_primal ~seed family (150 + (seed mod 150))));
+    case "benchmark circuits: flat elimination matches" (fun () ->
+        List.iter
+          (fun (name, c) ->
+            checkb name true (engine_matches_reference (Circuit.underlying_graph c)))
+          [
+            ("chain-impl", Generators.chain_implications 30);
+            ("parity-chain", Generators.parity_chain 48);
+            ("band3", Generators.band_cnf ~width:3 20);
+            ("ladder-4", Generators.ladder ~tracks:4 7);
+          ]);
+    case "decompose needs a heuristic" (fun () ->
+        Alcotest.check_raises "empty list"
+          (Invalid_argument "Treewidth.decompose: no heuristic")
+          (fun () -> ignore (Treewidth.decompose [] (Ugraph.path_graph 3))));
     case "greedy matches the reference on the empty graph" (fun () ->
         checkb "empty" true (greedy_matches_reference (Ugraph.create 0)));
     case "a tripped budget stops the greedy heuristics" (fun () ->

@@ -317,6 +317,35 @@ let sdd_suite =
           let primes = List.map fst es in
           checkb "ascending primes" true (List.sort compare primes = primes)
         | _ -> Alcotest.fail "expected a decision");
+    case "a 64-element decision with repeated subs merges them by sub" (fun () ->
+        (* The 64 minterms of x0..x5 share 8 subs in a scrambled order:
+           past the scanned fan-out the groups are found by hashing, and
+           each group's primes must still be disjoined into one. *)
+        let xs = List.init 6 (Printf.sprintf "x%d")
+        and ys = List.init 3 (Printf.sprintf "y%d") in
+        let vt =
+          Vtree.of_shape
+            (Vtree.N
+               ( Vtree.to_shape (Vtree.balanced xs),
+                 Vtree.to_shape (Vtree.balanced ys) ))
+        in
+        let m = Sdd.manager vt in
+        let minterm vs bits =
+          Sdd.conjoin_list m
+            (List.mapi (fun i v -> Sdd.literal m v ((bits lsr i) land 1 = 1)) vs)
+        in
+        let elems =
+          List.init 64 (fun i -> (minterm xs ((i * 37) land 63), minterm ys (i * 5 land 7)))
+        in
+        let d = Sdd.decision m (Vtree.root vt) elems in
+        checkb "same node as the disjunction" true
+          (Sdd.equal d
+             (Sdd.disjoin_list m
+                (List.map (fun (p, s) -> Sdd.conjoin m p s) elems)));
+        checkb "valid" true (validate_ok m d);
+        match Sdd.view m d with
+        | Sdd.Decision (_, es) -> checki "one element per sub" 8 (List.length es)
+        | _ -> Alcotest.fail "expected a decision");
     case "decision trims empty, single-group and literal decisions" (fun () ->
         let vt = Vtree.balanced [ "x"; "y" ] in
         let m = Sdd.manager vt and v = Vtree.root vt in
