@@ -332,7 +332,9 @@ let underlying_graph c =
   g
 
 let treewidth_upper ?budget c =
-  Treewidth.(decompose ?budget [ Min_fill; Min_degree ] (underlying_graph c))
+  Treewidth.decompose ?budget
+    Elimination.[ Min_fill; Min_degree ]
+    (underlying_graph c)
 
 let treewidth_exact ?(max_gates = 18) c =
   Treewidth.exact ~max_vertices:max_gates (underlying_graph c)

@@ -291,11 +291,11 @@ let cnf_primal_graph (d : Dimacs.t) =
    min-degree orders fix the compiled sizes of large components. *)
 let var_treedec ?budget g =
   Obs.span "treewidth.decomposition" @@ fun () ->
-  let heuristics =
-    if Ugraph.num_vertices g <= 300 then Treewidth.[ Min_fill; Min_degree ]
-    else [ Min_degree ]
+  let picks =
+    if Ugraph.num_vertices g <= 300 then Elimination.[ Min_fill; Min_degree ]
+    else [ Elimination.Min_degree ]
   in
-  snd (Treewidth.decompose ?budget heuristics g)
+  snd (Treewidth.decompose ?budget picks g)
 
 (* Rooted view of a tree decomposition (rooted at bag 0): children
    lists, a post-order over bags, the bag ids containing each variable,

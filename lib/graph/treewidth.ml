@@ -2,54 +2,44 @@
 (* Greedy elimination orders                                           *)
 (* ------------------------------------------------------------------ *)
 
-type heuristic = Min_fill | Min_degree
-
-let pass ?budget ~bags heuristic g =
-  let pick =
-    match heuristic with
-    | Min_fill -> Elimination.Min_fill
-    | Min_degree -> Elimination.Min_degree
-  in
-  Elimination.run ?budget ~bags pick g
-
 let min_degree_order ?budget g =
-  Array.to_list (pass ?budget ~bags:false Min_degree g).Elimination.order
+  let e = Elimination.run ?budget ~bags:false Elimination.Min_degree g in
+  Array.to_list e.order
 
 let min_fill_order ?budget g =
-  Array.to_list (pass ?budget ~bags:false Min_fill g).Elimination.order
+  let e = Elimination.run ?budget ~bags:false Elimination.Min_fill g in
+  Array.to_list e.order
 
 let width_of_order g order =
   Treedec.width (Treedec.of_elimination_order g order)
 
-let upper_bound ?budget g =
-  if Ugraph.num_vertices g = 0 then (-1, [])
-  else begin
-    let fill = pass ?budget ~bags:false Min_fill g in
-    let degree = pass ?budget ~bags:false Min_degree g in
-    let e = if degree.width < fill.width then degree else fill in
-    (e.width, Array.to_list e.order)
-  end
+(* One pass per pick, in list order; the narrowest wins, the earliest
+   on ties. *)
+let best_pass ?budget ~bags picks g =
+  match picks with
+  | [] -> invalid_arg "Treewidth.decompose: no heuristic"
+  | first :: rest ->
+    List.fold_left
+      (fun (best : Elimination.t) pick ->
+        let e = Elimination.run ?budget ~bags pick g in
+        if e.width < best.width then e else best)
+      (Elimination.run ?budget ~bags first g)
+      rest
 
-let decompose ?budget heuristics g =
-  if heuristics = [] then invalid_arg "Treewidth.decompose: no heuristic";
+let upper_bound ?budget g =
+  let e =
+    best_pass ?budget ~bags:false Elimination.[ Min_fill; Min_degree ] g
+  in
+  (e.width, Array.to_list e.order)
+
+let decompose ?budget picks g =
+  let e = best_pass ?budget ~bags:true picks g in
   if Ugraph.num_vertices g = 0 then (-1, Treedec.trivial g)
-  else begin
-    let best =
-      List.fold_left
-        (fun best h ->
-          let e = pass ?budget ~bags:true h g in
-          match best with
-          | Some (b : Elimination.t) when b.width <= e.width -> best
-          | _ -> Some e)
-        None heuristics
-    in
-    let e = Option.get best in
-    (e.width, { Treedec.bags = e.bags; tree = e.tree })
-  end
+  else (e.width, { Treedec.bags = e.bags; tree = e.tree })
 
 let decomposition ?budget g =
   Obs.span "treewidth.decomposition" @@ fun () ->
-  snd (decompose ?budget [ Min_fill; Min_degree ] g)
+  snd (decompose ?budget Elimination.[ Min_fill; Min_degree ] g)
 
 (* ------------------------------------------------------------------ *)
 (* Exact treewidth: DP over subsets of eliminated vertices             *)

@@ -7,10 +7,6 @@
 
 (** {1 Elimination orders} *)
 
-(** How a greedy pass picks the next vertex to eliminate: fewest fill
-    edges, or fewest live neighbours; ties go to the lowest index. *)
-type heuristic = Min_fill | Min_degree
-
 val min_degree_order : ?budget:Budget.t -> Ugraph.t -> int list
 val min_fill_order : ?budget:Budget.t -> Ugraph.t -> int list
 
@@ -37,15 +33,17 @@ val upper_bound : ?budget:Budget.t -> Ugraph.t -> int * int list
     @raise Budget.Exhausted on a trip. *)
 
 val decompose :
-  ?budget:Budget.t -> heuristic list -> Ugraph.t -> int * Treedec.t
-(** [decompose heuristics g] runs one elimination pass per heuristic,
-    each building its tree decomposition as it eliminates, and keeps the
-    narrowest (the earliest on ties), with its width.  The result equals
+  ?budget:Budget.t -> Elimination.pick list -> Ugraph.t -> int * Treedec.t
+(** [decompose picks g] runs one {!Elimination.run} per pick, each
+    building its tree decomposition as it eliminates, and keeps the
+    narrowest (the earliest on ties), with its width: the rule
+    {!upper_bound} applies to [[Min_fill; Min_degree]].  A [Given]
+    pick must be a permutation of the vertices.  The result equals
     [Treedec.refine_connected (Treedec.of_elimination_order g order)]
     for that pass's order: its tree already spans the bags.  The empty
     graph gives [(-1, Treedec.trivial g)].  Polls [budget] like
     {!upper_bound}.
-    @raise Invalid_argument if [heuristics] is empty.
+    @raise Invalid_argument if [picks] is empty.
     @raise Budget.Exhausted on a trip. *)
 
 val decomposition : ?budget:Budget.t -> Ugraph.t -> Treedec.t

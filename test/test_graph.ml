@@ -263,7 +263,8 @@ let reference_lower_bound_mmd g =
    widths and [upper_bound]'s pick; the decompositions of
    [of_elimination_order] (raw and through [refine_connected]) for
    those orders and for a shuffled one; [decompose]'s width and
-   decomposition for each heuristic list; and the mmd lower bound. *)
+   decomposition for each list of greedy picks and for the shuffled
+   order; and the mmd lower bound. *)
 let engine_matches_reference ?(seed = 0) g =
   let ((wf, fill) as by_fill) = reference_greedy_order reference_min_fill g
   and ((wd, degree) as by_degree) = reference_greedy_order reference_min_degree g in
@@ -282,8 +283,8 @@ let engine_matches_reference ?(seed = 0) g =
     td = reference_of_elimination_order g order
     && (order = [] || Treedec.refine_connected td = reference_td order)
   in
-  let decomposes heuristics (w, order) =
-    Treewidth.decompose heuristics g = (w, reference_td order)
+  let decomposes picks (w, order) =
+    Treewidth.decompose picks g = (w, reference_td order)
   in
   let best = if wd < wf then by_degree else by_fill in
   Treewidth.min_fill_order g = fill
@@ -292,9 +293,12 @@ let engine_matches_reference ?(seed = 0) g =
   && Treewidth.width_of_order g degree = wd
   && Treewidth.upper_bound g = best
   && List.for_all same_td [ fill; degree; shuffled ]
-  && decomposes Treewidth.[ Min_fill; Min_degree ] best
-  && decomposes [ Min_fill ] by_fill
-  && decomposes [ Min_degree ] by_degree
+  && decomposes Elimination.[ Min_fill; Min_degree ] best
+  && decomposes [ Elimination.Min_fill ] by_fill
+  && decomposes [ Elimination.Min_degree ] by_degree
+  && decomposes
+       [ Elimination.Given (Array.of_list shuffled) ]
+       (Treedec.width (reference_td shuffled), shuffled)
   && Treewidth.lower_bound_mmd g = reference_lower_bound_mmd g
 
 (* The primal graph of each CNF family the benchmark's cnf-count
