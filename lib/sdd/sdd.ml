@@ -8,14 +8,15 @@
    with no per-node heap object, no tuple boxing and no GC scanning of
    the payload (every array is immediate ints).
 
-   An apply miss allocates nothing on the OCaml heap beyond its cache
-   entry and the arena cells it claims.  Its element views, the
-   prime/sub product, the compression groups and the sort by prime live
-   on one growable [int] scratch stack per manager ([reserve]): each
-   recursive call claims a frame on top and pops it on return, and a
-   decision is copied into the element buffer only to be interned.  A
-   budget trip unwinds with frames still claimed; the public entry
-   points pop back to where they found the stack.
+   An apply miss allocates nothing on the OCaml heap: the arena cells
+   and the cache slot it claims live in flat arrays that only double
+   now and then ([Cache_tbl]).  Its element views, the prime/sub
+   product, the compression groups and the sort by prime live on one
+   growable [int] scratch stack per manager ([reserve]): each recursive
+   call claims a frame on top and pops it on return, and a decision is
+   copied into the element buffer only to be interned.  A budget trip
+   unwinds with frames still claimed; the public entry points pop back
+   to where they found the stack.
 
    A manager is used from one domain at a time.  The store and the node
    count are still published through [Atomic.t]s because the census of a
@@ -38,9 +39,8 @@
 
 type t = int
 
-(* Apply/negate/condition caches use a single unboxed int key (node ids
-   and vtree nodes packed into one word), so a lookup allocates nothing
-   and hashing is one multiply instead of a polymorphic traversal. *)
+(* [Int_tbl] is the [to_boolfun] memo; [Int_key.hash] also places subs
+   in [mk_decision_at]'s group table. *)
 module Int_key = struct
   type t = int
 
@@ -49,6 +49,77 @@ module Int_key = struct
 end
 
 module Int_tbl = Hashtbl.Make (Int_key)
+
+(* The apply/negate/condition caches.  A key is one unboxed int (node
+   ids and vtree nodes packed into one word) and a value is a node id,
+   so a table is two flat arrays: keys in an [int array], -1 marking a
+   free slot, and values as 32-bit words in a [Bytes.t] (node ids stay
+   below 2^31, see [ensure_node_capacity]), 1.5 words a slot.  Open
+   addressing with linear probing from a multiplicative hash of the key;
+   at most 3/4 full, doubling from 16 slots.  Nothing is ever evicted,
+   so a cache answers exactly as an unbounded map would: the hit/miss
+   sequence, and with it every node id, does not depend on the table.
+   A lookup allocates nothing, raises nothing and compares only ints. *)
+module Cache_tbl = struct
+  type t = {
+    mutable keys : int array;
+    mutable vals : Bytes.t;
+    mutable shift : int;  (* 63 - log2 (slots): the hash keeps the top bits *)
+    mutable entries : int;
+  }
+
+  external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+  external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+
+  let initial_bits = 4
+
+  let make bits =
+    {
+      keys = Array.make (1 lsl bits) (-1);
+      vals = Bytes.create (4 lsl bits);
+      shift = 63 - bits;
+      entries = 0;
+    }
+
+  let create () = make initial_bits
+
+  (* The slot holding [k], else the free slot where it belongs. *)
+  let rec slot keys mask k i =
+    let x = Array.unsafe_get keys i in
+    if x = k || x < 0 then i else slot keys mask k ((i + 1) land mask)
+
+  let[@inline] home t k = (k * 0x9e3779b97f4a7c1) lsr t.shift
+
+  let find t k =
+    let keys = t.keys in
+    let i = slot keys (Array.length keys - 1) k (home t k) in
+    if Array.unsafe_get keys i = k then Int32.to_int (get32 t.vals (4 * i))
+    else -1
+
+  let iter f t =
+    Array.iteri
+      (fun i k -> if k >= 0 then f k (Int32.to_int (get32 t.vals (4 * i))))
+      t.keys
+
+  let rec replace t k v =
+    let keys = t.keys in
+    let i = slot keys (Array.length keys - 1) k (home t k) in
+    set32 t.vals (4 * i) (Int32.of_int v);
+    if Array.unsafe_get keys i < 0 then begin
+      Array.unsafe_set keys i k;
+      t.entries <- t.entries + 1;
+      if 4 * t.entries > 3 * Array.length keys then begin
+        let t' = make (64 - t.shift) in
+        iter (replace t') t;
+        t.keys <- t'.keys;
+        t.vals <- t'.vals;
+        t.shift <- t'.shift
+      end
+    end
+
+  let length t = t.entries
+  let words t = Array.length t.keys + (Bytes.length t.vals / 8)
+end
 
 (* ------------------------------------------------------------------ *)
 (* Arena store                                                         *)
@@ -89,10 +160,10 @@ type manager = {
   mutable gate_offset : int;
   mutable unique : unique;
   mutable lit_tbl : int array;  (* 2*leaf + polarity -> node id, -1 free *)
-  mutable and_cache : int Int_tbl.t;
-  mutable or_cache : int Int_tbl.t;
-  mutable neg_cache : int Int_tbl.t;
-  mutable cond_cache : int Int_tbl.t;
+  mutable and_cache : Cache_tbl.t;
+  mutable or_cache : Cache_tbl.t;
+  mutable neg_cache : Cache_tbl.t;
+  mutable cond_cache : Cache_tbl.t;
   (* The apply miss path's scratch stack (see above) and its top. *)
   mutable scratch : int array;
   mutable sp : int;
@@ -161,10 +232,10 @@ type arena = {
   a_elems_len : int;
   a_unique : unique;
   a_lit : int array;
-  a_and : int Int_tbl.t;
-  a_or : int Int_tbl.t;
-  a_neg : int Int_tbl.t;
-  a_cond : int Int_tbl.t;
+  a_and : Cache_tbl.t;
+  a_or : Cache_tbl.t;
+  a_neg : Cache_tbl.t;
+  a_cond : Cache_tbl.t;
 }
 
 (* An empty arena over [vt], sized for [nodes] nodes and [pairs]
@@ -179,14 +250,14 @@ let fresh vt ~nodes ~pairs =
     a_elems_len = 0;
     a_unique = { slots = Array.make unique_initial_slots (-1); entries = 0 };
     a_lit = Array.make (2 * Vtree.num_nodes vt) (-1);
-    a_and = Int_tbl.create 128;
-    a_or = Int_tbl.create 128;
+    a_and = Cache_tbl.create ();
+    a_or = Cache_tbl.create ();
     a_neg =
-      (let t = Int_tbl.create 32 in
-       Int_tbl.replace t 0 1;
-       Int_tbl.replace t 1 0;
+      (let t = Cache_tbl.create () in
+       Cache_tbl.replace t 0 1;
+       Cache_tbl.replace t 1 0;
        t);
-    a_cond = Int_tbl.create 32;
+    a_cond = Cache_tbl.create ();
   }
 
 let manager ?(budget = Budget.unlimited) ?(compact_every = max_int) vt =
@@ -223,19 +294,19 @@ let manager ?(budget = Budget.unlimited) ?(compact_every = max_int) vt =
         Obs.Cache.create ~size:(size (fun m -> m.unique.entries)) "sdd.unique";
       cs_and =
         Obs.Cache.create
-          ~size:(size (fun m -> Int_tbl.length m.and_cache))
+          ~size:(size (fun m -> Cache_tbl.length m.and_cache))
           "sdd.and_cache";
       cs_or =
         Obs.Cache.create
-          ~size:(size (fun m -> Int_tbl.length m.or_cache))
+          ~size:(size (fun m -> Cache_tbl.length m.or_cache))
           "sdd.or_cache";
       cs_neg =
         Obs.Cache.create
-          ~size:(size (fun m -> Int_tbl.length m.neg_cache))
+          ~size:(size (fun m -> Cache_tbl.length m.neg_cache))
           "sdd.neg_cache";
       cs_cond =
         Obs.Cache.create
-          ~size:(size (fun m -> Int_tbl.length m.cond_cache))
+          ~size:(size (fun m -> Cache_tbl.length m.cond_cache))
           "sdd.cond_cache";
     }
   in
@@ -274,7 +345,7 @@ let probe_occupancy m =
   Obs.gauge_max "sdd.unique.entries_peak" u.entries;
   Obs.hist_record "sdd.unique.load_pct" (100 * u.entries / Array.length u.slots);
   Obs.gauge_max "sdd.apply_cache.entries_peak"
-    (Int_tbl.length m.and_cache + Int_tbl.length m.or_cache)
+    (Cache_tbl.length m.and_cache + Cache_tbl.length m.or_cache)
 
 (* ------------------------------------------------------------------ *)
 (* Manager census (run-record surface)                                 *)
@@ -292,6 +363,7 @@ type census = {
   cond_entries : int;
   data_capacity : int;
   scratch_words : int;
+  cache_words : int;
   approx_heap_words : int;
   bytes_per_node : int;
   compactions : int;
@@ -301,7 +373,8 @@ type census = {
    time only, never on a hot path.  The estimate counts the arena
    arrays themselves (per-node storage is flat: ~25/8 words of header
    across the four column arrays plus the element pairs), the literal
-   table, the unique table's slots and the scratch stack. *)
+   table, the unique table's slots and the scratch stack; the caches
+   are counted apart, exactly, in [cache_words]. *)
 let census m =
   let st = Atomic.get m.store in
   let count = Stdlib.min (Atomic.get m.count) (Bytes.length st.kind) in
@@ -327,11 +400,14 @@ let census m =
     elements = !elements;
     unique_entries = m.unique.entries;
     unique_slots = Array.length m.unique.slots;
-    apply_entries = Int_tbl.length m.and_cache + Int_tbl.length m.or_cache;
-    neg_entries = Int_tbl.length m.neg_cache;
-    cond_entries = Int_tbl.length m.cond_cache;
+    apply_entries = Cache_tbl.length m.and_cache + Cache_tbl.length m.or_cache;
+    neg_entries = Cache_tbl.length m.neg_cache;
+    cond_entries = Cache_tbl.length m.cond_cache;
     data_capacity = cap;
     scratch_words = Array.length m.scratch;
+    cache_words =
+      Cache_tbl.words m.and_cache + Cache_tbl.words m.or_cache
+      + Cache_tbl.words m.neg_cache + Cache_tbl.words m.cond_cache;
     approx_heap_words = words;
     bytes_per_node = 8 * words / Stdlib.max 1 count;
     compactions = m.compactions_done;
@@ -351,6 +427,7 @@ let census_to_json c =
       ("cond_entries", Obs.Json.Int c.cond_entries);
       ("data_capacity", Obs.Json.Int c.data_capacity);
       ("scratch_words", Obs.Json.Int c.scratch_words);
+      ("cache_words", Obs.Json.Int c.cache_words);
       ("approx_heap_words", Obs.Json.Int c.approx_heap_words);
       ("bytes_per_node", Obs.Json.Int c.bytes_per_node);
       ("compactions", Obs.Json.Int c.compactions);
@@ -366,7 +443,7 @@ let occupancy_gauges m =
     Obs.gauge_set "sdd.nodes_allocated" (Atomic.get m.count);
     Obs.gauge_set "sdd.unique.entries" m.unique.entries;
     Obs.gauge_set "sdd.apply_cache.entries"
-      (Int_tbl.length m.and_cache + Int_tbl.length m.or_cache)
+      (Cache_tbl.length m.and_cache + Cache_tbl.length m.or_cache)
   end;
   Obs.Ring.record Obs.Ring.Note "sdd.occupancy"
     ~args:
@@ -391,6 +468,10 @@ let[@inline] budget_gate m =
     Budget.poll m.budget
   end
 
+(* Node ids stay below 2^31: apply keys pack two of them into one word
+   and the caches store them in 32 bits. *)
+let max_nodes = 1 lsl 31
+
 (* Store growth.  Copies into fresh arrays and republishes the record;
    a census reading an old snapshot stays correct because every cell it
    can name was written before [count] moved past it.  Returns the store
@@ -398,8 +479,10 @@ let[@inline] budget_gate m =
 let ensure_node_capacity m st id =
   if id < Bytes.length st.kind then st
   else begin
+    if id >= max_nodes then
+      invalid_arg "Sdd: more than 2^31 nodes in one manager";
     let cap = Bytes.length st.kind in
-    let cap' = 2 * cap in
+    let cap' = if 2 * cap > max_nodes then max_nodes else 2 * cap in
     let kind = Bytes.make cap' k_free in
     Bytes.blit st.kind 0 kind 0 cap;
     let vnode = Array.make cap' (-1) in
@@ -512,15 +595,6 @@ let elements_list st id =
         ((st.elems.(base + (2 * i)), st.elems.(base + (2 * i) + 1)) :: acc)
   in
   go (k - 1) []
-
-(* ------------------------------------------------------------------ *)
-(* Cache access                                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* Missing entries return -1 (node ids are non-negative) so the hot
-   path is exception-free. *)
-let[@inline] cache_find (tbl : int Int_tbl.t) key =
-  match Int_tbl.find tbl key with r -> r | exception Not_found -> -1
 
 (* ------------------------------------------------------------------ *)
 (* Node construction: compression, trimming, unique table              *)
@@ -694,10 +768,11 @@ let mk_node m lvl hi lo =
       let pos = literal_at m leaf 1 and neg = literal_at m leaf 0 in
       let st = ensure_elems_capacity m (Atomic.get m.store) (m.elems_len + 4) in
       let e = m.elems_len in
-      st.elems.(e) <- Stdlib.min pos neg;
-      st.elems.(e + 1) <- (if pos < neg then hi else lo);
-      st.elems.(e + 2) <- Stdlib.max pos neg;
-      st.elems.(e + 3) <- (if pos < neg then lo else hi);
+      let lt = pos < neg in
+      st.elems.(e) <- (if lt then pos else neg);
+      st.elems.(e + 1) <- (if lt then hi else lo);
+      st.elems.(e + 2) <- (if lt then neg else pos);
+      st.elems.(e + 3) <- (if lt then lo else hi);
       intern m (2 * lvl) 2
     end
   end
@@ -716,7 +791,7 @@ let group_scan_limit = 24
    works on the scratch stack, and only the public entry points after
    it restore the stack pointer on an exception. *)
 let rec negate_rec m a =
-  let c = cache_find m.neg_cache a in
+  let c = Cache_tbl.find m.neg_cache a in
   if c >= 0 then begin
     cache_hit m.cs_neg;
     c
@@ -741,8 +816,8 @@ let rec negate_rec m a =
         r
       end
     in
-    Int_tbl.replace m.neg_cache a r;
-    Int_tbl.replace m.neg_cache r a;
+    Cache_tbl.replace m.neg_cache a r;
+    Cache_tbl.replace m.neg_cache r a;
     r
   end
 
@@ -883,11 +958,11 @@ and apply_rec m op_and a b =
   else if a = neutral then b
   else if b = neutral then a
   else if a = b then a
-  else if cache_find m.neg_cache a = b then absorbing
+  else if Cache_tbl.find m.neg_cache a = b then absorbing
   else begin
-    let key = pair_key (Stdlib.min a b) (Stdlib.max a b) in
+    let key = if a < b then pair_key a b else pair_key b a in
     let cstat = if op_and then m.cs_and else m.cs_or in
-    let cached = cache_find cache key in
+    let cached = Cache_tbl.find cache key in
     if cached >= 0 then begin
       cache_hit cstat;
       cached
@@ -899,7 +974,7 @@ and apply_rec m op_and a b =
       let r =
         if Vtree.is_right_linear m.vt then begin
           let la = level_of st a and lb = level_of st b in
-          let lvl = Stdlib.min la lb in
+          let lvl = if la < lb then la else lb in
           let ah = cofactor st a la lvl true and al = cofactor st a la lvl false in
           let bh = cofactor st b lb lvl true and bl = cofactor st b lb lvl false in
           let hi = apply_rec m op_and ah bh in
@@ -918,35 +993,39 @@ and apply_rec m op_and a b =
             product m op_and (Vtree.lca m.vt va vb) a b
         end
       in
-      Int_tbl.replace cache key r;
+      Cache_tbl.replace cache key r;
       r
     end
   end
 
 (* The element product at [v]: both views, then each non-⊥ prime
-   conjunction with the apply of its subs, taken in (i, j) order and
-   stacked top down, so the decision reads them newest first. *)
+   conjunction with the apply of its subs, taken in (i, j) order.  The
+   recursive calls pop what they claim, so each product is pushed as it
+   is made, 2 words, on top of the ones before it; the run is then
+   reversed in place, so the decision reads them newest first. *)
 and product m op_and v a b =
   let base = m.sp in
   let ka = push_view m v a in
   let kb = push_view m v b in
-  let top = reserve m (2 * ka * kb) + (2 * ka * kb) in
-  let out = ref top in
+  let out = m.sp in
   for i = 0 to ka - 1 do
     for j = 0 to kb - 1 do
       let ea = base + (2 * i) and eb = base + (2 * (ka + j)) in
       let p = conjoin_rec m m.scratch.(ea) m.scratch.(eb) in
       if p <> 0 then begin
         let s = apply_rec m op_and m.scratch.(ea + 1) m.scratch.(eb + 1) in
-        out := !out - 2;
-        m.scratch.(!out) <- p;
-        m.scratch.(!out + 1) <- s
+        let o = reserve m 2 in
+        m.scratch.(o) <- p;
+        m.scratch.(o + 1) <- s
       end
     done
   done;
-  let n = (top - !out) / 2 in
+  let n = (m.sp - out) / 2 in
+  for i = 0 to (n / 2) - 1 do
+    swap_pairs m.scratch (out + (2 * i)) (out + (2 * (n - 1 - i)))
+  done;
   if !Obs.enabled_ref then Obs.hist_record "sdd.apply_elements" n;
-  let r = mk_decision_at m v !out n in
+  let r = mk_decision_at m v out n in
   m.sp <- base;
   r
 
@@ -1006,7 +1085,7 @@ let condition m a x value =
         if not (Vtree.is_ancestor m.vt v lx) then a
         else begin
           let key = (((a * num_nodes) + lx) lsl 1) lor Bool.to_int value in
-          let cached = cache_find m.cond_cache key in
+          let cached = Cache_tbl.find m.cond_cache key in
           if cached >= 0 then begin
             cache_hit m.cs_cond;
             cached
@@ -1026,7 +1105,7 @@ let condition m a x value =
             done;
             let r = mk_decision_at m v base n in
             m.sp <- base;
-            Int_tbl.replace m.cond_cache key r;
+            Cache_tbl.replace m.cond_cache key r;
             r
           end
         end
@@ -1182,26 +1261,26 @@ let mask31 = (1 lsl 31) - 1
 let forward_caches m a fwd leaf =
   let nn = Vtree.num_nodes m.vt in
   let forward_apply src dst =
-    Int_tbl.iter
+    Cache_tbl.iter
       (fun k r ->
         let x = fwd.(k lsr 31) and y = fwd.(k land mask31) and r = fwd.(r) in
         if x >= 0 && y >= 0 && r >= 0 then
-          Int_tbl.replace dst (pair_key (Stdlib.min x y) (Stdlib.max x y)) r)
+          Cache_tbl.replace dst (if x < y then pair_key x y else pair_key y x) r)
       src
   in
   forward_apply a.a_and m.and_cache;
   forward_apply a.a_or m.or_cache;
-  Int_tbl.iter
+  Cache_tbl.iter
     (fun x y ->
       let x = fwd.(x) and y = fwd.(y) in
-      if x >= 0 && y >= 0 then Int_tbl.replace m.neg_cache x y)
+      if x >= 0 && y >= 0 then Cache_tbl.replace m.neg_cache x y)
     a.a_neg;
-  Int_tbl.iter
+  Cache_tbl.iter
     (fun k r ->
       let value = k land 1 and k2 = k lsr 1 in
       let x = fwd.(k2 / nn) and r = fwd.(r) in
       if x >= 0 && r >= 0 then
-        Int_tbl.replace m.cond_cache
+        Cache_tbl.replace m.cond_cache
           ((((x * nn) + leaf (k2 mod nn)) lsl 1) lor value)
           r)
     a.a_cond

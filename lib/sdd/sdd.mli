@@ -46,6 +46,10 @@ val manager : ?budget:Budget.t -> ?compact_every:int -> Vtree.t -> manager
     compaction or edit, the checkpoints inside {!compile_circuit} (and
     the pipeline's clause loop) run {!compact_roots} on their live
     roots.
+
+    A manager holds at most 2{^31} nodes: apply keys pack two node ids
+    into one word and the caches store ids in 32 bits.  The allocation
+    that would pass that bound raises [Invalid_argument].
     @raise Invalid_argument if [compact_every < 1]. *)
 
 val vtree : manager -> Vtree.t
@@ -106,11 +110,35 @@ val compactions : manager -> int
     generation — handles from an older one are invalid. *)
 
 val stats : manager -> Obs.Cache.snapshot list
-(** Hit/miss/size statistics of the manager's five hash tables, in the
-    order [sdd.unique], [sdd.and_cache], [sdd.or_cache], [sdd.neg_cache],
-    [sdd.cond_cache].  Always maintained (independent of
-    [Obs.set_enabled]); when observability is enabled at manager-creation
-    time the same caches also appear in [Obs.caches ()]. *)
+(** Hit/miss/size statistics of the manager's unique table and its four
+    caches, in the order [sdd.unique], [sdd.and_cache], [sdd.or_cache],
+    [sdd.neg_cache], [sdd.cond_cache].  The caches never evict, so the
+    hit/miss sequence is a function of the calls made alone.  Always
+    maintained (independent of [Obs.set_enabled]); when observability is
+    enabled at manager-creation time the same caches also appear in
+    [Obs.caches ()]. *)
+
+(** The table type of the apply, negation and conditioning caches,
+    exposed for its model test.  Keys are non-negative ints, values node
+    ids in [\[0, 2{^31})]; open addressing with linear probing, at most
+    3/4 full, doubling from 16 slots, never evicting. *)
+module Cache_tbl : sig
+  type t
+
+  val create : unit -> t
+  val find : t -> int -> int
+  (** The value bound to the key, or [-1]. *)
+
+  val replace : t -> int -> int -> unit
+  val length : t -> int
+  (** Keys bound. *)
+
+  val iter : (int -> int -> unit) -> t -> unit
+  (** Each binding once, in slot order. *)
+
+  val words : t -> int
+  (** Words held by the slots. *)
+end
 
 (** {1 Census} *)
 
@@ -134,6 +162,11 @@ type census = {
           element views, products and compression groups on.  It grows
           to the deepest recursion seen and never shrinks; a budget trip
           leaves it as it was. *)
+  cache_words : int;
+      (** Words held by the slots of the four caches (AND, OR, negation,
+          conditioning): each is a flat open-addressed table of
+          1.5 words a slot, at most 3/4 full.  Not part of
+          [approx_heap_words]. *)
   approx_heap_words : int;
       (** Estimated words held by the arena columns, the element
           buffer, the literal table, the unique table's slots (the

@@ -366,6 +366,77 @@ let sdd_suite =
         let h = Sdd.conjoin m f g in
         (* Polytime apply bound: |f∧g| = O(|f|·|g|) (sizes +1 for literals). *)
         Sdd.size m h <= (Sdd.size m f + 2) * (Sdd.size m g + 2) * 4);
+    case "cache table agrees with a Hashtbl across resizes" (fun () ->
+        let st = Random.State.make [| 38 |] in
+        let t = Sdd.Cache_tbl.create () and model = Hashtbl.create 16 in
+        let words0 = Sdd.Cache_tbl.words t in
+        (* Keys in a small range so that about a third of the writes
+           rebind an existing key; apply-shaped keys reach 2^62. *)
+        let key () =
+          let k = Random.State.int st 3000 in
+          if k land 1 = 0 then k else (k lsl 31) lor Random.State.int st 8
+        in
+        for _ = 1 to 3000 do
+          let k = key () and v = Random.State.full_int st (1 lsl 31) in
+          Sdd.Cache_tbl.replace t k v;
+          Hashtbl.replace model k v;
+          let k' = key () in
+          checki "find"
+            (Option.value ~default:(-1) (Hashtbl.find_opt model k'))
+            (Sdd.Cache_tbl.find t k')
+        done;
+        checki "length" (Hashtbl.length model) (Sdd.Cache_tbl.length t);
+        checkb "at least 3 resizes" true (Sdd.Cache_tbl.words t >= 8 * words0);
+        Hashtbl.iter
+          (fun k v -> checki "every binding" v (Sdd.Cache_tbl.find t k))
+          model;
+        checki "absent key" (-1) (Sdd.Cache_tbl.find t (1 lsl 40));
+        let seen = Hashtbl.create 16 in
+        Sdd.Cache_tbl.iter
+          (fun k v ->
+            checkb "visited once" false (Hashtbl.mem seen k);
+            Hashtbl.add seen k ();
+            checki "iter value" (Hashtbl.find model k) v)
+          t;
+        checki "iter visits every binding" (Hashtbl.length model)
+          (Hashtbl.length seen));
+    case "ladder compile: pinned node and cache counters" (fun () ->
+        (* The caches never evict, so these counts are a function of the
+           circuit and the vtree alone; a lossy cache or a reordered
+           apply moves them. *)
+        let c = Generators.ladder ~tracks:4 9 in
+        let m = Sdd.manager (fst (Pipeline.treedec_vtree c)) in
+        ignore (Sdd.compile_circuit m c);
+        checki "nodes allocated" 8931 (Sdd.num_nodes_allocated m);
+        let hits_lookups name =
+          match
+            List.find_opt
+              (fun (s : Obs.Cache.snapshot) -> s.Obs.Cache.cache = name)
+              (Sdd.stats m)
+          with
+          | Some s -> (s.Obs.Cache.hits, s.Obs.Cache.lookups)
+          | None -> Alcotest.failf "no %s statistics" name
+        in
+        let pair = Alcotest.(pair int int) in
+        check pair "unique" (4733, 13582) (hits_lookups "sdd.unique");
+        check pair "and" (80844, 93714) (hits_lookups "sdd.and_cache");
+        check pair "or" (20456, 26796) (hits_lookups "sdd.or_cache");
+        check pair "neg" (1243, 1329) (hits_lookups "sdd.neg_cache"));
+    case "ladder compile: compaction keeps the model count" (fun () ->
+        let c = Generators.ladder ~tracks:4 9 in
+        let vt = fst (Pipeline.treedec_vtree c) in
+        let count compact_every =
+          let m = Sdd.manager ?compact_every vt in
+          Bigint.to_string (Sdd.model_count m (Sdd.compile_circuit m c))
+        in
+        let plain = count None in
+        List.iter
+          (fun n ->
+            Alcotest.(check string)
+              (Printf.sprintf "compact_every %d" n)
+              plain
+              (count (Some n)))
+          [ 1; 7; 64 ]);
   ]
 
 let suites = [ ("sdd", sdd_suite) ]
