@@ -34,7 +34,6 @@ val compile :
   ?vtree_strategy:Pipeline.vtree_strategy ->
   ?backend:Backend.tag ->
   ?minimize:bool ->
-  ?max_steps:int ->
   ?domains:int ->
   ?compact_every:int ->
   Circuit.t ->
@@ -115,7 +114,6 @@ val compile_exn :
   ?budget:Budget.t ->
   ?vtree_strategy:Pipeline.vtree_strategy ->
   ?minimize:bool ->
-  ?max_steps:int ->
   ?domains:int ->
   ?backend:Backend.tag ->
   ?compact_every:int ->

@@ -63,11 +63,11 @@ module Shared = struct
 
   let stats m =
     List.concat_map
-      (fun (s : Obs.Cache.snapshot) ->
+      (fun (s : Sdd.cache_stat) ->
         [
-          (s.Obs.Cache.cache ^ ".hits", s.Obs.Cache.hits);
-          (s.Obs.Cache.cache ^ ".misses", s.Obs.Cache.misses);
-          (s.Obs.Cache.cache ^ ".entries", s.Obs.Cache.entries);
+          (s.cache ^ ".hits", s.hits);
+          (s.cache ^ ".misses", s.misses);
+          (s.cache ^ ".entries", s.entries);
         ])
       (Sdd.stats m)
     @ [ ("sdd.nodes_allocated", Sdd.num_nodes_allocated m) ]

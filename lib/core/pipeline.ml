@@ -172,8 +172,7 @@ let descend ~event attempt ladder =
 let compile_seq = Atomic.make 0
 
 let compile ?(budget = Budget.unlimited) ?(vtree_strategy = `Treedec)
-    ?(backend = `Sdd) ?(minimize = false) ?max_steps ?domains ?compact_every c
-    =
+    ?(backend = `Sdd) ?(minimize = false) ?domains ?compact_every c =
   Ctwsdd_error.guard @@ fun () ->
   let rid =
     Printf.sprintf "%s/c%d" (Obs.run_id ())
@@ -216,7 +215,7 @@ let compile ?(budget = Budget.unlimited) ?(vtree_strategy = `Treedec)
   in
   let root, minimize_steps, minimize_trip =
     if minimize then begin
-      let a = Vtree_search.minimize_manager ~budget ?max_steps m node in
+      let a = Vtree_search.minimize_manager ~budget m node in
       (a.Vtree_search.best, a.Vtree_search.steps, a.Vtree_search.degraded)
     end
     else (node, 0, None)
@@ -678,11 +677,10 @@ let conjoin_components r =
     in
     Some (m, Sdd.conjoin_list m roots)
 
-let compile_exn ?budget ?vtree_strategy ?minimize ?max_steps ?domains
-    ?backend ?compact_every c =
+let compile_exn ?budget ?vtree_strategy ?minimize ?domains ?backend
+    ?compact_every c =
   match
-    compile ?budget ?vtree_strategy ?minimize ?max_steps ?domains ?backend
-      ?compact_every c
+    compile ?budget ?vtree_strategy ?minimize ?domains ?backend ?compact_every c
   with
   | Error e -> Ctwsdd_error.throw e
   | Ok { degraded = Some r; _ } -> raise (Budget.Exhausted r)

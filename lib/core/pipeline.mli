@@ -74,7 +74,6 @@ val compile :
   ?vtree_strategy:vtree_strategy ->
   ?backend:Backend.tag ->
   ?minimize:bool ->
-  ?max_steps:int ->
   ?domains:int ->
   ?compact_every:int ->
   Circuit.t ->
@@ -88,13 +87,12 @@ val compile :
     (resolved per workload; the choice and reason land in
     {!result.backend} / {!result.backend_reason}).  [minimize] requires
     the [`Sdd] backend ([Error (Invalid_input _)] otherwise — dynamic
-    vtree edits would leave the OBDD's right-linear shape).  When [minimize] is set, the
-    result is
-    post-processed with {!Vtree_search.minimize_manager} ([max_steps]
-    forwarded, default 50), mutating the returned manager's vtree in
-    place; under a budget the pass is anytime.  [domains] bounds the
-    parallelism of the [`Search] strategy (default
-    {!Obs.Worker.default_domains}).  [compact_every] arms the
+    vtree edits would leave the OBDD's right-linear shape).  When
+    [minimize] is set, the result is post-processed with
+    {!Vtree_search.minimize_manager} at its default step limit, mutating
+    the returned manager's vtree in place; under a budget the pass is
+    anytime.  [domains] bounds the parallelism of the [`Search] strategy
+    (default {!Obs.Worker.default_domains}).  [compact_every] arms the
     manager's generational compaction (see {!Sdd.manager}): the compile
     loop then reclaims dead apply intermediates at gate boundaries.
 
@@ -195,7 +193,6 @@ val compile_exn :
   ?budget:Budget.t ->
   ?vtree_strategy:vtree_strategy ->
   ?minimize:bool ->
-  ?max_steps:int ->
   ?domains:int ->
   ?backend:Backend.tag ->
   ?compact_every:int ->

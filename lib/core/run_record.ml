@@ -158,6 +158,25 @@ let budget_json = function
         ("poll_interval", J.Int b.Budget.interval);
       ]
 
+let cache_json (s : Sdd.cache_stat) =
+  J.Obj
+    [
+      ("name", J.String s.cache);
+      ("lookups", J.Int s.lookups);
+      ("hits", J.Int s.hits);
+      ("misses", J.Int s.misses);
+      ("entries", J.Int s.entries);
+    ]
+
+(* The [caches] section comes from [Sdd], in its place after [gauges]. *)
+let metric_sections ~dump =
+  List.concat_map
+    (function
+      | ("gauges", _) as s ->
+        [ s; ("caches", J.List (List.map cache_json (Sdd.caches ()))) ]
+      | s -> [ s ])
+    (Obs.sections ~dump ())
+
 let json ?(extra = []) ?censuses ?budget ?reason ?detail () =
   let censuses =
     match censuses with Some cs -> cs | None -> Sdd.census_all ()
@@ -169,7 +188,7 @@ let json ?(extra = []) ?censuses ?budget ?reason ?detail () =
     ((("schema", J.String schema_version) :: ("run_id", J.String (Obs.run_id ()))
       :: extra)
     @ [ ("reason", opt reason); ("detail", opt detail); ("backend", backend_json ()) ]
-    @ Obs.sections ~dump:(reason <> None) ()
+    @ metric_sections ~dump:(reason <> None)
     @ [
         ("attribution", J.List (List.map row_json rows));
         ("explain", explain_json rows censuses);

@@ -8,14 +8,14 @@
     Layout, each fact once: [schema], [run_id], the caller's [extra]
     fields, [reason] and [detail] ([null] except in a dump), [backend]
     (requested/chosen/reason of the last {!Backend} resolution, [null]
-    when none), the {!Obs.sections} ([counters], [gauges], [caches],
-    [histograms], [spans], [events], [gc], [ring]), [attribution] (the
-    cost-center rows by descending self time), [explain] ([wall_s],
-    [attributed_s], [bags], [parallelism], [critical_path]), [budget]
-    (the active {!Budget.t}, [null] when none) and [managers] (one
-    {!Sdd.census} per manager).  A dump adds the ring's retained
-    [entries] and the full {!Gc.stat} fields.  EXPERIMENTS.md lists
-    every field.
+    when none), the {!Obs.sections} ([counters], [gauges], then [caches]
+    from {!Sdd.caches}, then [histograms], [spans], [events], [gc],
+    [ring]), [attribution] (the cost-center rows by descending self time),
+    [explain] ([wall_s], [attributed_s], [bags], [parallelism],
+    [critical_path]), [budget] (the active {!Budget.t}, [null] when none)
+    and [managers] (one {!Sdd.census} per manager).  A dump adds the ring's
+    retained [entries] and the full {!Gc.stat} fields.  EXPERIMENTS.md
+    lists every field.
 
     The record is a pure read of the recorded state: build it after the
     work, in the same process, with observability enabled for the whole

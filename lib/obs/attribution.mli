@@ -135,7 +135,7 @@ val absorb : row list -> unit
 
 val fresh : unit -> unit
 (** Replace this domain's state with an empty one (fresh stack, no
-    rows).  Called by [Obs.reset] / [Obs.Worker.fresh_state]. *)
+    rows).  Called by [Obs.reset] / [Obs.Worker.capture]. *)
 
 type state
 (** Opaque per-domain state, for save/restore around

@@ -1,12 +1,17 @@
-(* Observability: spans, counters, gauges, histograms, cache statistics,
-   GC telemetry, and the flight-recorder ring that stores every span
-   completion and structured event.  See the interface for the cost
+(* Observability: spans, counters, gauges, histograms, GC telemetry, and
+   the flight-recorder ring that stores every span completion and
+   structured event.  See the interface for the cost
    model; the invariant throughout is that with the master switch off
    every aggregating instrument is a single load and branch. *)
 
 let enabled_ref = ref false
 let enabled_flag = enabled_ref
 let enabled () = !enabled_flag
+
+(* Advanced by [reset]; shared by all domains, so what a worker records
+   under the current generation belongs to the run. *)
+let generation_ctr = Atomic.make 0
+let generation () = Atomic.get generation_ctr
 
 let now () = Unix.gettimeofday ()
 
@@ -594,83 +599,6 @@ let histograms () =
   |> List.sort (fun a b -> compare a.Histogram.hist b.Histogram.hist)
 
 (* ------------------------------------------------------------------ *)
-(* Cache statistics                                                    *)
-(* ------------------------------------------------------------------ *)
-
-module Cache = struct
-  type t = {
-    name : string;
-    mutable hits : int;
-    mutable misses : int;
-    size_fn : unit -> int;
-  }
-
-  let registry_key : t list ref Domain.DLS.key =
-    Domain.DLS.new_key (fun () -> ref [])
-
-  let registry () = Domain.DLS.get registry_key
-
-  let create ?(size = fun () -> 0) name =
-    let c = { name; hits = 0; misses = 0; size_fn = size } in
-    if !enabled_flag then begin
-      let r = registry () in
-      r := c :: !r
-    end;
-    c
-
-  let name c = c.name
-  let hit c = c.hits <- c.hits + 1
-  let miss c = c.misses <- c.misses + 1
-  let hits c = c.hits
-  let misses c = c.misses
-  let lookups c = c.hits + c.misses
-  let size c = c.size_fn ()
-
-  type snapshot = {
-    cache : string;
-    lookups : int;
-    hits : int;
-    misses : int;
-    entries : int;
-  }
-
-  let snapshot c =
-    {
-      cache = c.name;
-      lookups = lookups c;
-      hits = c.hits;
-      misses = c.misses;
-      entries = size c;
-    }
-end
-
-(* Cache snapshots handed back by joined worker domains; folded into the
-   aggregation below so worker caches survive the worker's death. *)
-let absorbed_caches_key : Cache.snapshot list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
-
-let caches () =
-  let by_name : (string, Cache.snapshot ref) Hashtbl.t = Hashtbl.create 16 in
-  let add s =
-    match Hashtbl.find_opt by_name s.Cache.cache with
-    | None -> Hashtbl.add by_name s.Cache.cache (ref s)
-    | Some acc ->
-      acc :=
-        Cache.
-          {
-            cache = s.cache;
-            lookups = !acc.lookups + s.lookups;
-            hits = !acc.hits + s.hits;
-            misses = !acc.misses + s.misses;
-            entries = !acc.entries + s.entries;
-          }
-  in
-  List.iter (fun c -> add (Cache.snapshot c)) !(Cache.registry ());
-  List.iter add !(Domain.DLS.get absorbed_caches_key);
-  Hashtbl.fold (fun _ s acc -> !s :: acc) by_name []
-  |> List.sort (fun a b -> compare a.Cache.cache b.Cache.cache)
-
-(* ------------------------------------------------------------------ *)
 (* Structured events                                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -815,8 +743,7 @@ let reset () =
   Hashtbl.reset (counter_tbl ());
   Hashtbl.reset (gauge_tbl ());
   Hashtbl.reset (hist_tbl ());
-  Cache.registry () := [];
-  Domain.DLS.get absorbed_caches_key := [];
+  Atomic.incr generation_ctr;
   Ring.clear ();
   Domain.DLS.get epoch_key := now ();
   Domain.DLS.set gc_baseline_key (gc_mark ());
@@ -824,6 +751,10 @@ let reset () =
   st.sroot <- mk_span "<root>";
   st.sstack <- [];
   Attribution.fresh ()
+
+let hard_reset () =
+  reset ();
+  set_run_id (fresh_run_id ())
 
 (* ------------------------------------------------------------------ *)
 (* Worker domains                                                      *)
@@ -833,49 +764,38 @@ module Worker = struct
   type captured = {
     wcounters : (string * int) list;
     wgauges : (string * int) list;
-    wcaches : Cache.snapshot list;
     whists : Histogram.t list;
     wspans : span_tree list;
     wattr : Attribution.row list;
   }
 
-  let fresh_state () =
-    Domain.DLS.set counters_key (Hashtbl.create 64);
-    Domain.DLS.set gauges_key (Hashtbl.create 64);
-    Domain.DLS.set hists_key (Hashtbl.create 32);
-    Domain.DLS.set Cache.registry_key (ref []);
-    Domain.DLS.set absorbed_caches_key (ref []);
-    Domain.DLS.set gc_baseline_key (gc_mark ());
-    Domain.DLS.set span_key { sroot = mk_span "<root>"; sstack = [] };
-    Attribution.fresh ()
+  (* Installs [fresh] in a slot; the returned thunk puts the old value
+     back. *)
+  let swap k fresh =
+    let old = Domain.DLS.get k in
+    Domain.DLS.set k fresh;
+    fun () -> Domain.DLS.set k old
 
+  (* The GC baseline is left alone: only an export reads it. *)
   let capture f =
-    let old_counters = Domain.DLS.get counters_key in
-    let old_gauges = Domain.DLS.get gauges_key in
-    let old_hists = Domain.DLS.get hists_key in
-    let old_registry = Domain.DLS.get Cache.registry_key in
-    let old_absorbed = Domain.DLS.get absorbed_caches_key in
-    let old_gc = Domain.DLS.get gc_baseline_key in
-    let old_spans = Domain.DLS.get span_key in
-    let old_attr = Attribution.current_state () in
-    let restore () =
-      Domain.DLS.set counters_key old_counters;
-      Domain.DLS.set gauges_key old_gauges;
-      Domain.DLS.set hists_key old_hists;
-      Domain.DLS.set Cache.registry_key old_registry;
-      Domain.DLS.set absorbed_caches_key old_absorbed;
-      Domain.DLS.set gc_baseline_key old_gc;
-      Domain.DLS.set span_key old_spans;
-      Attribution.install_state old_attr
+    let saved =
+      [
+        swap counters_key (Hashtbl.create 64);
+        swap gauges_key (Hashtbl.create 64);
+        swap hists_key (Hashtbl.create 32);
+        swap span_key { sroot = mk_span "<root>"; sstack = [] };
+        (let a = Attribution.current_state () in
+         Attribution.fresh ();
+         fun () -> Attribution.install_state a);
+      ]
     in
-    fresh_state ();
+    let restore () = List.iter (fun put_back -> put_back ()) saved in
     match f () with
     | r ->
       let cap =
         {
           wcounters = counters ();
           wgauges = gauges ();
-          wcaches = caches ();
           whists =
             Hashtbl.fold (fun _ h acc -> h :: acc) (hist_tbl ()) [];
           wspans = span_roots ();
@@ -920,8 +840,6 @@ module Worker = struct
         let r = cell (gauge_tbl ()) k in
         if v > !r then r := v)
       cap.wgauges;
-    (let ab = Domain.DLS.get absorbed_caches_key in
-     ab := cap.wcaches @ !ab);
     List.iter
       (fun h -> Histogram.merge (hist_cell (Histogram.name h)) h)
       cap.whists;
@@ -1036,18 +954,6 @@ module Worker = struct
     end
 end
 
-(* Cross-invocation hygiene: [reset] empties the tables in place, but a
-   long-lived process reusing the library back to back also wants the
-   calling domain's DLS slots replaced wholesale (so nothing — not even
-   the table identities a stale [Cache.t] might still reference — leaks
-   between runs), the ring emptied, and a fresh run ID minted.  The
-   enabled switch is left alone. *)
-let hard_reset () =
-  Worker.fresh_state ();
-  Domain.DLS.set epoch_key (ref (now ()));
-  Ring.clear ();
-  set_run_id (fresh_run_id ())
-
 (* ------------------------------------------------------------------ *)
 (* Export                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -1159,19 +1065,6 @@ let sections ?(dump = false) () =
   [
     ("counters", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (counters ())));
     ("gauges", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (gauges ())));
-    ( "caches",
-      Json.List
-        (List.map
-           (fun s ->
-             Json.Obj
-               [
-                 ("name", Json.String s.Cache.cache);
-                 ("lookups", Json.Int s.Cache.lookups);
-                 ("hits", Json.Int s.Cache.hits);
-                 ("misses", Json.Int s.Cache.misses);
-                 ("entries", Json.Int s.Cache.entries);
-               ])
-           (caches ())) );
     ("histograms", Json.List (List.map hist_to_json (histograms ())));
     ("spans", Json.List (List.map span_to_json (span_roots ())));
     ("events", Json.List (List.map event_to_json (events ())));

@@ -1,21 +1,19 @@
 (** Observability: hierarchical timed spans, monotonic counters, gauges,
-    log-scale histograms, cache statistics, GC telemetry, and a
-    flight-recorder ring holding span completions, structured events and
-    budget activity for the compilation pipeline.
+    log-scale histograms, GC telemetry, and a flight-recorder ring
+    holding span completions, structured events and budget activity for
+    the compilation pipeline.
 
     The aggregating instrumentation is designed to be effectively free
     when disabled (the default): every aggregating instrument ([incr],
     [hist_record], the span tree, …) first checks a single boolean and
-    becomes a no-op, so hot paths pay one predictable branch.  Per-cache
-    statistics ({!Cache}) are plain field increments on a record owned
-    by the instrumented structure and are always maintained — they cost
-    a couple of stores next to a hash-table probe that dwarfs them.  The
+    becomes a no-op, so hot paths pay one predictable branch.  The
     {!Attribution} cost-center profiler shares the master switch
     ({!set_enabled} arms both).
 
     Metrics are exported as the JSON sections ({!sections}) of the
-    [ctwsdd-run/v1] run record that [Run_record] assembles; its text
-    report ([Run_record.pp], the CLI's [--stats]) is rendered from them.
+    [ctwsdd-run/v1] run record that [Run_record] assembles (its [caches]
+    section comes from [Sdd.caches]); its text report ([Run_record.pp],
+    the CLI's [--stats]) is rendered from them.
 
     The {!Ring} is the one store for individual occurrences: every span
     completion, {!event}, budget poll and budget trip lands there
@@ -43,19 +41,21 @@ val enabled_ref : bool ref
     cross-module call.  Treat as read-only; use {!set_enabled} to flip. *)
 
 val reset : unit -> unit
-(** Forget all recorded counters, gauges, histograms, spans and
-    registered caches, empty the {!Ring}, and rebase the GC baseline and
+(** Forget all recorded counters, gauges, histograms and spans, advance
+    the {!generation}, empty the {!Ring}, and rebase the GC baseline and
     trace epoch.  Does not change the enabled flag.  Open
     spans are kept on the stack (their enclosing [span] calls still pop
     correctly) but their timings are discarded with the old tree. *)
 
 val hard_reset : unit -> unit
-(** Everything {!reset} does, plus: the calling domain's DLS metric
-    state is replaced wholesale (histograms, spans, the cache registry —
-    so not even table identities leak between back-to-back library
-    uses) and a fresh run ID is minted.  Call at the top of each
-    independent run (the CLI does, per subcommand).  Leaves the enabled
-    flag alone. *)
+(** Everything {!reset} does, plus a fresh run ID.  Call at the top of
+    each independent run (the CLI does, per subcommand).  Leaves the
+    enabled flag alone. *)
+
+val generation : unit -> int
+(** Advanced by {!reset} and {!hard_reset}, shared by all domains: the
+    SDD managers tag their cache tallies with it, and a run exports only
+    the current generation's. *)
 
 (** {1 Run and request attribution}
 
@@ -153,55 +153,6 @@ val hist_value : string -> Histogram.snapshot option
 val histograms : unit -> Histogram.snapshot list
 (** All histograms (including those absorbed from worker domains),
     sorted by name. *)
-
-(** {1 Cache statistics} *)
-
-module Cache : sig
-  type t = {
-    name : string;
-    mutable hits : int;
-    mutable misses : int;
-    size_fn : unit -> int;
-  }
-  (** Hit/miss statistics for one lookup structure (a hash table).  The
-      record is owned by the instrumented structure; [hit]/[miss] are
-      unconditional field increments.  The representation is exposed so
-      hot paths can bump the fields directly (the [hit]/[miss] helpers
-      are cross-module calls that the compiler may not inline).  When
-      observability is enabled at creation time the cache is also
-      registered with the global exporter. *)
-
-  val create : ?size:(unit -> int) -> string -> t
-  (** [create ~size name] makes a fresh statistics record.  [size] is
-      polled at export time (e.g. [fun () -> Hashtbl.length tbl]). *)
-
-  val name : t -> string
-  val hit : t -> unit
-  val miss : t -> unit
-  val hits : t -> int
-  val misses : t -> int
-
-  val lookups : t -> int
-  (** [hits + misses], by construction. *)
-
-  val size : t -> int
-  (** Current entry count as reported by the [size] callback. *)
-
-  type snapshot = {
-    cache : string;
-    lookups : int;
-    hits : int;
-    misses : int;
-    entries : int;
-  }
-
-  val snapshot : t -> snapshot
-end
-
-val caches : unit -> Cache.snapshot list
-(** Snapshots of all registered caches, aggregated by name (several SDD
-    managers register the same cache names; their statistics are
-    summed), sorted by name. *)
 
 (** {1 Spans} *)
 
@@ -324,7 +275,7 @@ val events : unit -> Ring.entry list
 (** {1 Worker domains}
 
     All aggregated metric state (counters, gauges, histograms, span
-    trees, the cache registry) is domain-local: a freshly spawned
+    trees) is domain-local: a freshly spawned
     domain starts with empty tables, so instruments never contend across
     domains.  Code that fans work out to [Domain.spawn] workers wraps
     each worker body in {!Worker.capture} and, after joining, feeds
@@ -342,9 +293,9 @@ val events : unit -> Ring.entry list
 
 module Worker : sig
   type captured
-  (** Frozen metric state of one unit of work: counters, gauges, cache
-      snapshots, histograms, attribution rows and the span forest
-      recorded while it ran. *)
+  (** Frozen metric state of one unit of work: counters, gauges,
+      histograms, attribution rows and the span forest recorded while it
+      ran. *)
 
   val capture : (unit -> 'a) -> 'a * captured
   (** [capture f] runs [f] against fresh, empty metric state and returns
@@ -355,8 +306,7 @@ module Worker : sig
 
   val absorb : captured -> unit
   (** Merge a capture into the calling domain's state: counters add,
-      gauges take the maximum, cache snapshots are accumulated into the
-      {!caches} aggregation, histograms merge by name, span trees are grafted
+      gauges take the maximum, histograms merge by name, span trees are grafted
       under the currently open span, summing durations of same-named
       spans — the same rule {!span} applies to repeat entries — and
       attribution rows merge by cost center ([Attribution.absorb]).
@@ -400,7 +350,7 @@ end
 
 val sections : ?dump:bool -> unit -> (string * Json.t) list
 (** The metric sections of the run record, in order: [counters],
-    [gauges], [caches], [histograms], [spans] (with per-span [gc]
+    [gauges], [histograms], [spans] (with per-span [gc]
     sub-objects), [events] (see {!events}; [ts_s] is seconds since the
     last {!reset}, each with its [run] attribution), [gc] (deltas since
     {!reset} plus current/top heap words) and [ring] (capacity,

@@ -6,6 +6,13 @@ let tuple rel args = { rel; args }
 
 let var_name t = String.concat "" [ t.rel; "("; String.concat "," t.args; ")" ]
 
+(* A fact names its relation and each constant with a non-empty string;
+   a nullary fact [R()] has no constants. *)
+let check_tuple fn t =
+  if t.rel = "" || List.exists (fun a -> a = "") t.args then
+    let what = if t.rel = "" then "relation name" else "constant" in
+    invalid_arg (Printf.sprintf "%s: empty %s in %s" fn what (var_name t))
+
 let tuple_of_var s =
   match String.index_opt s '(' with
   | None -> invalid_arg "Pdb.tuple_of_var: missing parenthesis"
@@ -15,12 +22,27 @@ let tuple_of_var s =
     let rel = String.sub s 0 i in
     let inner = String.sub s (i + 1) (String.length s - i - 2) in
     let args = if inner = "" then [] else String.split_on_char ',' inner in
-    { rel; args }
+    let t = { rel; args } in
+    check_tuple "Pdb.tuple_of_var" t;
+    t
 
 let make entries =
   let facts = List.map fst entries in
-  if List.length (List.sort_uniq compare facts) <> List.length facts then
+  let sorted = List.sort_uniq compare facts in
+  if List.length sorted <> List.length facts then
     invalid_arg "Pdb.make: duplicate facts";
+  (* Sorted, a relation's facts are adjacent, so two arities meet. *)
+  let rec check_arities = function
+    | p :: (t :: _ as rest) ->
+      if p.rel = t.rel && List.compare_lengths p.args t.args <> 0 then
+        invalid_arg
+          (Printf.sprintf "Pdb.make: %s used with arities %d and %d" t.rel
+             (List.length p.args) (List.length t.args));
+      check_arities rest
+    | _ -> ()
+  in
+  List.iter (check_tuple "Pdb.make") sorted;
+  check_arities sorted;
   List.iter
     (fun (t, p) ->
       if Ratio.sign p < 0 || Ratio.compare p Ratio.one > 0 then

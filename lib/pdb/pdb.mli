@@ -17,10 +17,13 @@ val var_name : tuple -> string
 (** ["R(a,b)"] — the lineage variable of the fact. *)
 
 val tuple_of_var : string -> tuple
-(** Inverse of {!var_name}.  @raise Invalid_argument on bad syntax. *)
+(** Inverse of {!var_name}.  @raise Invalid_argument on bad syntax, an
+    empty relation name or an empty constant ([R(a,)]); [R()] is a
+    nullary fact. *)
 
 val make : (tuple * Ratio.t) list -> t
-(** @raise Invalid_argument on duplicate facts or on a probability
+(** @raise Invalid_argument on duplicate facts, an empty relation name
+    or constant, a relation used at two arities, or a probability
     outside [\[0, 1\]]. *)
 
 val uniform : Ratio.t -> tuple list -> t

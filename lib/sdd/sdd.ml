@@ -171,43 +171,49 @@ type manager = {
   mutable compactions_done : int;
   mutable compact_every : int;  (* max_int = never *)
   mutable last_compact_count : int;
-  cs_unique : Obs.Cache.t;
-  cs_and : Obs.Cache.t;
-  cs_or : Obs.Cache.t;
-  cs_neg : Obs.Cache.t;
-  cs_cond : Obs.Cache.t;
+  tally : int array;  (* hits at [2 * c], misses at [2 * c + 1], cache [c] *)
+  gen : int;  (* [Obs.generation] at creation if observed, else -1 *)
 }
 
-(* Weak registry of live managers, so process-level consumers (the
-   run record's census) can enumerate
-   them without keeping them alive.  Registration is once per manager;
-   the mutex covers managers created on several domains at once. *)
+(* The caches a tally covers, in [stats] order. *)
+let c_unique = 0
+let c_and = 1
+let c_or = 2
+let c_neg = 3
+let c_cond = 4
+
+let cache_names =
+  [ "sdd.unique"; "sdd.and_cache"; "sdd.or_cache"; "sdd.neg_cache";
+    "sdd.cond_cache" ]
+
+(* The one registry of managers: weak references to all of them for the
+   census, and the tallies of those created while observability was on,
+   in their [Obs.generation].  A tally outlives its manager, so dead and
+   worker-domain managers count until the generation moves on.  The
+   mutex covers managers created on several domains at once. *)
 let registry_mu = Mutex.create ()
 let registry : manager Weak.t ref = ref (Weak.create 8)
+let tallies : (int * int array list) ref = ref (-1, [])
 
 let register_manager m =
-  Mutex.lock registry_mu;
+  Mutex.protect registry_mu @@ fun () ->
   let w = !registry in
   let n = Weak.length w in
-  let rec free i = if i >= n then None else if Weak.check w i then free (i + 1) else Some i in
-  (match free 0 with
-  | Some i -> Weak.set w i (Some m)
-  | None ->
-    let w' = Weak.create (2 * n) in
-    Weak.blit w 0 w' 0 n;
-    Weak.set w' n (Some m);
-    registry := w');
-  Mutex.unlock registry_mu
+  let rec free i = if i < n && Weak.check w i then free (i + 1) else i in
+  let i = free 0 in
+  if i = n then begin
+    registry := Weak.create (2 * n);
+    Weak.blit w 0 !registry 0 n
+  end;
+  Weak.set !registry i (Some m);
+  if m.gen >= 0 then
+    let g, ts = !tallies in
+    tallies := (m.gen, if g = m.gen then m.tally :: ts else [ m.tally ])
 
 let live_managers () =
-  Mutex.lock registry_mu;
+  Mutex.protect registry_mu @@ fun () ->
   let w = !registry in
-  let out = ref [] in
-  for i = Weak.length w - 1 downto 0 do
-    match Weak.get w i with Some m -> out := m :: !out | None -> ()
-  done;
-  Mutex.unlock registry_mu;
-  !out
+  List.filter_map (Weak.get w) (List.init (Weak.length w) Fun.id)
 
 (* Apply keys pack the commuted operand pair; node ids stay far below
    2^31 in any workload that fits in memory. *)
@@ -263,13 +269,6 @@ let fresh vt ~nodes ~pairs =
 let manager ?(budget = Budget.unlimited) ?(compact_every = max_int) vt =
   if compact_every < 1 then
     invalid_arg "Sdd.manager: compact_every must be positive";
-  (* The cache statistics read their table sizes through a weak pointer:
-     a relocation replaces the tables, and the statistics must not keep
-     a dead manager alive. *)
-  let self = Weak.create 1 in
-  let size (f : manager -> int) () =
-    match Weak.get self 0 with Some m -> f m | None -> 0
-  in
   let a = fresh vt ~nodes:0 ~pairs:0 in
   let m =
     {
@@ -290,27 +289,10 @@ let manager ?(budget = Budget.unlimited) ?(compact_every = max_int) vt =
       compactions_done = 0;
       compact_every;
       last_compact_count = 2;
-      cs_unique =
-        Obs.Cache.create ~size:(size (fun m -> m.unique.entries)) "sdd.unique";
-      cs_and =
-        Obs.Cache.create
-          ~size:(size (fun m -> Cache_tbl.length m.and_cache))
-          "sdd.and_cache";
-      cs_or =
-        Obs.Cache.create
-          ~size:(size (fun m -> Cache_tbl.length m.or_cache))
-          "sdd.or_cache";
-      cs_neg =
-        Obs.Cache.create
-          ~size:(size (fun m -> Cache_tbl.length m.neg_cache))
-          "sdd.neg_cache";
-      cs_cond =
-        Obs.Cache.create
-          ~size:(size (fun m -> Cache_tbl.length m.cond_cache))
-          "sdd.cond_cache";
+      tally = Array.make 10 0;
+      gen = (if !Obs.enabled_ref then Obs.generation () else -1);
     }
   in
-  Weak.set self 0 (Some m);
   register_manager m;
   m
 
@@ -325,17 +307,31 @@ let set_compact_every m n =
 
 let compactions m = m.compactions_done
 
-(* Direct field bumps: local enough for ocamlopt to inline, so the hot
-   apply/negate paths pay two stores, not a cross-module call. *)
-let[@inline] cache_hit (c : Obs.Cache.t) =
-  c.Obs.Cache.hits <- c.Obs.Cache.hits + 1
+let[@inline] bump t i = Array.unsafe_set t i (Array.unsafe_get t i + 1)
+let[@inline] cache_hit m c = bump m.tally (2 * c)
+let[@inline] cache_miss m c = bump m.tally ((2 * c) + 1)
 
-let[@inline] cache_miss (c : Obs.Cache.t) =
-  c.Obs.Cache.misses <- c.Obs.Cache.misses + 1
+type cache_stat = {
+  cache : string;
+  lookups : int;
+  hits : int;
+  misses : int;
+  entries : int;
+}
 
-let stats m =
-  List.map Obs.Cache.snapshot
-    [ m.cs_unique; m.cs_and; m.cs_or; m.cs_neg; m.cs_cond ]
+let entry_counts m =
+  [ m.unique.entries; Cache_tbl.length m.and_cache;
+    Cache_tbl.length m.or_cache; Cache_tbl.length m.neg_cache;
+    Cache_tbl.length m.cond_cache ]
+
+let snapshot tally entries =
+  List.mapi
+    (fun c (cache, entries) ->
+      let hits = tally.(2 * c) and misses = tally.((2 * c) + 1) in
+      { cache; lookups = hits + misses; hits; misses; entries })
+    (List.combine cache_names entries)
+
+let stats m = snapshot m.tally (entry_counts m)
 
 (* Unique-table and apply-cache occupancy telemetry: entry watermarks
    and the unique table's load factor.  Called after whole-circuit
@@ -435,16 +431,22 @@ let census_to_json c =
 
 let census_all () = List.map census (live_managers ())
 
-(* Occupancy gauges for the run record's [gauges] section: cheap
-   summary numbers (no node walk) refreshed whenever occupancy is
-   probed. *)
-let occupancy_gauges m =
-  if !Obs.enabled_ref then begin
-    Obs.gauge_set "sdd.nodes_allocated" (Atomic.get m.count);
-    Obs.gauge_set "sdd.unique.entries" m.unique.entries;
-    Obs.gauge_set "sdd.apply_cache.entries"
-      (Cache_tbl.length m.and_cache + Cache_tbl.length m.or_cache)
-  end;
+let caches () =
+  let gen = Obs.generation () in
+  match Mutex.protect registry_mu (fun () -> !tallies) with
+  | g, (_ :: _ as ts) when g = gen ->
+    let sum = Array.init 10 (fun i -> List.fold_left (fun s t -> s + t.(i)) 0 ts) in
+    let entries =
+      List.fold_left
+        (fun acc m -> if m.gen = gen then List.map2 ( + ) acc (entry_counts m) else acc)
+        [ 0; 0; 0; 0; 0 ] (live_managers ())
+    in
+    List.sort (fun a b -> compare a.cache b.cache) (snapshot sum entries)
+  | _ -> []
+
+(* The occupancy pulse's flight-recorder note: cheap summary numbers,
+   no node walk. *)
+let occupancy_note m =
   Obs.Ring.record Obs.Ring.Note "sdd.occupancy"
     ~args:
       [
@@ -518,10 +520,10 @@ let[@inline] after_alloc m count =
     Obs.gauge_max "sdd.nodes_allocated" count;
     Attribution.charge_nodes 1
   end;
-  (* Occupancy pulse: one flight-recorder note (and gauge refresh) every
-     4096 allocations, so a dump's ring tail shows growth history without
-     taxing the per-alloc path beyond a mask-and-branch. *)
-  if count land 4095 = 0 then occupancy_gauges m
+  (* Occupancy pulse: one flight-recorder note every 4096 allocations,
+     so a dump's ring tail shows growth history without taxing the
+     per-alloc path beyond a mask-and-branch. *)
+  if count land 4095 = 0 then occupancy_note m
 
 (* Node writers.  Cells are fully written before [count] moves past
    them. *)
@@ -650,9 +652,9 @@ let unique_add u st i id =
 let intern m v k =
   let i = unique_slot m.unique.slots (Atomic.get m.store) v m.elems_len k in
   let id = m.unique.slots.(i) in
-  if id >= 0 then (cache_hit m.cs_unique; id)
+  if id >= 0 then (cache_hit m c_unique; id)
   else begin
-    cache_miss m.cs_unique;
+    cache_miss m c_unique;
     let id = alloc_dec m v k in
     unique_add m.unique (Atomic.get m.store) i id;
     id
@@ -793,11 +795,11 @@ let group_scan_limit = 24
 let rec negate_rec m a =
   let c = Cache_tbl.find m.neg_cache a in
   if c >= 0 then begin
-    cache_hit m.cs_neg;
+    cache_hit m c_neg;
     c
   end
   else begin
-    cache_miss m.cs_neg;
+    cache_miss m c_neg;
     let st = Atomic.get m.store in
     let k = Bytes.unsafe_get st.kind a in
     let r =
@@ -949,7 +951,12 @@ and push_view m v a =
    is computed by the ITE recursion when the manager is an OBDD (its
    vtree is right-linear — the flag lives in the immutable vtree, so an
    edit or its rollback, which swap [m.vt], can never leave it stale)
-   and by the element product otherwise. *)
+   and by the element product otherwise.  The element product would
+   give the same nodes on a right-linear vtree, but the ITE branch is
+   not a duplicate path: it is the OBDD backend's speed.  Timed in E22
+   with the branch disabled, the 4-track ladder's OBDD compile at
+   n = 32 went from 212-230 ms to 277-320 ms, and the parity chain at
+   n = 128 from 22.5-34.9 ms to 32.8-34.7 ms (4 runs each). *)
 and apply_rec m op_and a b =
   let cache = if op_and then m.and_cache else m.or_cache in
   let neutral = if op_and then 1 else 0 in
@@ -961,14 +968,14 @@ and apply_rec m op_and a b =
   else if Cache_tbl.find m.neg_cache a = b then absorbing
   else begin
     let key = if a < b then pair_key a b else pair_key b a in
-    let cstat = if op_and then m.cs_and else m.cs_or in
+    let c = if op_and then c_and else c_or in
     let cached = Cache_tbl.find cache key in
     if cached >= 0 then begin
-      cache_hit cstat;
+      cache_hit m c;
       cached
     end
     else begin
-      cache_miss cstat;
+      cache_miss m c;
       if !Obs.enabled_ref then Attribution.charge_apply_miss ();
       let st = Atomic.get m.store in
       let r =
@@ -1087,11 +1094,11 @@ let condition m a x value =
           let key = (((a * num_nodes) + lx) lsl 1) lor Bool.to_int value in
           let cached = Cache_tbl.find m.cond_cache key in
           if cached >= 0 then begin
-            cache_hit m.cs_cond;
+            cache_hit m c_cond;
             cached
           end
           else begin
-            cache_miss m.cs_cond;
+            cache_miss m c_cond;
             (* Condition the primes or the subs, whichever side holds
                [x], in element order. *)
             let side =

@@ -109,14 +109,27 @@ val compactions : manager -> int
     current node ids, since only a compaction renumbers under a new
     generation — handles from an older one are invalid. *)
 
-val stats : manager -> Obs.Cache.snapshot list
+type cache_stat = {
+  cache : string;
+  lookups : int;  (** [hits + misses] *)
+  hits : int;
+  misses : int;
+  entries : int;
+}
+
+val stats : manager -> cache_stat list
 (** Hit/miss/size statistics of the manager's unique table and its four
     caches, in the order [sdd.unique], [sdd.and_cache], [sdd.or_cache],
     [sdd.neg_cache], [sdd.cond_cache].  The caches never evict, so the
-    hit/miss sequence is a function of the calls made alone.  Always
-    maintained (independent of [Obs.set_enabled]); when observability is
-    enabled at manager-creation time the same caches also appear in
-    [Obs.caches ()]. *)
+    hit/miss sequence is a function of the calls made alone.  Each
+    manager keeps its own tally, whatever [Obs.set_enabled] says. *)
+
+val caches : unit -> cache_stat list
+(** The run record's [caches] section: the tallies of every manager
+    created with observability on in the current [Obs.generation] (dead
+    managers and those of worker domains included), summed by name and
+    sorted by name; [entries] sums the managers still alive.  [[]] when
+    there is none.  {!census_all} reads the same registry. *)
 
 (** The table type of the apply, negation and conditioning caches,
     exposed for its model test.  Keys are non-negative ints, values node

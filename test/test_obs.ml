@@ -44,18 +44,18 @@ let counters_suite =
             checkb "set" true (Obs.gauge_value "g" = Some 1)));
     case "cache invariant hits + misses = lookups" (fun () ->
         with_obs (fun () ->
-            let c = Obs.Cache.create ~size:(fun () -> 5) "t" in
-            Obs.Cache.hit c;
-            Obs.Cache.miss c;
-            Obs.Cache.hit c;
-            let s = Obs.Cache.snapshot c in
-            checki "lookups" (s.Obs.Cache.hits + s.Obs.Cache.misses)
-              s.Obs.Cache.lookups;
-            checki "hits" 2 s.Obs.Cache.hits;
-            checki "entries" 5 s.Obs.Cache.entries;
-            (* Registered while enabled, so visible to the exporter. *)
-            checkb "registered" true
-              (List.exists (fun x -> x.Obs.Cache.cache = "t") (Obs.caches ()))));
+            let m = Sdd.manager (Vtree.balanced [ "x"; "y" ]) in
+            ignore (Sdd.compile_circuit m (Circuit.of_string "(or x y)"));
+            let u = List.hd (Sdd.stats m) in
+            checks "unique first" "sdd.unique" u.Sdd.cache;
+            checki "lookups" (u.Sdd.hits + u.Sdd.misses) u.Sdd.lookups;
+            checki "one miss" 1 u.Sdd.misses;
+            checki "entries" 1 u.Sdd.entries;
+            (* Created while enabled, so visible to the exporter. *)
+            checkb "exported" true
+              (List.exists
+                 (fun x -> x.Sdd.cache = "sdd.unique" && x.Sdd.lookups > 0)
+                 (Sdd.caches ()))));
   ]
 
 let spans_suite =
@@ -479,9 +479,9 @@ let sdd_stats_suite =
         let m = Sdd.manager (Vtree.balanced [ "x"; "y" ]) in
         let node = Sdd.compile_circuit m (Circuit.of_string "(and x y)") in
         let unique = List.hd (Sdd.stats m) in
-        checks "is unique table" "sdd.unique" unique.Obs.Cache.cache;
+        checks "is unique table" "sdd.unique" unique.Sdd.cache;
         checki "unique entries = node_count" (Sdd.node_count m node)
-          unique.Obs.Cache.entries);
+          unique.Sdd.entries);
     case "manager stats are consistent after a known compilation" (fun () ->
         let c =
           Circuit.of_string
@@ -492,22 +492,22 @@ let sdd_stats_suite =
         List.iter
           (fun s ->
             checki
-              (s.Obs.Cache.cache ^ " lookups")
-              (s.Obs.Cache.hits + s.Obs.Cache.misses)
-              s.Obs.Cache.lookups)
+              (s.Sdd.cache ^ " lookups")
+              (s.Sdd.hits + s.Sdd.misses)
+              s.Sdd.lookups)
           (Sdd.stats m);
         let unique =
-          List.find (fun s -> s.Obs.Cache.cache = "sdd.unique") (Sdd.stats m)
+          List.find (fun s -> s.Sdd.cache = "sdd.unique") (Sdd.stats m)
         in
         (* Every reachable decision went through the unique table, and the
            table also holds whatever intermediate nodes became garbage. *)
         checkb "unique >= reachable" true
-          (unique.Obs.Cache.entries >= Sdd.node_count m node);
+          (unique.Sdd.entries >= Sdd.node_count m node);
         checkb "allocated >= unique + consts" true
-          (Sdd.num_nodes_allocated m >= unique.Obs.Cache.entries + 2);
+          (Sdd.num_nodes_allocated m >= unique.Sdd.entries + 2);
         (* unique misses allocate; hits and misses partition lookups. *)
         checkb "misses = entries" true
-          (unique.Obs.Cache.misses = unique.Obs.Cache.entries));
+          (unique.Sdd.misses = unique.Sdd.entries));
     case "apply cache statistics reflect actual lookups" (fun () ->
         with_obs (fun () ->
             let m = Sdd.manager (Vtree.right_linear [ "a"; "b"; "c" ]) in
@@ -516,17 +516,106 @@ let sdd_stats_suite =
             let n2 = Sdd.conjoin m x y in
             checkb "same node" true (Sdd.equal n1 n2);
             let and_stats =
-              List.find (fun s -> s.Obs.Cache.cache = "sdd.and_cache")
+              List.find (fun s -> s.Sdd.cache = "sdd.and_cache")
                 (Sdd.stats m)
             in
-            checki "two lookups" 2 and_stats.Obs.Cache.lookups;
-            checki "one hit" 1 and_stats.Obs.Cache.hits;
+            checki "two lookups" 2 and_stats.Sdd.lookups;
+            checki "one hit" 1 and_stats.Sdd.hits;
             (* The manager was created while Obs was enabled, so its
                caches are also visible to the global exporter. *)
             checkb "exported" true
               (List.exists
-                 (fun s -> s.Obs.Cache.cache = "sdd.and_cache")
-                 (Obs.caches ()))));
+                 (fun s -> s.Sdd.cache = "sdd.and_cache")
+                 (Sdd.caches ()))));
+  ]
+
+(* The record's [caches] section, read back from the JSON: per-cache
+   (lookups, hits, misses, entries). *)
+let record_caches () =
+  match Obs.Json.member "caches" (Run_record.json ()) with
+  | Some (Obs.Json.List cs) ->
+    List.map
+      (fun c ->
+        let int k =
+          match Obs.Json.member k c with Some (Obs.Json.Int n) -> n | _ -> -1
+        in
+        let name =
+          match Obs.Json.member "name" c with
+          | Some (Obs.Json.String s) -> s
+          | _ -> ""
+        in
+        (name, (int "lookups", int "hits", int "misses", int "entries")))
+      cs
+  | _ -> Alcotest.fail "no caches section"
+
+let compiled_stats vars src =
+  let m = Sdd.manager (Vtree.balanced vars) in
+  ignore (Sdd.compile_circuit m (Circuit.of_string src));
+  (m, Sdd.stats m)
+
+let run_suite =
+  [
+    case "nodes_allocated gauge keeps the peak across managers" (fun () ->
+        with_obs (fun () ->
+            let compile tracks n =
+              let c = Generators.ladder ~tracks n in
+              let m = Sdd.manager (fst (Pipeline.treedec_vtree c)) in
+              ignore (Sdd.compile_circuit m c);
+              Sdd.num_nodes_allocated m
+            in
+            checki "first manager" 8931 (compile 4 9);
+            checki "second manager" 4131 (compile 4 7);
+            checkb "gauge is the peak" true
+              (Obs.gauge_value "sdd.nodes_allocated" = Some 8931)));
+    case "caches section sums dead, live and worker managers of the run"
+      (fun () ->
+        with_obs (fun () ->
+            let before, _ = compiled_stats [ "p"; "q" ] "(or p (not q))" in
+            Obs.reset ();
+            checki "nothing counted after a reset" 0
+              (List.length (Sdd.caches ()));
+            let dead_stats =
+              snd (compiled_stats [ "a"; "b"; "c" ] "(and a (or b (not c)))")
+            in
+            Gc.full_major ();
+            let live, live_stats =
+              compiled_stats [ "a"; "b"; "c"; "d" ]
+                "(or (and a (or b (not c))) (and (not a) (and c d)) (and b d))"
+            in
+            let worker_stats =
+              Obs.Worker.parallel_map ~domains:2
+                (fun src -> snd (compiled_stats [ "x"; "y"; "z" ] src))
+                [ "(or x (and y z))"; "(and (not x) (or y z))";
+                  "(or (and x y) (and (not y) z))"; "(and x (not z))" ]
+            in
+            (* Used after the reset: still not counted. *)
+            ignore (Sdd.conjoin before (Sdd.literal before "p" true)
+                      (Sdd.literal before "q" true));
+            let all = dead_stats :: live_stats :: worker_stats in
+            (* Collects the worker managers too: only [live] (and the
+               uncounted [before]) survive to the export. *)
+            Gc.full_major ();
+            let record = record_caches () in
+            checki "five caches" 5 (List.length record);
+            List.iter
+              (fun name ->
+                let sum f =
+                  List.fold_left
+                    (fun acc stats ->
+                      acc + f (List.find (fun s -> s.Sdd.cache = name) stats))
+                    0 all
+                in
+                let lookups, hits, misses, entries = List.assoc name record in
+                checki (name ^ " lookups") (sum (fun s -> s.Sdd.lookups)) lookups;
+                checki (name ^ " hits") (sum (fun s -> s.Sdd.hits)) hits;
+                checki (name ^ " misses") (sum (fun s -> s.Sdd.misses)) misses;
+                checki (name ^ " entries of the live manager")
+                  (List.find (fun s -> s.Sdd.cache = name) (Sdd.stats live))
+                    .Sdd.entries
+                  entries)
+              [ "sdd.unique"; "sdd.and_cache"; "sdd.or_cache"; "sdd.neg_cache";
+                "sdd.cond_cache" ];
+            ignore (Sys.opaque_identity live)));
   ]
 
 let percentile_suite =
@@ -650,4 +739,5 @@ let suites =
     ("obs worker", worker_suite);
     ("obs trace", trace_suite);
     ("obs sdd stats", sdd_stats_suite);
+    ("obs sdd run", run_suite);
   ]

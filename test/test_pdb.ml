@@ -73,6 +73,31 @@ let pdb_suite =
             ignore
               (Pdb.make
                  [ (Pdb.tuple "R" [ "1" ], Ratio.one); (Pdb.tuple "R" [ "1" ], Ratio.one) ])));
+    case "empty constant rejected" (fun () ->
+        Alcotest.check_raises "parse"
+          (Invalid_argument "Pdb.tuple_of_var: empty constant in R(a,)")
+          (fun () -> ignore (Pdb.tuple_of_var "R(a,)"));
+        Alcotest.check_raises "make"
+          (Invalid_argument "Pdb.make: empty constant in R(,b)") (fun () ->
+            ignore (Pdb.make [ (Pdb.tuple "R" [ ""; "b" ], Ratio.one) ])));
+    case "empty relation name rejected" (fun () ->
+        Alcotest.check_raises "parse"
+          (Invalid_argument "Pdb.tuple_of_var: empty relation name in (a)")
+          (fun () -> ignore (Pdb.tuple_of_var "(a)"));
+        Alcotest.check_raises "make"
+          (Invalid_argument "Pdb.make: empty relation name in (a)") (fun () ->
+            ignore (Pdb.make [ (Pdb.tuple "" [ "a" ], Ratio.one) ])));
+    case "relation at two arities rejected, nullary facts kept" (fun () ->
+        Alcotest.check_raises "raise"
+          (Invalid_argument "Pdb.make: R used with arities 1 and 2") (fun () ->
+            ignore
+              (Pdb.make
+                 [ (Pdb.tuple "R" [ "a" ], Ratio.one);
+                   (Pdb.tuple "R" [ "a"; "b" ], Ratio.one) ]));
+        let t = Pdb.tuple_of_var "R()" in
+        checki "nullary" 0 (List.length t.Pdb.args);
+        let db = Pdb.make [ (t, Ratio.of_ints 1 2); (Pdb.tuple "S" [ "a" ], Ratio.one) ] in
+        check ratio "nullary fact kept" (Ratio.of_ints 1 2) (db.Pdb.prob t));
     case "probabilities outside [0, 1] rejected" (fun () ->
         let db p = Pdb.make [ (Pdb.tuple "R" [ "a" ], p) ] in
         List.iter
@@ -428,9 +453,10 @@ let random_hierarchical_cq st ~prefix =
 
 (* A random database for the relations of [q] over the constants 1..4,
    in shuffled fact order: ground copies of the atoms under random
-   assignments (so joins succeed), random tuples, facts of the wrong
-   arity, a relation the query does not use, and now and then one
-   relation left empty. *)
+   assignments (so joins succeed), random tuples, relations the query
+   does not use (one nullary, some one wider than a query relation,
+   since [Pdb.make] rejects a relation at two arities), and now and
+   then one relation left empty. *)
 let random_db st q =
   let pick n = Random.State.int st n in
   let value () = string_of_int (1 + pick 4) in
@@ -440,7 +466,7 @@ let random_db st q =
       [ (List.nth atoms (pick (List.length atoms))).Ucq.rel ]
     else []
   in
-  let facts = ref [ Pdb.tuple "U" [ value () ]; Pdb.tuple "U" [] ] in
+  let facts = ref [ Pdb.tuple "U" [ value () ]; Pdb.tuple "V" [] ] in
   let add rel args =
     if not (List.mem rel empty) then facts := Pdb.tuple rel args :: !facts
   in
@@ -469,7 +495,8 @@ let random_db st q =
       for _ = 1 to pick 5 do
         add a.Ucq.rel (List.init arity (fun _ -> value ()))
       done;
-      if pick 3 = 0 then add a.Ucq.rel (List.init (arity + 1) (fun _ -> value ())))
+      if pick 3 = 0 then
+        add (a.Ucq.rel ^ "w") (List.init (arity + 1) (fun _ -> value ())))
     atoms;
   let facts = List.sort_uniq compare !facts in
   Pdb.uniform (Ratio.of_ints 1 2)

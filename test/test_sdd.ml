@@ -411,10 +411,10 @@ let sdd_suite =
         let hits_lookups name =
           match
             List.find_opt
-              (fun (s : Obs.Cache.snapshot) -> s.Obs.Cache.cache = name)
+              (fun (s : Sdd.cache_stat) -> s.Sdd.cache = name)
               (Sdd.stats m)
           with
-          | Some s -> (s.Obs.Cache.hits, s.Obs.Cache.lookups)
+          | Some s -> (s.Sdd.hits, s.Sdd.lookups)
           | None -> Alcotest.failf "no %s statistics" name
         in
         let pair = Alcotest.(pair int int) in
