@@ -31,10 +31,11 @@
    and, on an otherwise successful run, exits 124.
 
    The compiling subcommands (compile, cnf, query) accept --timeout SEC
-   and --max-nodes N.  Under a budget the engine is anytime: it degrades
-   through cheaper vtree strategies instead of running away, prints
-   whatever valid result it reached, and reports the trip through the
-   exit code — see [exit_code_docs] for the 3/4/5/6/7 contract. *)
+   and --max-nodes N.  Under a budget a circuit compile is anytime: it
+   degrades through cheaper vtree strategies instead of running away,
+   prints whatever valid result it reached, and reports the trip through
+   the exit code — see [exit_code_docs] for the 3/4/5/6/7 contract.  A
+   CNF component has one vtree, so a trip there is the error. *)
 
 open Cmdliner
 
@@ -122,8 +123,9 @@ let timeout_arg =
 
 let max_nodes_arg =
   Arg.(value & opt (some int) None & info [ "max-nodes" ] ~docv:"N"
-         ~doc:"SDD live-node budget per manager.  On exhaustion the \
-               engine degrades or stops, exiting with code 5.")
+         ~doc:"SDD live-node budget per manager.  On exhaustion a \
+               circuit compile degrades to a vtree that fits, if any, \
+               and a CNF compile stops; either way it exits with code 5.")
 
 let budget_of timeout max_nodes =
   match (timeout, max_nodes) with
@@ -545,8 +547,8 @@ let components_arg =
                CTWSDD_DOMAINS overrides the recommendation.")
 
 (* One path: preprocessing, connected components compiled in parallel,
-   each folded along its tree decomposition (Lemma 1 vtree, stepping
-   down to the right-linear vtree on a trip).  [--minimize] then runs the
+   each folded along its tree decomposition on the Lemma 1 vtree (a
+   trip is the error).  [--minimize] then runs the
    in-manager vtree search on every component under the run's budget —
    the pass [Pipeline.compile] makes after a circuit compile. *)
 let cnf_cmd =
@@ -574,11 +576,12 @@ let cnf_cmd =
         Printf.printf "preprocess: %d forced, %d free variables\n"
           r.Pipeline.forced_vars r.Pipeline.free_vars;
       let comps = r.Pipeline.components in
-      (* Per component: its size and degradation, after minimization. *)
+      (* Per component: its size after minimization, and the trip that
+         cut the minimization short. *)
       let sized =
         List.map
           (fun (c : Pipeline.cnf_component) ->
-            if not minimize then (c, c.Pipeline.k_size, c.Pipeline.k_degraded)
+            if not minimize then (c, c.Pipeline.k_size, None)
             else
               let a =
                 Vtree_search.minimize_manager ~budget c.Pipeline.k_manager
@@ -586,9 +589,7 @@ let cnf_cmd =
               in
               ( c,
                 Sdd.size c.Pipeline.k_manager a.Vtree_search.best,
-                match c.Pipeline.k_degraded with
-                | Some _ as t -> t
-                | None -> a.Vtree_search.degraded ))
+                a.Vtree_search.degraded ))
           comps
       in
       Printf.printf "components: %d\n" (List.length comps);

@@ -3,9 +3,9 @@
     Everything here is result-typed and budget-aware: pass a
     {!Budget.t} (wall-clock deadline, SDD node cap, heap watermark,
     cancellation token) and the engine either finishes, degrades
-    gracefully (reported in the result), or returns a structured
-    {!Error.t} — it never runs away and never dies with a backtrace on
-    declared failure modes.
+    gracefully where a lower rung fits (reported in the result), or
+    returns a structured {!Error.t} — it never runs away and never dies
+    with a backtrace on declared failure modes.
 
     {[
       let budget = Budget.create ~timeout:2.0 ~max_nodes:50_000 () in
@@ -60,11 +60,12 @@ val compile_cnf :
     count-preserving preprocessing, connected components of the primal
     graph compiled in parallel (each under a split budget share), and
     within each component a fold along its tree decomposition (one SDD
-    per bag, joined bottom-up) on the Lemma 1 vtree, stepping down to
-    the right-linear vtree on a budget trip.  The result carries the
-    exact model count over the original variables and the
-    per-component SDDs ({!Pipeline.conjoin_components} combines them
-    into one manager when a single SDD is needed). *)
+    per bag, joined bottom-up) on the Lemma 1 vtree.  A budget trip in
+    any component is the [Error] (a node-cap trip is [Node_limit]):
+    there is no lower rung, and [cnf_degraded] is always [None].  The
+    result carries the exact model count over the original variables
+    and the per-component SDDs ({!Pipeline.conjoin_components} combines
+    them into one manager when a single SDD is needed). *)
 
 val conjoin_components : Pipeline.cnf_result -> (Sdd.manager * Sdd.t) option
 (** See {!Pipeline.conjoin_components}. *)

@@ -136,10 +136,10 @@ let compile_rung (module B : Backend.S) ~budget ?compact_every ?domains vars c
 
 (* Graceful degradation: try each rung of [ladder] in turn under its
    attribution center, stepping down on a budget trip (counted as
-   [pipeline.degrade], with an [event] naming both rungs).  Returns the
+   [pipeline.degrade], with an event naming both rungs).  Returns the
    first rung's result that fits, the rung and the last trip; only when
    the last rung also trips does the trip escape. *)
-let descend ~event attempt ladder =
+let descend attempt ladder =
   let rec go last = function
     | [] ->
       (* Unreachable with [last = None]: every ladder is non-empty. *)
@@ -154,7 +154,7 @@ let descend ~event attempt ladder =
          if rest <> [] then begin
            Obs.incr "pipeline.degrade";
            if !Obs.enabled_ref then
-             Obs.event event
+             Obs.event "pipeline.degrade"
                [
                  ("from", Obs.Json.String (strategy_name rung));
                  ("to", Obs.Json.String (strategy_name (List.hd rest)));
@@ -209,9 +209,7 @@ let compile ?(budget = Budget.unlimited) ?(vtree_strategy = `Treedec)
     | (`Right | `Pinned _) as s -> [ s ]
   in
   let (m, node), strategy, ladder_trip =
-    descend ~event:"pipeline.degrade"
-      (compile_rung (module B) ~budget ?compact_every ?domains vars c)
-      ladder
+    descend (compile_rung (module B) ~budget ?compact_every ?domains vars c) ladder
   in
   let root, minimize_steps, minimize_trip =
     if minimize then begin
@@ -250,7 +248,6 @@ type cnf_component = {
   k_clauses : int;
   k_count : Bigint.t;
   k_size : int;
-  k_degraded : Budget.reason option;
 }
 
 type cnf_result = {
@@ -460,49 +457,34 @@ let bag_fold m rt ~comp clause_sdd clauses =
 
 (* Compile one component under its budget share: the fold along the
    component's decomposition, on the Lemma 1 vtree of that
-   decomposition ([`Treedec]) and, after a trip, on the right-linear
-   vtree ([`Right]).  The decomposition is computed once for both
-   rungs.  A tripped rung's manager is dropped whole, so a
-   mid-component trip never leaks a half-built state. *)
+   decomposition.  A trip is the component's error (see
+   [pipeline.mli] for why there is no lower rung); the tripped manager
+   is dropped whole, so a mid-component trip never leaks a half-built
+   state. *)
 let compile_component (module B : Backend.S) ~budget ~comp ?compact_every
     (names : string array) (d : Dimacs.t) =
-  let rooted =
-    lazy
-      (root_treedec d.Dimacs.num_vars
-         (var_treedec ~budget (cnf_primal_graph d)))
+  let rt =
+    root_treedec d.Dimacs.num_vars (var_treedec ~budget (cnf_primal_graph d))
   in
-  let attempt rung =
-    let rt = Lazy.force rooted in
-    let vt =
-      match rung with
-      | `Treedec -> vtree_of_rooted rt names
-      | `Right -> Vtree.right_linear (Array.to_list names)
-    in
-    let m = B.create_manager ~budget ?compact_every vt in
-    let build clause =
-      Budget.poll budget;
-      List.fold_left
-        (fun acc l ->
-          Sdd.disjoin m acc (Sdd.literal m names.(abs l - 1) (l > 0)))
-        (Sdd.false_ m) clause
-    in
-    (* Clause [j] of the build order, under its own attribution center
-       (labels are formatted only when attribution is on). *)
-    let idx = ref (-1) in
-    let clause_sdd clause =
-      if not (Attribution.enabled ()) then build clause
-      else begin
-        incr idx;
-        Attribution.with_center (Attribution.clause ~component:comp !idx)
-          (fun () -> build clause)
-      end
-    in
-    (m, bag_fold m rt ~comp clause_sdd d.Dimacs.clauses)
+  let m = B.create_manager ~budget ?compact_every (vtree_of_rooted rt names) in
+  let build clause =
+    Budget.poll budget;
+    List.fold_left
+      (fun acc l -> Sdd.disjoin m acc (Sdd.literal m names.(abs l - 1) (l > 0)))
+      (Sdd.false_ m) clause
   in
-  let (m, root), _, degraded =
-    descend ~event:"pipeline.component_degrade" attempt [ `Treedec; `Right ]
+  (* Clause [j] of the build order, under its own attribution center
+     (labels are formatted only when attribution is on). *)
+  let idx = ref (-1) in
+  let clause_sdd clause =
+    if not (Attribution.enabled ()) then build clause
+    else begin
+      incr idx;
+      Attribution.with_center (Attribution.clause ~component:comp !idx)
+        (fun () -> build clause)
+    end
   in
-  (m, root, degraded)
+  (m, bag_fold m rt ~comp clause_sdd d.Dimacs.clauses)
 
 let compile_cnf ?(budget = Budget.unlimited) ?(preprocess = true)
     ?(backend = `Sdd) ?domains ?compact_every (d : Dimacs.t) =
@@ -574,7 +556,7 @@ let compile_cnf ?(budget = Budget.unlimited) ?(preprocess = true)
                   compile_component (module B) ~budget:per_budget ~comp:i
                     ?compact_every names cnf)
             with
-            | m, root, degraded ->
+            | m, root ->
               let size = Sdd.size m root in
               let count = Sdd.model_count m root in
               Sdd.set_budget m Budget.unlimited;
@@ -585,10 +567,6 @@ let compile_cnf ?(budget = Budget.unlimited) ?(preprocess = true)
                     ("vars", Obs.Json.Int cnf.Dimacs.num_vars);
                     ("clauses", Obs.Json.Int (List.length cnf.Dimacs.clauses));
                     ("size", Obs.Json.Int size);
-                    ( "degraded",
-                      match degraded with
-                      | None -> Obs.Json.Bool false
-                      | Some r -> Obs.Json.String (Budget.reason_to_string r) );
                   ];
               Ok
                 {
@@ -598,7 +576,6 @@ let compile_cnf ?(budget = Budget.unlimited) ?(preprocess = true)
                   k_clauses = List.length cnf.Dimacs.clauses;
                   k_count = count;
                   k_size = size;
-                  k_degraded = degraded;
                 }
             | exception Budget.Exhausted r ->
               if !Obs.enabled_ref then
@@ -611,30 +588,18 @@ let compile_cnf ?(budget = Budget.unlimited) ?(preprocess = true)
               Error r)
           jobs
       in
-      (match
-         List.find_map (function Error r -> Some r | Ok _ -> None) attempts
-       with
-       | Some r -> raise (Budget.Exhausted r)
-       | None -> ());
+      (* The first component's trip, in component order, is the error. *)
       let components =
-        List.map (function Ok c -> c | Error _ -> assert false) attempts
+        List.map
+          (function Ok c -> c | Error r -> raise (Budget.Exhausted r))
+          attempts
       in
       let count =
         List.fold_left
           (fun acc c -> Bigint.mul acc c.k_count)
           (Bigint.pow2 free) components
       in
-      {
-        count;
-        components;
-        free_vars = free;
-        forced_vars;
-        preprocessed = preprocess;
-        cnf_backend = chosen;
-        cnf_backend_reason = backend_reason;
-        cnf_degraded =
-          List.find_map (fun c -> c.k_degraded) components;
-      }
+      { unsat with count; components; free_vars = free; forced_vars }
     end
   in
   if preprocess then begin

@@ -701,7 +701,7 @@ let span name f =
         Ring.record Ring.Span name ~dur_s:(t1 -. t0);
         match st.sstack with
         | top :: rest when top == node -> st.sstack <- rest
-        | _ -> (* a reset happened inside the span *) ())
+        | _ -> (* not reached: [reset] keeps the open spans *) ())
       f
   end
 
@@ -747,9 +747,18 @@ let reset () =
   Ring.clear ();
   Domain.DLS.get epoch_key := now ();
   Domain.DLS.set gc_baseline_key (gc_mark ());
+  (* The open spans stay on the stack, emptied, as the new tree's
+     spine: a span opened next is a child of the innermost one. *)
   let st = span_state () in
   st.sroot <- mk_span "<root>";
-  st.sstack <- [];
+  ignore
+    (List.fold_right
+       (fun (n : span_node) (parent : span_node) ->
+         n.calls <- 0; n.total <- 0.0; n.gminor <- 0.0; n.gmajor <- 0.0;
+         n.gpromoted <- 0.0; n.gminor_c <- 0; n.gmajor_c <- 0; n.children <- [];
+         parent.children <- [ n ];
+         n)
+       st.sstack st.sroot);
   Attribution.fresh ()
 
 let hard_reset () =

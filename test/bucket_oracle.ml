@@ -1,11 +1,13 @@
-(* An independent weighted model counter for circuits, by bucket
-   elimination.  It shares no code with the compiler: no Sdd, Pipeline,
-   Lineage, Treewidth, Bigint or Ratio.  It reads the circuit's gates
-   and nothing else of the library.
+(* An independent weighted model counter for circuits and CNFs, by
+   bucket elimination.  It shares no code with the compiler: no Sdd,
+   Pipeline, Lineage, Cnf_preprocess, Treewidth, Bigint or Ratio.  It
+   reads the circuit's gates or the CNF's clauses and nothing else of
+   the library.
 
    Every gate is a 0/1 table over itself and its inputs; a wide And/Or
    becomes a chain of binary gates, so no table has more than three
-   variables to start with.  Each input variable carries a weight k/8,
+   variables to start with.  Every clause is a 0/1 table over its
+   variables.  Each circuit input variable carries a weight k/8,
    kept exact as the integer pair (8 - k, k), so the sum over all
    assignments is 8^n times the probability, for n input variables.
    Variables are eliminated in a min-degree order computed here; a step
@@ -229,17 +231,29 @@ let tables (c : Circuit.t) ~weight =
   add [ id.(Circuit.output c) ] (fun x -> x.(0));
   (!tables, !next)
 
+(* The tables of a CNF over variables 1..[num_vars]: one per clause,
+   true when some literal is, and one of two 1s per variable, so a
+   variable in no clause doubles the count. *)
+let cnf_tables ~num_vars clauses =
+  let clause_table clause =
+    let vars = List.sort_uniq compare (List.map (fun l -> abs l - 1) clause) in
+    let index = List.mapi (fun i v -> (v, i)) vars in
+    of_fun vars (fun x ->
+        List.exists (fun l -> x.(List.assoc (abs l - 1) index) = (l > 0)) clause)
+  in
+  List.init num_vars (fun v ->
+      { vars = [| v |]; cells = [| Nat.of_int 1; Nat.of_int 1 |] })
+  @ List.map clause_table clauses
+
 (* The width of the elimination [weighted_count] would run: its cost is
    about 2^width per variable. *)
 let width c =
   let tables, n = tables c ~weight:(fun _ -> 4) in
   snd (min_degree_order n tables)
 
-(* Σ over the input assignments that make the circuit true of
-   Π (weight v if v is true else 8 - weight v), as a decimal string.
-   [weight v] is the numerator k of the variable's probability k/8. *)
-let weighted_count c ~weight =
-  let tables, n = tables c ~weight in
+(* The product of [tables] over variables 0..[n]-1, every variable
+   summed out, as a decimal string. *)
+let sum_out n tables =
   let order, _ = min_degree_order n tables in
   let rank = Array.make n 0 in
   List.iteri (fun i v -> rank.(v) <- i) order;
@@ -259,3 +273,15 @@ let weighted_count c ~weight =
     (fun v -> match bucket.(v) with [] -> () | ts -> file (eliminate v ts))
     order;
   Nat.to_string !scalar
+
+(* Σ over the input assignments that make the circuit true of
+   Π (weight v if v is true else 8 - weight v), as a decimal string.
+   [weight v] is the numerator k of the variable's probability k/8. *)
+let weighted_count c ~weight =
+  let tables, n = tables c ~weight in
+  sum_out n tables
+
+(* The number of models of a CNF over variables 1..[num_vars], as a
+   decimal string. *)
+let cnf_count ~num_vars clauses =
+  sum_out num_vars (cnf_tables ~num_vars clauses)

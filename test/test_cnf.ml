@@ -410,25 +410,135 @@ let fold_tests =
               r.Pipeline.components armed.Pipeline.components
           done
         done);
-    case "a node cap inside the fold degrades to right-linear, count exact"
-      (fun () ->
-        (* The Lemma 1 fold of this 6-tree CNF allocates 199 nodes, the
-           same fold on the right-linear vtree 140, so a cap of 170 trips
-           the [`Treedec] rung only. *)
+    case "a node cap inside the fold is the error" (fun () ->
+        (* The Lemma 1 fold of this 6-tree CNF allocates 199 nodes, so a
+           cap of 170 trips it; the component has no lower rung. *)
         let d = ktree_cnf ~seed:485 ~n:15 ~k:6 in
-        let r =
-          compile_ok ~preprocess:false ~domains:1
-            ~budget:(Budget.create ~max_nodes:170 ())
+        let run cap =
+          Pipeline.compile_cnf ~preprocess:false ~domains:1
+            ~budget:(Budget.create ~max_nodes:cap ())
             d
         in
-        check bigint "count" (Bigint.of_int (brute_count d)) r.Pipeline.count;
-        match r.Pipeline.components with
-        | [ c ] ->
-          checkb "degraded on the node cap" true
-            (c.Pipeline.k_degraded = Some Budget.Node_limit);
-          checkb "landed on the right-linear vtree" true
-            (Vtree.is_right_linear (Sdd.vtree c.Pipeline.k_manager))
-        | _ -> Alcotest.fail "expected one component");
+        (match run 170 with
+         | Error e ->
+           checkb "node limit" true (e = Ctwsdd_error.Node_limit)
+         | Ok _ -> Alcotest.fail "a 170-node cap fit the 199-node fold");
+        match run 199 with
+        | Ok r ->
+          check bigint "count at the fold's own need"
+            (Bigint.of_int (brute_count d)) r.Pipeline.count;
+          checkb "not degraded" true (r.Pipeline.cnf_degraded = None)
+        | Error e -> Alcotest.fail (Ctwsdd_error.to_string e));
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Against the bucket-elimination oracle                               *)
+(* ------------------------------------------------------------------ *)
+
+let band ~width ~offset n =
+  List.init (n - width + 1) (fun i ->
+      List.init width (fun j ->
+          let v = offset + i + j + 1 in
+          if j mod 2 = 0 then v else -v))
+
+(* The cnf-count benchmark's families (bench/perf/workload.ml), rebuilt
+   at about [n] variables. *)
+let count_family ~seed family n =
+  match family with
+  | "chain" -> cnf ~vars:n (List.init (n - 1) (fun i -> [ -(i + 1); i + 2 ]))
+  | "band3" -> cnf ~vars:n (band ~width:3 ~offset:0 n)
+  | "band5" -> cnf ~vars:n (band ~width:5 ~offset:0 n)
+  | "grid" ->
+    let rows = 3 + (seed mod 4) in
+    let cols = n / rows in
+    let v c r = (c * rows) + r + 1 in
+    cnf ~vars:(cols * rows)
+      (List.concat
+         (List.init cols (fun c ->
+              List.concat
+                (List.init rows (fun r ->
+                     (if c + 1 < cols then [ [ -v c r; v (c + 1) r ] ] else [])
+                     @ if r + 1 < rows then [ [ -v c r; v c (r + 1) ] ] else [])))))
+  | "band3x8" ->
+    let k = n / 8 in
+    cnf ~vars:(8 * k)
+      (List.concat (List.init 8 (fun c -> band ~width:3 ~offset:(c * k) k)))
+  | "rand3-w6" ->
+    let st = Random.State.make [| seed; n |] in
+    let clause () =
+      let start = 1 + Random.State.int st (n - 5) in
+      let rec pick acc =
+        if List.length acc = 3 then acc
+        else
+          let o = Random.State.int st 6 in
+          if List.mem o acc then pick acc else pick (o :: acc)
+      in
+      List.map
+        (fun o -> if Random.State.bool st then start + o else -(start + o))
+        (pick [])
+    in
+    cnf ~vars:n (List.init (3 * n / 2) (fun _ -> clause ()))
+  | f -> invalid_arg ("count_family: " ^ f)
+
+let count_families = [ "chain"; "band3"; "band5"; "grid"; "band3x8"; "rand3-w6" ]
+
+let oracle (d : Dimacs.t) =
+  Bucket_oracle.cnf_count ~num_vars:d.Dimacs.num_vars d.Dimacs.clauses
+
+(* [compile_cnf] with preprocessing on and off, each with compaction
+   off and armed every 16 nodes, against the oracle. *)
+let check_modes what d =
+  let want = oracle d in
+  List.iter
+    (fun (preprocess, compact_every) ->
+      let r = compile_ok ~preprocess ?compact_every ~domains:1 d in
+      checks
+        (Printf.sprintf "%s preprocess=%b compact_every=%s" what preprocess
+           (match compact_every with Some k -> string_of_int k | None -> "off"))
+        want
+        (Bigint.to_string r.Pipeline.count))
+    [ (true, None); (false, None); (true, Some 16); (false, Some 16) ]
+
+(* [`Sat]-level preprocessing also drops pure literals, which can lose
+   models: the count of what is left, scaled by [count_bounds], must
+   bracket the oracle's count of the input. *)
+let check_bounds what d =
+  let want = Bigint.of_string (oracle d) in
+  match Cnf_preprocess.run ~level:`Sat d with
+  | Cnf_preprocess.Unsat -> check bigint (what ^ " unsat") Bigint.zero want
+  | Cnf_preprocess.Simplified s ->
+    let core = compile_ok ~preprocess:false ~domains:1 s.Cnf_preprocess.cnf in
+    checks (what ^ " core") (oracle s.Cnf_preprocess.cnf)
+      (Bigint.to_string core.Pipeline.count);
+    let lo, hi = Cnf_preprocess.count_bounds s core.Pipeline.count in
+    checkb (what ^ " lo <= count") true (Bigint.compare lo want <= 0);
+    checkb (what ^ " count <= hi") true (Bigint.compare want hi <= 0)
+
+let oracle_tests =
+  [
+    case "k-tree CNFs: compile_cnf counts what the oracle counts" (fun () ->
+        for k = 2 to 6 do
+          List.iter
+            (fun n ->
+              for i = 0 to 1 do
+                let d = ktree_cnf ~seed:((1000 * k) + (10 * n) + i) ~n ~k in
+                let what = Printf.sprintf "k=%d n=%d i=%d" k n i in
+                check_modes what d;
+                check_bounds what d
+              done)
+            [ 20; 40; 64 ]
+        done);
+    case "cnf-count families at 40-300 variables" (fun () ->
+        List.iteri
+          (fun seed family ->
+            List.iter
+              (fun n ->
+                let d = count_family ~seed family n in
+                let what = Printf.sprintf "%s n=%d" family n in
+                check_modes what d;
+                check_bounds what d)
+              [ 40; 120; 300 ])
+          count_families);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -554,6 +664,7 @@ let suites =
     ("cnf-split", split_tests);
     ("cnf-compile", compile_tests);
     ("cnf-fold", fold_tests);
+    ("cnf-oracle", oracle_tests);
     ("cnf-conjoin", conjoin_tests);
     ("cnf-parse", parse_tests);
   ]

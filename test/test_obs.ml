@@ -80,6 +80,21 @@ let spans_suite =
                    (inner.Obs.total_s <= outer.Obs.total_s)
                | l -> Alcotest.failf "expected one child, got %d" (List.length l))
             | l -> Alcotest.failf "expected one root, got %d" (List.length l)));
+    case "reset inside an open span keeps it as the parent" (fun () ->
+        with_obs (fun () ->
+            Obs.span "outer" (fun () ->
+                Obs.reset ();
+                checki "outer still open" 1 (Obs.span_depth ());
+                Obs.span "inner" (fun () -> ()));
+            checki "closed" 0 (Obs.span_depth ());
+            match Obs.span_roots () with
+            | [ outer ] ->
+              checks "outer name" "outer" outer.Obs.span;
+              checki "outer closed once" 1 outer.Obs.calls;
+              (match outer.Obs.children with
+               | [ inner ] -> checks "inner under outer" "inner" inner.Obs.span
+               | l -> Alcotest.failf "expected one child, got %d" (List.length l))
+            | l -> Alcotest.failf "expected one root, got %d" (List.length l)));
     case "span closes on exceptions" (fun () ->
         with_obs (fun () ->
             (try Obs.span "boom" (fun () -> failwith "x") with Failure _ -> ());
